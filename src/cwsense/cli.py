@@ -9,28 +9,23 @@ Subcommands:
 * bounds: print size bounds or dimension calculator values.
 * recover: run the seeded OMP experiment against a matrix file.
 
-Exit codes: 0 success, 2 usage or file-format error, 3 enumeration
-budget exceeded, 4 recovery guarantee violated.  Every randomized path
-takes --seed (default 0); no command ever draws entropy from the
-system, so identical invocations write identical files, with the single
-exception of the wall-clock seconds column in recovery CSVs.
+Exit codes: 0 success, 2 usage, file-format or unreadable-file error,
+3 enumeration budget exceeded, 4 recovery guarantee violated.  Every
+randomized path takes --seed (default 0); no command ever draws entropy
+from the system, so identical invocations write identical files, with
+the single exception of the wall-clock seconds column in recovery CSVs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import codes, designs, matrices, recovery
 from .errors import BudgetError, FormatError, ParameterError
 
 CONSTRUCTIONS = ("greedy", "ternary-greedy", "graham-sloane", "sts",
                  "affine", "spread", "devore")
-
-
-def _fmt_frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _require(args: argparse.Namespace, names: list[str], ctor: str) -> None:
@@ -77,7 +72,7 @@ def _matrix_for(code, args: argparse.Namespace) -> matrices.MeasurementMatrix:
 def _summary(matrix: matrices.MeasurementMatrix, construction: str,
              d: int) -> str:
     return (f"summary: construction={construction} n={matrix.n} N={matrix.N} "
-            f"w={matrix.w} d={d} mu_bound={_fmt_frac(matrix.bound)}")
+            f"w={matrix.w} d={d} mu_bound={matrix.bound}")
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -110,8 +105,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def _coherence_lines(matrix: matrices.MeasurementMatrix,
                      k: int | None) -> list[str]:
     report = matrices.coherence(matrix, k=k)
-    bound = "n/a" if report.bound is None else _fmt_frac(report.bound)
-    lines = [f"mu = {_fmt_frac(report.mu)}, bound = {bound}, "
+    bound = "n/a" if report.bound is None else report.bound
+    lines = [f"mu = {report.mu}, bound = {bound}, "
              f"order k = {report.order}"]
     if report.welch.degenerate:
         lines.append("welch = 0 (degenerate: N <= n)")
@@ -119,30 +114,14 @@ def _coherence_lines(matrix: matrices.MeasurementMatrix,
         lines.append(f"welch = {report.welch.value:.6f} "
                      f"(alt form {report.welch.alt_value:.6f})")
     if report.k is not None:
-        lines.append(f"delta_{report.k} = {_fmt_frac(report.delta_k)}")
+        lines.append(f"delta_{report.k} = {report.delta_k}")
     return lines
-
-
-def _looks_like_matrix(text: str) -> bool:
-    # Support-list matrices carry a '# n <n> w <w>' comment header and
-    # dense CSV rows contain commas; code files have neither (their
-    # header is a bare 'n d w' line and '#' lines only name provenance).
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line[1:].strip().startswith("n "):
-                return True
-            continue
-        return "," in line
-    return False
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="ascii") as fh:
         text = fh.read()
-    if _looks_like_matrix(text):
+    if matrices.matrix_format(text) is not None:
         matrix = matrices.loads_matrix(text)
         print(f"matrix: {matrix.n}x{matrix.N} w={matrix.w} "
               f"provenance={matrix.provenance!r}")
@@ -291,15 +270,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ParameterError, FormatError) as exc:
+    except (ParameterError, FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def run() -> None:

@@ -3,8 +3,9 @@
 Binary codewords are sorted support tuples (positions of the ones);
 ternary codewords are sorted (position, sign) tuples with signs in
 {+1, -1}.  Every code object carries a certified minimum distance d
-that was recomputed by an exhaustive pairwise scan, never taken on
-trust from a header or a construction argument.
+that was recomputed by an exhaustive pairwise scan (overlap_maxima,
+shared with matrices.coherence), never taken on trust from a header
+or a construction argument.
 
 Distances are even for binary constant-weight codes, d = 2(w - |A & B|)
 for supports A and B, so the binary bound and construction routines
@@ -21,6 +22,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BudgetError, FormatError, ParameterError
 from .field import is_prime
@@ -90,59 +93,52 @@ def ternary_distance(a: TernaryWord, b: TernaryWord) -> int:
     return dist
 
 
-def _check_support(word: Iterable[int], n: int, w: int, line: str) -> BinaryWord:
-    sup = tuple(sorted(word))
-    if len(sup) != w or len(set(sup)) != w:
-        raise ParameterError(f"word {line} does not have weight {w}")
-    if sup and (sup[0] < 0 or sup[-1] >= n):
-        raise ParameterError(f"word {line} has positions outside [0, {n})")
-    return sup
+# -- pairwise kernel -----------------------------------------------------
+
+PAIR_TILE = 256  # columns per tile; a tile pair allocates O(PAIR_TILE^2)
 
 
-def validate_binary(code: BinaryCWCode) -> int:
-    """Exhaustively recompute the minimum distance and certify it.
+def overlap_maxima(n: int, supports: Sequence[TernaryWord]) -> tuple[int, int]:
+    """Exact extremes over all pairs i < j of signed supports.
 
-    Checks weights, position ranges and duplicates, scans every pair
-    (no early exit), writes the exact distance back into code.d and
-    returns it.  A code with fewer than two words certifies n + 1.
+    Returns (max |G_ij|, max (3 S_ij + G_ij) / 2), G the signed inner
+    product and S the support overlap (binary words pass all signs +1,
+    so G = S); (0, 0) without a pair.  Coherence is the first value
+    over w and the minimum distance is 2w minus the second, since D sign
+    disagreements on S common positions give G = S - 2D and distance
+    2(w - S) + D.  Float64 column tiles go through BLAS, exact in any
+    summation order because every partial sum is an integer of
+    magnitude at most n < 2^53; only tile-sized products are allocated,
+    never an N x N array.
     """
-    n, w = code.n, code.w
-    if not 1 <= w <= n:
-        raise ParameterError(f"need 1 <= w <= n, got w={w} n={n}")
-    masks = []
-    seen = set()
-    for i, word in enumerate(code.words):
-        sup = _check_support(word, n, w, f"#{i}")
-        if sup in seen:
-            raise ParameterError(f"duplicate codeword #{i}")
-        seen.add(sup)
-        m = 0
-        for pos in sup:
-            m |= 1 << pos
-        masks.append(m)
-    if len(masks) < 2:
-        code.d = n + 1
-        return code.d
-    mx = 0  # largest pairwise intersection; distance = 2(w - mx)
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            inter = (mi & masks[j]).bit_count()
-            if inter > mx:
-                mx = inter
-    code.d = 2 * (w - mx)
-    if code.d == 0:
-        raise ParameterError("duplicate codewords (distance 0)")
-    return code.d
+    a = np.zeros((n, len(supports)))
+    for j, sup in enumerate(supports):
+        for pos, sign in sup:
+            a[pos, j] = sign
+    b = np.abs(a) if (a < 0).any() else a  # supports; binary words: a
+    top_g = top_s = 0
+    N, T = len(supports), PAIR_TILE
+    for i0 in range(0, N, T):
+        for j0 in range(i0, N, T):
+            g = a[:, i0:i0 + T].T @ a[:, j0:j0 + T]
+            s = b[:, i0:i0 + T].T @ b[:, j0:j0 + T]
+            if i0 == j0:  # a symmetric tile: drop the diagonal, i != j
+                np.fill_diagonal(g, 0)
+                np.fill_diagonal(s, 0)
+            top_g = max(top_g, int(g.max()), int(-g.min()))
+            s *= 3
+            s += g
+            top_s = max(top_s, int(s.max()))
+    return top_g, top_s // 2
 
 
-def validate_ternary(code: TernaryCWCode) -> int:
-    """Ternary counterpart of validate_binary (symbol-wise distances)."""
-    n, w = code.n, code.w
+def _certify_words(n: int, w: int, words: Sequence[TernaryWord]) -> int:
+    """Check each signed word (weight, range, signs, order, duplicates)
+    and return the exact minimum distance, n + 1 without a pair."""
     if not 1 <= w <= n:
         raise ParameterError(f"need 1 <= w <= n, got w={w} n={n}")
     seen = set()
-    for i, word in enumerate(code.words):
+    for i, word in enumerate(words):
         positions = [p for p, _ in word]
         if len(word) != w or len(set(positions)) != w:
             raise ParameterError(f"word #{i} does not have weight {w}")
@@ -150,22 +146,31 @@ def validate_ternary(code: TernaryCWCode) -> int:
             raise ParameterError(f"word #{i} has positions outside [0, {n})")
         if any(s not in (1, -1) for _, s in word):
             raise ParameterError(f"word #{i} has signs outside {{+1, -1}}")
-        if tuple(word) != tuple(sorted(word)):
+        if word != tuple(sorted(word)):
             raise ParameterError(f"word #{i} is not sorted by position")
-        if tuple(word) in seen:
+        if word in seen:
             raise ParameterError(f"duplicate codeword #{i}")
-        seen.add(tuple(word))
-    if len(code.words) < 2:
-        code.d = n + 1
-        return code.d
-    dmin = n + 1
-    for a, b in combinations(code.words, 2):
-        dist = ternary_distance(a, b)
-        if dist < dmin:
-            dmin = dist
-    if dmin == 0:
-        raise ParameterError("duplicate codewords (distance 0)")
-    code.d = dmin
+        seen.add(word)
+    if len(words) < 2:
+        return n + 1
+    return 2 * w - overlap_maxima(n, words)[1]
+
+
+def validate_binary(code: BinaryCWCode) -> int:
+    """Exhaustively recompute the minimum distance and certify it.
+
+    Checks weights, position ranges, order and duplicates, scans every
+    pair (no early exit), writes the exact distance back into code.d
+    and returns it.  A code with fewer than two words certifies n + 1.
+    """
+    code.d = _certify_words(code.n, code.w,
+                            [tuple((p, 1) for p in word) for word in code.words])
+    return code.d
+
+
+def validate_ternary(code: TernaryCWCode) -> int:
+    """Ternary counterpart of validate_binary (symbol-wise distances)."""
+    code.d = _certify_words(code.n, code.w, [tuple(word) for word in code.words])
     return code.d
 
 
@@ -412,10 +417,18 @@ def dumps_code(code: BinaryCWCode | TernaryCWCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_code(text: str) -> BinaryCWCode | TernaryCWCode:
+def read_lines(text: str) -> tuple[str, list[tuple[int, str]],
+                                   list[tuple[int, str]]]:
+    """Split a line-oriented file into (provenance, comments, data).
+
+    Blank lines are dropped; comments are the bodies of '#' lines other
+    than '# provenance: <tag>' (the last such tag wins, 'ingested' when
+    absent); data are the remaining stripped lines.  Both lists carry
+    1-based line numbers.  Code, matrix and subspace files share it.
+    """
     provenance = "ingested"
-    header: tuple[int, int, int] | None = None
-    raw_words: list[tuple[int, list[str]]] = []
+    comments: list[tuple[int, str]] = []
+    data: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -424,7 +437,18 @@ def loads_code(text: str) -> BinaryCWCode | TernaryCWCode:
             body = line[1:].strip()
             if body.startswith("provenance:"):
                 provenance = body[len("provenance:"):].strip()
-            continue
+            else:
+                comments.append((lineno, body))
+        else:
+            data.append((lineno, line))
+    return provenance, comments, data
+
+
+def loads_code(text: str) -> BinaryCWCode | TernaryCWCode:
+    provenance, _, lines = read_lines(text)
+    header: tuple[int, int, int] | None = None
+    raw_words: list[tuple[int, list[str]]] = []
+    for lineno, line in lines:
         tokens = line.split()
         if header is None:
             if len(tokens) != 3:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .codes import BinaryCWCode, certify_binary
+from .codes import BinaryCWCode, certify_binary, read_lines
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FieldElement, FiniteField, factor_prime_power,
                     find_irreducible, make_field, vector_encoding, vectors)
@@ -420,18 +420,10 @@ def dumps_subspace_code(code: SubspaceCode) -> str:
 
 
 def loads_subspace_code(text: str) -> SubspaceCode:
-    provenance = "ingested"
+    provenance, _, lines = read_lines(text)
     header = None
     rows_enc: list[list[int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("provenance:"):
-                provenance = body[len("provenance:"):].strip()
-            continue
+    for lineno, line in lines:
         try:
             values = [int(tok) for tok in line.split()]
         except ValueError:

@@ -4,10 +4,11 @@ weight, plus exact coherence certification.
 Columns are stored as sorted (row, sign) support tuples and never
 normalized: every column has squared norm w, so the coherence of a pair
 is just |<c_i, c_j>| / w and the maximum over all pairs is an exact
-rational.  The pairwise scan is exhaustive (a single integer Gram
-matrix, no early exit) and the certified value is compared against the
+rational.  The pairwise scan is exhaustive (codes.overlap_maxima: float64
+column tiles whose entries are integers of magnitude at most n, exact in
+any summation order) and the certified value is compared against the
 construction's theoretical bound every time; a violation raises, it is
-never waived.
+never waived.  A bound read from a file is a claim, checked at load.
 
 Two text formats round-trip byte-exactly: 'dense-csv' (one CSV row per
 matrix row) and 'support-list' (a short '#' header, then one signed
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .codes import BinaryCWCode, TernaryCWCode
+from .codes import BinaryCWCode, TernaryCWCode, overlap_maxima, read_lines
 from .errors import BudgetError, FormatError, ParameterError
 from .field import factor_prime_power, make_field, poly_eval
 
@@ -41,7 +42,7 @@ class MeasurementMatrix:
     """
 
     __slots__ = ("n", "N", "w", "columns", "provenance", "bound",
-                 "_mu", "_dense_int", "_dense_float")
+                 "_mu", "_dense")
 
     def __init__(self, n: int, columns: Sequence[Column], w: int,
                  provenance: str, bound: Fraction | None = None):
@@ -66,24 +67,17 @@ class MeasurementMatrix:
         self.provenance = provenance
         self.bound = bound
         self._mu: Fraction | None = None
-        self._dense_int: np.ndarray | None = None
-        self._dense_float: np.ndarray | None = None
+        self._dense: np.ndarray | None = None
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
-        """Dense copy; int64 and float64 views are cached internally."""
-        if self._dense_int is None:
-            a = np.zeros((self.n, self.N), dtype=np.int64)
+        """Dense copy; the float64 one is cached internally."""
+        if self._dense is None:
+            a = np.zeros((self.n, self.N))
             for j, col in enumerate(self.columns):
                 for r, s in col:
                     a[r, j] = s
-            self._dense_int = a
-        if dtype == np.int64:
-            return self._dense_int
-        if self._dense_float is None:
-            self._dense_float = self._dense_int.astype(np.float64)
-        if dtype == np.float64:
-            return self._dense_float
-        return self._dense_int.astype(dtype)
+            self._dense = a
+        return self._dense if dtype == np.float64 else self._dense.astype(dtype)
 
     def __repr__(self) -> str:
         return (f"MeasurementMatrix({self.n}x{self.N}, w={self.w}, "
@@ -133,24 +127,13 @@ class CoherenceReport:
 def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceReport:
     """Certify the exact coherence of the matrix.
 
-    Integer Gram matrix over all column pairs, exhaustive by
-    construction.  Raises RuntimeError if the exact value exceeds the
-    matrix's theoretical bound; that check is a hard assertion and is
-    never skipped.
+    The largest |<c_i, c_j>| over all column pairs comes from
+    codes.overlap_maxima: exact integers from float64 column tiles,
+    exhaustive by construction, cached on the matrix.  Raises
+    RuntimeError if the exact value exceeds the matrix's theoretical
+    bound; that check is a hard assertion and is never skipped.
     """
-    if matrix._mu is None:
-        a = matrix.to_dense(np.int64)
-        gram = a.T @ a
-        if not np.all(np.diag(gram) == matrix.w):
-            raise RuntimeError("column norms disagree with the stated weight")
-        if matrix.N == 1:
-            top = 0
-        else:
-            off = np.abs(gram)
-            np.fill_diagonal(off, 0)
-            top = int(off.max())
-        matrix._mu = Fraction(top, matrix.w)
-    mu = matrix._mu
+    mu = _exact_mu(matrix)
     if matrix.bound is not None and mu > matrix.bound:
         raise RuntimeError(
             f"exact coherence {mu} exceeds the theoretical bound "
@@ -165,6 +148,13 @@ def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceRepor
         report.k = k
         report.delta_k = (k - 1) * mu
     return report
+
+
+def _exact_mu(matrix: MeasurementMatrix) -> Fraction:
+    if matrix._mu is None:
+        top = overlap_maxima(matrix.n, matrix.columns)[0]
+        matrix._mu = Fraction(top, matrix.w)
+    return matrix._mu
 
 
 # -- constructions --------------------------------------------------------
@@ -283,43 +273,50 @@ def dumps_matrix(matrix: MeasurementMatrix, fmt: str = "support-list") -> str:
     raise ParameterError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
+def matrix_format(text: str) -> str | None:
+    """The matrix format of a text, None when it is not a matrix.
+
+    Support-list files carry a '# n <n> w <w>' comment before their
+    first data line and dense CSV rows contain commas; code files have
+    neither (their header is a bare 'n d w' line and '#' lines only
+    name provenance).
+    """
+    _, comments, lines = read_lines(text)
+    first, line = lines[0] if lines else (math.inf, "")
+    if any(lineno < first and body.startswith("n ")
+           for lineno, body in comments):
+        return "support-list"
+    return "dense-csv" if "," in line else None
+
+
 def loads_matrix(text: str) -> MeasurementMatrix:
-    stripped = text.lstrip()
-    if not stripped:
-        raise FormatError("empty matrix file")
-    if stripped.startswith("#"):
+    fmt = matrix_format(text)
+    if fmt == "support-list":
         return _loads_support_list(text)
-    if "," in stripped.splitlines()[0]:
+    if fmt == "dense-csv":
         return _loads_dense_csv(text)
-    raise FormatError("unrecognized matrix format: expected a '#' header "
-                      "(support-list) or a CSV row (dense-csv)")
+    raise FormatError("unrecognized matrix format: expected a '# n <n> w <w>' "
+                      "header (support-list) or a CSV row (dense-csv)")
 
 
 def _loads_support_list(text: str) -> MeasurementMatrix:
-    provenance = "ingested"
+    provenance, comments, lines = read_lines(text)
     n = w = None
     bound: Fraction | None = None
+    for lineno, body in comments:
+        if body.startswith("n "):
+            tokens = body.split()
+            try:
+                pairs = dict(zip(tokens[0::2], tokens[1::2]))
+                n = int(pairs["n"])
+                w = int(pairs["w"])
+                if "bound" in pairs:
+                    bound = Fraction(pairs["bound"])
+            except (KeyError, ValueError, ZeroDivisionError):
+                raise FormatError(
+                    f"line {lineno}: bad dimension header") from None
     columns: list[Column] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("provenance:"):
-                provenance = body[len("provenance:"):].strip()
-            elif body.startswith("n "):
-                tokens = body.split()
-                try:
-                    pairs = dict(zip(tokens[0::2], tokens[1::2]))
-                    n = int(pairs["n"])
-                    w = int(pairs["w"])
-                    if "bound" in pairs:
-                        bound = Fraction(pairs["bound"])
-                except (KeyError, ValueError):
-                    raise FormatError(
-                        f"line {lineno}: bad dimension header") from None
-            continue
+    for lineno, line in lines:
         col = []
         for tok in line.split():
             if tok[0] not in "+-":
@@ -333,10 +330,14 @@ def _loads_support_list(text: str) -> MeasurementMatrix:
     if n is None or w is None:
         raise FormatError("missing '# n <n> w <w>' header")
     try:
-        return MeasurementMatrix(n, columns, w, provenance=provenance,
-                                 bound=bound)
+        matrix = MeasurementMatrix(n, columns, w, provenance=provenance,
+                                   bound=bound)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
+    if bound is not None and _exact_mu(matrix) > bound:
+        raise FormatError(f"header claims coherence bound {bound} but the "
+                          f"columns reach {matrix._mu}")
+    return matrix
 
 
 def _loads_dense_csv(text: str) -> MeasurementMatrix:

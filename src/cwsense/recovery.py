@@ -102,7 +102,8 @@ def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
     index), then refits all selected columns by least squares.  The
     solve is rank-revealing; a rank-deficient selection is logged and
     the minimum-norm solution is used.  Residual norms are checked to
-    be non-increasing, which a correct refit guarantees.
+    be non-increasing, which a correct refit guarantees; an increase
+    raises RuntimeError.
     """
     if not 1 <= k <= matrix.n:
         raise ParameterError(f"need 1 <= k <= n rows, got k={k} n={matrix.n}")
@@ -130,8 +131,9 @@ def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
                         "using the minimum-norm solution", len(selected), rank)
         residual = y - sub @ coef
         norm = float(np.linalg.norm(residual))
-        assert norm <= prev_norm + 1e-9 * (1.0 + prev_norm), \
-            "residual norm increased across an OMP iteration"
+        if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
+            raise RuntimeError(
+                "residual norm increased across an OMP iteration")
         prev_norm = norm
     order = np.argsort(selected)
     support = tuple(selected[i] for i in order)

@@ -146,6 +146,33 @@ def test_analyze_missing_file(capsys, tmp_path):
     assert run_cli("analyze", str(tmp_path / "nope.txt")) == 2
 
 
+def unreadable_inputs(tmp_path):
+    """Files analyze and recover must refuse with exit 2: a lowered and a
+    zero-denominator bound header, a non-ASCII byte, a directory."""
+    matrix = tmp_path / "sts9.matrix"
+    assert run_cli("construct", "sts", "--n", "9", "--emit-matrix",
+                   str(matrix)) == 0
+    text = matrix.read_text()
+    paths = []
+    for name, bound in (("lowered", "1/9"), ("zero", "1/0")):
+        path = tmp_path / f"{name}.matrix"
+        path.write_text(text.replace("bound 1/3", f"bound {bound}"))
+        paths.append(path)
+    binary = tmp_path / "binary.matrix"
+    binary.write_bytes(text.encode("ascii") + b"\xff\n")
+    return paths + [binary, tmp_path]
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["recover", "--k-max", "1"]])
+def test_unreadable_input_is_exit_2(capsys, tmp_path, command):
+    inputs = unreadable_inputs(tmp_path)
+    capsys.readouterr()
+    for path in inputs:
+        assert run_cli(command[0], str(path), *command[1:]) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 # -- bounds ------------------------------------------------------------------
 
 def test_bounds_binary_lines(capsys):

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cwsense import codes
 from cwsense.codes import (BinaryCWCode, TernaryCWCode, binary_distance,
                            certify_binary, certify_ternary,
                            dimension_binary_gilbert, dimension_binary_gs,
@@ -12,6 +14,7 @@ from cwsense.codes import (BinaryCWCode, TernaryCWCode, binary_distance,
                            gilbert_bound, graham_sloane_bound,
                            graham_sloane_construct, greedy_binary,
                            greedy_ternary, load_code, loads_code, save_code,
+                           overlap_maxima, read_lines,
                            smallest_prime_at_least, ternary_distance,
                            ternary_gilbert_bound, validate_binary,
                            validate_ternary)
@@ -54,6 +57,78 @@ def test_ternary_distance_matches_dense_oracle():
         assert ternary_distance(*words) == int(np.sum(dense[0] != dense[1]))
 
 
+# -- pairwise kernel --------------------------------------------------------
+
+@st.composite
+def signed_supports(draw):
+    n = draw(st.integers(1, 9))
+    w = draw(st.integers(1, n))
+    words = draw(st.lists(
+        st.tuples(st.permutations(range(n)),
+                  st.lists(st.sampled_from((1, -1)), min_size=w, max_size=w)),
+        max_size=12))
+    return n, w, [tuple(sorted(zip(perm[:w], signs))) for perm, signs in words]
+
+
+def brute_extremes(n, words):
+    """(max |G|, 2w - min distance) over pairs, by the per-pair references
+    and an int64 Gram; (0, 0) without a pair."""
+    if len(words) < 2:
+        return 0, 0
+    w = len(words[0])
+    a = np.zeros((n, len(words)), dtype=np.int64)
+    for j, word in enumerate(words):
+        for pos, sign in word:
+            a[pos, j] = sign
+    gram = a.T @ a
+    np.fill_diagonal(gram, 0)
+    dist = min(ternary_distance(x, y)
+               for i, x in enumerate(words) for y in words[i + 1:])
+    return int(np.abs(gram).max()), 2 * w - dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_supports())
+def test_overlap_maxima_matches_brute_force(case):
+    n, w, words = case
+    assert overlap_maxima(n, words) == brute_extremes(n, words)
+    unsigned = sorted({tuple((p, 1) for p, _ in word) for word in words})
+    top_g, top_s = overlap_maxima(n, unsigned)
+    assert top_s == 2 * top_g  # binary words: G = S
+    if len(unsigned) >= 2:
+        supports = [tuple(p for p, _ in word) for word in unsigned]
+        dist = min(binary_distance(x, y, w)
+                   for i, x in enumerate(supports) for y in supports[i + 1:])
+        assert top_s == 2 * w - dist
+
+
+def test_overlap_maxima_ragged_tiles(monkeypatch):
+    rng = np.random.default_rng(3)
+    n, w = 11, 4
+    words = []
+    for _ in range(40):
+        sup = sorted(int(i) for i in rng.choice(n, size=w, replace=False))
+        words.append(tuple((p, 1 if b else -1)
+                           for p, b in zip(sup, rng.integers(0, 2, size=w))))
+    want = brute_extremes(n, words)
+    for tile in (1, 3, 7, 40, 41):
+        monkeypatch.setattr(codes, "PAIR_TILE", tile)
+        assert overlap_maxima(n, words) == want
+    # the closest pair straddles a tile boundary and sits at the ragged end
+    far = [((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),), ((4, 1),),
+           ((5, 1),), ((6, 1),), ((0, -1),)]
+    for tile in (3, 5):
+        monkeypatch.setattr(codes, "PAIR_TILE", tile)
+        assert overlap_maxima(8, far) == (1, 1)
+        assert overlap_maxima(8, far[:-1]) == (0, 0)
+
+
+def test_read_lines_splits_comments_and_data():
+    text = "# provenance: a\n\n# note\n1 2 3\n  # provenance: b \n4\n"
+    assert read_lines(text) == ("b", [(3, "note")], [(4, "1 2 3"), (6, "4")])
+    assert read_lines("") == ("ingested", [], [])
+
+
 # -- validation -----------------------------------------------------------
 
 def test_fano_certifies():
@@ -70,6 +145,8 @@ def test_validate_rejections():
         certify_binary(7, 3, [(0, 1, 9)])                  # out of range
     with pytest.raises(ParameterError):
         certify_binary(3, 4, [(0, 1, 2, 3)])               # w > n
+    with pytest.raises(ParameterError):
+        validate_binary(BinaryCWCode(n=7, w=3, d=0, words=[(2, 1, 0)]))
 
 
 def test_validate_writes_back_exact_distance():

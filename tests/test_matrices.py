@@ -11,8 +11,8 @@ from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.matrices import (MeasurementMatrix, coherence, devore,
                               dumps_matrix, from_binary_code,
                               from_binary_code_signed, from_ternary_code,
-                              load_matrix, loads_matrix, save_matrix,
-                              welch_bound, FORMATS)
+                              load_matrix, loads_matrix, matrix_format,
+                              save_matrix, welch_bound, FORMATS)
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
         (2, 3, 6), (2, 4, 5)]
@@ -58,9 +58,25 @@ def test_lying_bound_header_raises():
     text = ("# n 3 w 3 bound 1/6\n"
             "+0 +1 +2\n"
             "+0 +1 -2\n")
-    matrix = loads_matrix(text)
+    with pytest.raises(FormatError):
+        loads_matrix(text)  # actual coherence 1/3 exceeds the stated 1/6
+
+
+def test_bound_header_is_certified_at_load():
+    text = dumps_matrix(from_binary_code(steiner_to_code(make_sts(9))))
+    assert "bound 1/3" in text
+    assert loads_matrix(text)._mu == Fraction(1, 3)  # certified and cached
+    for bad in ("bound 1/9", "bound 1/0", "bound -1", "bound x"):
+        with pytest.raises(FormatError):
+            loads_matrix(text.replace("bound 1/3", bad))
+
+
+def test_attached_bound_violation_stays_runtime_error():
+    matrix = MeasurementMatrix(3, [((0, 1), (1, 1), (2, 1)),
+                                   ((0, 1), (1, 1), (2, -1))], 3,
+                               provenance="x", bound=Fraction(1, 6))
     with pytest.raises(RuntimeError):
-        coherence(matrix)  # actual coherence 1/3 exceeds the stated 1/6
+        coherence(matrix)
 
 
 # -- constructions --------------------------------------------------------------
@@ -212,6 +228,13 @@ def test_dense_csv_drops_metadata():
 def test_dumps_unknown_format():
     with pytest.raises(ParameterError):
         dumps_matrix(devore(3, 2), "parquet")
+
+
+def test_matrix_format_predicate():
+    assert matrix_format(dumps_matrix(devore(3, 2))) == "support-list"
+    assert matrix_format(dumps_matrix(devore(3, 2), "dense-csv")) == "dense-csv"
+    assert matrix_format("# provenance: x\n9 4 3\n0 1 2\n") is None  # a code
+    assert matrix_format("") is None
 
 
 def test_loads_matrix_rejections():

@@ -111,6 +111,19 @@ def test_omp_residual_is_orthogonal_to_selection():
     assert np.max(np.abs(a[:, list(estimate.support)].T @ residual)) < 1e-9
 
 
+def test_omp_residual_increase_raises(monkeypatch):
+    matrix = devore(5, 2)
+    y = measure(matrix, gen_sparse(matrix.N, 2, seed=11))
+
+    def overshooting_lstsq(sub, rhs, rcond=None):
+        coef = np.full(sub.shape[1], 100.0)
+        return coef, None, sub.shape[1], None
+
+    monkeypatch.setattr(np.linalg, "lstsq", overshooting_lstsq)
+    with pytest.raises(RuntimeError, match="residual norm increased"):
+        omp(matrix, y, 2)
+
+
 def test_omp_parameter_errors():
     matrix = devore(3, 2)
     y = np.zeros(matrix.n)
