@@ -10,15 +10,18 @@ Subcommands:
 * recover: run the seeded OMP experiment against a matrix file.
 
 Exit codes: 0 success, 2 usage, file-format or unreadable-file error,
-3 enumeration budget exceeded, 4 recovery guarantee violated.  Every
-randomized path takes --seed (default 0); no command ever draws entropy
-from the system, so identical invocations write identical files, with
-the single exception of the wall-clock seconds column in recovery CSVs.
+3 enumeration or memory budget exceeded, 4 recovery guarantee violated.
+Every randomized path takes --seed (default 0); no command ever draws
+entropy from the system, so identical invocations write identical
+files, with the single exception of the wall-clock seconds column in
+recovery CSVs.  Notes and warnings of the cwsense loggers (INFO and up)
+go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from . import codes, designs, matrices, recovery
@@ -262,7 +265,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.Handler):
+    """Writes each record to sys.stderr as it is at emit time, so callers
+    that swap stderr (contextlib.redirect_stderr, test capture) see it."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            print(f"{record.levelname.lower()}: {record.getMessage()}",
+                  file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+def _install_logging() -> None:
+    log = logging.getLogger("cwsense")
+    log.setLevel(logging.INFO)
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        log.addHandler(_StderrHandler())
+
+
 def main(argv: list[str] | None = None) -> int:
+    _install_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

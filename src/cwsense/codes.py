@@ -4,8 +4,9 @@ Binary codewords are sorted support tuples (positions of the ones);
 ternary codewords are sorted (position, sign) tuples with signs in
 {+1, -1}.  Every code object carries a certified minimum distance d
 that was recomputed by an exhaustive pairwise scan (overlap_maxima,
-shared with matrices.coherence), never taken on trust from a header
-or a construction argument.
+shared with matrices.coherence and designs.certify_subspace_code),
+never taken on trust from a header or a construction argument.  The
+scan's dense array is checked against DENSE_CAP before it is allocated.
 
 Distances are even for binary constant-weight codes, d = 2(w - |A & B|)
 for supports A and B, so the binary bound and construction routines
@@ -96,10 +97,38 @@ def ternary_distance(a: TernaryWord, b: TernaryWord) -> int:
 # -- pairwise kernel -----------------------------------------------------
 
 PAIR_TILE = 256  # columns per tile; a tile pair allocates O(PAIR_TILE^2)
+DENSE_CAP = 1 << 28  # bytes of dense float64 the kernel may allocate
+
+
+def check_dense_budget(n: int, N: int, signed: bool = False) -> None:
+    """Raise BudgetError when the kernel's dense float64 arrays for N words
+    of length n (n x N, doubled for signed words, whose supports need a
+    second array) would pass DENSE_CAP bytes."""
+    size = 8 * n * N * (2 if signed else 1)
+    if size > DENSE_CAP:
+        raise BudgetError(f"{n} x {N} dense float64 words need {size} "
+                          f"bytes, past the cap {DENSE_CAP}")
+
+
+def signed_array(n: int, supports: Sequence[TernaryWord]) -> np.ndarray:
+    """The n x N float64 array whose column j holds signed support j,
+    checked against DENSE_CAP before it is allocated."""
+    check_dense_budget(n, len(supports),
+                       any(s < 0 for sup in supports for _, s in sup))
+    a = np.zeros((n, len(supports)))
+    for j, sup in enumerate(supports):
+        for pos, sign in sup:
+            a[pos, j] = sign
+    return a
 
 
 def overlap_maxima(n: int, supports: Sequence[TernaryWord]) -> tuple[int, int]:
-    """Exact extremes over all pairs i < j of signed supports.
+    """array_maxima of the signed supports' dense array (signed_array)."""
+    return array_maxima(signed_array(n, supports))
+
+
+def array_maxima(a: np.ndarray) -> tuple[int, int]:
+    """Exact extremes over all column pairs i < j of a {0, +1, -1} array.
 
     Returns (max |G_ij|, max (3 S_ij + G_ij) / 2), G the signed inner
     product and S the support overlap (binary words pass all signs +1,
@@ -111,13 +140,9 @@ def overlap_maxima(n: int, supports: Sequence[TernaryWord]) -> tuple[int, int]:
     magnitude at most n < 2^53; only tile-sized products are allocated,
     never an N x N array.
     """
-    a = np.zeros((n, len(supports)))
-    for j, sup in enumerate(supports):
-        for pos, sign in sup:
-            a[pos, j] = sign
     b = np.abs(a) if (a < 0).any() else a  # supports; binary words: a
     top_g = top_s = 0
-    N, T = len(supports), PAIR_TILE
+    N, T = a.shape[1], PAIR_TILE
     for i0 in range(0, N, T):
         for j0 in range(i0, N, T):
             g = a[:, i0:i0 + T].T @ a[:, j0:j0 + T]

@@ -12,16 +12,22 @@ Three families live here:
   word per subspace, or one word per proper coset).
 
 Every derived code goes through the exhaustive distance certification
-in codes.py; the design-level validity checks (pair coverage, trivial
-pairwise intersections) are separate and also exhaustive.
+in codes.py.  Subspace codes are certified through the same pairwise
+kernel: each subspace is enumerated once as the sorted base-q encodings
+of its points, and the largest pairwise intersection |U & V| = q^dim
+gives the subspace distance exactly.  Pair coverage of triple systems
+is checked separately and also exhaustively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .codes import BinaryCWCode, certify_binary, read_lines
+import numpy as np
+
+from .codes import (BinaryCWCode, array_maxima, certify_binary,
+                    check_dense_budget, read_lines)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FieldElement, FiniteField, factor_prime_power,
                     find_irreducible, make_field, vector_encoding, vectors)
@@ -191,23 +197,60 @@ def _rref(rows: list[list[FieldElement]]) -> list[Vector]:
     return [tuple(row) for row in rows[:r]]
 
 
-def _rank(rows: list[list[FieldElement]]) -> int:
-    return len(_rref(rows))
+def _check_space(q: int, n: int) -> None:
+    """BudgetError when GF(q)^n (q >= 2, n >= 1) has more than SPREAD_CAP
+    vectors; q^n is only formed below the cap's bit length, past which
+    it exceeds the cap anyway."""
+    if n >= SPREAD_CAP.bit_length() or q ** n > SPREAD_CAP:
+        raise BudgetError(f"q^n = {q}^{n} exceeds spread cap {SPREAD_CAP}")
+
+
+def _digit_add(a, b, p: int, places: int):
+    """Digit-wise sum mod p of base-p integers (ints or broadcast int64
+    arrays).  The base-p digits of a vector's base-q encoding are its
+    coordinates' coefficients, so this is vector addition in GF(q)^n."""
+    out = 0
+    for i in range(places):
+        unit = p ** i
+        out = out + (a // unit + b // unit) % p * unit
+    return out
+
+
+def _span_points(field: FiniteField, n: int, k: int,
+                 bases: list[Basis]) -> np.ndarray:
+    """N x q^k array whose row i holds the sorted base-q encodings of the
+    points of the rank-k subspace spanned by bases[i], zero first; each
+    basis row multiplies the point set by q through its q - 1 nonzero
+    multiples."""
+    points = np.zeros((len(bases), 1), dtype=np.int64)
+    for i in range(k):
+        layers = [points]
+        for c in field.elements()[1:]:
+            row = np.array([vector_encoding([c * v for v in basis[i]])
+                            for basis in bases], dtype=np.int64)
+            layers.append(_digit_add(points, row[:, None], field.p,
+                                     field.m * n))
+        points = np.concatenate(layers, axis=1)
+    points.sort(axis=1)
+    return points
 
 
 @dataclass
 class SubspaceCode:
     """k-dimensional subspaces of GF(q)^n with a certified distance.
 
-    Bases are stored in reduced echelon form.  The subspace distance is
-    2k - 2 dim(U & V), certified by an exhaustive pairwise rank scan;
-    a single-subspace code gets the sentinel 2k.
+    Bases are stored in reduced echelon form; points[i] holds the sorted
+    base-q encodings of the q^k points of subspace i, zero first.  The
+    subspace distance is 2k - 2 dim(U & V), certified from the largest
+    pairwise point-set intersection |U & V| = q^dim(U & V); a
+    single-subspace code gets the sentinel 2k.
     """
     field: FiniteField
     n: int
     k: int
     d: int
     subspaces: list[Basis]
+    points: np.ndarray = dc_field(repr=False, compare=False)
     provenance: str = "ingested"
 
     def __len__(self) -> int:
@@ -217,9 +260,18 @@ class SubspaceCode:
 def certify_subspace_code(field: FiniteField, n: int, k: int,
                           bases, provenance: str = "ingested") -> SubspaceCode:
     """Canonicalize bases to RREF, reject rank defects and duplicates,
-    and certify the exact subspace distance."""
+    and certify the exact subspace distance.
+
+    Every subspace's points are enumerated once (BudgetError first when
+    q^n > SPREAD_CAP or the kernel's dense array would pass its cap) and
+    scattered into the q^n x N 0/1 array of the pairwise kernel
+    codes.array_maxima, whose largest pairwise overlap is the largest
+    intersection t = q^dim; d = 2k - 2 dim in exact integers.
+    """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
+    q = field.q
+    _check_space(q, n)
     canon: list[Basis] = []
     seen = set()
     for i, basis in enumerate(bases):
@@ -234,19 +286,22 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
             raise ParameterError(f"duplicate subspace #{i}")
         seen.add(key)
         canon.append(tuple(red))
-    if len(canon) < 2:
-        d = 2 * k
-    else:
-        d = 2 * k
-        for a, b in combinations(canon, 2):
-            inter = 2 * k - _rank([list(v) for v in a + b])
-            dist = 2 * k - 2 * inter
-            if dist < d:
-                d = dist
-        if d == 0:
-            raise ParameterError("duplicate subspaces (distance 0)")
+    check_dense_budget(q ** n, len(canon))
+    points = _span_points(field, n, k, canon)
+    d = 2 * k
+    if len(canon) >= 2:
+        a = np.zeros((q ** n, len(canon)))
+        a[points, np.arange(len(canon))[:, None]] = 1
+        t = array_maxima(a)[0]
+        dim = 0
+        while q ** dim < t:
+            dim += 1
+        if q ** dim != t:
+            raise RuntimeError(f"two subspaces share {t} points, "
+                               f"not a power of {q}")
+        d = 2 * k - 2 * dim
     return SubspaceCode(field=field, n=n, k=k, d=d, subspaces=canon,
-                        provenance=provenance)
+                        points=points, provenance=provenance)
 
 
 class _Ext:
@@ -296,13 +351,15 @@ def spread_code(q: int, n: int, k: int) -> SubspaceCode:
     Views GF(q)^n as a free module over the degree-k extension E and
     takes the (q^n - 1)/(q^k - 1) one-dimensional E-subspaces.  Every
     nonzero vector lies in exactly one member, so pairwise intersections
-    are trivial and the certified distance is 2k.
+    are trivial and the certified distance is 2k.  Both budgets (q^n and
+    the certification kernel's dense array) are checked from that count
+    before any basis is built.
     """
     if k < 1 or n < 1 or n % k != 0:
         raise ParameterError(f"need k | n, got n={n} k={k}")
     p, m = factor_prime_power(q)
-    if q ** n > SPREAD_CAP:
-        raise BudgetError(f"q^n = {q ** n} exceeds spread cap {SPREAD_CAP}")
+    _check_space(q, n)
+    check_dense_budget(q ** n, (q ** n - 1) // (q ** k - 1))
     field = make_field(p, m)
     ext = _Ext(field, k)
     r = n // k
@@ -336,22 +393,6 @@ def spread_code(q: int, n: int, k: int) -> SubspaceCode:
     return code
 
 
-def _subspace_points(code: SubspaceCode, basis: Basis) -> list[Vector]:
-    """All q^k points of the subspace, zero included."""
-    field = code.field
-    points = [(field.zero,) * code.n]
-    for row in basis:
-        new = []
-        for scale in field.elements():
-            if not scale:
-                continue
-            scaled = tuple(scale * x for x in row)
-            for pt in points:
-                new.append(tuple(a + b for a, b in zip(pt, scaled)))
-        points.extend(new)
-    return points
-
-
 def subspace_to_code(code: SubspaceCode) -> BinaryCWCode:
     """One word per subspace: the characteristic vector of its nonzero
     points inside the q^n - 1 nonzero vectors of GF(q)^n.
@@ -361,13 +402,8 @@ def subspace_to_code(code: SubspaceCode) -> BinaryCWCode:
     meeting only at zero give disjoint supports.
     """
     q, n, k = code.field.q, code.n, code.k
-    words = []
-    for basis in code.subspaces:
-        encs = sorted(vector_encoding(pt) - 1
-                      for pt in _subspace_points(code, basis)
-                      if any(pt))
-        words.append(encs)
-    return certify_binary(q ** n - 1, q ** k - 1, words,
+    return certify_binary(q ** n - 1, q ** k - 1,
+                          (code.points[:, 1:] - 1).tolist(),
                           provenance=f"subspace {code.provenance}")
 
 
@@ -383,21 +419,17 @@ def subspace_to_coset_code(code: SubspaceCode) -> BinaryCWCode:
     q, n, k = code.field.q, code.n, code.k
     if q ** n > COSET_CAP:
         raise BudgetError(f"q^n = {q ** n} exceeds coset sweep cap {COSET_CAP}")
-    field = code.field
-    all_vectors = list(vectors(field, n))
+    p, places = code.field.p, code.field.m * n
     words: dict[tuple[int, ...], None] = {}
-    for basis in code.subspaces:
-        points = _subspace_points(code, basis)
-        member = {vector_encoding(pt) for pt in points}
-        seen = set(member)
-        for vec in all_vectors:
-            if vector_encoding(vec) in seen:
+    for points in code.points:
+        seen = np.zeros(q ** n, dtype=bool)
+        seen[points] = True
+        for v in range(q ** n):
+            if seen[v]:
                 continue
-            coset = sorted(
-                vector_encoding(tuple(a + b for a, b in zip(vec, pt)))
-                for pt in points)
-            seen.update(coset)
-            words.setdefault(tuple(e - 1 for e in coset), None)
+            coset = np.sort(_digit_add(points, v, p, places))
+            seen[coset] = True
+            words.setdefault(tuple((coset - 1).tolist()), None)
     nominal = q ** (n - k - 1) * len(code) if n - k - 1 >= 0 else 0
     return certify_binary(
         q ** n - 1, q ** k, list(words),
@@ -408,8 +440,9 @@ def subspace_to_coset_code(code: SubspaceCode) -> BinaryCWCode:
 # -- subspace code file format --------------------------------------------
 #
 # Header 'q n k d', then one subspace per line: k base-q integer
-# encodings of its reduced-echelon basis rows.  Loading re-reduces,
-# recomputes the distance and rejects overstated headers.
+# encodings of its reduced-echelon basis rows.  Loading checks the
+# q^n budget before decoding, re-reduces, recomputes the distance and
+# rejects overstated headers.
 
 def dumps_subspace_code(code: SubspaceCode) -> str:
     lines = [f"# provenance: {code.provenance}",
@@ -437,6 +470,9 @@ def loads_subspace_code(text: str) -> SubspaceCode:
     if header is None:
         raise FormatError("missing 'q n k d' header")
     q, n, k, claimed_d = header
+    if q < 2 or n < 1:
+        raise FormatError(f"header needs q >= 2 and n >= 1, got q={q} n={n}")
+    _check_space(q, n)
     try:
         p, m = factor_prime_power(q)
     except ParameterError:

@@ -4,11 +4,12 @@ weight, plus exact coherence certification.
 Columns are stored as sorted (row, sign) support tuples and never
 normalized: every column has squared norm w, so the coherence of a pair
 is just |<c_i, c_j>| / w and the maximum over all pairs is an exact
-rational.  The pairwise scan is exhaustive (codes.overlap_maxima: float64
-column tiles whose entries are integers of magnitude at most n, exact in
-any summation order) and the certified value is compared against the
-construction's theoretical bound every time; a violation raises, it is
-never waived.  A bound read from a file is a claim, checked at load.
+rational.  The pairwise scan is exhaustive (codes.array_maxima on the
+matrix's cached dense array: float64 column tiles whose entries are
+integers of magnitude at most n, exact in any summation order) and the
+certified value is compared against the construction's theoretical
+bound every time; a violation raises, it is never waived.  A bound
+read from a file is a claim, checked at load.
 
 Two text formats round-trip byte-exactly: 'dense-csv' (one CSV row per
 matrix row) and 'support-list' (a short '#' header, then one signed
@@ -24,7 +25,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .codes import BinaryCWCode, TernaryCWCode, overlap_maxima, read_lines
+from .codes import (BinaryCWCode, TernaryCWCode, array_maxima, read_lines,
+                    signed_array)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import factor_prime_power, make_field, poly_eval
 
@@ -70,13 +72,10 @@ class MeasurementMatrix:
         self._dense: np.ndarray | None = None
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
-        """Dense copy; the float64 one is cached internally."""
+        """Dense copy; the float64 one is cached internally and shared by
+        coherence and OMP.  BudgetError past codes.DENSE_CAP."""
         if self._dense is None:
-            a = np.zeros((self.n, self.N))
-            for j, col in enumerate(self.columns):
-                for r, s in col:
-                    a[r, j] = s
-            self._dense = a
+            self._dense = signed_array(self.n, self.columns)
         return self._dense if dtype == np.float64 else self._dense.astype(dtype)
 
     def __repr__(self) -> str:
@@ -128,7 +127,7 @@ def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceRepor
     """Certify the exact coherence of the matrix.
 
     The largest |<c_i, c_j>| over all column pairs comes from
-    codes.overlap_maxima: exact integers from float64 column tiles,
+    codes.array_maxima on to_dense(): exact integers from float64 tiles,
     exhaustive by construction, cached on the matrix.  Raises
     RuntimeError if the exact value exceeds the matrix's theoretical
     bound; that check is a hard assertion and is never skipped.
@@ -152,7 +151,7 @@ def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceRepor
 
 def _exact_mu(matrix: MeasurementMatrix) -> Fraction:
     if matrix._mu is None:
-        top = overlap_maxima(matrix.n, matrix.columns)[0]
+        top = array_maxima(matrix.to_dense())[0]
         matrix._mu = Fraction(top, matrix.w)
     return matrix._mu
 

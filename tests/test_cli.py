@@ -88,6 +88,19 @@ def test_construct_budget_exit(capsys):
                    "--w", "10") == 3
 
 
+def test_memory_budget_exit(capsys, tmp_path):
+    # 2^20 - 1 lines of GF(2)^20: q^n is within the spread cap, the
+    # certification array is not
+    assert run_cli("construct", "spread", "--q", "2", "--n", "20",
+                   "--k", "1") == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    # a hostile header: 10^8 rows would be a 1.6 GB dense array
+    path = tmp_path / "tall.matrix"
+    path.write_text("# n 100000000 w 1\n+0\n+1\n")
+    assert run_cli("analyze", str(path)) == 3
+    assert run_cli("recover", str(path), "--k-max", "1") == 3
+
+
 def test_unknown_construction_is_usage_error(capsys):
     assert run_cli("construct", "bogus") == 2
     assert run_cli() == 2
@@ -247,6 +260,21 @@ def test_recover_guarantee_violation_exit(capsys, spread_matrix_file,
     captured = capsys.readouterr()
     assert "k=1: 97/100 exact (guaranteed)" in captured.out
     assert "guarantee violated" in captured.err
+
+
+def test_recover_k_zero_note_on_stderr(capsys, spread_matrix_file):
+    args = ("--k-max", "1", "--trials", "3")
+    assert run_cli("recover", str(spread_matrix_file), *args) == 0
+    plain = capsys.readouterr()
+    assert "skipping k = 0" not in plain.err
+    assert run_cli("recover", str(spread_matrix_file), "--k-min", "0",
+                   *args) == 0
+    noted = capsys.readouterr()
+    assert noted.err.count("info: skipping k = 0: nothing to recover") == 1
+
+    def rows(out):  # the CSV and summary lines minus the seconds column
+        return [line.rsplit(",", 1)[0] for line in out.splitlines()]
+    assert rows(noted.out) == rows(plain.out)
 
 
 def test_recover_csv_stdout_when_no_out(capsys, spread_matrix_file):

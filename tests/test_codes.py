@@ -123,6 +123,16 @@ def test_overlap_maxima_ragged_tiles(monkeypatch):
         assert overlap_maxima(8, far[:-1]) == (0, 0)
 
 
+def test_overlap_maxima_memory_budget(monkeypatch):
+    words = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, -1))]
+    monkeypatch.setattr(codes, "DENSE_CAP", 8 * 3 * 3)  # one 3 x 3 array
+    assert overlap_maxima(3, words[:2] + [((0, 1), (2, 1))]) == (1, 2)
+    with pytest.raises(BudgetError):   # signed words need a second array
+        overlap_maxima(3, words)
+    with pytest.raises(BudgetError):   # 4 x 3 binary words
+        overlap_maxima(4, words[:2] + [((0, 1), (3, 1))])
+
+
 def test_read_lines_splits_comments_and_data():
     text = "# provenance: a\n\n# note\n1 2 3\n  # provenance: b \n4\n"
     assert read_lines(text) == ("b", [(3, "note")], [(4, "1 2 3"), (6, "4")])

@@ -1,17 +1,19 @@
 """Designs: triple systems, affine planes, spreads and their codes."""
 
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cwsense.designs import (SteinerTripleSystem, affine_plane_code,
+from cwsense.designs import (SteinerTripleSystem, _rref, affine_plane_code,
                              certify_subspace_code, dumps_subspace_code,
                              load_subspace_code, loads_subspace_code,
                              make_sts, save_subspace_code, spread_code,
                              steiner_to_code, sts_bose, sts_skolem,
                              subspace_to_code, subspace_to_coset_code)
 from cwsense.errors import BudgetError, FormatError, ParameterError
-from cwsense.field import make_field
+from cwsense.field import factor_prime_power, make_field, vector_encoding
 
 
 # -- Steiner triple systems -------------------------------------------------
@@ -105,6 +107,19 @@ def test_spread_budget():
         spread_code(2, 21, 3)
 
 
+def test_spread_memory_budget_before_enumeration():
+    # q^n = 2^20 is within SPREAD_CAP, but certifying 2^20 - 1 lines would
+    # need a 2^20 x (2^20 - 1) float64 array: refused before any basis
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            spread_code(2, 20, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2)])
 def test_spread_code_words_partition_nonzero_vectors(q, n, k):
     code = subspace_to_code(spread_code(q, n, k))
@@ -185,3 +200,70 @@ def test_subspace_loads_overstated_distance_rejected():
     lied = text.replace("2 4 2 4", "2 4 2 6")
     with pytest.raises(FormatError):
         loads_subspace_code(lied)
+
+
+# -- point-set certification against a rank oracle ----------------------------
+
+@st.composite
+def subspace_codes(draw):
+    """Random small codes over GF(2), GF(3) and GF(4): distinct full-rank
+    bases (random rows, so overlapping non-spread subspaces are common),
+    possibly a single subspace or none."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    field = make_field(*factor_prime_power(q))
+    rows = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    bases, keys = [], set()
+    for enc in draw(st.lists(st.lists(rows, min_size=k, max_size=k),
+                             max_size=6)):
+        basis = tuple(tuple(field.from_encoding(e) for e in row)
+                      for row in enc)
+        red = tuple(_rref([list(v) for v in basis]))
+        if len(red) == k and red not in keys:
+            keys.add(red)
+            bases.append(basis)
+    return field, n, k, bases
+
+
+def span_oracle(field, basis):
+    """Sorted encodings of every combination of the rows, by field ops."""
+    n = len(basis[0])
+    points = set()
+    for coeffs in product(field.elements(), repeat=len(basis)):
+        vec = [field.zero] * n
+        for c, row in zip(coeffs, basis):
+            vec = [a + c * b for a, b in zip(vec, row)]
+        points.add(vector_encoding(vec))
+    return sorted(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_codes())
+def test_point_set_distance_matches_rank_oracle(case):
+    field, n, k, bases = case
+    code = certify_subspace_code(field, n, k, bases)
+    want = min((2 * k - 2 * (2 * k - len(_rref([list(v) for v in a + b])))
+                for a, b in combinations(code.subspaces, 2)),
+               default=2 * k)  # the single-subspace sentinel
+    assert code.d == want
+    assert code.points.shape == (len(bases), field.q ** k)
+    for basis, points in zip(code.subspaces, code.points):
+        assert points.tolist() == span_oracle(field, basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(subspace_codes(), st.data())
+def test_subspace_file_round_trip_and_damage(case, data):
+    field, n, k, bases = case
+    text = dumps_subspace_code(certify_subspace_code(field, n, k, bases))
+    assert dumps_subspace_code(loads_subspace_code(text)) == text
+    cut = data.draw(st.integers(0, len(text)), label="cut")
+    pos = data.draw(st.integers(0, len(text) - 1), label="pos")
+    char = data.draw(st.sampled_from("0123456789 -+\n#x"), label="char")
+    for damaged in (text[:cut], text[:pos] + char + text[pos + 1:],
+                    text[:pos] + char + text[pos:]):
+        try:
+            loads_subspace_code(damaged)
+        except (FormatError, BudgetError):
+            pass

@@ -54,6 +54,24 @@ def test_coherence_is_cached():
     assert coherence(matrix).mu is coherence(matrix).mu
 
 
+def test_coherence_and_omp_share_one_dense_copy(monkeypatch, tmp_path):
+    from cwsense import codes, matrices, recovery
+    path = tmp_path / "fano.matrix"
+    save_matrix(fano_matrix(), path)
+    built = []
+    real = codes.signed_array
+
+    def counted(n, supports):
+        built.append(n)
+        return real(n, supports)
+    monkeypatch.setattr(codes, "signed_array", counted)
+    monkeypatch.setattr(matrices, "signed_array", counted)
+    matrix = load_matrix(path)
+    coherence(matrix)
+    recovery.run_experiment(matrix, [1, 2], trials=3)
+    assert len(built) == 1
+
+
 def test_lying_bound_header_raises():
     text = ("# n 3 w 3 bound 1/6\n"
             "+0 +1 +2\n"
