@@ -12,22 +12,20 @@ from .errors import BudgetError, FormatError, ParameterError
 from .field import (FieldElement, FiniteField, find_irreducible,
                     is_irreducible, make_field, monic_polys, poly_eval,
                     vector_encoding, vectors)
-from .codes import (BinaryCWCode, BoundReport, TernaryCWCode,
-                    binary_distance, certify_binary, certify_ternary,
-                    dimension_binary_gilbert, dimension_binary_gs,
+from .codes import (BoundReport, CWCode, binary_distance, certify_binary,
+                    check_words, dimension_binary_gilbert, dimension_binary_gs,
                     dimension_ternary_gilbert, dumps_code, gilbert_bound,
                     graham_sloane_bound, graham_sloane_construct,
                     greedy_binary, greedy_ternary, load_code, loads_code,
                     save_code, smallest_prime_at_least, ternary_distance,
-                    ternary_gilbert_bound)
+                    ternary_gilbert_bound, validate)
 from .designs import (SteinerTripleSystem, SubspaceCode, affine_plane_code,
                       certify_subspace_code, load_subspace_code,
                       loads_subspace_code, make_sts, save_subspace_code,
                       spread_code, steiner_to_code, sts_bose, sts_skolem,
                       subspace_to_code, subspace_to_coset_code)
 from .matrices import (CoherenceReport, MeasurementMatrix, WelchBound,
-                       coherence, devore, dumps_matrix, from_binary_code,
-                       from_binary_code_signed, from_ternary_code,
+                       coherence, devore, dumps_matrix, from_code,
                        load_matrix, loads_matrix, save_matrix, welch_bound)
 from .recovery import (RecoveryReport, SparseSignal, exact_recovery,
                        gen_sparse, measure, omp, reports_to_csv,
@@ -39,20 +37,19 @@ __all__ = [
     "BudgetError", "FormatError", "ParameterError",
     "FieldElement", "FiniteField", "find_irreducible", "is_irreducible",
     "make_field", "monic_polys", "poly_eval", "vector_encoding", "vectors",
-    "BinaryCWCode", "BoundReport", "TernaryCWCode", "binary_distance",
-    "certify_binary", "certify_ternary", "dimension_binary_gilbert",
+    "BoundReport", "CWCode", "binary_distance", "certify_binary",
+    "check_words", "dimension_binary_gilbert",
     "dimension_binary_gs", "dimension_ternary_gilbert", "dumps_code",
     "gilbert_bound", "graham_sloane_bound", "graham_sloane_construct",
     "greedy_binary", "greedy_ternary", "load_code", "loads_code",
     "save_code", "smallest_prime_at_least", "ternary_distance",
-    "ternary_gilbert_bound",
+    "ternary_gilbert_bound", "validate",
     "SteinerTripleSystem", "SubspaceCode", "affine_plane_code",
     "certify_subspace_code", "load_subspace_code", "loads_subspace_code",
     "make_sts", "save_subspace_code", "spread_code", "steiner_to_code",
     "sts_bose", "sts_skolem", "subspace_to_code", "subspace_to_coset_code",
     "CoherenceReport", "MeasurementMatrix", "WelchBound", "coherence",
-    "devore", "dumps_matrix", "from_binary_code", "from_binary_code_signed",
-    "from_ternary_code", "load_matrix", "loads_matrix", "save_matrix",
+    "devore", "dumps_matrix", "from_code", "load_matrix", "loads_matrix", "save_matrix",
     "welch_bound",
     "RecoveryReport", "SparseSignal", "exact_recovery", "gen_sparse",
     "measure", "omp", "reports_to_csv", "run_experiment",

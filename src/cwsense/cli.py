@@ -62,16 +62,6 @@ def _build_code(args: argparse.Namespace):
     raise ParameterError(f"unknown construction {name!r}")
 
 
-def _matrix_for(code, args: argparse.Namespace) -> matrices.MeasurementMatrix:
-    if isinstance(code, codes.TernaryCWCode):
-        if args.signed:
-            raise ParameterError("--signed applies to binary codes only")
-        return matrices.from_ternary_code(code)
-    if args.signed:
-        return matrices.from_binary_code_signed(code, seed=args.seed)
-    return matrices.from_binary_code(code)
-
-
 def _summary(matrix: matrices.MeasurementMatrix, construction: str,
              d: int) -> str:
     return (f"summary: construction={construction} n={matrix.n} N={matrix.N} "
@@ -90,7 +80,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"wrote matrix: {out}")
         return 0
     code = _build_code(args)
-    matrix = _matrix_for(code, args)
+    matrix = matrices.from_code(code, seed=args.seed if args.signed else None)
     print(_summary(matrix, args.construction, d=code.d))
     if args.out:
         codes.save_code(code, args.out)
@@ -130,13 +120,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               f"provenance={matrix.provenance!r}")
     else:
         code = codes.loads_code(text)
-        kind = "binary" if isinstance(code, codes.BinaryCWCode) else "ternary"
-        print(f"code: {kind} n={code.n} w={code.w} d={code.d} "
-              f"size={len(code)}")
-        if isinstance(code, codes.BinaryCWCode):
-            matrix = matrices.from_binary_code(code)
-        else:
-            matrix = matrices.from_ternary_code(code)
+        print(f"code: {'ternary' if code.signed else 'binary'} n={code.n} "
+              f"w={code.w} d={code.d} size={len(code)}")
+        matrix = matrices.from_code(code)
     for line in _coherence_lines(matrix, args.k):
         print(line)
     return 0

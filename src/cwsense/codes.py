@@ -1,17 +1,22 @@
 """Constant-weight codes: exact validation, size bounds, constructions.
 
-Binary codewords are sorted support tuples (positions of the ones);
-ternary codewords are sorted (position, sign) tuples with signs in
-{+1, -1}.  Every code object carries a certified minimum distance d
-that was recomputed by an exhaustive pairwise scan (overlap_maxima,
-shared with matrices.coherence and designs.certify_subspace_code),
-never taken on trust from a header or a construction argument.  The
-scan's dense array is checked against DENSE_CAP before it is allocated.
+One type, CWCode, holds binary and ternary codes alike: every word is a
+sorted tuple of (position, sign) pairs with signs in {+1, -1}, and a
+binary code is the case with every sign +1.  The alphabet is recorded
+in CWCode.signed, taken from the construction or the file syntax and
+never inferred from the signs, because it picks the file syntax and the
+coherence bound a matrix inherits.  Every code object carries a
+certified minimum distance d that was recomputed by an exhaustive
+pairwise scan (overlap_maxima, shared with matrices.coherence and
+designs.certify_subspace_code), never taken on trust from a header or a
+construction argument.  The scan's dense array is checked against
+DENSE_CAP before it is allocated; the per-word checks (check_words) are
+shared with matrices.MeasurementMatrix.
 
-Distances are even for binary constant-weight codes, d = 2(w - |A & B|)
-for supports A and B, so the binary bound and construction routines
-take the full distance and insist that it is even.  Ternary distances
-count positions whose symbols differ and can be odd.
+Distances count positions whose symbols differ.  For binary words they
+are even, d = 2(w - |A & B|) for supports A and B, so the binary bound
+and construction routines take the full distance and insist that it is
+even.  Ternary distances can be odd.
 
 All bound values are computed in arbitrary-precision integer
 arithmetic with a single floor division at the end.
@@ -20,7 +25,7 @@ arithmetic with a single floor division at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -32,33 +37,25 @@ from .field import is_prime
 ENUM_BUDGET = 10_000_000
 
 BinaryWord = tuple[int, ...]
-TernaryWord = tuple[tuple[int, int], ...]
+Word = tuple[tuple[int, int], ...]  # sorted (position, sign) pairs
 
 
 @dataclass
-class BinaryCWCode:
-    """A binary constant-weight code with a certified exact distance.
+class CWCode:
+    """A constant-weight code over {0, +1, -1} with a certified exact
+    distance.
 
-    d is the exact minimum pairwise distance; a code with fewer than two
-    words gets the sentinel n + 1 (no pair exists, distance unbounded).
+    signed is the alphabet: False for a binary code (every sign +1,
+    written as bare positions), True for a ternary one (written with
+    signs, even when every sign is +1).  d is the exact minimum pairwise
+    distance; a code with fewer than two words gets the sentinel n + 1
+    (no pair exists, distance unbounded).
     """
     n: int
     w: int
     d: int
-    words: list[BinaryWord]
-    provenance: str = "ingested"
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-@dataclass
-class TernaryCWCode:
-    """A ternary constant-weight code over {0, +1, -1}."""
-    n: int
-    w: int
-    d: int
-    words: list[TernaryWord]
+    words: list[Word]
+    signed: bool
     provenance: str = "ingested"
 
     def __len__(self) -> int:
@@ -80,7 +77,7 @@ def binary_distance(a: BinaryWord, b: BinaryWord, w: int) -> int:
     return 2 * (w - len(set(a) & set(b)))
 
 
-def ternary_distance(a: TernaryWord, b: TernaryWord) -> int:
+def ternary_distance(a: Word, b: Word) -> int:
     """Number of positions whose symbols differ, alphabet {0, +1, -1}."""
     da = dict(a)
     db = dict(b)
@@ -110,7 +107,7 @@ def check_dense_budget(n: int, N: int, signed: bool = False) -> None:
                           f"bytes, past the cap {DENSE_CAP}")
 
 
-def signed_array(n: int, supports: Sequence[TernaryWord]) -> np.ndarray:
+def signed_array(n: int, supports: Sequence[Word]) -> np.ndarray:
     """The n x N float64 array whose column j holds signed support j,
     checked against DENSE_CAP before it is allocated."""
     check_dense_budget(n, len(supports),
@@ -122,7 +119,7 @@ def signed_array(n: int, supports: Sequence[TernaryWord]) -> np.ndarray:
     return a
 
 
-def overlap_maxima(n: int, supports: Sequence[TernaryWord]) -> tuple[int, int]:
+def overlap_maxima(n: int, supports: Sequence[Word]) -> tuple[int, int]:
     """array_maxima of the signed supports' dense array (signed_array)."""
     return array_maxima(signed_array(n, supports))
 
@@ -131,14 +128,15 @@ def array_maxima(a: np.ndarray) -> tuple[int, int]:
     """Exact extremes over all column pairs i < j of a {0, +1, -1} array.
 
     Returns (max |G_ij|, max (3 S_ij + G_ij) / 2), G the signed inner
-    product and S the support overlap (binary words pass all signs +1,
-    so G = S); (0, 0) without a pair.  Coherence is the first value
-    over w and the minimum distance is 2w minus the second, since D sign
-    disagreements on S common positions give G = S - 2D and distance
-    2(w - S) + D.  Float64 column tiles go through BLAS, exact in any
-    summation order because every partial sum is an integer of
-    magnitude at most n < 2^53; only tile-sized products are allocated,
-    never an N x N array.
+    product and S the support overlap; (0, 0) without a pair.  Coherence
+    is the first value over w and the minimum distance is 2w minus the
+    second, since D sign disagreements on S common positions give
+    G = S - 2D and distance 2(w - S) + D.  For an array without -1
+    entries S = G, so the second value is 2 max G and S is not formed.
+    Float64 column tiles go through BLAS, exact in any summation order
+    because every partial sum is an integer of magnitude at most
+    n < 2^53; only tile-sized products are allocated, never an N x N
+    array.
     """
     b = np.abs(a) if (a < 0).any() else a  # supports; binary words: a
     top_g = top_s = 0
@@ -146,75 +144,67 @@ def array_maxima(a: np.ndarray) -> tuple[int, int]:
     for i0 in range(0, N, T):
         for j0 in range(i0, N, T):
             g = a[:, i0:i0 + T].T @ a[:, j0:j0 + T]
-            s = b[:, i0:i0 + T].T @ b[:, j0:j0 + T]
             if i0 == j0:  # a symmetric tile: drop the diagonal, i != j
                 np.fill_diagonal(g, 0)
-                np.fill_diagonal(s, 0)
             top_g = max(top_g, int(g.max()), int(-g.min()))
-            s *= 3
-            s += g
-            top_s = max(top_s, int(s.max()))
-    return top_g, top_s // 2
+            if b is not a:
+                s = b[:, i0:i0 + T].T @ b[:, j0:j0 + T]
+                if i0 == j0:
+                    np.fill_diagonal(s, 0)
+                s *= 3
+                s += g
+                top_s = max(top_s, int(s.max()))
+    return top_g, 2 * top_g if b is a else top_s // 2
 
 
-def _certify_words(n: int, w: int, words: Sequence[TernaryWord]) -> int:
-    """Check each signed word (weight, range, signs, order, duplicates)
-    and return the exact minimum distance, n + 1 without a pair."""
+def check_words(n: int, w: int, words: Sequence[Word],
+                what: str = "word") -> None:
+    """Raise ParameterError unless 1 <= w <= n and every word has w
+    distinct positions in [0, n), signs in {+1, -1} and is sorted by
+    position.  Codes and matrix columns share it; what names the item
+    in messages."""
     if not 1 <= w <= n:
         raise ParameterError(f"need 1 <= w <= n, got w={w} n={n}")
-    seen = set()
     for i, word in enumerate(words):
         positions = [p for p, _ in word]
         if len(word) != w or len(set(positions)) != w:
-            raise ParameterError(f"word #{i} does not have weight {w}")
+            raise ParameterError(f"{what} #{i} does not have weight {w}")
         if any(not 0 <= p < n for p in positions):
-            raise ParameterError(f"word #{i} has positions outside [0, {n})")
+            raise ParameterError(f"{what} #{i} has positions outside [0, {n})")
         if any(s not in (1, -1) for _, s in word):
-            raise ParameterError(f"word #{i} has signs outside {{+1, -1}}")
-        if word != tuple(sorted(word)):
-            raise ParameterError(f"word #{i} is not sorted by position")
+            raise ParameterError(f"{what} #{i} has signs outside {{+1, -1}}")
+        if list(word) != sorted(word):
+            raise ParameterError(f"{what} #{i} is not sorted by position")
+
+
+def validate(code: CWCode) -> int:
+    """Exhaustively recompute the minimum distance and certify it.
+
+    Checks the words (check_words), rejects duplicates and, in a binary
+    code, '-' signs; scans every pair (no early exit), writes the exact
+    distance back into code.d and returns it.  A code with fewer than
+    two words certifies n + 1.
+    """
+    check_words(code.n, code.w, code.words)
+    seen = set()
+    for i, word in enumerate(code.words):
+        if not code.signed and any(s < 0 for _, s in word):
+            raise ParameterError(f"word #{i} of a binary code has a '-' sign")
         if word in seen:
             raise ParameterError(f"duplicate codeword #{i}")
         seen.add(word)
-    if len(words) < 2:
-        return n + 1
-    return 2 * w - overlap_maxima(n, words)[1]
-
-
-def validate_binary(code: BinaryCWCode) -> int:
-    """Exhaustively recompute the minimum distance and certify it.
-
-    Checks weights, position ranges, order and duplicates, scans every
-    pair (no early exit), writes the exact distance back into code.d
-    and returns it.  A code with fewer than two words certifies n + 1.
-    """
-    code.d = _certify_words(code.n, code.w,
-                            [tuple((p, 1) for p in word) for word in code.words])
+    code.d = (code.n + 1 if len(code.words) < 2
+              else 2 * code.w - overlap_maxima(code.n, code.words)[1])
     return code.d
 
 
-def validate_ternary(code: TernaryCWCode) -> int:
-    """Ternary counterpart of validate_binary (symbol-wise distances)."""
-    code.d = _certify_words(code.n, code.w, [tuple(word) for word in code.words])
-    return code.d
-
-
-def certify_binary(n: int, w: int, words: Iterable[Iterable[int]],
-                   provenance: str = "ingested") -> BinaryCWCode:
-    """Build a BinaryCWCode and certify its exact distance."""
-    code = BinaryCWCode(n=n, w=w, d=0,
-                        words=[tuple(sorted(word)) for word in words],
-                        provenance=provenance)
-    validate_binary(code)
-    return code
-
-
-def certify_ternary(n: int, w: int, words: Iterable[Iterable[tuple[int, int]]],
-                    provenance: str = "ingested") -> TernaryCWCode:
-    code = TernaryCWCode(n=n, w=w, d=0,
-                         words=[tuple(sorted(word)) for word in words],
-                         provenance=provenance)
-    validate_ternary(code)
+def certify_binary(n: int, w: int, supports: Iterable[Iterable[int]],
+                   provenance: str = "ingested") -> CWCode:
+    """A binary CWCode from bare support positions (sorted here),
+    certified."""
+    code = CWCode(n=n, w=w, d=0, signed=False, provenance=provenance,
+                  words=[tuple((p, 1) for p in sorted(sup)) for sup in supports])
+    validate(code)
     return code
 
 
@@ -295,7 +285,7 @@ def ternary_gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
 
 # -- constructions -------------------------------------------------------
 
-def greedy_binary(n: int, dist: int, w: int) -> BinaryCWCode:
+def greedy_binary(n: int, dist: int, w: int) -> CWCode:
     """Lexicographic greedy: scan weight-w supports in lex order, keep a
     word when it sits at distance >= dist from everything kept so far.
 
@@ -328,24 +318,26 @@ def greedy_binary(n: int, dist: int, w: int) -> BinaryCWCode:
 _SIGNS = (1, -1)  # enumeration order: plus before minus
 
 
-def greedy_ternary(n: int, dist: int, w: int) -> TernaryCWCode:
+def greedy_ternary(n: int, dist: int, w: int) -> CWCode:
     """Greedy over signed supports: supports in lex order (major key),
     sign patterns with + before - at each position (minor key)."""
     _check_nwd(n, dist, w, even=False)
     if math.comb(n, w) * (1 << w) > ENUM_BUDGET:
         raise BudgetError(
             f"{math.comb(n, w)} * 2^{w} signed supports exceed budget {ENUM_BUDGET}")
-    kept: list[TernaryWord] = []
+    kept: list[Word] = []
     for sup in combinations(range(n), w):
         for signs in product(_SIGNS, repeat=w):
             word = tuple(zip(sup, signs))
             if all(ternary_distance(word, other) >= dist for other in kept):
                 kept.append(word)
-    return certify_ternary(n, w, kept,
-                           provenance=f"greedy-ternary n={n} d={dist} w={w}")
+    code = CWCode(n=n, w=w, d=0, words=kept, signed=True,
+                  provenance=f"greedy-ternary n={n} d={dist} w={w}")
+    validate(code)
+    return code
 
 
-def graham_sloane_construct(n: int, dist: int, w: int) -> BinaryCWCode:
+def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     """Moment-bucket construction certified to distance >= dist.
 
     Buckets every weight-w support by its power-sum moments
@@ -425,20 +417,36 @@ def dimension_ternary_gilbert(n: int, k: int, t: int) -> int:
 # Line-oriented text.  Optional leading comment lines starting with '#'
 # ('# provenance: <tag>' is read back), then a header 'n d w', then one
 # codeword per line: bare support positions for binary codes, signed
-# positions like '+3 -7 +9' for ternary ones.  Loading recomputes the
-# distance and rejects files whose header claims more than the words
-# deliver.
+# positions like '+3 -7 +9' for ternary ones (the syntax sets
+# CWCode.signed).  Loading recomputes the distance and rejects files
+# whose header claims more than the words deliver.
 
-def dumps_code(code: BinaryCWCode | TernaryCWCode) -> str:
+def format_word(word: Word, signed: bool = True) -> str:
+    """'+3 -7 +9' for a signed word, '3 7 9' for a binary one."""
+    return " ".join(f"{'+' if s > 0 else '-'}{p}" if signed else str(p)
+                    for p, s in word)
+
+
+def parse_word(lineno: int, line: str, signed: bool) -> Word:
+    """The sorted word of a data line written by format_word."""
+    word = []
+    for tok in line.split():
+        if (tok[0] in "+-") != signed:
+            raise FormatError(f"line {lineno}: expected "
+                              f"{'signed' if signed else 'unsigned'} "
+                              f"positions, got {tok!r}")
+        try:
+            word.append((int(tok[1:] if signed else tok),
+                         -1 if tok[0] == "-" else 1))
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad position {tok!r}") from None
+    return tuple(sorted(word))
+
+
+def dumps_code(code: CWCode) -> str:
     lines = [f"# provenance: {code.provenance}",
              f"{code.n} {code.d} {code.w}"]
-    if isinstance(code, BinaryCWCode):
-        for word in code.words:
-            lines.append(" ".join(str(p) for p in word))
-    else:
-        for word in code.words:
-            lines.append(" ".join(f"{'+' if s > 0 else '-'}{p}"
-                                  for p, s in word))
+    lines.extend(format_word(word, code.signed) for word in code.words)
     return "\n".join(lines) + "\n"
 
 
@@ -469,54 +477,25 @@ def read_lines(text: str) -> tuple[str, list[tuple[int, str]],
     return provenance, comments, data
 
 
-def loads_code(text: str) -> BinaryCWCode | TernaryCWCode:
+def loads_code(text: str) -> CWCode:
     provenance, _, lines = read_lines(text)
-    header: tuple[int, int, int] | None = None
-    raw_words: list[tuple[int, list[str]]] = []
-    for lineno, line in lines:
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 3:
-                raise FormatError(f"line {lineno}: header must be 'n d w'")
-            try:
-                header = (int(tokens[0]), int(tokens[1]), int(tokens[2]))
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer header") from None
-            continue
-        raw_words.append((lineno, tokens))
-    if header is None:
+    if not lines:
         raise FormatError("missing 'n d w' header")
-    n, claimed_d, w = header
-    if n < 1 or w < 1 or claimed_d < 1:
-        raise FormatError(f"header values must be positive: {header}")
-    ternary = any(tok[0] in "+-" for _, tokens in raw_words for tok in tokens)
+    (lineno, header), body = lines[0], lines[1:]
+    tokens = header.split()
+    if len(tokens) != 3:
+        raise FormatError(f"line {lineno}: header must be 'n d w'")
     try:
-        if ternary:
-            words_t: list[list[tuple[int, int]]] = []
-            for lineno, tokens in raw_words:
-                word = []
-                for tok in tokens:
-                    if tok[0] not in "+-":
-                        raise FormatError(
-                            f"line {lineno}: mixed signed and unsigned positions")
-                    try:
-                        pos = int(tok[1:])
-                    except ValueError:
-                        raise FormatError(
-                            f"line {lineno}: bad position {tok!r}") from None
-                    word.append((pos, 1 if tok[0] == "+" else -1))
-                words_t.append(word)
-            code: BinaryCWCode | TernaryCWCode = certify_ternary(
-                n, w, words_t, provenance=provenance)
-        else:
-            words_b: list[list[int]] = []
-            for lineno, tokens in raw_words:
-                try:
-                    words_b.append([int(tok) for tok in tokens])
-                except ValueError:
-                    raise FormatError(
-                        f"line {lineno}: bad position in {tokens!r}") from None
-            code = certify_binary(n, w, words_b, provenance=provenance)
+        n, claimed_d, w = map(int, tokens)
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-integer header") from None
+    if n < 1 or w < 1 or claimed_d < 1:
+        raise FormatError(f"header values must be positive: {(n, claimed_d, w)}")
+    signed = any(tok[0] in "+-" for _, line in body for tok in line.split())
+    code = CWCode(n=n, w=w, d=0, signed=signed, provenance=provenance,
+                  words=[parse_word(i, line, signed) for i, line in body])
+    try:
+        validate(code)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
     if code.d < claimed_d:
@@ -526,11 +505,11 @@ def loads_code(text: str) -> BinaryCWCode | TernaryCWCode:
     return code
 
 
-def save_code(code: BinaryCWCode | TernaryCWCode, path) -> None:
+def save_code(code: CWCode, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(dumps_code(code))
 
 
-def load_code(path) -> BinaryCWCode | TernaryCWCode:
+def load_code(path) -> CWCode:
     with open(path, "r", encoding="ascii") as fh:
         return loads_code(fh.read())

@@ -26,11 +26,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .codes import (BinaryCWCode, array_maxima, certify_binary,
-                    check_dense_budget, read_lines)
+from .codes import (CWCode, array_maxima, certify_binary, check_dense_budget,
+                    read_lines)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FieldElement, FiniteField, factor_prime_power,
-                    find_irreducible, make_field, vector_encoding, vectors)
+                    find_irreducible, make_field, power_exceeds,
+                    vector_encoding, vectors)
 
 SPREAD_CAP = 1 << 20      # largest q^n a spread is enumerated for
 COSET_CAP = 1 << 16       # largest q^n the coset conversion sweeps
@@ -133,7 +134,7 @@ def make_sts(n: int) -> SteinerTripleSystem:
         f"a Steiner triple system needs n = 1 or 3 mod 6, got {n}")
 
 
-def steiner_to_code(sts: SteinerTripleSystem) -> BinaryCWCode:
+def steiner_to_code(sts: SteinerTripleSystem) -> CWCode:
     """Blocks as supports: an (n, 4, 3) code of n(n-1)/6 words.
 
     Two blocks share at most one point, so the certified distance is 4
@@ -144,16 +145,15 @@ def steiner_to_code(sts: SteinerTripleSystem) -> BinaryCWCode:
 
 # -- affine plane lines ---------------------------------------------------
 
-def affine_plane_code(q: int) -> BinaryCWCode:
+def affine_plane_code(q: int) -> CWCode:
     """Lines of AG(2, q) as supports: a (q^2, 2(q-1), q) code, q^2 + q words.
 
     Point (x, y) gets index int(x) * q + int(y).  Lines y = a*x + b come
     first, ordered by (int(a), int(b)), then the verticals x = c.
     """
-    p, m = factor_prime_power(q)
     if q > 16:
         raise BudgetError(f"affine plane over GF({q}) exceeds desk scale (q <= 16)")
-    field = make_field(p, m)
+    field = make_field(*factor_prime_power(q))
     elems = field.elements()
     words: list[list[int]] = []
     for a in elems:
@@ -199,9 +199,8 @@ def _rref(rows: list[list[FieldElement]]) -> list[Vector]:
 
 def _check_space(q: int, n: int) -> None:
     """BudgetError when GF(q)^n (q >= 2, n >= 1) has more than SPREAD_CAP
-    vectors; q^n is only formed below the cap's bit length, past which
-    it exceeds the cap anyway."""
-    if n >= SPREAD_CAP.bit_length() or q ** n > SPREAD_CAP:
+    vectors, checked without forming a huge q^n."""
+    if power_exceeds(q, n, SPREAD_CAP):
         raise BudgetError(f"q^n = {q}^{n} exceeds spread cap {SPREAD_CAP}")
 
 
@@ -304,88 +303,48 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
                         points=points, provenance=provenance)
 
 
-class _Ext:
-    """Degree-k extension of an arbitrary base field, used to slice
-    GF(q)^n into a spread.  Elements are length-k coefficient tuples
-    over the base; multiplication reduces by a deterministic monic
-    irreducible of degree k."""
-
-    def __init__(self, base: FiniteField, k: int):
-        self.base = base
-        self.k = k
-        self.modulus = find_irreducible(base, k)
-
-    def mul(self, a: Vector, b: Vector) -> Vector:
-        base, k = self.base, self.k
-        prod = [base.zero] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = prod[i + j] + ai * bj
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c:
-                shift = i - k
-                for j in range(k + 1):
-                    prod[shift + j] = prod[shift + j] - c * self.modulus[j]
-        return tuple(prod[:k])
-
-    def elements(self):
-        return vectors(self.base, self.k)
-
-    def zero(self) -> Vector:
-        return (self.base.zero,) * self.k
-
-    def one(self) -> Vector:
-        return (self.base.one,) + (self.base.zero,) * (self.k - 1)
-
-    def x_power(self, j: int) -> Vector:
-        out = [self.base.zero] * self.k
-        out[j] = self.base.one
-        return tuple(out)
-
-
 def spread_code(q: int, n: int, k: int) -> SubspaceCode:
     """The spread of GF(q)^n by k-dimensional subspaces (k | n).
 
-    Views GF(q)^n as a free module over the degree-k extension E and
-    takes the (q^n - 1)/(q^k - 1) one-dimensional E-subspaces.  Every
-    nonzero vector lies in exactly one member, so pairwise intersections
-    are trivial and the certified distance is 2k.  Both budgets (q^n and
-    the certification kernel's dense array) are checked from that count
-    before any basis is built.
+    Views GF(q)^n as GF(q^k)^(n/k), with GF(q^k) = GF(q)[x]/f for the
+    irreducible f = find_irreducible(GF(q), k), and takes the
+    (q^n - 1)/(q^k - 1) one-dimensional GF(q^k)-subspaces: each is
+    spanned over GF(q) by v, x v, ..., x^(k-1) v for its normalized
+    generator v (first nonzero coordinate 1).  Every nonzero vector lies
+    in exactly one member, so pairwise intersections are trivial and the
+    certified distance is 2k.  Both budgets (q^n and the certification
+    kernel's dense array) are checked from that count before any basis
+    is built, and q^n before q is factored.
     """
     if k < 1 or n < 1 or n % k != 0:
         raise ParameterError(f"need k | n, got n={n} k={k}")
-    p, m = factor_prime_power(q)
     _check_space(q, n)
+    field = make_field(*factor_prime_power(q))
     check_dense_budget(q ** n, (q ** n - 1) // (q ** k - 1))
-    field = make_field(p, m)
-    ext = _Ext(field, k)
-    r = n // k
-    qk = q ** k
-    ext_elems = list(ext.elements())
+    modulus = find_irreducible(field, k)
+    zero = (field.zero,) * k
+    one = (field.one,) + zero[1:]
+    ext_elems = list(vectors(field, k))
 
-    def flatten(vec_e: list[Vector]) -> list[FieldElement]:
-        flat: list[FieldElement] = []
-        for coord in vec_e:
-            flat.extend(coord)
-        return flat
+    def times_x(c: Vector) -> Vector:
+        # shift the coefficients up, then fold x^k back in with f
+        return tuple(a - c[-1] * b
+                     for a, b in zip((field.zero,) + c[:-1], modulus))
 
+    r, qk = n // k, q ** k
     bases: list[list[list[FieldElement]]] = []
     for pivot in range(r):
         tail_len = r - pivot - 1
         for tail_enc in range(qk ** tail_len):
-            vec_e: list[Vector] = [ext.zero()] * pivot + [ext.one()]
+            coords = [zero] * pivot + [one]
             e = tail_enc
             for _ in range(tail_len):
-                vec_e.append(ext_elems[e % qk])
+                coords.append(ext_elems[e % qk])
                 e //= qk
-            rows = []
-            for j in range(k):
-                xj = ext.x_power(j)
-                rows.append(flatten([ext.mul(xj, coord) for coord in vec_e]))
-            bases.append(rows)
+            rows = [coords]
+            for _ in range(k - 1):
+                rows.append([times_x(c) for c in rows[-1]])
+            bases.append([[x for c in row for x in c] for row in rows])
     code = certify_subspace_code(field, n, k, bases,
                                  provenance=f"spread q={q} n={n} k={k}")
     if code.d != 2 * k:
@@ -393,7 +352,7 @@ def spread_code(q: int, n: int, k: int) -> SubspaceCode:
     return code
 
 
-def subspace_to_code(code: SubspaceCode) -> BinaryCWCode:
+def subspace_to_code(code: SubspaceCode) -> CWCode:
     """One word per subspace: the characteristic vector of its nonzero
     points inside the q^n - 1 nonzero vectors of GF(q)^n.
 
@@ -407,7 +366,7 @@ def subspace_to_code(code: SubspaceCode) -> BinaryCWCode:
                           provenance=f"subspace {code.provenance}")
 
 
-def subspace_to_coset_code(code: SubspaceCode) -> BinaryCWCode:
+def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
     """One word per proper coset v + U over all subspaces U in the code.
 
     Each subspace contributes q^(n-k) - 1 cosets of weight q^k; cosets

@@ -38,10 +38,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power_exceeds(base: int, e: int, cap: int) -> bool:
+    """Whether base^e > cap, for base >= 2 (False below 2, which
+    factor_prime_power rejects).  The power is only formed for e below
+    cap's bit length, past which 2^e alone exceeds cap, so a huge e
+    costs nothing.  Callers check their size caps with it before
+    factoring, whose trial division runs up to sqrt(q)."""
+    return base >= 2 and (e >= cap.bit_length() or base ** e > cap)
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m and p prime.
 
-    Raises ParameterError when q is not a prime power.
+    Raises ParameterError when q is not a prime power.  Trial division
+    runs up to sqrt(q), so callers check their size caps first.
     """
     if q < 2:
         raise ParameterError(f"not a prime power: {q}")

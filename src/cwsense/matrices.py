@@ -1,15 +1,18 @@
 """Measurement matrices with entries in {0, +1, -1} and constant column
 weight, plus exact coherence certification.
 
-Columns are stored as sorted (row, sign) support tuples and never
-normalized: every column has squared norm w, so the coherence of a pair
-is just |<c_i, c_j>| / w and the maximum over all pairs is an exact
-rational.  The pairwise scan is exhaustive (codes.array_maxima on the
+Columns are stored as sorted (row, sign) support tuples, the word type
+of codes.CWCode, checked by the same codes.check_words (duplicate
+columns are allowed), and never normalized: every column has squared
+norm w, so the coherence of a pair is just |<c_i, c_j>| / w and the
+maximum over all pairs is an exact rational.  The pairwise scan is exhaustive (codes.array_maxima on the
 matrix's cached dense array: float64 column tiles whose entries are
 integers of magnitude at most n, exact in any summation order) and the
 certified value is compared against the construction's theoretical
 bound every time; a violation raises, it is never waived.  A bound
-read from a file is a claim, checked at load.
+read from a file is a claim, checked at load.  from_code turns any code
+into a matrix and attaches its bound: 1 - d/(2w) for a binary code (kept
+under seeded sign randomization), min(w, 2w - d)/w for a ternary one.
 
 Two text formats round-trip byte-exactly: 'dense-csv' (one CSV row per
 matrix row) and 'support-list' (a short '#' header, then one signed
@@ -21,18 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .codes import (BinaryCWCode, TernaryCWCode, array_maxima, read_lines,
-                    signed_array)
+from .codes import (CWCode, Word, array_maxima, check_words, format_word,
+                    parse_word, read_lines, signed_array)
 from .errors import BudgetError, FormatError, ParameterError
-from .field import factor_prime_power, make_field, poly_eval
+from .field import factor_prime_power, make_field, poly_eval, power_exceeds
 
 DEVORE_CAP = 1_000_000
-
-Column = tuple[tuple[int, int], ...]
 
 
 class MeasurementMatrix:
@@ -46,22 +47,11 @@ class MeasurementMatrix:
     __slots__ = ("n", "N", "w", "columns", "provenance", "bound",
                  "_mu", "_dense")
 
-    def __init__(self, n: int, columns: Sequence[Column], w: int,
+    def __init__(self, n: int, columns: Sequence[Word], w: int,
                  provenance: str, bound: Fraction | None = None):
-        if n < 1:
-            raise ParameterError(f"need at least one row, got n={n}")
         if not columns:
             raise ParameterError("a measurement matrix needs at least one column")
-        for j, col in enumerate(columns):
-            rows = [r for r, _ in col]
-            if len(col) != w or len(set(rows)) != w:
-                raise ParameterError(f"column {j} does not have weight {w}")
-            if any(not 0 <= r < n for r in rows):
-                raise ParameterError(f"column {j} has rows outside [0, {n})")
-            if any(s not in (1, -1) for _, s in col):
-                raise ParameterError(f"column {j} has signs outside {{+1, -1}}")
-            if list(col) != sorted(col):
-                raise ParameterError(f"column {j} support is not sorted")
+        check_words(n, w, columns, what="column")
         self.n = n
         self.N = len(columns)
         self.w = w
@@ -158,68 +148,55 @@ def _exact_mu(matrix: MeasurementMatrix) -> Fraction:
 
 # -- constructions --------------------------------------------------------
 
-def _code_bound(code: BinaryCWCode | TernaryCWCode) -> Fraction:
-    # 1 - d/(2w); clamped at 0 because a single-word code's sentinel
-    # distance n + 1 can push the expression negative.
-    return max(Fraction(0), 1 - Fraction(code.d, 2 * code.w))
+def from_code(code: CWCode, seed: int | None = None,
+              sign_stream: Callable[[], int] | None = None) -> MeasurementMatrix:
+    """Codewords as columns, with the code's coherence bound attached.
 
+    A binary code gives coherence <= 1 - d/(2w): two supports share at
+    most w - d/2 positions.  A ternary code's inner product of two words
+    with s common positions and D sign disagreements among them is
+    s - 2D, while the distance works out to 2(w - s) + D.  Distance >= d
+    therefore pins the inner product into [-(2w - d), w - d/2]: the
+    positive side matches the binary bound, but sign flips are cheap
+    (cost 1 each, not 2) and the negative side only vanishes once
+    d >= 2w.  The attached bound is the sharp two-sided one,
+    min(w, 2w - d)/w.  Both are clamped at 0, since a single-word
+    code's sentinel distance n + 1 can push them negative.
 
-def from_binary_code(code: BinaryCWCode) -> MeasurementMatrix:
-    """Codewords as columns (all signs +1).  Coherence <= 1 - d/(2w)."""
-    columns = [tuple((r, 1) for r in word) for word in code.words]
-    return MeasurementMatrix(code.n, columns, code.w,
-                             provenance=f"binary {code.provenance}",
-                             bound=_code_bound(code))
-
-
-def from_binary_code_signed(code: BinaryCWCode, seed: int = 0,
-                            sign_stream: Callable[[], int] | None = None
-                            ) -> MeasurementMatrix:
-    """Codewords as columns with independently randomized signs.
-
-    Signs come from numpy's PCG64 generator seeded with `seed`: one draw
-    per support position, column by column, positions ascending, with
-    bit 0 -> +1 and bit 1 -> -1.  The stream layout is part of the
-    format, so a given (code, seed) pair always yields the same matrix.
-    Coherence keeps the unsigned bound 1 - d/(2w): sign flips never
-    increase the magnitude of an integer inner product bounded by the
-    support intersection.
-
-    sign_stream is a test hook: a callable returning +1/-1 that replaces
-    the generator (e.g. lambda: 1 reproduces the unsigned matrix).
+    A seed randomizes a binary code's column signs: numpy's PCG64
+    generator seeded with it makes one draw per support position,
+    column by column, positions ascending, with bit 0 -> +1 and bit
+    1 -> -1.  The stream layout is part of the format, so a given
+    (code, seed) pair always yields the same matrix, and the unsigned
+    bound still holds: sign flips never increase the magnitude of an
+    integer inner product bounded by the support intersection.
+    sign_stream is a test hook: a callable returning +1/-1 that
+    replaces the generator (lambda: 1 reproduces the unsigned matrix).
     """
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    if sign_stream is None:
-        rng = np.random.default_rng(seed)
+    w, d = code.w, code.d
+    if code.signed:
+        if seed is not None or sign_stream is not None:
+            raise ParameterError("--signed applies to binary codes only")
+        return MeasurementMatrix(code.n, code.words, w,
+                                 provenance=f"ternary {code.provenance}",
+                                 bound=Fraction(max(0, min(w, 2 * w - d)), w))
+    columns, kind = code.words, "binary"
+    if seed is not None or sign_stream is not None:
+        seed = seed or 0
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
+        if sign_stream is None:
+            rng = np.random.default_rng(seed)
 
-        def sign_stream() -> int:
-            return 1 if int(rng.integers(0, 2)) == 0 else -1
+            def sign_stream() -> int:
+                return 1 if int(rng.integers(0, 2)) == 0 else -1
 
-    columns = []
-    for word in code.words:
-        columns.append(tuple((r, sign_stream()) for r in word))
-    return MeasurementMatrix(code.n, columns, code.w,
-                             provenance=f"signed seed={seed} binary {code.provenance}",
-                             bound=_code_bound(code))
-
-
-def from_ternary_code(code: TernaryCWCode) -> MeasurementMatrix:
-    """Signed codewords as columns.  Coherence <= min(1, 2 - d/w).
-
-    The inner product of two codewords with s common support positions
-    and D sign disagreements among them is s - 2D, while the distance
-    works out to 2(w - s) + D.  Distance >= d therefore pins the inner
-    product into [-(2w - d), w - d/2]: the positive side matches the
-    binary bound, but sign flips are cheap (cost 1 each, not 2) and
-    the negative side only vanishes once d >= 2w.  The attached bound
-    is the sharp two-sided one, min(w, 2w - d)/w, clamped at 0.
-    """
-    columns = [tuple(word) for word in code.words]
-    bound = Fraction(max(0, min(code.w, 2 * code.w - code.d)), code.w)
-    return MeasurementMatrix(code.n, columns, code.w,
-                             provenance=f"ternary {code.provenance}",
-                             bound=bound)
+        columns = [tuple((r, sign_stream()) for r, _ in word)
+                   for word in code.words]
+        kind = f"signed seed={seed} binary"
+    return MeasurementMatrix(code.n, columns, w,
+                             provenance=f"{kind} {code.provenance}",
+                             bound=Fraction(max(0, 2 * w - d), 2 * w))
 
 
 def devore(p: int, r: int) -> MeasurementMatrix:
@@ -234,12 +211,11 @@ def devore(p: int, r: int) -> MeasurementMatrix:
     """
     if r < 2:
         raise ParameterError(f"need polynomial degree bound r >= 2, got {r}")
-    base, m = factor_prime_power(p)
-    if p ** r > DEVORE_CAP:
-        raise BudgetError(f"p^r = {p ** r} columns exceed cap {DEVORE_CAP}")
-    field = make_field(base, m)
+    if power_exceeds(p, r, DEVORE_CAP):
+        raise BudgetError(f"p^r = {p}^{r} columns exceed cap {DEVORE_CAP}")
+    field = make_field(*factor_prime_power(p))
     elems = field.elements()
-    columns: list[Column] = []
+    columns: list[Word] = []
     for j in range(p ** r):
         e = j
         coeffs = []
@@ -266,8 +242,7 @@ def dumps_matrix(matrix: MeasurementMatrix, fmt: str = "support-list") -> str:
         lines = [f"# provenance: {matrix.provenance}",
                  f"# n {matrix.n} w {matrix.w}" + (
                      f" bound {matrix.bound}" if matrix.bound is not None else "")]
-        for col in matrix.columns:
-            lines.append(" ".join(f"{'+' if s > 0 else '-'}{r}" for r, s in col))
+        lines.extend(format_word(col) for col in matrix.columns)
         return "\n".join(lines) + "\n"
     raise ParameterError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
@@ -276,16 +251,16 @@ def matrix_format(text: str) -> str | None:
     """The matrix format of a text, None when it is not a matrix.
 
     Support-list files carry a '# n <n> w <w>' comment before their
-    first data line and dense CSV rows contain commas; code files have
-    neither (their header is a bare 'n d w' line and '#' lines only
-    name provenance).
+    first data line and dense CSV rows contain commas, or one entry
+    when the matrix has one column; code files have neither (their
+    header is a bare 'n d w' line and '#' lines only name provenance).
     """
     _, comments, lines = read_lines(text)
     first, line = lines[0] if lines else (math.inf, "")
     if any(lineno < first and body.startswith("n ")
            for lineno, body in comments):
         return "support-list"
-    return "dense-csv" if "," in line else None
+    return "dense-csv" if "," in line or len(line.split()) == 1 else None
 
 
 def loads_matrix(text: str) -> MeasurementMatrix:
@@ -314,18 +289,7 @@ def _loads_support_list(text: str) -> MeasurementMatrix:
             except (KeyError, ValueError, ZeroDivisionError):
                 raise FormatError(
                     f"line {lineno}: bad dimension header") from None
-    columns: list[Column] = []
-    for lineno, line in lines:
-        col = []
-        for tok in line.split():
-            if tok[0] not in "+-":
-                raise FormatError(f"line {lineno}: entries must be signed")
-            try:
-                row = int(tok[1:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad row {tok!r}") from None
-            col.append((row, 1 if tok[0] == "+" else -1))
-        columns.append(tuple(sorted(col)))
+    columns = [parse_word(lineno, line, signed=True) for lineno, line in lines]
     if n is None or w is None:
         raise FormatError("missing '# n <n> w <w>' header")
     try:

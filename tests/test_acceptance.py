@@ -61,22 +61,22 @@ def coherence_suite():
         code = designs.affine_plane_code(q)
         assert len(code) == q * q + q, f"affine q={q} has {len(code)} lines"
         expected = Fraction(1, q) if q >= 3 else None
-        out.append((f"affine q={q}", matrices.from_binary_code(code), expected))
+        out.append((f"affine q={q}", matrices.from_code(code), expected))
     for n in (7, 9, 13, 15, 19, 21):
         code = designs.steiner_to_code(designs.make_sts(n))
-        out.append((f"sts n={n}", matrices.from_binary_code(code),
+        out.append((f"sts n={n}", matrices.from_code(code),
                     Fraction(1, 3)))
     for q, n, k in ((2, 4, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2)):
         code = designs.subspace_to_code(designs.spread_code(q, n, k))
         out.append((f"spread q={q} n={n} k={k}",
-                    matrices.from_binary_code(code), Fraction(0)))
+                    matrices.from_code(code), Fraction(0)))
     for n, dist, w in GREEDY_GRID:
         out.append((f"greedy n={n} d={dist} w={w}",
-                    matrices.from_binary_code(codes.greedy_binary(n, dist, w)),
+                    matrices.from_code(codes.greedy_binary(n, dist, w)),
                     None))
     for n, dist, w in GS_GRID:
         out.append((f"graham-sloane n={n} d={dist} w={w}",
-                    matrices.from_binary_code(
+                    matrices.from_code(
                         codes.graham_sloane_construct(n, dist, w)),
                     None))
     _suite_cache.extend(out)
@@ -248,7 +248,7 @@ def test_criterion_7_determinism(tmp_path, capsys):
             lambda: designs.dumps_subspace_code(designs.spread_code(2, 4, 2)),
             lambda: matrices.dumps_matrix(matrices.devore(3, 3)),
             lambda: matrices.dumps_matrix(matrices.devore(3, 3), "dense-csv"),
-            lambda: matrices.dumps_matrix(matrices.from_binary_code_signed(
+            lambda: matrices.dumps_matrix(matrices.from_code(
                 codes.greedy_binary(9, 4, 3), seed=7)),
         ]
         for build in builders:
@@ -267,7 +267,7 @@ def test_criterion_7_determinism(tmp_path, capsys):
             designs.loads_subspace_code(sub)) == sub
 
         # experiments repeat exactly apart from wall-clock seconds
-        matrix = matrices.from_binary_code(
+        matrix = matrices.from_code(
             designs.subspace_to_code(designs.spread_code(2, 4, 2)))
         runs = [recovery.run_experiment(matrix, [1, 2, 3], trials=25, seed=9)
                 for _ in range(2)]
@@ -300,7 +300,7 @@ def test_criterion_8_float_oracle(capsys):
         count = 0
         for seed in range(4):
             for base in bases:
-                matrix = matrices.from_binary_code_signed(base, seed=seed)
+                matrix = matrices.from_code(base, seed=seed)
                 assert matrix.N <= 500
                 exact = matrices.coherence(matrix).mu
                 dense = matrix.to_dense() / np.sqrt(matrix.w)

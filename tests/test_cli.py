@@ -8,7 +8,7 @@ import pytest
 from cwsense import cli
 from cwsense.codes import gilbert_bound, load_code
 from cwsense.designs import spread_code, subspace_to_code
-from cwsense.matrices import from_binary_code, save_matrix
+from cwsense.matrices import from_code, save_matrix
 from cwsense.recovery import RecoveryReport
 
 
@@ -18,7 +18,7 @@ def run_cli(*argv):
 
 @pytest.fixture()
 def spread_matrix_file(tmp_path):
-    matrix = from_binary_code(subspace_to_code(spread_code(2, 4, 2)))
+    matrix = from_code(subspace_to_code(spread_code(2, 4, 2)))
     path = tmp_path / "spread.matrix"
     save_matrix(matrix, path)
     return path
@@ -99,6 +99,23 @@ def test_memory_budget_exit(capsys, tmp_path):
     path.write_text("# n 100000000 w 1\n+0\n+1\n")
     assert run_cli("analyze", str(path)) == 3
     assert run_cli("recover", str(path), "--k-max", "1") == 3
+
+
+@pytest.mark.parametrize("argv", [
+    "affine --q 1000000000000000003",
+    "spread --q 1000000000000000003 --n 1 --k 1",
+    "devore --p 1000000000000000003 --r 2",
+    "devore --p 3 --r 100000000",
+])
+def test_caps_checked_before_factoring(argv):
+    # factoring the 19-digit prime or forming 3^(10^8) would run far past
+    # the timeout; the size caps must refuse these first
+    proc = subprocess.run(
+        [sys.executable, "-c", "from cwsense.cli import run; run()",
+         "construct", *argv.split()],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("budget exceeded")
 
 
 def test_unknown_construction_is_usage_error(capsys):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cwsense import codes
-from cwsense.codes import (BinaryCWCode, TernaryCWCode, binary_distance,
-                           certify_binary, certify_ternary,
+from cwsense.codes import (CWCode, binary_distance, certify_binary,
                            dimension_binary_gilbert, dimension_binary_gs,
                            dimension_ternary_gilbert, dumps_code,
                            gilbert_bound, graham_sloane_bound,
@@ -16,8 +15,7 @@ from cwsense.codes import (BinaryCWCode, TernaryCWCode, binary_distance,
                            greedy_ternary, load_code, loads_code, save_code,
                            overlap_maxima, read_lines,
                            smallest_prime_at_least, ternary_distance,
-                           ternary_gilbert_bound, validate_binary,
-                           validate_ternary)
+                           ternary_gilbert_bound, validate)
 from cwsense.errors import BudgetError, FormatError, ParameterError
 
 # Lines of the projective plane of order 2: the classic (7, 4, 3) code.
@@ -156,30 +154,36 @@ def test_validate_rejections():
     with pytest.raises(ParameterError):
         certify_binary(3, 4, [(0, 1, 2, 3)])               # w > n
     with pytest.raises(ParameterError):
-        validate_binary(BinaryCWCode(n=7, w=3, d=0, words=[(2, 1, 0)]))
+        validate(CWCode(n=7, w=3, d=0, words=[((2, 1), (1, 1), (0, 1))],
+                        signed=False))
 
 
 def test_validate_writes_back_exact_distance():
-    code = BinaryCWCode(n=6, w=2, d=99, words=[(0, 1), (2, 3), (0, 2)])
-    assert validate_binary(code) == 2
+    code = CWCode(n=6, w=2, d=99, signed=False,
+                  words=[((0, 1), (1, 1)), ((2, 1), (3, 1)), ((0, 1), (2, 1))])
+    assert validate(code) == 2
     assert code.d == 2
 
 
 def test_single_word_sentinel():
     assert certify_binary(9, 4, [(0, 1, 2, 3)]).d == 10
-    assert certify_ternary(5, 2, [[(0, 1), (1, -1)]]).d == 6
+    assert validate(signed_code(5, 2, [((0, 1), (1, -1))])) == 6
+
+
+def signed_code(n, w, words):
+    return CWCode(n=n, w=w, d=0, words=words, signed=True)
 
 
 def test_ternary_validation_rejections():
     with pytest.raises(ParameterError):
-        certify_ternary(5, 2, [[(0, 2), (1, 1)]])          # bad sign
+        validate(signed_code(5, 2, [((0, 2), (1, 1))]))      # bad sign
     with pytest.raises(ParameterError):
-        certify_ternary(5, 2, [[(0, 1), (0, -1)]])         # repeated position
-    # certify normalizes ordering; only direct storage must be sorted
-    assert certify_ternary(5, 2, [[(1, 1), (0, 1)]]).words == [((0, 1), (1, 1))]
-    unsorted = TernaryCWCode(n=5, w=2, d=0, words=[((1, 1), (0, 1))])
+        validate(signed_code(5, 2, [((0, -1), (0, 1))]))     # repeated position
+    # loading normalizes ordering; only direct storage must be sorted
+    assert loads_code("5 2 2\n+1 +0\n").words == [((0, 1), (1, 1))]
+    unsorted = signed_code(5, 2, [((1, 1), (0, 1))])
     with pytest.raises(ParameterError):
-        validate_ternary(unsorted)
+        validate(unsorted)
 
 
 # -- bounds, frozen values --------------------------------------------------
@@ -239,7 +243,7 @@ def test_gilbert_bound_monotone_in_distance():
 
 def test_greedy_binary_disjoint_triples():
     code = greedy_binary(6, 6, 3)
-    assert code.words == [(0, 1, 2), (3, 4, 5)]
+    assert code.words == [((0, 1), (1, 1), (2, 1)), ((3, 1), (4, 1), (5, 1))]
     assert code.d == 6
 
 
@@ -327,7 +331,7 @@ def test_ternary_round_trip():
     code = greedy_ternary(5, 3, 2)
     text = dumps_code(code)
     loaded = loads_code(text)
-    assert isinstance(loaded, TernaryCWCode)
+    assert loaded.signed
     assert loaded.words == code.words
     assert dumps_code(loaded) == text
 
@@ -361,3 +365,64 @@ def test_loads_format_rejections():
 def test_provenance_comment_round_trip():
     text = "# provenance: hand made\n5 2 2\n0 1\n2 3\n"
     assert loads_code(text).provenance == "hand made"
+
+
+def test_all_plus_signed_file_stays_signed():
+    # the alphabet comes from the file syntax, never from the signs
+    text = "# provenance: ingested\n3 2 2\n+0 +1\n+1 +2\n"
+    code = loads_code(text)
+    assert code.signed and code.d == 2
+    assert dumps_code(code) == text
+    assert not loads_code(text.replace("+", "")).signed
+
+
+def test_binary_code_rejects_minus_signs():
+    with pytest.raises(ParameterError):
+        validate(CWCode(n=4, w=2, d=0, words=[((0, 1), (1, -1))],
+                        signed=False))
+
+
+@st.composite
+def cw_codes(draw):
+    """Certified random codes: binary, signed, and signed with every sign
+    + (which must load back as signed)."""
+    n = draw(st.integers(1, 8))
+    w = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(("binary", "signed", "all-plus")))
+    signs = st.sampled_from((1, -1)) if kind == "signed" else st.just(1)
+    drawn = draw(st.lists(
+        st.tuples(st.permutations(range(n)),
+                  st.lists(signs, min_size=w, max_size=w)),
+        min_size=1, max_size=10))
+    words = list(dict.fromkeys(tuple(sorted(zip(perm[:w], sg)))
+                               for perm, sg in drawn))
+    code = CWCode(n=n, w=w, d=0, words=words, signed=kind != "binary",
+                  provenance=draw(st.sampled_from(
+                      ("ingested", "hand made", "greedy n=5 d=2 w=2"))))
+    validate(code)
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(cw_codes(), st.data())
+def test_code_file_round_trip_and_damage(code, data):
+    from cwsense.matrices import coherence, from_code
+    text = dumps_code(code)
+    loaded = loads_code(text)
+    assert (loaded.signed, loaded.d, loaded.words) == (code.signed, code.d,
+                                                       code.words)
+    assert dumps_code(loaded) == text
+    cut = data.draw(st.integers(0, len(text)), label="cut")
+    pos = data.draw(st.integers(0, len(text) - 1), label="pos")
+    char = data.draw(st.sampled_from("0123456789 -+\n#x"), label="char")
+    for damaged in (text[:cut], text[:pos] + char + text[pos + 1:],
+                    text[:pos] + char + text[pos:]):
+        try:
+            loaded = loads_code(damaged)
+        except (FormatError, BudgetError):
+            continue
+        if len(loaded):  # then analyze certifies its matrix
+            coherence(from_code(loaded))
+        else:            # a header alone: no matrix, analyze exits 2
+            with pytest.raises(ParameterError):
+                from_code(loaded)

@@ -1,5 +1,6 @@
 """Designs: triple systems, affine planes, spreads and their codes."""
 
+import hashlib
 import tracemalloc
 from itertools import combinations, product
 
@@ -75,7 +76,7 @@ def test_affine_plane_lines_cover_pairs_once():
     # Two points of AG(2, 3) lie on exactly one common line.
     code = affine_plane_code(3)
     for p, r in combinations(range(9), 2):
-        containing = [w for w in code.words if p in w and r in w]
+        containing = [w for w in code.words if (p, 1) in w and (r, 1) in w]
         assert len(containing) == 1
 
 
@@ -95,6 +96,28 @@ def test_spread_sizes_and_distance(q, n, k, size):
     code = spread_code(q, n, k)
     assert len(code) == size
     assert code.d == 2 * k
+
+
+# sha256 of dumps_subspace_code(spread_code(q, n, k)): the bases, and so
+# the files, must not drift when the construction's arithmetic changes
+# (prime and extension fields, k = 1 to 4).
+SPREAD_DIGESTS = {
+    (2, 6, 3): "4378958d8125da97d9cfa427d234616900e4c637e7b00879d436ea0132a537e2",
+    (3, 4, 2): "5b3d50c7ca7a011fb28abe910e4ea283abc5b8d7e91b78f1d8f6c40b6b6ea3ba",
+    (4, 4, 2): "d486260fe845cfec0a5b0e07b590a950cd505d277ea4cf5fffb588b6163decf1",
+    (8, 4, 2): "6c60f7a8cfb43f04d39fea0dc3d0d7e1cbe411371bea2867d7b17ced5ca808c9",
+    (9, 4, 2): "bf97921acadd7b0452ccfdba26c0a95d55bd20cfa851915224387f74a52a0f1e",
+    (2, 8, 4): "6b78cf74afad17b6a3bb30b68aa58752c1d5c5baea181ce513331e6b5532f660",
+    (4, 6, 3): "01959fccd55f45c683a61c2aeed1de870a685a8f9d6d72f20ecf8115d781e1f1",
+    (3, 3, 1): "13664eb615cb8a2466479596dd548e33c9b1de902d050d0f79b50b5a08bd46f8",
+}
+
+
+@pytest.mark.parametrize("params", sorted(SPREAD_DIGESTS))
+def test_spread_file_digest_frozen(params):
+    text = dumps_subspace_code(spread_code(*params))
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == SPREAD_DIGESTS[params]
 
 
 def test_spread_requires_divisibility():
@@ -124,7 +147,7 @@ def test_spread_memory_budget_before_enumeration():
 def test_spread_code_words_partition_nonzero_vectors(q, n, k):
     code = subspace_to_code(spread_code(q, n, k))
     assert (code.n, code.w) == (q ** n - 1, q ** k - 1)
-    covered = [pos for word in code.words for pos in word]
+    covered = [pos for word in code.words for pos, _ in word]
     assert sorted(covered) == list(range(q ** n - 1))  # each exactly once
     assert code.d == 2 * code.w  # disjoint supports
 

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cwsense.codes import certify_binary, greedy_binary, greedy_ternary
+from cwsense.codes import (certify_binary, greedy_binary, greedy_ternary,
+                           loads_code)
 from cwsense.designs import steiner_to_code, make_sts
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.matrices import (MeasurementMatrix, coherence, devore,
-                              dumps_matrix, from_binary_code,
-                              from_binary_code_signed, from_ternary_code,
-                              load_matrix, loads_matrix, matrix_format,
+                              dumps_matrix, from_code, load_matrix,
+                              loads_matrix, matrix_format,
                               save_matrix, welch_bound, FORMATS)
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
@@ -19,7 +20,7 @@ FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
 
 
 def fano_matrix() -> MeasurementMatrix:
-    return from_binary_code(certify_binary(7, 3, FANO, provenance="fano"))
+    return from_code(certify_binary(7, 3, FANO, provenance="fano"))
 
 
 # -- coherence ----------------------------------------------------------------
@@ -81,7 +82,7 @@ def test_lying_bound_header_raises():
 
 
 def test_bound_header_is_certified_at_load():
-    text = dumps_matrix(from_binary_code(steiner_to_code(make_sts(9))))
+    text = dumps_matrix(from_code(steiner_to_code(make_sts(9))))
     assert "bound 1/3" in text
     assert loads_matrix(text)._mu == Fraction(1, 3)  # certified and cached
     for bad in ("bound 1/9", "bound 1/0", "bound -1", "bound x"):
@@ -101,40 +102,40 @@ def test_attached_bound_violation_stays_runtime_error():
 
 def test_binary_code_matrix_bound():
     code = greedy_binary(10, 4, 3)
-    matrix = from_binary_code(code)
+    matrix = from_code(code)
     assert matrix.bound == 1 - Fraction(code.d, 2 * code.w)
     assert coherence(matrix).mu <= matrix.bound
 
 
 def test_signed_matrix_is_deterministic():
     code = steiner_to_code(make_sts(9))
-    a = from_binary_code_signed(code, seed=3)
-    b = from_binary_code_signed(code, seed=3)
+    a = from_code(code, seed=3)
+    b = from_code(code, seed=3)
     assert a.columns == b.columns
     assert a.provenance == b.provenance
-    c = from_binary_code_signed(code, seed=4)
+    c = from_code(code, seed=4)
     assert c.columns != a.columns
 
 
 def test_signed_matrix_keeps_unsigned_bound_and_coherence_holds():
     code = steiner_to_code(make_sts(9))
-    plain = from_binary_code(code)
+    plain = from_code(code)
     for seed in range(5):
-        signed = from_binary_code_signed(code, seed=seed)
+        signed = from_code(code, seed=seed)
         assert signed.bound == plain.bound
         assert coherence(signed).mu <= signed.bound
 
 
 def test_sign_stream_hook_reproduces_unsigned():
     code = steiner_to_code(make_sts(9))
-    forced = from_binary_code_signed(code, sign_stream=lambda: 1)
-    assert forced.columns == from_binary_code(code).columns
+    forced = from_code(code, sign_stream=lambda: 1)
+    assert forced.columns == from_code(code).columns
 
 
 def test_signed_rejects_negative_seed():
     code = steiner_to_code(make_sts(9))
     with pytest.raises(ParameterError):
-        from_binary_code_signed(code, seed=-1)
+        from_code(code, seed=-1)
 
 
 @pytest.mark.parametrize("params,mu,bound,order", [
@@ -146,7 +147,7 @@ def test_ternary_matrix_two_sided_bound(params, mu, bound, order):
     """Sign flips cost one distance unit but swing inner products by two,
     so the certified bound takes min(w, 2w - d)/w; these greedy outputs
     attain it exactly."""
-    matrix = from_ternary_code(greedy_ternary(*params))
+    matrix = from_code(greedy_ternary(*params))
     report = coherence(matrix)
     assert report.mu == mu
     assert report.bound == bound
@@ -219,8 +220,8 @@ def test_measurement_matrix_rejections():
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_round_trip_is_byte_idempotent(fmt, tmp_path):
     for matrix in (devore(3, 2),
-                   from_binary_code_signed(steiner_to_code(make_sts(9)), seed=3),
-                   from_ternary_code(greedy_ternary(6, 4, 3))):
+                   from_code(steiner_to_code(make_sts(9)), seed=3),
+                   from_code(greedy_ternary(6, 4, 3))):
         text = dumps_matrix(matrix, fmt)
         again = dumps_matrix(loads_matrix(text), fmt)
         assert again == text
@@ -276,9 +277,61 @@ def test_loads_matrix_rejections():
 
 def test_float_oracle_agrees_on_small_cases():
     for matrix in (fano_matrix(), devore(5, 2),
-                   from_binary_code_signed(steiner_to_code(make_sts(13)), seed=1)):
+                   from_code(steiner_to_code(make_sts(13)), seed=1)):
         exact = coherence(matrix).mu
         a = matrix.to_dense() / np.sqrt(matrix.w)
         gram = np.abs(a.T @ a)
         np.fill_diagonal(gram, 0.0)
         assert abs(float(exact) - float(gram.max())) <= 1e-12
+
+
+def test_from_code_ternary_bound_and_signed_seed():
+    code = loads_code("3 2 2\n+0 +1\n+1 +2\n")          # all +, still signed
+    assert from_code(code).bound == 1                    # binary reading: 1/2
+    assert from_code(loads_code("3 2 2\n0 1\n1 2\n")).bound == Fraction(1, 2)
+    for kwargs in ({"seed": 0}, {"sign_stream": lambda: 1}):
+        with pytest.raises(ParameterError, match="binary codes only"):
+            from_code(code, **kwargs)
+
+
+def test_matrix_columns_may_repeat_but_not_vanish():
+    matrix = loads_matrix("1,1,0\n0,0,1\n")
+    assert coherence(matrix).mu == 1                     # equal columns
+    with pytest.raises(FormatError):
+        loads_matrix("0,0\n0,0\n")                       # weight 0
+
+
+@st.composite
+def measurement_matrices(draw):
+    """Random {0, +1, -1} matrices, repeated columns allowed, with or
+    without a bound at or above the exact coherence."""
+    n = draw(st.integers(1, 7))
+    w = draw(st.integers(1, n))
+    drawn = draw(st.lists(
+        st.tuples(st.permutations(range(n)),
+                  st.lists(st.sampled_from((1, -1)), min_size=w, max_size=w)),
+        min_size=1, max_size=8))
+    columns = [tuple(sorted(zip(perm[:w], signs))) for perm, signs in drawn]
+    provenance = draw(st.sampled_from(("ingested", "devore p=3 r=2", "x")))
+    matrix = MeasurementMatrix(n, columns, w, provenance=provenance)
+    if draw(st.booleans()):
+        slack = draw(st.sampled_from((0, Fraction(1, 7), 1)))
+        matrix = MeasurementMatrix(n, columns, w, provenance=provenance,
+                                   bound=coherence(matrix).mu + slack)
+    return matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(measurement_matrices(), st.sampled_from(FORMATS), st.data())
+def test_matrix_file_round_trip_and_damage(matrix, fmt, data):
+    text = dumps_matrix(matrix, fmt)
+    assert dumps_matrix(loads_matrix(text), fmt) == text
+    cut = data.draw(st.integers(0, len(text)), label="cut")
+    pos = data.draw(st.integers(0, len(text) - 1), label="pos")
+    char = data.draw(st.sampled_from("0123456789 -+,/\n#xnwb"), label="char")
+    for damaged in (text[:cut], text[:pos] + char + text[pos + 1:],
+                    text[:pos] + char + text[pos:]):
+        try:  # what analyze and recover do with a matrix file
+            coherence(loads_matrix(damaged))
+        except (FormatError, BudgetError):
+            pass

@@ -5,7 +5,7 @@ import pytest
 
 from cwsense.designs import spread_code, subspace_to_code
 from cwsense.errors import ParameterError
-from cwsense.matrices import devore, from_binary_code
+from cwsense.matrices import devore, from_code
 from cwsense.recovery import (CSV_HEADER, RecoveryReport, exact_recovery,
                               gen_sparse, measure, omp, reports_to_csv,
                               run_experiment)
@@ -13,7 +13,7 @@ from cwsense.recovery import (CSV_HEADER, RecoveryReport, exact_recovery,
 
 def spread_matrix():
     # 15 x 5, pairwise disjoint supports, coherence 0
-    return from_binary_code(subspace_to_code(spread_code(2, 4, 2)))
+    return from_code(subspace_to_code(spread_code(2, 4, 2)))
 
 
 # -- gen_sparse -----------------------------------------------------------------
