@@ -22,6 +22,7 @@ support per line).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -273,6 +274,16 @@ def loads_matrix(text: str) -> MeasurementMatrix:
                       "header (support-list) or a CSV row (dense-csv)")
 
 
+def _parse_bound(token: str) -> Fraction:
+    """A bound claim: '[-]digits' or '[-]digits/digits', the forms
+    str(Fraction) writes.  Fraction(token) would also take exponents
+    and decimals ('1e5000', '0.5'), so anything else is a ValueError."""
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", token):
+        raise ValueError(f"bad bound {token!r}")
+    num, _, den = token.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
 def _loads_support_list(text: str) -> MeasurementMatrix:
     provenance, comments, lines = read_lines(text)
     n = w = None
@@ -285,7 +296,7 @@ def _loads_support_list(text: str) -> MeasurementMatrix:
                 n = int(pairs["n"])
                 w = int(pairs["w"])
                 if "bound" in pairs:
-                    bound = Fraction(pairs["bound"])
+                    bound = _parse_bound(pairs["bound"])
             except (KeyError, ValueError, ZeroDivisionError):
                 raise FormatError(
                     f"line {lineno}: bad dimension header") from None

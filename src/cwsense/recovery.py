@@ -5,6 +5,33 @@ Everything here is deterministic given a seed.  Trial streams are
 derived with numpy's SeedSequence from the entropy triple
 (seed, k, trial index), so a single trial can be replayed in isolation
 and adding more trials never disturbs earlier ones.
+
+The experiment runs the trials of one k in blocks, in lockstep through
+one batched OMP engine (_omp_rows), after the Batch-OMP idea of
+Rubinstein, Zibulevsky and Elad (2008) but without its Gram/Cholesky
+refit: every trial still gets its own gemv, gelsd solve and ddot, only
+the Python loop around them is gone.  The bits therefore match the
+one-trial-at-a-time loop:
+
+* signals come from the same per-trial streams (_draw, shared with
+  gen_sparse);
+* a measurement adds the support columns in support order, so each
+  entry sees the additions measure makes plus +-0.0 terms (a finite
+  value times a zero entry); x + (+-0.0) is x, bit for bit, for every
+  float x but -0.0, and no entry is ever -0.0 since sums start at +0.0;
+* correlations are np.matmul over the transposed view of the cached
+  dense matrix, which numpy evaluates as one gemv per trial with the
+  strides the single-trial product uses; ties still go to the lowest
+  column index (row-wise argmax);
+* the refit is the gelsd gufunc np.linalg.lstsq wraps, called once on
+  the stacked selections (_lstsq); each selection is laid out in
+  Fortran order, as a[:, selected] is, so the residual's gemv runs the
+  same kernel; norms are matmul dots, the ddot np.linalg.norm uses;
+* rank-deficiency warnings and the residual-growth RuntimeError come
+  out in trial order, as the per-trial loop would emit them.
+
+tests/recovery_oracle.py keeps that per-trial loop; the tests hold the
+engine to it bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ParameterError
 from .matrices import MeasurementMatrix
@@ -22,6 +50,10 @@ from .matrices import MeasurementMatrix
 log = logging.getLogger(__name__)
 
 VALUE_MODELS = ("rademacher", "gaussian")
+
+# Bytes of truth and measurement data per trial block: (N + k n) * 8 per
+# trial.  The engine's other per-block arrays scale with the same terms.
+BLOCK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -38,6 +70,25 @@ class SparseSignal:
         return x
 
 
+def _check_model(model: str) -> None:
+    if model not in VALUE_MODELS:
+        raise ParameterError(f"unknown value model {model!r}")
+
+
+def _draw(rng: np.random.Generator, N: int, k: int,
+          model: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending support and values of one k-sparse draw from rng."""
+    support = np.sort(rng.choice(N, size=k, replace=False))
+    if model == "rademacher":
+        values = rng.integers(0, 2, size=k) * 2.0 - 1.0
+    else:
+        values = rng.standard_normal(k)
+        while np.any(values == 0.0):
+            values[values == 0.0] = rng.standard_normal(
+                int(np.sum(values == 0.0)))
+    return support, values
+
+
 def gen_sparse(N: int, k: int, model: str = "rademacher",
                seed: int | np.random.SeedSequence = 0) -> SparseSignal:
     """Draw a k-sparse signal with a uniformly random support.
@@ -48,18 +99,9 @@ def gen_sparse(N: int, k: int, model: str = "rademacher",
     """
     if not 0 <= k <= N:
         raise ParameterError(f"need 0 <= k <= N, got k={k} N={N}")
-    if model not in VALUE_MODELS:
-        raise ParameterError(f"unknown value model {model!r}")
-    rng = np.random.default_rng(seed)
-    support = tuple(sorted(int(i) for i in rng.choice(N, size=k, replace=False)))
-    if model == "rademacher":
-        values = rng.integers(0, 2, size=k) * 2.0 - 1.0
-    else:
-        values = rng.standard_normal(k)
-        while np.any(values == 0.0):
-            values[values == 0.0] = rng.standard_normal(
-                int(np.sum(values == 0.0)))
-    return SparseSignal(N=N, support=support, values=values,
+    _check_model(model)
+    support, values = _draw(np.random.default_rng(seed), N, k, model)
+    return SparseSignal(N=N, support=tuple(support.tolist()), values=values,
                         provenance=f"model={model} seed={seed!r}")
 
 
@@ -73,6 +115,95 @@ def measure(matrix: MeasurementMatrix, x: SparseSignal) -> np.ndarray:
         for r, s in matrix.columns[idx]:
             y[r] += s * val
     return y
+
+
+def _measure_rows(at: np.ndarray, supports: np.ndarray,
+                  values: np.ndarray) -> np.ndarray:
+    """Row b is A x_b, adding the columns supports[b] (rows of at = A.T)
+    scaled by values[b] in order: measure's arithmetic, bit for bit."""
+    y = np.zeros((len(supports), at.shape[1]))
+    for i in range(supports.shape[1]):
+        y += at[supports[:, i]] * values[:, i, None]
+    return y
+
+
+def _norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as np.linalg.norm computes it."""
+    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked np.linalg.lstsq(sub, y, rcond=None) over subs (B, m, t)
+    and ys (B, m): the gelsd gufunc that np.linalg.lstsq wraps, called
+    once for the stack.  Returns coefficients (B, t) and ranks (B,)."""
+    m, t = subs.shape[-2:]
+    rcond = np.finfo(np.float64).eps * max(m, t)
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        coef, _, rank, _ = _umath_linalg.lstsq(subs, ys[:, :, None], rcond,
+                                               signature="ddd->ddid")
+    return coef[:, :, 0], rank
+
+
+def _omp_rows(a: np.ndarray, y: np.ndarray, k: int,
+              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OMP on every row of y (B, n) in lockstep against dense a (n, N).
+
+    Returns (selected, coef, count): row b picked the columns
+    selected[b, :count[b]] in that order with least-squares
+    coefficients coef[b, :count[b]]; entries past count[b] are 0.
+    A row stops early once its residual norm drops below tol.
+    """
+    at = a.T
+    B = len(y)
+    selected = np.zeros((B, k), dtype=np.intp)
+    coef = np.zeros((B, k))
+    count = np.zeros(B, dtype=np.intp)
+    warnings: list[tuple[int, int, int]] = []   # (row, columns, rank)
+    grew: list[tuple[int, int]] = []            # (row, columns)
+    rows = np.arange(B)          # the rows of y still iterating
+    ys, residual = y, y
+    prev = _norms(y)
+    taken = np.zeros((B, a.shape[1]), dtype=bool)
+    up = np.zeros(B, dtype=bool)
+    for t in range(1, k + 1):
+        go = ~(prev < tol) & ~up    # a row whose norm grew is out
+        if not go.all():
+            rows, ys, residual, prev, taken = (
+                rows[go], ys[go], residual[go], prev[go], taken[go])
+        if not len(rows):
+            break
+        corr = np.matmul(at, residual[:, :, None])[:, :, 0]
+        np.abs(corr, out=corr)
+        corr[taken] = -1.0
+        j = np.argmax(corr, axis=1)  # the first (lowest) index on ties
+        taken[np.arange(len(rows)), j] = True
+        selected[rows, t - 1] = j
+        # (rows, n, t), each item Fortran-ordered like a[:, selected]
+        sub = at[selected[rows, :t]].transpose(0, 2, 1)
+        c, rank = _lstsq(sub, ys)
+        warnings += [(int(rows[i]), t, int(rank[i]))
+                     for i in np.flatnonzero(rank < t)]
+        coef[rows, :t] = c
+        count[rows] = t
+        residual = ys - np.matmul(sub, c[:, :, None])[:, :, 0]
+        norm = _norms(residual)
+        up = norm > prev + 1e-9 * (1.0 + prev)
+        grew += [(int(row), t) for row in rows[up]]
+        prev = norm
+    first = min(grew, default=None)
+    for row, cols, rank in sorted(warnings):
+        if first is not None and (row, cols) > first:
+            break
+        log.warning("rank-deficient selection (%d columns, rank %d); "
+                    "using the minimum-norm solution", cols, rank)
+    if first is not None:
+        raise RuntimeError("residual norm increased across an OMP iteration")
+    return selected, coef, count
 
 
 def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
@@ -103,43 +234,19 @@ def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
     solve is rank-revealing; a rank-deficient selection is logged and
     the minimum-norm solution is used.  Residual norms are checked to
     be non-increasing, which a correct refit guarantees; an increase
-    raises RuntimeError.
+    raises RuntimeError.  This is the one-row case of the engine
+    run_experiment uses.
     """
     if not 1 <= k <= matrix.n:
         raise ParameterError(f"need 1 <= k <= n rows, got k={k} n={matrix.n}")
-    a = matrix.to_dense()
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (matrix.n,):
         raise ParameterError(f"y must have shape ({matrix.n},)")
-    selected: list[int] = []
-    taken = np.zeros(matrix.N, dtype=bool)
-    residual = y.copy()
-    prev_norm = float(np.linalg.norm(residual))
-    coef = np.zeros(0)
-    for _ in range(k):
-        if prev_norm < tol:
-            break
-        corr = np.abs(a.T @ residual)
-        corr[taken] = -1.0
-        j = int(np.argmax(corr))  # argmax returns the first (lowest) index on ties
-        taken[j] = True
-        selected.append(j)
-        sub = a[:, selected]
-        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
-        if rank < len(selected):
-            log.warning("rank-deficient selection (%d columns, rank %d); "
-                        "using the minimum-norm solution", len(selected), rank)
-        residual = y - sub @ coef
-        norm = float(np.linalg.norm(residual))
-        if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
-            raise RuntimeError(
-                "residual norm increased across an OMP iteration")
-        prev_norm = norm
-    order = np.argsort(selected)
-    support = tuple(selected[i] for i in order)
-    values = np.asarray([coef[i] for i in order]) if selected else np.zeros(0)
-    return SparseSignal(N=matrix.N, support=support, values=values,
-                        provenance="omp")
+    selected, coef, count = _omp_rows(matrix.to_dense(), y[None], k, tol)
+    picked = selected[0, :count[0]]
+    order = np.argsort(picked)
+    return SparseSignal(N=matrix.N, support=tuple(picked[order].tolist()),
+                        values=coef[0, :count[0]][order], provenance="omp")
 
 
 def exact_recovery(truth: SparseSignal, estimate: SparseSignal,
@@ -165,6 +272,37 @@ class RecoveryReport:
     seconds: float
 
 
+def _score_rows(at: np.ndarray, truth: np.ndarray, values: np.ndarray,
+                y: np.ndarray, selected: np.ndarray, coef: np.ndarray,
+                count: np.ndarray) -> tuple[int, int, float, float]:
+    """(successes, max support error, max value error, max residual) of
+    a block, each trial scored as the per-trial loop scores it:
+    exact_recovery, the symmetric support difference, the largest entry
+    of |truth - estimate| as dense vectors, and |y - A estimate|."""
+    k = truth.shape[1]
+    N = at.shape[0]
+    # estimates with unused slots pointing at column N (a pad) and 0.0
+    est = np.where(np.arange(k) < count[:, None], selected, N)
+    order = np.argsort(est, axis=1)
+    est = np.take_along_axis(est, order, axis=1)
+    est_values = np.take_along_axis(coef, order, axis=1)
+    match = est[:, :, None] == truth[:, None, :]
+    # the nonzero entries of the dense difference: a truth value less
+    # its matched estimate (less +-0.0 when unmatched), and the
+    # estimates that match nothing (a pad's 0.0 changes no maximum)
+    matched = (match * est_values[:, :, None]).sum(axis=1)
+    value_err = np.maximum(
+        np.abs(values - matched).max(axis=1),
+        (np.abs(est_values) * ~match.any(axis=2)).max(axis=1))
+    # equal supports leave value_err = max |truth - estimate| on them
+    exact = (est == truth).all(axis=1) & (value_err < 1e-9)
+    support_err = k + count - 2 * match.sum(axis=(1, 2))
+    # a pad adds 0.0 times some column: +-0.0 terms, which change nothing
+    fit = _measure_rows(at, np.minimum(est, N - 1), est_values)
+    return (int(exact.sum()), int(support_err.max()),
+            float(value_err.max()), float(_norms(y - fit).max()))
+
+
 def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
                    model: str = "rademacher", seed: int = 0,
                    tol: float = 1e-12) -> list[RecoveryReport]:
@@ -173,39 +311,49 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
     Each trial draws its generator from SeedSequence([seed, k, trial]),
     measures a fresh k-sparse signal and checks exact recovery (support
     equality plus values within 1e-9).  k = 0 is skipped with a note;
-    k above min(n, N) cannot be posed and raises.
+    every k is checked before the first trial runs, and one below 0 or
+    above min(n, N) cannot be posed and raises.  The trials of one k
+    run in blocks of about BLOCK_BYTES of signal data through the
+    batched OMP engine; a block's results are bit-identical to running
+    its trials one at a time (see the module docstring).
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+    _check_model(model)
+    ks = list(ks)
+    n, N = matrix.n, matrix.N
+    for k in ks:
+        if k < 0:
+            raise ParameterError(f"need 0 <= k <= N, got k={k} N={N}")
+        if k > min(n, N):
+            raise ParameterError(f"k={k} exceeds min(n, N) = {min(n, N)}")
     reports = []
     for k in ks:
         if k == 0:
             log.info("skipping k = 0: nothing to recover")
             continue
-        if k > min(matrix.n, matrix.N):
-            raise ParameterError(
-                f"k={k} exceeds min(n, N) = {min(matrix.n, matrix.N)}")
         start = time.perf_counter()
-        successes = 0
-        max_support_err = 0
-        max_value_err = 0.0
-        max_residual = 0.0
-        for trial in range(trials):
-            ss = np.random.SeedSequence([seed, k, trial])
-            truth = gen_sparse(matrix.N, k, model=model, seed=ss)
-            y = measure(matrix, truth)
-            estimate = omp(matrix, y, k, tol=tol)
-            if exact_recovery(truth, estimate):
-                successes += 1
-            support_err = len(set(truth.support) ^ set(estimate.support))
-            value_err = float(np.max(np.abs(truth.to_dense()
-                                            - estimate.to_dense())))
-            residual = float(np.linalg.norm(y - measure(matrix, estimate)))
-            max_support_err = max(max_support_err, support_err)
-            max_value_err = max(max_value_err, value_err)
-            max_residual = max(max_residual, residual)
+        a = matrix.to_dense()
+        block = max(1, BLOCK_BYTES // ((N + k * n) * 8))
+        successes = max_support_err = 0
+        max_value_err = max_residual = 0.0
+        for first in range(0, trials, block):
+            size = min(block, trials - first)
+            truth = np.empty((size, k), dtype=np.intp)
+            values = np.empty((size, k))
+            for i in range(size):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([seed, k, first + i]))
+                truth[i], values[i] = _draw(rng, N, k, model)
+            y = _measure_rows(a.T, truth, values)
+            scores = _score_rows(a.T, truth, values, y,
+                                 *_omp_rows(a, y, k, tol))
+            successes += scores[0]
+            max_support_err = max(max_support_err, scores[1])
+            max_value_err = max(max_value_err, scores[2])
+            max_residual = max(max_residual, scores[3])
         reports.append(RecoveryReport(
             matrix_id=matrix.provenance, k=k, trials=trials,
             successes=successes, max_support_err=max_support_err,

@@ -177,14 +177,17 @@ def test_analyze_missing_file(capsys, tmp_path):
 
 
 def unreadable_inputs(tmp_path):
-    """Files analyze and recover must refuse with exit 2: a lowered and a
-    zero-denominator bound header, a non-ASCII byte, a directory."""
+    """Files analyze and recover must refuse with exit 2: a lowered, a
+    zero-denominator, an exponent and a decimal bound header, a
+    non-ASCII byte, a directory."""
     matrix = tmp_path / "sts9.matrix"
     assert run_cli("construct", "sts", "--n", "9", "--emit-matrix",
                    str(matrix)) == 0
     text = matrix.read_text()
     paths = []
-    for name, bound in (("lowered", "1/9"), ("zero", "1/0")):
+    for name, bound in (("lowered", "1/9"), ("zero", "1/0"),
+                        ("exponent", "1e5000"), ("huge", "1e30000000"),
+                        ("decimal", "0.5")):
         path = tmp_path / f"{name}.matrix"
         path.write_text(text.replace("bound 1/3", f"bound {bound}"))
         paths.append(path)
@@ -264,6 +267,22 @@ def test_recover_reports_beyond_guarantee_ungated(capsys, tmp_path):
     printed = capsys.readouterr().out
     assert "k=1: 5/5 exact (guaranteed)" in printed
     assert "(beyond guarantee)" in printed
+
+
+def test_recover_refuses_large_k_before_any_trial(capsys, tmp_path,
+                                                  monkeypatch):
+    out = tmp_path / "sts9.matrix"
+    run_cli("construct", "sts", "--n", "9", "--emit-matrix", str(out))
+    capsys.readouterr()
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran before k=10 was refused")
+
+    monkeypatch.setattr("cwsense.recovery._omp_rows", no_trials)
+    assert run_cli("recover", str(out), "--k-max", "60") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k=10 exceeds min(n, N) = 9\n"
 
 
 def test_recover_guarantee_violation_exit(capsys, spread_matrix_file,

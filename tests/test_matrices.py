@@ -85,7 +85,10 @@ def test_bound_header_is_certified_at_load():
     text = dumps_matrix(from_code(steiner_to_code(make_sts(9))))
     assert "bound 1/3" in text
     assert loads_matrix(text)._mu == Fraction(1, 3)  # certified and cached
-    for bad in ("bound 1/9", "bound 1/0", "bound -1", "bound x"):
+    # exponent and decimal forms are refused outright, even where the
+    # value would hold (1e5000, 0.5 >= 1/3): a claim is digits or p/q
+    for bad in ("bound 1/9", "bound 1/0", "bound -1", "bound x",
+                "bound 1e5000", "bound 1e30000000", "bound 0.5"):
         with pytest.raises(FormatError):
             loads_matrix(text.replace("bound 1/3", bad))
 

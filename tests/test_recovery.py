@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cwsense import recovery
 from cwsense.designs import spread_code, subspace_to_code
 from cwsense.errors import ParameterError
 from cwsense.matrices import devore, from_code
@@ -115,13 +116,34 @@ def test_omp_residual_increase_raises(monkeypatch):
     matrix = devore(5, 2)
     y = measure(matrix, gen_sparse(matrix.N, 2, seed=11))
 
-    def overshooting_lstsq(sub, rhs, rcond=None):
-        coef = np.full(sub.shape[1], 100.0)
-        return coef, None, sub.shape[1], None
+    def overshooting_lstsq(subs, ys):
+        coef = np.full(subs.shape[::2], 100.0)
+        return coef, np.full(len(subs), subs.shape[2])
 
-    monkeypatch.setattr(np.linalg, "lstsq", overshooting_lstsq)
+    monkeypatch.setattr(recovery, "_lstsq", overshooting_lstsq)
     with pytest.raises(RuntimeError, match="residual norm increased"):
         omp(matrix, y, 2)
+
+
+def test_stacked_lstsq_matches_numpy_bit_for_bit():
+    """The engine's stacked solve returns what np.linalg.lstsq returns for
+    each item, coefficients and rank, on full-rank and rank-deficient
+    {0, +1, -1} selections in either memory order."""
+    rng = np.random.default_rng(4)
+    for m, t in ((9, 1), (9, 4), (25, 6), (49, 6)):
+        subs = rng.integers(-1, 2, size=(30, m, t)).astype(np.float64)
+        subs[::3, :, -1] = subs[::3, :, 0]           # a repeated column
+        subs[1::5, :, 0] = 0.0                        # a zero column
+        ys = rng.standard_normal((30, m))
+        ys[::4] = np.matmul(subs[::4], rng.integers(-1, 2, (8, t, 1)))[..., 0]
+        for stack in (subs, subs.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+            coef, rank = recovery._lstsq(stack, ys)
+            for b in range(len(subs)):
+                want, _, want_rank, _ = np.linalg.lstsq(stack[b], ys[b],
+                                                        rcond=None)
+                assert coef[b].tobytes() == want.tobytes()
+                assert int(rank[b]) == int(want_rank)
+        assert (rank < t).any()
 
 
 def test_omp_parameter_errors():
@@ -180,9 +202,23 @@ def test_run_experiment_rejections():
     with pytest.raises(ParameterError):
         run_experiment(matrix, [6], trials=5, seed=0)   # k > min(n, N) = 5
     with pytest.raises(ParameterError):
+        run_experiment(matrix, [-1], trials=5, seed=0)
+    with pytest.raises(ParameterError):
+        run_experiment(matrix, [1], trials=5, model="cauchy")
+    with pytest.raises(ParameterError):
         run_experiment(matrix, [1], trials=0, seed=0)
     with pytest.raises(ParameterError):
         run_experiment(matrix, [1], trials=5, seed=-2)
+
+
+def test_run_experiment_checks_every_k_before_any_trial(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the bad k was refused")
+
+    monkeypatch.setattr(recovery, "_omp_rows", no_trials)
+    ks = iter(range(1, 61))     # materialized once, checked up front
+    with pytest.raises(ParameterError, match=r"k=6 exceeds min\(n, N\) = 5"):
+        run_experiment(spread_matrix(), ks, trials=5, seed=0)
 
 
 def test_run_experiment_zero_coherence_always_succeeds():
