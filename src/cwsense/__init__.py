@@ -9,9 +9,7 @@ coherence-based recovery guarantee.
 """
 
 from .errors import BudgetError, FormatError, ParameterError
-from .field import (FieldElement, FiniteField, find_irreducible,
-                    is_irreducible, make_field, monic_polys, poly_eval,
-                    vector_encoding, vectors)
+from .field import FiniteField, find_irreducible, make_field
 from .codes import (BoundReport, CWCode, binary_distance, certify_binary,
                     check_words, dimension_binary_gilbert, dimension_binary_gs,
                     dimension_ternary_gilbert, dumps_code, gilbert_bound,
@@ -27,16 +25,14 @@ from .designs import (SteinerTripleSystem, SubspaceCode, affine_plane_code,
 from .matrices import (CoherenceReport, MeasurementMatrix, WelchBound,
                        coherence, devore, dumps_matrix, from_code,
                        load_matrix, loads_matrix, save_matrix, welch_bound)
-from .recovery import (RecoveryReport, SparseSignal, exact_recovery,
-                       gen_sparse, measure, omp, reports_to_csv,
+from .recovery import (RecoveryReport, SparseSignal, omp, reports_to_csv,
                        run_experiment)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError", "FormatError", "ParameterError",
-    "FieldElement", "FiniteField", "find_irreducible", "is_irreducible",
-    "make_field", "monic_polys", "poly_eval", "vector_encoding", "vectors",
+    "FiniteField", "find_irreducible", "make_field",
     "BoundReport", "CWCode", "binary_distance", "certify_binary",
     "check_words", "dimension_binary_gilbert",
     "dimension_binary_gs", "dimension_ternary_gilbert", "dumps_code",
@@ -51,7 +47,7 @@ __all__ = [
     "CoherenceReport", "MeasurementMatrix", "WelchBound", "coherence",
     "devore", "dumps_matrix", "from_code", "load_matrix", "loads_matrix", "save_matrix",
     "welch_bound",
-    "RecoveryReport", "SparseSignal", "exact_recovery", "gen_sparse",
-    "measure", "omp", "reports_to_csv", "run_experiment",
+    "RecoveryReport", "SparseSignal", "omp", "reports_to_csv",
+    "run_experiment",
     "__version__",
 ]

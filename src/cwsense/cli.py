@@ -76,7 +76,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         matrix = matrices.devore(args.p, args.r)
         out = args.emit_matrix or f"devore_p{args.p}_r{args.r}.matrix"
         matrices.save_matrix(matrix, out, fmt=args.matrix_format)
-        print(_summary(matrix, "devore", d=2 * (args.p - args.r + 1)))
+        print(_summary(matrix, "devore",
+                       d=2 * (args.p - min(args.r - 1, args.p))))
         print(f"wrote matrix: {out}")
         return 0
     code = _build_code(args)

@@ -29,9 +29,8 @@ import numpy as np
 from .codes import (CWCode, array_maxima, certify_binary, check_dense_budget,
                     read_lines)
 from .errors import BudgetError, FormatError, ParameterError
-from .field import (FieldElement, FiniteField, factor_prime_power,
-                    find_irreducible, make_field, power_exceeds,
-                    vector_encoding, vectors)
+from .field import (FiniteField, factor_prime_power, find_irreducible,
+                    make_field, power_exceeds)
 
 SPREAD_CAP = 1 << 20      # largest q^n a spread is enumerated for
 COSET_CAP = 1 << 16       # largest q^n the coset conversion sweeps
@@ -148,53 +147,43 @@ def steiner_to_code(sts: SteinerTripleSystem) -> CWCode:
 def affine_plane_code(q: int) -> CWCode:
     """Lines of AG(2, q) as supports: a (q^2, 2(q-1), q) code, q^2 + q words.
 
-    Point (x, y) gets index int(x) * q + int(y).  Lines y = a*x + b come
-    first, ordered by (int(a), int(b)), then the verticals x = c.
+    Point (x, y) gets index x * q + y.  Lines y = a*x + b come first,
+    ordered by (a, b), then the verticals x = c.
     """
     if q > 16:
         raise BudgetError(f"affine plane over GF({q}) exceeds desk scale (q <= 16)")
     field = make_field(*factor_prime_power(q))
-    elems = field.elements()
-    words: list[list[int]] = []
-    for a in elems:
-        for b in elems:
-            words.append(sorted(int(x) * q + int(a * x + b) for x in elems))
-    for c in elems:
-        words.append(sorted(int(c) * q + int(y) for y in elems))
-    return certify_binary(q * q, q, words, provenance=f"affine q={q}")
+    x = np.arange(q)
+    lines = field.add(field.mul(x[:, None, None], x), x[:, None])  # [a, b, x]
+    words = np.concatenate([(x * q + lines).reshape(q * q, q),
+                            x[:, None] * q + x])
+    return certify_binary(q * q, q, words.tolist(), provenance=f"affine q={q}")
 
 
 # -- subspace codes -------------------------------------------------------
 
-Vector = tuple[FieldElement, ...]
-Basis = tuple[Vector, ...]
+Basis = tuple[tuple[int, ...], ...]    # k rows of n coordinates in [0, q)
 
 
-def _rref(rows: list[list[FieldElement]]) -> list[Vector]:
-    """Reduced row echelon form over the field; returns nonzero rows."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def _rref(field: FiniteField, rows: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form over the field of an int64 array of
+    coordinates; returns its nonzero rows."""
+    rows = rows.copy()
     r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
+    for c in range(rows.shape[1]):
+        if r == len(rows):
             break
-    return [tuple(row) for row in rows[:r]]
+        nonzero = np.flatnonzero(rows[r:, c])
+        if not len(nonzero):
+            continue
+        piv = r + nonzero[0]
+        rows[[r, piv]] = rows[[piv, r]]
+        rows[r] = field.mul(field.inv(int(rows[r, c])), rows[r])
+        factors = rows[:, c].copy()
+        factors[r] = 0
+        rows = field.sub(rows, field.mul(factors[:, None], rows[r]))
+        r += 1
+    return rows[:r]
 
 
 def _check_space(q: int, n: int) -> None:
@@ -204,32 +193,18 @@ def _check_space(q: int, n: int) -> None:
         raise BudgetError(f"q^n = {q}^{n} exceeds spread cap {SPREAD_CAP}")
 
 
-def _digit_add(a, b, p: int, places: int):
-    """Digit-wise sum mod p of base-p integers (ints or broadcast int64
-    arrays).  The base-p digits of a vector's base-q encoding are its
-    coordinates' coefficients, so this is vector addition in GF(q)^n."""
-    out = 0
-    for i in range(places):
-        unit = p ** i
-        out = out + (a // unit + b // unit) % p * unit
-    return out
-
-
-def _span_points(field: FiniteField, n: int, k: int,
-                 bases: list[Basis]) -> np.ndarray:
+def _span_points(field: FiniteField, bases: np.ndarray) -> np.ndarray:
     """N x q^k array whose row i holds the sorted base-q encodings of the
-    points of the rank-k subspace spanned by bases[i], zero first; each
-    basis row multiplies the point set by q through its q - 1 nonzero
-    multiples."""
+    points of the rank-k subspace spanned by bases[i] (an N x k x n
+    coordinate array), zero first; each basis row multiplies the point
+    set by q through its q multiples."""
+    q, n = field.q, bases.shape[2]
+    scalars = np.arange(q)[:, None, None]
     points = np.zeros((len(bases), 1), dtype=np.int64)
-    for i in range(k):
-        layers = [points]
-        for c in field.elements()[1:]:
-            row = np.array([vector_encoding([c * v for v in basis[i]])
-                            for basis in bases], dtype=np.int64)
-            layers.append(_digit_add(points, row[:, None], field.p,
-                                     field.m * n))
-        points = np.concatenate(layers, axis=1)
+    for i in range(bases.shape[1]):
+        multiples = field.mul(scalars, bases[:, i]) @ q ** np.arange(n)
+        points = field.add(points[:, :, None], multiples.T[:, None], n)
+        points = points.reshape(len(bases), q ** (i + 1))
     points.sort(axis=1)
     return points
 
@@ -238,11 +213,12 @@ def _span_points(field: FiniteField, n: int, k: int,
 class SubspaceCode:
     """k-dimensional subspaces of GF(q)^n with a certified distance.
 
-    Bases are stored in reduced echelon form; points[i] holds the sorted
-    base-q encodings of the q^k points of subspace i, zero first.  The
-    subspace distance is 2k - 2 dim(U & V), certified from the largest
-    pairwise point-set intersection |U & V| = q^dim(U & V); a
-    single-subspace code gets the sentinel 2k.
+    Bases are stored in reduced echelon form, as k tuples of n int
+    coordinates; points[i] holds the sorted base-q encodings of the q^k
+    points of subspace i, zero first.  The subspace distance is
+    2k - 2 dim(U & V), certified from the largest pairwise point-set
+    intersection |U & V| = q^dim(U & V); a single-subspace code gets
+    the sentinel 2k.
     """
     field: FiniteField
     n: int
@@ -258,8 +234,9 @@ class SubspaceCode:
 
 def certify_subspace_code(field: FiniteField, n: int, k: int,
                           bases, provenance: str = "ingested") -> SubspaceCode:
-    """Canonicalize bases to RREF, reject rank defects and duplicates,
-    and certify the exact subspace distance.
+    """Canonicalize bases (k rows of n int coordinates each) to RREF,
+    reject entries outside [0, q), rank defects and duplicates, and
+    certify the exact subspace distance.
 
     Every subspace's points are enumerated once (BudgetError first when
     q^n > SPREAD_CAP or the kernel's dense array would pass its cap) and
@@ -271,22 +248,23 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
         raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
     q = field.q
     _check_space(q, n)
-    canon: list[Basis] = []
-    seen = set()
+    canon: dict[Basis, None] = {}
     for i, basis in enumerate(bases):
         rows = [list(v) for v in basis]
         if any(len(row) != n for row in rows):
             raise ParameterError(f"basis #{i} has vectors of length != {n}")
-        red = _rref(rows)
+        if any(x not in range(q) for row in rows for x in row):
+            raise ParameterError(f"basis #{i} has entries outside [0, {q})")
+        red = _rref(field, np.array(rows, dtype=np.int64).reshape(-1, n))
         if len(red) != k:
             raise ParameterError(f"basis #{i} has rank {len(red)}, expected {k}")
-        key = tuple(tuple(int(x) for x in row) for row in red)
-        if key in seen:
+        key = tuple(map(tuple, red.tolist()))
+        if key in canon:
             raise ParameterError(f"duplicate subspace #{i}")
-        seen.add(key)
-        canon.append(tuple(red))
+        canon[key] = None
     check_dense_budget(q ** n, len(canon))
-    points = _span_points(field, n, k, canon)
+    points = _span_points(field, np.array(list(canon), dtype=np.int64)
+                          .reshape(len(canon), k, n))
     d = 2 * k
     if len(canon) >= 2:
         a = np.zeros((q ** n, len(canon)))
@@ -299,7 +277,7 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
             raise RuntimeError(f"two subspaces share {t} points, "
                                f"not a power of {q}")
         d = 2 * k - 2 * dim
-    return SubspaceCode(field=field, n=n, k=k, d=d, subspaces=canon,
+    return SubspaceCode(field=field, n=n, k=k, d=d, subspaces=list(canon),
                         points=points, provenance=provenance)
 
 
@@ -321,31 +299,25 @@ def spread_code(q: int, n: int, k: int) -> SubspaceCode:
     _check_space(q, n)
     field = make_field(*factor_prime_power(q))
     check_dense_budget(q ** n, (q ** n - 1) // (q ** k - 1))
-    modulus = find_irreducible(field, k)
-    zero = (field.zero,) * k
-    one = (field.one,) + zero[1:]
-    ext_elems = list(vectors(field, k))
-
-    def times_x(c: Vector) -> Vector:
-        # shift the coefficients up, then fold x^k back in with f
-        return tuple(a - c[-1] * b
-                     for a, b in zip((field.zero,) + c[:-1], modulus))
-
+    low = np.array(find_irreducible(field, k)[:k])
     r, qk = n // k, q ** k
-    bases: list[list[list[FieldElement]]] = []
+    # generators v, pivot by pivot with tails in ascending base-q^k
+    # encoding, as r GF(q^k) coordinates of k GF(q) coefficients each
+    gens = []
     for pivot in range(r):
-        tail_len = r - pivot - 1
-        for tail_enc in range(qk ** tail_len):
-            coords = [zero] * pivot + [one]
-            e = tail_enc
-            for _ in range(tail_len):
-                coords.append(ext_elems[e % qk])
-                e //= qk
-            rows = [coords]
-            for _ in range(k - 1):
-                rows.append([times_x(c) for c in rows[-1]])
-            bases.append([[x for c in row for x in c] for row in rows])
-    code = certify_subspace_code(field, n, k, bases,
+        tails = np.arange(qk ** (r - pivot - 1))[:, None]
+        gens.append(np.hstack([np.zeros((len(tails), pivot), dtype=np.int64),
+                               np.ones_like(tails),
+                               tails // qk ** np.arange(r - pivot - 1) % qk]))
+    v = np.concatenate(gens)[:, :, None] // q ** np.arange(k) % q
+    rows = [v]
+    for _ in range(k - 1):
+        # times x: shift the coefficients up, then fold x^k back in with f
+        c = rows[-1]
+        shifted = np.pad(c[:, :, :-1], ((0, 0), (0, 0), (1, 0)))
+        rows.append(field.sub(shifted, field.mul(c[:, :, -1:], low)))
+    bases = np.stack(rows, axis=1).reshape(len(v), k, n)
+    code = certify_subspace_code(field, n, k, bases.tolist(),
                                  provenance=f"spread q={q} n={n} k={k}")
     if code.d != 2 * k:
         raise RuntimeError(f"spread members intersect: distance {code.d}")
@@ -378,7 +350,6 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
     q, n, k = code.field.q, code.n, code.k
     if q ** n > COSET_CAP:
         raise BudgetError(f"q^n = {q ** n} exceeds coset sweep cap {COSET_CAP}")
-    p, places = code.field.p, code.field.m * n
     words: dict[tuple[int, ...], None] = {}
     for points in code.points:
         seen = np.zeros(q ** n, dtype=bool)
@@ -386,7 +357,7 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
         for v in range(q ** n):
             if seen[v]:
                 continue
-            coset = np.sort(_digit_add(points, v, p, places))
+            coset = np.sort(code.field.add(points, v, n))
             seen[coset] = True
             words.setdefault(tuple((coset - 1).tolist()), None)
     nominal = q ** (n - k - 1) * len(code) if n - k - 1 >= 0 else 0
@@ -404,10 +375,11 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
 # rejects overstated headers.
 
 def dumps_subspace_code(code: SubspaceCode) -> str:
-    lines = [f"# provenance: {code.provenance}",
-             f"{code.field.q} {code.n} {code.k} {code.d}"]
+    q, n = code.field.q, code.n
+    lines = [f"# provenance: {code.provenance}", f"{q} {n} {code.k} {code.d}"]
     for basis in code.subspaces:
-        lines.append(" ".join(str(vector_encoding(row)) for row in basis))
+        lines.append(" ".join(str(sum(x * q ** i for i, x in enumerate(row)))
+                              for row in basis))
     return "\n".join(lines) + "\n"
 
 
@@ -436,23 +408,17 @@ def loads_subspace_code(text: str) -> SubspaceCode:
         p, m = factor_prime_power(q)
     except ParameterError:
         raise FormatError(f"header order {q} is not a prime power") from None
-    field = make_field(p, m)
     bases = []
     for i, encs in enumerate(rows_enc):
         if len(encs) != k:
             raise FormatError(f"subspace #{i}: expected {k} basis rows")
-        basis = []
         for e in encs:
             if not 0 <= e < q ** n:
                 raise FormatError(f"subspace #{i}: encoding {e} out of range")
-            coords = []
-            for _ in range(n):
-                coords.append(field.from_encoding(e % q))
-                e //= q
-            basis.append(tuple(coords))
-        bases.append(tuple(basis))
+        bases.append([[e // q ** j % q for j in range(n)] for e in encs])
     try:
-        code = certify_subspace_code(field, n, k, bases, provenance=provenance)
+        code = certify_subspace_code(make_field(p, m), n, k, bases,
+                                     provenance=provenance)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
     if code.d < claimed_d:

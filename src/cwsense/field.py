@@ -1,23 +1,26 @@
 """Exact arithmetic over GF(p) and small extension fields GF(p^m).
 
-Elements are fixed-length coefficient vectors over GF(p) in the
-polynomial basis {1, x, ..., x^(m-1)}.  Multiplication is schoolbook
-convolution followed by reduction modulo a monic irreducible modulus.
-The modulus is chosen deterministically (smallest base-p encoding among
-the monic irreducibles of degree m), so two fields built with the same
-(p, m) are interchangeable and everything constructed on top of them is
-bit-stable across runs.
+An element is an int in [0, q) whose base-p digits (least significant
+first) are its coefficients in the polynomial basis {1, x, ...,
+x^(m-1)}; the code, matrix and subspace files use the same encoding.
+Addition and subtraction work digit by digit mod p, on ints or int64
+arrays alike, and also add vectors of GF(q)^n by their base-q
+encodings, whose base-p digits are the coordinates' coefficients.
+Multiplication and inversion go through exp/log tables of a primitive
+element.  The modulus is chosen deterministically (the first monic
+irreducible in ascending base-p encoding of its low coefficients), so
+two fields built with the same (p, m) are interchangeable and
+everything constructed on top of them is bit-stable across runs.
 
-Field orders are capped at 2^16.  Everything in this package runs at
-desk scale and the representation favours auditability over speed:
-no log tables, no bit tricks, every operation is plain modular
-arithmetic that can be checked by hand.
+Field orders are capped at 2^16.  FieldElement keeps the schoolbook
+coefficient-vector arithmetic as a reference; no library code uses it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import BudgetError, ParameterError
 
@@ -73,7 +76,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 class FieldElement:
-    """An immutable element of a FiniteField.
+    """Schoolbook reference element of a FiniteField.
 
     Stored as a tuple of m coefficients in [0, p); index i holds the
     coefficient of x^i.  Supports +, -, *, /, unary -, ** and integer
@@ -115,13 +118,27 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.field,
-                            self.field._mul_coeffs(self.coeffs, other.coeffs))
+        p, m = self.field.p, self.field.m
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(self.coeffs):
+            if ai:
+                for j, bj in enumerate(other.coeffs):
+                    prod[i + j] += ai * bj
+        # reduce by the monic modulus, highest term first
+        mod = self.field.modulus
+        for i in range(2 * m - 2, m - 1, -1):
+            c = prod[i] % p
+            if c:
+                base = i - m
+                for j in range(m):
+                    prod[base + j] -= c * mod[j]
+            prod[i] = 0
+        return FieldElement(self.field, tuple(v % p for v in prod[:m]))
 
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
+        result = FieldElement(self.field, (1,) + (0,) * (self.field.m - 1))
         base = self
         while e:
             if e & 1:
@@ -175,19 +192,26 @@ class FieldElement:
 
 
 class FiniteField:
-    """GF(p^m) with a deterministically chosen modulus.
+    """GF(p^m) on integer-coded elements, with a deterministic modulus.
 
     Parameters
     ----------
     p : prime characteristic.
     m : extension degree, m >= 1.
 
+    add and sub take ints or int64 arrays (broadcast against each
+    other) and n, the number of coordinates of a vector encoding;
+    mul takes ints or arrays, inv an int.  Ints come back as ints.
+    Arguments must lie in [0, q) (in [0, q^n) for vectors): the
+    boundaries that take outside input check that, the operations do
+    not.
+
     Prefer make_field(), which caches and hands back the same object for
     the same parameters.  Direct construction is equivalent but redoes
-    the modulus search.
+    the modulus search and the tables.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_elements")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log")
 
     def __init__(self, p: int, m: int = 1):
         if not is_prime(p):
@@ -200,72 +224,37 @@ class FiniteField:
         self.p = p
         self.m = m
         self.q = q
-        if m == 1:
-            self.modulus: tuple[int, ...] = (0, 1)
-        else:
-            base = make_field(p, 1)
-            poly = find_irreducible(base, m)
-            self.modulus = tuple(c.coeffs[0] for c in poly)
-        self._elements: tuple[FieldElement, ...] | None = None
+        self.modulus = ((0, 1) if m == 1
+                        else find_irreducible(make_field(p), m))
+        self._exp, self._log = _tables(p, m, self.modulus)
 
-    # -- element construction -------------------------------------------
+    def add(self, a, b, n: int = 1):
+        """a + b, digit by digit mod p over the m n base-p digits."""
+        return self._digitwise(a, b, 1, n)
 
-    def element(self, value: Union[int, Iterable[int]]) -> FieldElement:
-        """Build an element from a base-p encoding or a coefficient list."""
-        if isinstance(value, int):
-            return self.from_encoding(value)
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.m:
-            raise ParameterError(
-                f"coefficient vector longer than degree {self.m}")
-        coeffs += [0] * (self.m - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+    def sub(self, a, b, n: int = 1):
+        """a - b, digit by digit mod p; sub(0, b) is -b."""
+        return self._digitwise(a, b, -1, n)
 
-    def from_encoding(self, e: int) -> FieldElement:
-        if not 0 <= e < self.q:
-            raise ParameterError(f"encoding {e} outside [0, {self.q})")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(e % self.p)
-            e //= self.p
-        return FieldElement(self, tuple(coeffs))
+    def _digitwise(self, a, b, sign: int, n: int):
+        p = self.p
+        out = 0
+        for i in range(self.m * n):
+            unit = p ** i
+            out = out + (a // unit + sign * (b // unit)) % p * unit
+        return out
 
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.m)
+    def mul(self, a, b):
+        """a * b through the exp/log tables (zero's log points past
+        every product of two nonzero logs, into zeros)."""
+        prod = self._exp[self._log[a] + self._log[b]]
+        return prod if isinstance(prod, np.ndarray) else int(prod)
 
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.m - 1))
-
-    def elements(self) -> tuple[FieldElement, ...]:
-        """All q elements in ascending encoding order (cached)."""
-        if self._elements is None:
-            self._elements = tuple(
-                self.from_encoding(e) for e in range(self.q))
-        return self._elements
-
-    # -- internal arithmetic --------------------------------------------
-
-    def _mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p, m = self.p, self.m
-        if m == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        # reduce by the monic modulus, highest term first
-        mod = self.modulus
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i] % p
-            if c:
-                base = i - m
-                for j in range(m):
-                    prod[base + j] -= c * mod[j]
-            prod[i] = 0
-        return tuple(v % p for v in prod[:m])
+    def inv(self, a: int) -> int:
+        """Multiplicative inverse; zero raises ZeroDivisionError."""
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return int(self._exp[self.q - 1 - self._log[a]])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FiniteField)
@@ -279,113 +268,89 @@ class FiniteField:
         return f"GF({self.q})"
 
 
+def _tables(p: int, m: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) tables of GF(p^m) for the first primitive element by
+    encoding.
+
+    Multiplication by a candidate g is one permutation of [0, q), built
+    for all q elements at once by Horner's rule on their digit arrays.
+    Walking it from 1 lists the subgroup <g>; g is primitive when that
+    walk has q - 1 steps, and no element of a subgroup walked so far is
+    tried again.  exp holds two periods then zeros; log[0] = 2q - 2, so
+    a product with zero indexes the zeros and needs no branch.
+    """
+    q = p ** m
+    weights = p ** np.arange(m)
+    digits = np.arange(q)[:, None] // weights % p
+    low = np.array(modulus[:m])
+    tried = np.zeros(q, dtype=bool)
+    for g in range(1, q):
+        if tried[g]:
+            continue
+        prod, shifted = 0, digits          # shifted: a * x^i as digits
+        for c in np.trim_zeros(digits[g], "b"):
+            prod = prod + c * shifted
+            top = shifted[:, -1:]
+            shifted = (np.pad(shifted[:, :-1], ((0, 0), (1, 0)))
+                       - top * low) % p
+        step = (prod % p @ weights).tolist()
+        powers = [1]
+        while (e := step[powers[-1]]) != 1:
+            powers.append(e)
+        if len(powers) == q - 1:
+            break
+        tried[powers] = True
+    log = np.empty(q, dtype=np.int64)
+    log[powers] = np.arange(q - 1)
+    log[0] = 2 * q - 2
+    exp = np.zeros(4 * q - 3, dtype=np.int64)
+    exp[:2 * q - 2] = powers * 2
+    return exp, log
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FiniteField:
     """Construct (and cache) GF(p^m).
 
-    Repeated calls with the same arguments return the same object, so
-    elements from separate call sites interoperate directly.
+    Repeated calls with the same arguments return the same object.
     """
     return FiniteField(p, m)
 
 
-# -- polynomials over a field ------------------------------------------
-#
-# Coefficient lists run low to high: coeffs[i] multiplies x^i.
-
-def poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    """Evaluate sum(coeffs[i] * x^i) by Horner's rule."""
-    field = x.field
-    for c in coeffs:
-        if c.field != field:
-            raise ParameterError("polynomial coefficients from a different field")
-    acc = field.zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _divides(field: FiniteField, div: tuple[int, ...],
+             poly: tuple[int, ...]) -> bool:
+    """Whether the monic div divides poly (coefficients low to high)."""
+    r = list(poly)
+    d = len(div) - 1
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(d + 1):
+                r[i - d + j] = field.sub(r[i - d + j], field.mul(c, div[j]))
+    return not any(r)
 
 
-def _poly_degree(coeffs: Sequence[FieldElement]) -> int:
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i]:
-            return i
-    return -1
+def find_irreducible(field: FiniteField, degree: int) -> tuple[int, ...]:
+    """First monic irreducible of the given degree over field, as its
+    coefficients low to high (leading 1 last).
 
-
-def _poly_rem(num: Sequence[FieldElement], den: Sequence[FieldElement]) -> list[FieldElement]:
-    """Remainder of num modulo den (den monic, degree >= 1)."""
-    r = list(num)
-    dd = _poly_degree(den)
-    while _poly_degree(r) >= dd:
-        k = _poly_degree(r)
-        c = r[k]
-        shift = k - dd
-        for j in range(dd + 1):
-            r[shift + j] = r[shift + j] - c * den[j]
-    return r
-
-
-def monic_polys(field: FiniteField, degree: int) -> Iterator[tuple[FieldElement, ...]]:
-    """Monic polynomials of the given degree, in ascending encoding order
-    of their low coefficient vector (constant term least significant)."""
-    one = field.one
-    for e in range(field.q ** degree):
-        low = []
-        r = e
-        for _ in range(degree):
-            low.append(field.from_encoding(r % field.q))
-            r //= field.q
-        yield tuple(low) + (one,)
-
-
-def is_irreducible(poly: Sequence[FieldElement], field: FiniteField) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = _poly_degree(poly)
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for div in monic_polys(field, d):
-            if _poly_degree(_poly_rem(poly, div)) < 0:
-                return False
-    return True
-
-
-def find_irreducible(field: FiniteField, degree: int) -> tuple[FieldElement, ...]:
-    """First irreducible monic polynomial of the given degree in the
-    deterministic enumeration order.  Exists for every degree >= 1."""
+    Candidates run in ascending base-q encoding of their low
+    coefficients (constant term least significant); each is tested by
+    trial division by every monic polynomial of degree <= degree/2.
+    Exists for every degree >= 1.
+    """
     if degree < 1:
         raise ParameterError("degree must be >= 1")
-    for poly in monic_polys(field, degree):
-        if is_irreducible(poly, field):
+    q = field.q
+
+    def monic(d: int, e: int) -> tuple[int, ...]:
+        return tuple(e // q ** i % q for i in range(d)) + (1,)
+
+    for e in range(q ** degree):
+        poly = monic(degree, e)
+        if not any(_divides(field, monic(d, f), poly)
+                   for d in range(1, degree // 2 + 1)
+                   for f in range(q ** d)):
             return poly
     raise RuntimeError(
-        f"no irreducible of degree {degree} over GF({field.q})")  # unreachable
-
-
-# -- vectors over a field ----------------------------------------------
-
-def vectors(field: FiniteField, length: int) -> Iterator[tuple[FieldElement, ...]]:
-    """All vectors of F^length in ascending base-q encoding order.
-
-    Coordinate 0 is the least significant digit of the encoding, so the
-    first coordinate cycles fastest.
-    """
-    elems = field.elements()
-    idx = [0] * length
-    for _ in range(field.q ** length):
-        yield tuple(elems[i] for i in idx)
-        for pos in range(length):
-            idx[pos] += 1
-            if idx[pos] < field.q:
-                break
-            idx[pos] = 0
-
-
-def vector_encoding(vec: Sequence[FieldElement]) -> int:
-    """Base-q integer encoding of a coordinate vector (coordinate 0 least
-    significant)."""
-    q = vec[0].field.q
-    e = 0
-    for v in reversed(vec):
-        e = e * q + int(v)
-    return e
+        f"no irreducible of degree {degree} over GF({q})")  # unreachable

@@ -25,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .codes import (CWCode, Word, array_maxima, check_words, format_word,
                     parse_word, read_lines, signed_array)
 from .errors import BudgetError, FormatError, ParameterError
-from .field import factor_prime_power, make_field, poly_eval, power_exceeds
+from .field import factor_prime_power, make_field, power_exceeds
 
 DEVORE_CAP = 1_000_000
 
@@ -203,31 +204,28 @@ def from_code(code: CWCode, seed: int | None = None,
 def devore(p: int, r: int) -> MeasurementMatrix:
     """Polynomial evaluation matrix over GF(p): p^2 rows, p^r columns.
 
-    Rows are pairs (a, b); the column of a polynomial f of degree < r
-    has ones exactly on the rows (a, f(a)).  Column j uses the base-p
-    digits of j as coefficients (constant term least significant).
-    Distinct polynomials of degree < r agree on at most r - 1 points,
-    so coherence <= (r - 1)/p; for r = 2 the value 1/p is attained.
-    p may be a prime power, in which case GF(p) is the extension field.
+    Rows are pairs (a, b), index a p + b; the column of a polynomial f
+    of degree < r has ones exactly on the rows (a, f(a)).  Column j uses
+    the base-p digits of j as coefficients (constant term least
+    significant); Horner's rule evaluates every column at every point
+    at once.  Distinct polynomials of degree < r agree on at most
+    min(r - 1, p) points, and that many is reached, so coherence <=
+    min(r - 1, p)/p; for r = 2 the value 1/p is attained.  p may be a
+    prime power, in which case GF(p) is the extension field.
     """
     if r < 2:
         raise ParameterError(f"need polynomial degree bound r >= 2, got {r}")
     if power_exceeds(p, r, DEVORE_CAP):
         raise BudgetError(f"p^r = {p}^{r} columns exceed cap {DEVORE_CAP}")
     field = make_field(*factor_prime_power(p))
-    elems = field.elements()
-    columns: list[Word] = []
-    for j in range(p ** r):
-        e = j
-        coeffs = []
-        for _ in range(r):
-            coeffs.append(elems[e % p])
-            e //= p
-        col = tuple((int(a) * p + int(poly_eval(coeffs, a)), 1) for a in elems)
-        columns.append(col)
+    a, j = np.arange(p), np.arange(p ** r)[:, None]
+    values = 0
+    for i in reversed(range(r)):
+        values = field.add(field.mul(values, a), j // p ** i % p)
+    columns = [tuple(zip(col, repeat(1))) for col in (a * p + values).tolist()]
     return MeasurementMatrix(p * p, columns, p,
                              provenance=f"devore p={p} r={r}",
-                             bound=Fraction(r - 1, p))
+                             bound=Fraction(min(r - 1, p), p))
 
 
 # -- text formats ---------------------------------------------------------

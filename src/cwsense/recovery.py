@@ -1,5 +1,5 @@
-"""Sparse signals, measurement, orthogonal matching pursuit, and the
-seeded recovery experiment harness.
+"""Orthogonal matching pursuit and the seeded recovery experiment
+harness.
 
 Everything here is deterministic given a seed.  Trial streams are
 derived with numpy's SeedSequence from the entropy triple
@@ -13,12 +13,12 @@ refit: every trial still gets its own gemv, gelsd solve and ddot, only
 the Python loop around them is gone.  The bits therefore match the
 one-trial-at-a-time loop:
 
-* signals come from the same per-trial streams (_draw, shared with
-  gen_sparse);
+* signals come from the same per-trial streams (_draw);
 * a measurement adds the support columns in support order, so each
-  entry sees the additions measure makes plus +-0.0 terms (a finite
-  value times a zero entry); x + (+-0.0) is x, bit for bit, for every
-  float x but -0.0, and no entry is ever -0.0 since sums start at +0.0;
+  entry sees the additions the per-trial loop makes plus +-0.0 terms
+  (a finite value times a zero entry); x + (+-0.0) is x, bit for bit,
+  for every float x but -0.0, and no entry is ever -0.0 since sums
+  start at +0.0;
 * correlations are np.matmul over the transposed view of the cached
   dense matrix, which numpy evaluates as one gemv per trial with the
   strides the single-trial product uses; ties still go to the lowest
@@ -30,7 +30,8 @@ one-trial-at-a-time loop:
 * rank-deficiency warnings and the residual-growth RuntimeError come
   out in trial order, as the per-trial loop would emit them.
 
-tests/recovery_oracle.py keeps that per-trial loop; the tests hold the
+tests/recovery_oracle.py keeps that per-trial loop, with its signal
+generation, measurement and exact-recovery check; the tests hold the
 engine to it bit for bit.
 """
 
@@ -64,11 +65,6 @@ class SparseSignal:
     values: np.ndarray
     provenance: str = ""
 
-    def to_dense(self) -> np.ndarray:
-        x = np.zeros(self.N)
-        x[list(self.support)] = self.values
-        return x
-
 
 def _check_model(model: str) -> None:
     if model not in VALUE_MODELS:
@@ -77,7 +73,10 @@ def _check_model(model: str) -> None:
 
 def _draw(rng: np.random.Generator, N: int, k: int,
           model: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending support and values of one k-sparse draw from rng."""
+    """Ascending support and values of one k-sparse draw from rng: a
+    uniformly random support, then +-1 (rademacher) or unit normal
+    values (gaussian, resampled in the measure-zero event of an exact
+    0, so values are always nonzero)."""
     support = np.sort(rng.choice(N, size=k, replace=False))
     if model == "rademacher":
         values = rng.integers(0, 2, size=k) * 2.0 - 1.0
@@ -89,38 +88,10 @@ def _draw(rng: np.random.Generator, N: int, k: int,
     return support, values
 
 
-def gen_sparse(N: int, k: int, model: str = "rademacher",
-               seed: int | np.random.SeedSequence = 0) -> SparseSignal:
-    """Draw a k-sparse signal with a uniformly random support.
-
-    model 'rademacher' puts +-1 on the support, 'gaussian' puts unit
-    normal values (resampled in the measure-zero event of an exact 0,
-    so listed values are always nonzero).
-    """
-    if not 0 <= k <= N:
-        raise ParameterError(f"need 0 <= k <= N, got k={k} N={N}")
-    _check_model(model)
-    support, values = _draw(np.random.default_rng(seed), N, k, model)
-    return SparseSignal(N=N, support=tuple(support.tolist()), values=values,
-                        provenance=f"model={model} seed={seed!r}")
-
-
-def measure(matrix: MeasurementMatrix, x: SparseSignal) -> np.ndarray:
-    """y = A x, accumulated column by column over the sparse support."""
-    if x.N != matrix.N:
-        raise ParameterError(
-            f"signal length {x.N} does not match column count {matrix.N}")
-    y = np.zeros(matrix.n)
-    for idx, val in zip(x.support, x.values):
-        for r, s in matrix.columns[idx]:
-            y[r] += s * val
-    return y
-
-
 def _measure_rows(at: np.ndarray, supports: np.ndarray,
                   values: np.ndarray) -> np.ndarray:
     """Row b is A x_b, adding the columns supports[b] (rows of at = A.T)
-    scaled by values[b] in order: measure's arithmetic, bit for bit."""
+    scaled by values[b] in order."""
     y = np.zeros((len(supports), at.shape[1]))
     for i in range(supports.shape[1]):
         y += at[supports[:, i]] * values[:, i, None]
@@ -249,16 +220,6 @@ def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
                         values=coef[0, :count[0]][order], provenance="omp")
 
 
-def exact_recovery(truth: SparseSignal, estimate: SparseSignal,
-                   tol: float = 1e-9) -> bool:
-    """Supports identical and every value within tol."""
-    if truth.support != estimate.support:
-        return False
-    if len(truth.values) == 0:
-        return True
-    return float(np.max(np.abs(truth.values - estimate.values))) < tol
-
-
 @dataclass
 class RecoveryReport:
     """Aggregate of one (matrix, k) experiment."""
@@ -276,9 +237,9 @@ def _score_rows(at: np.ndarray, truth: np.ndarray, values: np.ndarray,
                 y: np.ndarray, selected: np.ndarray, coef: np.ndarray,
                 count: np.ndarray) -> tuple[int, int, float, float]:
     """(successes, max support error, max value error, max residual) of
-    a block, each trial scored as the per-trial loop scores it:
-    exact_recovery, the symmetric support difference, the largest entry
-    of |truth - estimate| as dense vectors, and |y - A estimate|."""
+    a block: per trial, exact recovery (supports equal, values within
+    1e-9), the symmetric support difference, the largest entry of
+    |truth - estimate| as dense vectors, and |y - A estimate|."""
     k = truth.shape[1]
     N = at.shape[0]
     # estimates with unused slots pointing at column N (a pad) and 0.0
@@ -314,8 +275,8 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
     every k is checked before the first trial runs, and one below 0 or
     above min(n, N) cannot be posed and raises.  The trials of one k
     run in blocks of about BLOCK_BYTES of signal data through the
-    batched OMP engine; a block's results are bit-identical to running
-    its trials one at a time (see the module docstring).
+    batched OMP engine; the module docstring says why the results are
+    bit-identical to running the trials one at a time.
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")

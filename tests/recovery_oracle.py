@@ -1,10 +1,11 @@
 """Reference OMP and recovery experiment: one trial at a time.
 
-These are the per-trial bodies that recovery.gen_sparse, recovery.omp
-and recovery.run_experiment replaced with the batched engine.  They stay
-here, unchanged in arithmetic, as the oracle the engine must match bit
-for bit (every RecoveryReport field but seconds, OMP supports and
-values, and the warning lines in order).
+These are the per-trial bodies that recovery.omp and
+recovery.run_experiment replaced with the batched engine, with the
+signal generation, measurement, dense expansion and exact-recovery
+check they run on.  They stay here, unchanged in arithmetic, as the
+oracle the engine must match bit for bit (every RecoveryReport field
+but seconds, OMP supports and values, and the warning lines in order).
 """
 
 from __future__ import annotations
@@ -17,14 +18,19 @@ import numpy as np
 
 from cwsense.errors import ParameterError
 from cwsense.matrices import MeasurementMatrix
-from cwsense.recovery import (VALUE_MODELS, RecoveryReport, SparseSignal,
-                              exact_recovery, measure)
+from cwsense.recovery import VALUE_MODELS, RecoveryReport, SparseSignal
 
 log = logging.getLogger("cwsense.recovery")
 
 
 def gen_sparse(N: int, k: int, model: str = "rademacher",
                seed: int | np.random.SeedSequence = 0) -> SparseSignal:
+    """Draw a k-sparse signal with a uniformly random support.
+
+    model 'rademacher' puts +-1 on the support, 'gaussian' puts unit
+    normal values (resampled in the measure-zero event of an exact 0,
+    so listed values are always nonzero).
+    """
     if not 0 <= k <= N:
         raise ParameterError(f"need 0 <= k <= N, got k={k} N={N}")
     if model not in VALUE_MODELS:
@@ -40,6 +46,34 @@ def gen_sparse(N: int, k: int, model: str = "rademacher",
                 int(np.sum(values == 0.0)))
     return SparseSignal(N=N, support=support, values=values,
                         provenance=f"model={model} seed={seed!r}")
+
+
+def to_dense(x: SparseSignal) -> np.ndarray:
+    dense = np.zeros(x.N)
+    dense[list(x.support)] = x.values
+    return dense
+
+
+def measure(matrix: MeasurementMatrix, x: SparseSignal) -> np.ndarray:
+    """y = A x, accumulated column by column over the sparse support."""
+    if x.N != matrix.N:
+        raise ParameterError(
+            f"signal length {x.N} does not match column count {matrix.N}")
+    y = np.zeros(matrix.n)
+    for idx, val in zip(x.support, x.values):
+        for r, s in matrix.columns[idx]:
+            y[r] += s * val
+    return y
+
+
+def exact_recovery(truth: SparseSignal, estimate: SparseSignal,
+                   tol: float = 1e-9) -> bool:
+    """Supports identical and every value within tol."""
+    if truth.support != estimate.support:
+        return False
+    if len(truth.values) == 0:
+        return True
+    return float(np.max(np.abs(truth.values - estimate.values))) < tol
 
 
 def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
@@ -109,8 +143,8 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
             if exact_recovery(truth, estimate):
                 successes += 1
             support_err = len(set(truth.support) ^ set(estimate.support))
-            value_err = float(np.max(np.abs(truth.to_dense()
-                                            - estimate.to_dense())))
+            value_err = float(np.max(np.abs(to_dense(truth)
+                                            - to_dense(estimate))))
             residual = float(np.linalg.norm(y - measure(matrix, estimate)))
             max_support_err = max(max_support_err, support_err)
             max_value_err = max(max_value_err, value_err)

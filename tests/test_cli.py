@@ -46,6 +46,22 @@ def test_construct_devore_summary(capsys, tmp_path):
                      "mu_bound=2/5")
 
 
+@pytest.mark.parametrize("p,r,n,N", [(2, 4, 4, 16), (3, 5, 9, 243)])
+def test_construct_devore_summary_degree_past_field(capsys, tmp_path, p, r,
+                                                    n, N):
+    """With r > p two distinct polynomials can agree on every point
+    (x and x^p), so columns repeat: the bound is min(r - 1, p)/p = 1,
+    d = 2 (p - min(r - 1, p)) = 0, and analyze certifies mu = 1."""
+    out = tmp_path / "d.matrix"
+    assert run_cli("construct", "devore", "--p", str(p), "--r", str(r),
+                   "--emit-matrix", str(out)) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == (f"summary: construction=devore n={n} N={N} w={p} d=0 "
+                     "mu_bound=1")
+    assert run_cli("analyze", str(out)) == 0
+    assert "mu = 1, bound = 1," in capsys.readouterr().out
+
+
 def test_construct_greedy_writes_loadable_code(capsys, tmp_path):
     out = tmp_path / "code.txt"
     assert run_cli("construct", "greedy", "--n", "10", "--d", "4", "--w", "3",

@@ -4,6 +4,7 @@ import hashlib
 import tracemalloc
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,8 @@ from cwsense.designs import (SteinerTripleSystem, _rref, affine_plane_code,
                              steiner_to_code, sts_bose, sts_skolem,
                              subspace_to_code, subspace_to_coset_code)
 from cwsense.errors import BudgetError, FormatError, ParameterError
-from cwsense.field import factor_prime_power, make_field, vector_encoding
+from cwsense.field import factor_prime_power, make_field
+from field_oracle import elements, from_encoding, rref, vector_encoding
 
 
 # -- Steiner triple systems -------------------------------------------------
@@ -160,8 +162,7 @@ def test_coset_code_frozen_small_case():
 
 def test_coset_code_budget():
     field = make_field(2)
-    one, zero = field.one, field.zero
-    basis = [tuple(one if i == 0 else zero for i in range(17))]
+    basis = [tuple(1 if i == 0 else 0 for i in range(17))]
     tiny = certify_subspace_code(field, 17, 1, [basis])
     with pytest.raises(BudgetError):
         subspace_to_coset_code(tiny)  # 2^17 is past the coset sweep cap
@@ -169,8 +170,7 @@ def test_coset_code_budget():
 
 def test_certify_subspace_code_rejections():
     field = make_field(2)
-    one, zero = field.one, field.zero
-    e = lambda *bits: tuple(one if b else zero for b in bits)
+    e = lambda *bits: tuple(bits)
     with pytest.raises(ParameterError):
         certify_subspace_code(field, 4, 2, [(e(1, 0, 0, 0), e(1, 0, 0, 0))])
     with pytest.raises(ParameterError):
@@ -182,10 +182,16 @@ def test_certify_subspace_code_rejections():
         certify_subspace_code(field, 4, 0, [])
 
 
+@pytest.mark.parametrize("bad", [3, -1, 2 ** 70, 1.5])
+def test_certify_subspace_code_rejects_coordinates_outside_field(bad):
+    field = make_field(3)
+    with pytest.raises(ParameterError, match="outside"):
+        certify_subspace_code(field, 3, 2, [((1, 0, 0), (0, 1, bad))])
+
+
 def test_certified_subspace_distance_counts_intersection():
     field = make_field(2)
-    one, zero = field.one, field.zero
-    e = lambda *bits: tuple(one if b else zero for b in bits)
+    e = lambda *bits: tuple(bits)
     code = certify_subspace_code(field, 4, 2, [
         (e(1, 0, 0, 0), e(0, 1, 0, 0)),
         (e(1, 0, 0, 0), e(0, 0, 1, 0)),   # shares the first axis
@@ -238,23 +244,28 @@ def subspace_codes(draw):
     field = make_field(*factor_prime_power(q))
     rows = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
     bases, keys = [], set()
-    for enc in draw(st.lists(st.lists(rows, min_size=k, max_size=k),
-                             max_size=6)):
-        basis = tuple(tuple(field.from_encoding(e) for e in row)
-                      for row in enc)
-        red = tuple(_rref([list(v) for v in basis]))
+    for basis in draw(st.lists(st.lists(rows, min_size=k, max_size=k),
+                               max_size=6)):
+        red = tuple(oracle_rref(field, basis))
         if len(red) == k and red not in keys:
             keys.add(red)
-            bases.append(basis)
+            bases.append(tuple(map(tuple, basis)))
     return field, n, k, bases
+
+
+def oracle_rref(field, rows):
+    """RREF of int coordinate rows by the FieldElement oracle, as ints."""
+    red = rref([[from_encoding(field, x) for x in row] for row in rows])
+    return [tuple(int(x) for x in row) for row in red]
 
 
 def span_oracle(field, basis):
     """Sorted encodings of every combination of the rows, by field ops."""
+    basis = [[from_encoding(field, x) for x in row] for row in basis]
     n = len(basis[0])
     points = set()
-    for coeffs in product(field.elements(), repeat=len(basis)):
-        vec = [field.zero] * n
+    for coeffs in product(elements(field), repeat=len(basis)):
+        vec = [from_encoding(field, 0)] * n
         for c, row in zip(coeffs, basis):
             vec = [a + c * b for a, b in zip(vec, row)]
         points.add(vector_encoding(vec))
@@ -266,10 +277,14 @@ def span_oracle(field, basis):
 def test_point_set_distance_matches_rank_oracle(case):
     field, n, k, bases = case
     code = certify_subspace_code(field, n, k, bases)
-    want = min((2 * k - 2 * (2 * k - len(_rref([list(v) for v in a + b])))
+    want = min((2 * k - 2 * (2 * k - len(oracle_rref(field, a + b)))
                 for a, b in combinations(code.subspaces, 2)),
                default=2 * k)  # the single-subspace sentinel
     assert code.d == want
+    assert code.subspaces == [tuple(oracle_rref(field, b)) for b in bases]
+    for basis, red in zip(bases, code.subspaces):
+        got = _rref(field, np.array(basis, dtype=np.int64))
+        assert tuple(map(tuple, got.tolist())) == red
     assert code.points.shape == (len(bases), field.q ** k)
     for basis, points in zip(code.subspaces, code.points):
         assert points.tolist() == span_oracle(field, basis)

@@ -1,7 +1,7 @@
 """The batched OMP engine against the per-trial oracle, bit for bit.
 
 recovery_oracle keeps the one-trial-at-a-time bodies of gen_sparse, omp
-and run_experiment.  Every RecoveryReport field but seconds, every OMP
+and run_experiment; the engine draws its signals with recovery._draw.  Every RecoveryReport field but seconds, every OMP
 support and value, and the warning lines in their order must agree
 exactly, whatever the block size.
 """
@@ -92,10 +92,11 @@ def test_omp_matches_oracle(caplog, name, model):
             stream = [3, k, trial]
             truth = oracle.gen_sparse(matrix.N, k, model=model,
                                       seed=np.random.SeedSequence(stream))
-            drawn = recovery.gen_sparse(matrix.N, k, model=model,
-                                        seed=np.random.SeedSequence(stream))
-            assert drawn.support == truth.support
-            assert drawn.values.tobytes() == truth.values.tobytes()
+            support, values = recovery._draw(
+                np.random.default_rng(np.random.SeedSequence(stream)),
+                matrix.N, k, model)
+            assert tuple(support.tolist()) == truth.support
+            assert values.tobytes() == truth.values.tobytes()
             y = oracle.measure(matrix, truth)
             with caplog.at_level(logging.WARNING, logger="cwsense"):
                 want = oracle.omp(matrix, y, k, tol=tol)
