@@ -1,17 +1,17 @@
 """Constant-weight codes: exact validation, size bounds, constructions.
 
-One type, CWCode, holds binary and ternary codes alike: every word is a
-sorted tuple of (position, sign) pairs with signs in {+1, -1}, and a
-binary code is the case with every sign +1.  The alphabet is recorded
-in CWCode.signed, taken from the construction or the file syntax and
-never inferred from the signs, because it picks the file syntax and the
-coherence bound a matrix inherits.  Every code object carries a
-certified minimum distance d that was recomputed by an exhaustive
-pairwise scan (overlap_maxima, shared with matrices.coherence and
-designs.certify_subspace_code), never taken on trust from a header or a
-construction argument.  The scan's dense array is checked against
-DENSE_CAP before it is allocated; the per-word checks (check_words) are
-shared with matrices.MeasurementMatrix.
+One type, CWCode, holds binary and ternary codes alike as two N x w
+arrays, positions (int64, rows strictly increasing) and signs (+1/-1),
+the same pair a matrix's columns use; a binary code has every sign +1.
+The alphabet is recorded in CWCode.signed, taken from the construction
+or the file syntax and never inferred from the signs, because it picks
+the file syntax and the coherence bound a matrix inherits.  Every code
+object carries a certified minimum distance d that was recomputed by an
+exhaustive pairwise scan (array_maxima on signed_array, shared with
+matrices.coherence and designs.certify_subspace_code), never taken on
+trust from a header or a construction argument.  The scan's dense array
+is checked against DENSE_CAP before it is allocated; the per-word
+checks (check_words) are shared with matrices.MeasurementMatrix.
 
 Distances count positions whose symbols differ.  For binary words they
 are even, d = 2(w - |A & B|) for supports A and B, so the binary bound
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,15 +35,14 @@ from .field import is_prime
 
 ENUM_BUDGET = 10_000_000
 
-BinaryWord = tuple[int, ...]
-Word = tuple[tuple[int, int], ...]  # sorted (position, sign) pairs
-
 
 @dataclass
 class CWCode:
     """A constant-weight code over {0, +1, -1} with a certified exact
     distance.
 
+    Word i is row i of positions (an N x w int64 array, each row
+    strictly increasing) with the matching row of signs (+1/-1, int8).
     signed is the alphabet: False for a binary code (every sign +1,
     written as bare positions), True for a ternary one (written with
     signs, even when every sign is +1).  d is the exact minimum pairwise
@@ -54,12 +52,13 @@ class CWCode:
     n: int
     w: int
     d: int
-    words: list[Word]
+    positions: np.ndarray
+    signs: np.ndarray
     signed: bool
     provenance: str = "ingested"
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.positions)
 
 
 @dataclass
@@ -68,27 +67,6 @@ class BoundReport:
     name: str
     params: dict
     value: int
-
-
-# -- exact distances ----------------------------------------------------
-
-def binary_distance(a: BinaryWord, b: BinaryWord, w: int) -> int:
-    """Hamming distance between two weight-w supports: 2(w - |A & B|)."""
-    return 2 * (w - len(set(a) & set(b)))
-
-
-def ternary_distance(a: Word, b: Word) -> int:
-    """Number of positions whose symbols differ, alphabet {0, +1, -1}."""
-    da = dict(a)
-    db = dict(b)
-    dist = 0
-    for pos, sign in da.items():
-        if db.get(pos, 0) != sign:
-            dist += 1
-    for pos in db:
-        if pos not in da:
-            dist += 1
-    return dist
 
 
 # -- pairwise kernel -----------------------------------------------------
@@ -107,21 +85,15 @@ def check_dense_budget(n: int, N: int, signed: bool = False) -> None:
                           f"bytes, past the cap {DENSE_CAP}")
 
 
-def signed_array(n: int, supports: Sequence[Word]) -> np.ndarray:
-    """The n x N float64 array whose column j holds signed support j,
-    checked against DENSE_CAP before it is allocated."""
-    check_dense_budget(n, len(supports),
-                       any(s < 0 for sup in supports for _, s in sup))
-    a = np.zeros((n, len(supports)))
-    for j, sup in enumerate(supports):
-        for pos, sign in sup:
-            a[pos, j] = sign
+def signed_array(n: int, positions: np.ndarray,
+                 signs: np.ndarray) -> np.ndarray:
+    """The n x N float64 array whose column j holds word j (row j of
+    positions and signs), checked against DENSE_CAP before allocation."""
+    N = len(positions)
+    check_dense_budget(n, N, bool((signs < 0).any()))
+    a = np.zeros((n, N))
+    a[positions, np.arange(N)[:, None]] = signs
     return a
-
-
-def overlap_maxima(n: int, supports: Sequence[Word]) -> tuple[int, int]:
-    """array_maxima of the signed supports' dense array (signed_array)."""
-    return array_maxima(signed_array(n, supports))
 
 
 def array_maxima(a: np.ndarray) -> tuple[int, int]:
@@ -157,53 +129,58 @@ def array_maxima(a: np.ndarray) -> tuple[int, int]:
     return top_g, 2 * top_g if b is a else top_s // 2
 
 
-def check_words(n: int, w: int, words: Sequence[Word],
+def check_words(n: int, w: int, positions: np.ndarray, signs: np.ndarray,
                 what: str = "word") -> None:
     """Raise ParameterError unless 1 <= w <= n and every word has w
     distinct positions in [0, n), signs in {+1, -1} and is sorted by
-    position.  Codes and matrix columns share it; what names the item
-    in messages."""
+    position.  Codes and matrix columns share it; messages name the first
+    what (word or column) failing the first of these checks that fails."""
     if not 1 <= w <= n:
         raise ParameterError(f"need 1 <= w <= n, got w={w} n={n}")
-    for i, word in enumerate(words):
-        positions = [p for p, _ in word]
-        if len(word) != w or len(set(positions)) != w:
-            raise ParameterError(f"{what} #{i} does not have weight {w}")
-        if any(not 0 <= p < n for p in positions):
-            raise ParameterError(f"{what} #{i} has positions outside [0, {n})")
-        if any(s not in (1, -1) for _, s in word):
-            raise ParameterError(f"{what} #{i} has signs outside {{+1, -1}}")
-        if list(word) != sorted(word):
-            raise ParameterError(f"{what} #{i} is not sorted by position")
+    ordered = np.sort(positions, axis=1)
+    for bad, message in (
+            ((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+             | (positions.shape[1] != w), f"does not have weight {w}"),
+            (((positions < 0) | (positions >= n)).any(axis=1),
+             f"has positions outside [0, {n})"),
+            (((signs != 1) & (signs != -1)).any(axis=1),
+             "has signs outside {+1, -1}"),
+            ((positions != ordered).any(axis=1), "is not sorted by position")):
+        if bad.any():
+            raise ParameterError(f"{what} #{int(bad.argmax())} {message}")
 
 
 def validate(code: CWCode) -> int:
     """Exhaustively recompute the minimum distance and certify it.
 
-    Checks the words (check_words), rejects duplicates and, in a binary
-    code, '-' signs; scans every pair (no early exit), writes the exact
-    distance back into code.d and returns it.  A code with fewer than
-    two words certifies n + 1.
+    Checks the words (check_words), rejects, in a binary code, '-'
+    signs and then duplicates; scans every pair (no early exit), writes
+    the exact distance back into code.d and returns it.  A code with
+    fewer than two words certifies n + 1.
     """
-    check_words(code.n, code.w, code.words)
-    seen = set()
-    for i, word in enumerate(code.words):
-        if not code.signed and any(s < 0 for _, s in word):
-            raise ParameterError(f"word #{i} of a binary code has a '-' sign")
-        if word in seen:
-            raise ParameterError(f"duplicate codeword #{i}")
-        seen.add(word)
-    code.d = (code.n + 1 if len(code.words) < 2
-              else 2 * code.w - overlap_maxima(code.n, code.words)[1])
+    positions, signs = code.positions, code.signs
+    check_words(code.n, code.w, positions, signs)
+    repeated = np.ones(len(positions), dtype=bool)
+    repeated[np.unique(np.hstack([positions, signs]), axis=0,
+                       return_index=True)[1]] = False
+    for bad, message in (((signs < 0).any(axis=1) & (not code.signed),
+                          "word #{} of a binary code has a '-' sign"),
+                         (repeated, "duplicate codeword #{}")):
+        if bad.any():
+            raise ParameterError(message.format(int(bad.argmax())))
+    code.d = (code.n + 1 if len(positions) < 2 else 2 * code.w
+              - array_maxima(signed_array(code.n, positions, signs))[1])
     return code.d
 
 
-def certify_binary(n: int, w: int, supports: Iterable[Iterable[int]],
+def certify_binary(n: int, w: int, supports,
                    provenance: str = "ingested") -> CWCode:
-    """A binary CWCode from bare support positions (sorted here),
-    certified."""
-    code = CWCode(n=n, w=w, d=0, signed=False, provenance=provenance,
-                  words=[tuple((p, 1) for p in sorted(sup)) for sup in supports])
+    """A binary CWCode from an N x w array-like of bare support positions
+    (each row sorted here), certified."""
+    positions = np.sort(np.asarray(supports, dtype=np.int64), axis=1)
+    code = CWCode(n=n, w=w, d=0, positions=positions,
+                  signs=np.ones_like(positions, dtype=np.int8),
+                  signed=False, provenance=provenance)
     validate(code)
     return code
 
@@ -227,6 +204,13 @@ def _check_nwd(n: int, dist: int, w: int, even: bool) -> None:
             f"binary constant-weight distances are even, got {dist}")
 
 
+def _check_budget(count: int, what: str) -> None:
+    """BudgetError when count of what (enumerated words, or a bound's
+    terms times their n bits) passes ENUM_BUDGET, before any is made."""
+    if count > ENUM_BUDGET:
+        raise BudgetError(f"{what} = {count} exceed budget {ENUM_BUDGET}")
+
+
 def gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
     """Gilbert-style lower bound on the size of a binary (n, dist, w) code.
 
@@ -234,6 +218,7 @@ def gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
     """
     _check_nwd(n, dist, w, even=True)
     d = dist // 2
+    _check_budget((d + 1) * n, f"{d + 1} terms x {n} bits")
     denom = sum(_comb0(w, i) * _comb0(n - w, i) for i in range(d))
     value = math.comb(n, w) // denom
     return BoundReport("gilbert", {"n": n, "dist": dist, "w": w}, value)
@@ -253,8 +238,9 @@ def graham_sloane_bound(n: int, dist: int, w: int) -> BoundReport:
     construction buckets with, so bound and construction agree.
     """
     _check_nwd(n, dist, w, even=True)
-    q = smallest_prime_at_least(n)
     d = dist // 2
+    _check_budget(d * n, f"{d} terms x {n} bits")  # C(n, w), q^(d-1)
+    q = smallest_prime_at_least(n)
     value = math.comb(n, w) // q ** (d - 1)
     return BoundReport("graham-sloane", {"n": n, "dist": dist, "w": w, "q": q},
                        value)
@@ -278,6 +264,9 @@ def ternary_gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
     floor(C(n, w) * 2^w / sphere(dist - 1)).  dist may be odd.
     """
     _check_nwd(n, dist, w, even=False)
+    # C(n, w) and at most dist * (min((dist - 1) // 2, n - w) + 1) terms
+    terms = dist * (min((dist - 1) // 2, n - w) + 1) + 1
+    _check_budget(terms * n, f"{terms} terms x {n} bits")
     value = (math.comb(n, w) << w) // _ternary_sphere(n, w, dist - 1)
     return BoundReport("ternary-gilbert", {"n": n, "dist": dist, "w": w},
                        value)
@@ -291,48 +280,43 @@ def greedy_binary(n: int, dist: int, w: int) -> CWCode:
 
     For even dist the result is at least as large as gilbert_bound.
     """
-    _check_nwd(n, dist, w, even=False)  # odd dist allowed, bound not claimed
-    if math.comb(n, w) > ENUM_BUDGET:
-        raise BudgetError(
-            f"C({n},{w}) = {math.comb(n, w)} supports exceed budget {ENUM_BUDGET}")
-    # distance 2(w - inter) >= dist  <=>  inter <= w - ceil(dist / 2)
-    max_inter = w - (dist + 1) // 2
-    kept_masks: list[int] = []
-    kept: list[BinaryWord] = []
-    for sup in combinations(range(n), w):
-        m = 0
-        for pos in sup:
-            m |= 1 << pos
-        ok = True
-        for km in kept_masks:
-            if (m & km).bit_count() > max_inter:
-                ok = False
-                break
-        if ok:
-            kept_masks.append(m)
-            kept.append(sup)
-    return certify_binary(n, w, kept,
-                          provenance=f"greedy n={n} d={dist} w={w}")
-
-
-_SIGNS = (1, -1)  # enumeration order: plus before minus
+    return _greedy(n, dist, w, (1,), "greedy")
 
 
 def greedy_ternary(n: int, dist: int, w: int) -> CWCode:
     """Greedy over signed supports: supports in lex order (major key),
     sign patterns with + before - at each position (minor key)."""
+    return _greedy(n, dist, w, (1, -1), "greedy-ternary")
+
+
+def _greedy(n: int, dist: int, w: int, sign_set: tuple[int, ...],
+            name: str) -> CWCode:
+    """The lexicographic greedy over words with signs from sign_set.
+    Position x of a word is the three bits at 3x of a mask, 000 for 0,
+    110 for + and 101 for -, pairwise two bits apart: the popcount of
+    two masks' XOR is twice the number of positions where they differ."""
     _check_nwd(n, dist, w, even=False)
-    if math.comb(n, w) * (1 << w) > ENUM_BUDGET:
-        raise BudgetError(
-            f"{math.comb(n, w)} * 2^{w} signed supports exceed budget {ENUM_BUDGET}")
-    kept: list[Word] = []
+    _check_budget(math.comb(n, w) * len(sign_set) ** w,
+                  f"C({n},{w}) * {len(sign_set)}^{w} words")
+    patterns = list(product(sign_set, repeat=w))
+    kept: list[int] = []
+    positions, signs = [], []
+    limit = 2 * dist
     for sup in combinations(range(n), w):
-        for signs in product(_SIGNS, repeat=w):
-            word = tuple(zip(sup, signs))
-            if all(ternary_distance(word, other) >= dist for other in kept):
-                kept.append(word)
-    code = CWCode(n=n, w=w, d=0, words=kept, signed=True,
-                  provenance=f"greedy-ternary n={n} d={dist} w={w}")
+        for pattern in patterns:
+            mask = sum((6 if g > 0 else 5) << 3 * p
+                       for p, g in zip(sup, pattern))
+            for other in kept:
+                if (mask ^ other).bit_count() < limit:
+                    break
+            else:
+                kept.append(mask)
+                positions.append(sup)
+                signs.append(pattern)
+    code = CWCode(n=n, w=w, d=0, positions=np.array(positions),
+                  signs=np.array(signs, dtype=np.int8),
+                  signed=len(sign_set) > 1,
+                  provenance=f"{name} n={n} d={dist} w={w}")
     validate(code)
     return code
 
@@ -350,12 +334,10 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     parameter error.
     """
     _check_nwd(n, dist, w, even=True)
-    if math.comb(n, w) > ENUM_BUDGET:
-        raise BudgetError(
-            f"C({n},{w}) = {math.comb(n, w)} supports exceed budget {ENUM_BUDGET}")
+    _check_budget(math.comb(n, w), f"C({n},{w}) supports")
     q = smallest_prime_at_least(n)
     d = dist // 2
-    buckets: dict[tuple[int, ...], list[BinaryWord]] = {}
+    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for sup in combinations(range(n), w):
         key = tuple(sum(pow(s, e, q) for s in sup) % q for e in range(1, d))
         buckets.setdefault(key, []).append(sup)
@@ -386,11 +368,10 @@ def _check_nkt(n: int, k: int, t: int) -> None:
 
 
 def dimension_binary_gilbert(n: int, k: int, t: int) -> int:
-    """floor(C(n, kt) / sum_{i<(k-1)t} C(kt, i) * C(n-kt, i))."""
+    """floor(C(n, kt) / sum_{i<(k-1)t} C(kt, i) * C(n-kt, i)), which is
+    gilbert_bound(n, 2(k-1)t, kt)."""
     _check_nkt(n, k, t)
-    w = k * t
-    denom = sum(_comb0(w, i) * _comb0(n - w, i) for i in range((k - 1) * t))
-    return math.comb(n, w) // denom
+    return gilbert_bound(n, 2 * (k - 1) * t, k * t).value
 
 
 def dimension_binary_gs(n: int, k: int, t: int) -> int:
@@ -402,14 +383,15 @@ def dimension_binary_gs(n: int, k: int, t: int) -> int:
     """
     _check_nkt(n, k, t)
     w = k * t
+    _check_budget((k - 1) * t * n, f"{(k - 1) * t} terms x {n} bits")
     return math.comb(n, w) // n ** ((k - 1) * t - 1)
 
 
 def dimension_ternary_gilbert(n: int, k: int, t: int) -> int:
-    """floor(C(n, kt) * 2^kt / sphere(2(k-1)t - 1)), the ternary analogue."""
+    """floor(C(n, kt) * 2^kt / sphere(2(k-1)t - 1)), the ternary analogue:
+    ternary_gilbert_bound(n, 2(k-1)t, kt)."""
     _check_nkt(n, k, t)
-    w = k * t
-    return (math.comb(n, w) << w) // _ternary_sphere(n, w, 2 * (k - 1) * t - 1)
+    return ternary_gilbert_bound(n, 2 * (k - 1) * t, k * t).value
 
 
 # -- file format ---------------------------------------------------------
@@ -421,32 +403,55 @@ def dimension_ternary_gilbert(n: int, k: int, t: int) -> int:
 # CWCode.signed).  Loading recomputes the distance and rejects files
 # whose header claims more than the words deliver.
 
-def format_word(word: Word, signed: bool = True) -> str:
-    """'+3 -7 +9' for a signed word, '3 7 9' for a binary one."""
-    return " ".join(f"{'+' if s > 0 else '-'}{p}" if signed else str(p)
-                    for p, s in word)
+def format_words(positions: np.ndarray, signs: np.ndarray,
+                 signed: bool = True) -> list[str]:
+    """One data line per word: '+3 -7 +9' for signed words, '3 7 9' for
+    binary ones.  Each distinct position is formatted once."""
+    values, index = np.unique(positions, return_inverse=True)  # index: N x w
+    table = list(map(str, values.tolist()))
+    if signed:
+        table = ["+" + t for t in table] + ["-" + t for t in table]
+        index = index + len(values) * (signs < 0)
+    tokens = np.array(table, dtype=object)[index]
+    return list(map(" ".join, tokens.tolist()))
 
 
-def parse_word(lineno: int, line: str, signed: bool) -> Word:
-    """The sorted word of a data line written by format_word."""
-    word = []
-    for tok in line.split():
-        if (tok[0] in "+-") != signed:
-            raise FormatError(f"line {lineno}: expected "
-                              f"{'signed' if signed else 'unsigned'} "
-                              f"positions, got {tok!r}")
-        try:
-            word.append((int(tok[1:] if signed else tok),
-                         -1 if tok[0] == "-" else 1))
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad position {tok!r}") from None
-    return tuple(sorted(word))
+def parse_words(lines: list[tuple[int, str]], signed: bool, w: int,
+                what: str = "word") -> tuple[np.ndarray, np.ndarray]:
+    """(positions, signs) of numbered lines written by format_words, rows
+    sorted by position.  A bad token is a FormatError naming its line;
+    lines of differing lengths are refused at the first without w."""
+    positions, signs, counts = [], [], []
+    for lineno, line in lines:
+        row = line.split()
+        for tok in row:
+            if (tok[0] in "+-") != signed:
+                raise FormatError(f"line {lineno}: expected "
+                                  f"{'signed' if signed else 'unsigned'} "
+                                  f"positions, got {tok!r}")
+            try:
+                positions.append(int(tok[1:] if signed else tok))
+            except ValueError:
+                raise FormatError(f"line {lineno}: bad position {tok!r}") from None
+            if not -1 << 63 <= positions[-1] < 1 << 63:
+                raise FormatError(f"line {lineno}: position {tok!r} past int64")
+        signs.extend(-1 if tok[0] == "-" else 1 for tok in row)
+        counts.append(len(row))
+    if len(set(counts)) > 1:
+        i = next(i for i, c in enumerate(counts) if c != w)
+        raise ParameterError(f"{what} #{i} does not have weight {w}")
+    shape = (len(counts), counts[0] if counts else 0)
+    positions = np.array(positions, dtype=np.int64).reshape(shape)
+    order = np.argsort(positions, axis=1, kind="stable")
+    return (np.take_along_axis(positions, order, axis=1),
+            np.take_along_axis(np.array(signs, dtype=np.int8).reshape(shape),
+                               order, axis=1))
 
 
 def dumps_code(code: CWCode) -> str:
     lines = [f"# provenance: {code.provenance}",
              f"{code.n} {code.d} {code.w}"]
-    lines.extend(format_word(word, code.signed) for word in code.words)
+    lines.extend(format_words(code.positions, code.signs, code.signed))
     return "\n".join(lines) + "\n"
 
 
@@ -492,9 +497,10 @@ def loads_code(text: str) -> CWCode:
     if n < 1 or w < 1 or claimed_d < 1:
         raise FormatError(f"header values must be positive: {(n, claimed_d, w)}")
     signed = any(tok[0] in "+-" for _, line in body for tok in line.split())
-    code = CWCode(n=n, w=w, d=0, signed=signed, provenance=provenance,
-                  words=[parse_word(i, line, signed) for i, line in body])
     try:
+        positions, signs = parse_words(body, signed, w)
+        code = CWCode(n=n, w=w, d=0, positions=positions, signs=signs,
+                      signed=signed, provenance=provenance)
         validate(code)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None

@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .codes import (CWCode, array_maxima, certify_binary, check_dense_budget,
-                    read_lines)
+                    read_lines, signed_array)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field, power_exceeds)
@@ -157,7 +157,7 @@ def affine_plane_code(q: int) -> CWCode:
     lines = field.add(field.mul(x[:, None, None], x), x[:, None])  # [a, b, x]
     words = np.concatenate([(x * q + lines).reshape(q * q, q),
                             x[:, None] * q + x])
-    return certify_binary(q * q, q, words.tolist(), provenance=f"affine q={q}")
+    return certify_binary(q * q, q, words, provenance=f"affine q={q}")
 
 
 # -- subspace codes -------------------------------------------------------
@@ -267,9 +267,7 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
                           .reshape(len(canon), k, n))
     d = 2 * k
     if len(canon) >= 2:
-        a = np.zeros((q ** n, len(canon)))
-        a[points, np.arange(len(canon))[:, None]] = 1
-        t = array_maxima(a)[0]
+        t = array_maxima(signed_array(q ** n, points, np.ones_like(points)))[0]
         dim = 0
         while q ** dim < t:
             dim += 1
@@ -333,8 +331,7 @@ def subspace_to_code(code: SubspaceCode) -> CWCode:
     meeting only at zero give disjoint supports.
     """
     q, n, k = code.field.q, code.n, code.k
-    return certify_binary(q ** n - 1, q ** k - 1,
-                          (code.points[:, 1:] - 1).tolist(),
+    return certify_binary(q ** n - 1, q ** k - 1, code.points[:, 1:] - 1,
                           provenance=f"subspace {code.provenance}")
 
 
@@ -350,7 +347,7 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
     q, n, k = code.field.q, code.n, code.k
     if q ** n > COSET_CAP:
         raise BudgetError(f"q^n = {q ** n} exceeds coset sweep cap {COSET_CAP}")
-    words: dict[tuple[int, ...], None] = {}
+    words: dict[bytes, np.ndarray] = {}  # keyed by the coset's bytes
     for points in code.points:
         seen = np.zeros(q ** n, dtype=bool)
         seen[points] = True
@@ -359,10 +356,11 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
                 continue
             coset = np.sort(code.field.add(points, v, n))
             seen[coset] = True
-            words.setdefault(tuple((coset - 1).tolist()), None)
+            words.setdefault(coset.tobytes(), coset)
     nominal = q ** (n - k - 1) * len(code) if n - k - 1 >= 0 else 0
     return certify_binary(
-        q ** n - 1, q ** k, list(words),
+        q ** n - 1, q ** k,
+        np.array(list(words.values()), dtype=np.int64).reshape(-1, q ** k) - 1,
         provenance=(f"subspace-cosets {code.provenance} "
                     f"achieved={len(words)} nominal={nominal}"))
 

@@ -1,18 +1,19 @@
 """Measurement matrices with entries in {0, +1, -1} and constant column
 weight, plus exact coherence certification.
 
-Columns are stored as sorted (row, sign) support tuples, the word type
-of codes.CWCode, checked by the same codes.check_words (duplicate
-columns are allowed), and never normalized: every column has squared
-norm w, so the coherence of a pair is just |<c_i, c_j>| / w and the
-maximum over all pairs is an exact rational.  The pairwise scan is exhaustive (codes.array_maxima on the
-matrix's cached dense array: float64 column tiles whose entries are
-integers of magnitude at most n, exact in any summation order) and the
-certified value is compared against the construction's theoretical
-bound every time; a violation raises, it is never waived.  A bound
-read from a file is a claim, checked at load.  from_code turns any code
-into a matrix and attaches its bound: 1 - d/(2w) for a binary code (kept
-under seeded sign randomization), min(w, 2w - d)/w for a ternary one.
+Columns are stored as codes.CWCode words are, N x w positions and signs
+arrays, checked by the same codes.check_words (duplicate columns are
+allowed), and never normalized: every column has squared norm w, so the
+coherence of a pair is just |<c_i, c_j>| / w and the maximum over all
+pairs is an exact rational.  The pairwise scan is exhaustive
+(codes.array_maxima on the matrix's cached dense array: float64 column
+tiles whose entries are integers of magnitude at most n, exact in any
+summation order) and the certified value is compared against the
+construction's theoretical bound every time; a violation raises, it is
+never waived.  A bound read from a file is a claim, checked at load.
+from_code turns any code into a matrix and attaches its bound:
+1 - d/(2w) for a binary code (kept under seeded sign randomization),
+min(w, 2w - d)/w for a ternary one.
 
 Two text formats round-trip byte-exactly: 'dense-csv' (one CSV row per
 matrix row) and 'support-list' (a short '#' header, then one signed
@@ -25,13 +26,11 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .codes import (CWCode, Word, array_maxima, check_words, format_word,
-                    parse_word, read_lines, signed_array)
+from .codes import (DENSE_CAP, CWCode, array_maxima, check_words,
+                    format_words, parse_words, read_lines, signed_array)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import factor_prime_power, make_field, power_exceeds
 
@@ -41,23 +40,27 @@ DEVORE_CAP = 1_000_000
 class MeasurementMatrix:
     """n x N sensing matrix with constant column weight w.
 
-    bound is the theoretical coherence bound inherited from the source
-    construction (None for raw ingested matrices).  The exact coherence
-    is computed once on demand and cached.
+    Column j holds signs[j] on the rows positions[j] (N x w arrays, kept
+    as given, not copied).  bound is the theoretical coherence bound
+    inherited from the source construction (None for raw ingested
+    matrices).  The exact coherence is computed once on demand and
+    cached.
     """
 
-    __slots__ = ("n", "N", "w", "columns", "provenance", "bound",
+    __slots__ = ("n", "N", "w", "positions", "signs", "provenance", "bound",
                  "_mu", "_dense")
 
-    def __init__(self, n: int, columns: Sequence[Word], w: int,
-                 provenance: str, bound: Fraction | None = None):
-        if not columns:
+    def __init__(self, n: int, w: int, positions: np.ndarray,
+                 signs: np.ndarray, provenance: str,
+                 bound: Fraction | None = None):
+        if not len(positions):
             raise ParameterError("a measurement matrix needs at least one column")
-        check_words(n, w, columns, what="column")
+        check_words(n, w, positions, signs, what="column")
         self.n = n
-        self.N = len(columns)
+        self.N = len(positions)
         self.w = w
-        self.columns = [tuple(col) for col in columns]
+        self.positions = positions
+        self.signs = signs
         self.provenance = provenance
         self.bound = bound
         self._mu: Fraction | None = None
@@ -67,7 +70,7 @@ class MeasurementMatrix:
         """Dense copy; the float64 one is cached internally and shared by
         coherence and OMP.  BudgetError past codes.DENSE_CAP."""
         if self._dense is None:
-            self._dense = signed_array(self.n, self.columns)
+            self._dense = signed_array(self.n, self.positions, self.signs)
         return self._dense if dtype == np.float64 else self._dense.astype(dtype)
 
     def __repr__(self) -> str:
@@ -150,8 +153,7 @@ def _exact_mu(matrix: MeasurementMatrix) -> Fraction:
 
 # -- constructions --------------------------------------------------------
 
-def from_code(code: CWCode, seed: int | None = None,
-              sign_stream: Callable[[], int] | None = None) -> MeasurementMatrix:
+def from_code(code: CWCode, seed: int | None = None) -> MeasurementMatrix:
     """Codewords as columns, with the code's coherence bound attached.
 
     A binary code gives coherence <= 1 - d/(2w): two supports share at
@@ -166,37 +168,29 @@ def from_code(code: CWCode, seed: int | None = None,
     code's sentinel distance n + 1 can push them negative.
 
     A seed randomizes a binary code's column signs: numpy's PCG64
-    generator seeded with it makes one draw per support position,
-    column by column, positions ascending, with bit 0 -> +1 and bit
-    1 -> -1.  The stream layout is part of the format, so a given
-    (code, seed) pair always yields the same matrix, and the unsigned
-    bound still holds: sign flips never increase the magnitude of an
-    integer inner product bounded by the support intersection.
-    sign_stream is a test hook: a callable returning +1/-1 that
-    replaces the generator (lambda: 1 reproduces the unsigned matrix).
+    generator seeded with it draws one bit per support position, column
+    by column, positions ascending (integers(0, 2) shaped like the
+    positions), with bit 0 -> +1 and bit 1 -> -1.  The stream layout is
+    part of the format, so a given (code, seed) pair always yields the
+    same matrix, and the unsigned bound still holds: sign flips never
+    increase the magnitude of an integer inner product bounded by the
+    support intersection.  The matrix shares the code's positions.
     """
     w, d = code.w, code.d
     if code.signed:
-        if seed is not None or sign_stream is not None:
+        if seed is not None:
             raise ParameterError("--signed applies to binary codes only")
-        return MeasurementMatrix(code.n, code.words, w,
+        return MeasurementMatrix(code.n, w, code.positions, code.signs,
                                  provenance=f"ternary {code.provenance}",
                                  bound=Fraction(max(0, min(w, 2 * w - d)), w))
-    columns, kind = code.words, "binary"
-    if seed is not None or sign_stream is not None:
-        seed = seed or 0
+    signs, kind = code.signs, "binary"
+    if seed is not None:
         if seed < 0:
             raise ParameterError(f"seed must be >= 0, got {seed}")
-        if sign_stream is None:
-            rng = np.random.default_rng(seed)
-
-            def sign_stream() -> int:
-                return 1 if int(rng.integers(0, 2)) == 0 else -1
-
-        columns = [tuple((r, sign_stream()) for r, _ in word)
-                   for word in code.words]
+        bits = np.random.default_rng(seed).integers(0, 2, code.positions.shape)
+        signs = (1 - 2 * bits).astype(np.int8)
         kind = f"signed seed={seed} binary"
-    return MeasurementMatrix(code.n, columns, w,
+    return MeasurementMatrix(code.n, w, code.positions, signs,
                              provenance=f"{kind} {code.provenance}",
                              bound=Fraction(max(0, 2 * w - d), 2 * w))
 
@@ -211,19 +205,24 @@ def devore(p: int, r: int) -> MeasurementMatrix:
     at once.  Distinct polynomials of degree < r agree on at most
     min(r - 1, p) points, and that many is reached, so coherence <=
     min(r - 1, p)/p; for r = 2 the value 1/p is attained.  p may be a
-    prime power, in which case GF(p) is the extension field.
+    prime power, in which case GF(p) is the extension field.  The caps
+    (p^r columns, a p^r x p int64 array) are checked before factoring.
     """
     if r < 2:
         raise ParameterError(f"need polynomial degree bound r >= 2, got {r}")
     if power_exceeds(p, r, DEVORE_CAP):
         raise BudgetError(f"p^r = {p}^{r} columns exceed cap {DEVORE_CAP}")
+    if power_exceeds(p, r + 1, DENSE_CAP // 8):
+        raise BudgetError(f"the {p}^{r} x {p} int64 positions array exceeds "
+                          f"the cap of {DENSE_CAP} bytes")
     field = make_field(*factor_prime_power(p))
     a, j = np.arange(p), np.arange(p ** r)[:, None]
     values = 0
     for i in reversed(range(r)):
         values = field.add(field.mul(values, a), j // p ** i % p)
-    columns = [tuple(zip(col, repeat(1))) for col in (a * p + values).tolist()]
-    return MeasurementMatrix(p * p, columns, p,
+    positions = a * p + values
+    return MeasurementMatrix(p * p, p, positions,
+                             np.ones_like(positions, dtype=np.int8),
                              provenance=f"devore p={p} r={r}",
                              bound=Fraction(min(r - 1, p), p))
 
@@ -241,7 +240,7 @@ def dumps_matrix(matrix: MeasurementMatrix, fmt: str = "support-list") -> str:
         lines = [f"# provenance: {matrix.provenance}",
                  f"# n {matrix.n} w {matrix.w}" + (
                      f" bound {matrix.bound}" if matrix.bound is not None else "")]
-        lines.extend(format_word(col) for col in matrix.columns)
+        lines.extend(format_words(matrix.positions, matrix.signs))
         return "\n".join(lines) + "\n"
     raise ParameterError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
@@ -298,12 +297,11 @@ def _loads_support_list(text: str) -> MeasurementMatrix:
             except (KeyError, ValueError, ZeroDivisionError):
                 raise FormatError(
                     f"line {lineno}: bad dimension header") from None
-    columns = [parse_word(lineno, line, signed=True) for lineno, line in lines]
     if n is None or w is None:
         raise FormatError("missing '# n <n> w <w>' header")
     try:
-        matrix = MeasurementMatrix(n, columns, w, provenance=provenance,
-                                   bound=bound)
+        matrix = MeasurementMatrix(n, w, *parse_words(lines, True, w, "column"),
+                                   provenance=provenance, bound=bound)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
     if bound is not None and _exact_mu(matrix) > bound:
@@ -329,18 +327,15 @@ def _loads_dense_csv(text: str) -> MeasurementMatrix:
         raise FormatError("empty matrix file")
     if len({len(r) for r in rows}) != 1:
         raise FormatError("rows have differing lengths")
-    n = len(rows)
-    N = len(rows[0])
-    columns = []
-    weights = set()
-    for j in range(N):
-        col = tuple((i, rows[i][j]) for i in range(n) if rows[i][j] != 0)
-        weights.add(len(col))
-        columns.append(col)
+    a = np.array(rows, dtype=np.int64).T
+    weights = sorted(set(np.count_nonzero(a, axis=1).tolist()))
     if len(weights) != 1:
-        raise FormatError(f"column weights differ: {sorted(weights)}")
+        raise FormatError(f"column weights differ: {weights}")
+    cols, positions = np.nonzero(a)
+    shape = (len(a), weights[0])
     try:
-        return MeasurementMatrix(n, columns, weights.pop(),
+        return MeasurementMatrix(a.shape[1], weights[0], positions.reshape(shape),
+                                 a[cols, positions].astype(np.int8).reshape(shape),
                                  provenance="dense-csv")
     except ParameterError as exc:
         raise FormatError(str(exc)) from None

@@ -1,0 +1,83 @@
+"""Reference forms for code words: tuples of (position, sign) pairs, the
+distances defined on them, and the lexicographic greedy loop over them.
+
+codes.CWCode and matrices.MeasurementMatrix hold word i as row i of a
+positions array and a signs array.  Tests that spell words out use
+tuples of (position, sign) pairs (binary supports: tuples of positions)
+and convert them with the helpers here.  greedy_words is the greedy
+search as a plain loop over such tuples with ternary_distance; the
+bit-mask search behind codes.greedy_binary and codes.greedy_ternary is
+checked against it.
+"""
+
+from itertools import combinations, product
+
+import numpy as np
+
+from cwsense.codes import CWCode
+from cwsense.matrices import MeasurementMatrix
+
+
+def binary_distance(a, b, w: int) -> int:
+    """Hamming distance between two weight-w supports: 2(w - |A & B|)."""
+    return 2 * (w - len(set(a) & set(b)))
+
+
+def ternary_distance(a, b) -> int:
+    """Number of positions whose symbols differ, alphabet {0, +1, -1},
+    for two words given as (position, sign) pairs."""
+    da = dict(a)
+    db = dict(b)
+    dist = 0
+    for pos, sign in da.items():
+        if db.get(pos, 0) != sign:
+            dist += 1
+    for pos in db:
+        if pos not in da:
+            dist += 1
+    return dist
+
+
+def words_of(obj) -> list[tuple[tuple[int, int], ...]]:
+    """The words of a CWCode or the columns of a MeasurementMatrix as
+    tuples of (position, sign) pairs of Python ints."""
+    return [tuple(zip(p, s))
+            for p, s in zip(obj.positions.tolist(), obj.signs.tolist())]
+
+
+def arrays_of(words, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, signs) of equal-length tuple words: N x len(word)
+    int64 and int8 arrays, N x w when there are no words."""
+    shape = (len(words), len(words[0]) if words else w)
+    positions = np.array([[p for p, _ in word] for word in words],
+                         dtype=np.int64).reshape(shape)
+    signs = np.array([[s for _, s in word] for word in words],
+                     dtype=np.int8).reshape(shape)
+    return positions, signs
+
+
+def code_of(n: int, w: int, words, signed: bool, d: int = 0,
+            provenance: str = "ingested") -> CWCode:
+    """An uncertified CWCode holding the tuple words."""
+    return CWCode(n, w, d, *arrays_of(words, w), signed=signed,
+                  provenance=provenance)
+
+
+def matrix_of(n: int, columns, w: int, provenance: str,
+              bound=None) -> MeasurementMatrix:
+    """A MeasurementMatrix whose columns are the tuple words."""
+    return MeasurementMatrix(n, w, *arrays_of(columns, w),
+                             provenance=provenance, bound=bound)
+
+
+def greedy_words(n: int, dist: int, w: int, sign_set=(1, -1)):
+    """Greedy over signed supports: supports in lex order (major key),
+    sign patterns in product(sign_set) order (minor key), a word kept
+    when its ternary_distance to every kept word is at least dist."""
+    kept = []
+    for sup in combinations(range(n), w):
+        for signs in product(sign_set, repeat=w):
+            word = tuple(zip(sup, signs))
+            if all(ternary_distance(word, other) >= dist for other in kept):
+                kept.append(word)
+    return kept

@@ -61,7 +61,7 @@ def measure(matrix: MeasurementMatrix, x: SparseSignal) -> np.ndarray:
             f"signal length {x.N} does not match column count {matrix.N}")
     y = np.zeros(matrix.n)
     for idx, val in zip(x.support, x.values):
-        for r, s in matrix.columns[idx]:
+        for r, s in zip(matrix.positions[idx], matrix.signs[idx]):
             y[r] += s * val
     return y
 

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from cwsense import cli
-from cwsense.codes import gilbert_bound, load_code
+from cwsense.codes import gilbert_bound, load_code, loads_code
 from cwsense.designs import spread_code, subspace_to_code
-from cwsense.matrices import from_code, save_matrix
+from cwsense.errors import FormatError
+from cwsense.matrices import from_code, loads_matrix, save_matrix
 from cwsense.recovery import RecoveryReport
 
 
@@ -122,6 +123,7 @@ def test_memory_budget_exit(capsys, tmp_path):
     "spread --q 1000000000000000003 --n 1 --k 1",
     "devore --p 1000000000000000003 --r 2",
     "devore --p 3 --r 100000000",
+    "devore --p 997 --r 2",   # a 997^2 x 997 int64 positions array: 7.4 GiB
 ])
 def test_caps_checked_before_factoring(argv):
     # factoring the 19-digit prime or forming 3^(10^8) would run far past
@@ -132,6 +134,43 @@ def test_caps_checked_before_factoring(argv):
         capture_output=True, text=True, timeout=10)
     assert proc.returncode == 3
     assert proc.stderr.startswith("budget exceeded")
+
+
+@pytest.mark.parametrize("argv", [
+    "--n 10000000 --d 2000000 --w 1000000",
+    "--dims --n 100000000 --k 50 --t 1000000",
+    "--ternary --n 300000 --d 100000 --w 100000",
+])
+def test_bounds_refuse_huge_parameters_at_once(argv):
+    # each would run for minutes; the work estimate refuses it before
+    # the first binomial coefficient
+    script = ("import sys, time; from cwsense.cli import main; "
+              "start = time.perf_counter(); rc = main(sys.argv[1:]); "
+              "print(time.perf_counter() - start); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", script, "bounds",
+                           *argv.split()],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("budget exceeded")
+    assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize("text", [
+    f"5 2 2\n0 1\n0 {2 ** 63}\n",
+    f"5 2 2\n0 1\n0 {2 ** 70}\n",
+    "5 2 2\n0 1\n0 -1\n",
+    "5 2 2\n+0 +1\n+0 +-1\n",
+    f"# n 5 w 2\n+0 +1\n+0 +{2 ** 63}\n",
+    f"# n 5 w 2\n+0 +1\n+0 -{2 ** 70}\n",
+    "# n 5 w 2\n+0 +1\n+0 +-1\n",
+])
+def test_out_of_range_positions_are_format_errors(tmp_path, text):
+    loader = loads_matrix if text.startswith("#") else loads_code
+    with pytest.raises(FormatError):
+        loader(text)
+    path = tmp_path / "hostile.txt"
+    path.write_text(text)
+    assert run_cli("analyze", str(path)) == 2
 
 
 def test_unknown_construction_is_usage_error(capsys):

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codes_oracle import (arrays_of, binary_distance, code_of, greedy_words,
+                          ternary_distance, words_of)
 from cwsense import codes
-from cwsense.codes import (CWCode, binary_distance, certify_binary,
+from cwsense.codes import (array_maxima, certify_binary,
                            dimension_binary_gilbert, dimension_binary_gs,
                            dimension_ternary_gilbert, dumps_code,
                            gilbert_bound, graham_sloane_bound,
                            graham_sloane_construct, greedy_binary,
                            greedy_ternary, load_code, loads_code, save_code,
-                           overlap_maxima, read_lines,
-                           smallest_prime_at_least, ternary_distance,
-                           ternary_gilbert_bound, validate)
+                           read_lines, signed_array,
+                           smallest_prime_at_least, ternary_gilbert_bound,
+                           validate)
 from cwsense.errors import BudgetError, FormatError, ParameterError
 
 # Lines of the projective plane of order 2: the classic (7, 4, 3) code.
@@ -56,6 +58,11 @@ def test_ternary_distance_matches_dense_oracle():
 
 
 # -- pairwise kernel --------------------------------------------------------
+
+def overlap_maxima(n, words):
+    """array_maxima of the tuple words' signed_array."""
+    return array_maxima(signed_array(n, *arrays_of(words, 0)))
+
 
 @st.composite
 def signed_supports(draw):
@@ -154,13 +161,12 @@ def test_validate_rejections():
     with pytest.raises(ParameterError):
         certify_binary(3, 4, [(0, 1, 2, 3)])               # w > n
     with pytest.raises(ParameterError):
-        validate(CWCode(n=7, w=3, d=0, words=[((2, 1), (1, 1), (0, 1))],
-                        signed=False))
+        validate(code_of(7, 3, [((2, 1), (1, 1), (0, 1))], signed=False))
 
 
 def test_validate_writes_back_exact_distance():
-    code = CWCode(n=6, w=2, d=99, signed=False,
-                  words=[((0, 1), (1, 1)), ((2, 1), (3, 1)), ((0, 1), (2, 1))])
+    code = code_of(6, 2, [((0, 1), (1, 1)), ((2, 1), (3, 1)), ((0, 1), (2, 1))],
+                   signed=False, d=99)
     assert validate(code) == 2
     assert code.d == 2
 
@@ -171,7 +177,7 @@ def test_single_word_sentinel():
 
 
 def signed_code(n, w, words):
-    return CWCode(n=n, w=w, d=0, words=words, signed=True)
+    return code_of(n, w, words, signed=True)
 
 
 def test_ternary_validation_rejections():
@@ -180,7 +186,7 @@ def test_ternary_validation_rejections():
     with pytest.raises(ParameterError):
         validate(signed_code(5, 2, [((0, -1), (0, 1))]))     # repeated position
     # loading normalizes ordering; only direct storage must be sorted
-    assert loads_code("5 2 2\n+1 +0\n").words == [((0, 1), (1, 1))]
+    assert words_of(loads_code("5 2 2\n+1 +0\n")) == [((0, 1), (1, 1))]
     unsorted = signed_code(5, 2, [((1, 1), (0, 1))])
     with pytest.raises(ParameterError):
         validate(unsorted)
@@ -243,7 +249,7 @@ def test_gilbert_bound_monotone_in_distance():
 
 def test_greedy_binary_disjoint_triples():
     code = greedy_binary(6, 6, 3)
-    assert code.words == [((0, 1), (1, 1), (2, 1)), ((3, 1), (4, 1), (5, 1))]
+    assert words_of(code) == [((0, 1), (1, 1), (2, 1)), ((3, 1), (4, 1), (5, 1))]
     assert code.d == 6
 
 
@@ -265,7 +271,7 @@ def test_greedy_binary_budget():
 
 def test_greedy_ternary_smallest_case():
     code = greedy_ternary(2, 1, 1)
-    assert code.words == [((0, 1),), ((0, -1),), ((1, 1),), ((1, -1),)]
+    assert words_of(code) == [((0, 1),), ((0, -1),), ((1, 1),), ((1, -1),)]
     assert code.d == 1
 
 
@@ -278,6 +284,19 @@ def test_greedy_ternary_respects_distance():
 def test_greedy_ternary_budget():
     with pytest.raises(BudgetError):
         greedy_ternary(30, 4, 8)  # C(30,8) * 2^8 is over the cap
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_greedy_matches_tuple_oracle(n):
+    """Both greedy builders against the plain loop over tuple words and
+    ternary_distance (binary: + signs only), for every w <= 4 and every
+    distance up to 2w + 1."""
+    for w in range(1, min(n, 4) + 1):
+        for dist in range(1, 2 * w + 2):
+            assert (words_of(greedy_ternary(n, dist, w))
+                    == greedy_words(n, dist, w))
+            assert (words_of(greedy_binary(n, dist, w))
+                    == greedy_words(n, dist, w, sign_set=(1,)))
 
 
 def test_graham_sloane_construct_frozen_sizes():
@@ -322,7 +341,7 @@ def test_binary_round_trip(tmp_path):
     path = tmp_path / "code.txt"
     save_code(code, path)
     loaded = load_code(path)
-    assert loaded.words == code.words
+    assert words_of(loaded) == words_of(code)
     assert loaded.provenance == code.provenance
     assert dumps_code(loaded) == dumps_code(code)
 
@@ -332,7 +351,7 @@ def test_ternary_round_trip():
     text = dumps_code(code)
     loaded = loads_code(text)
     assert loaded.signed
-    assert loaded.words == code.words
+    assert words_of(loaded) == words_of(code)
     assert dumps_code(loaded) == text
 
 
@@ -378,8 +397,7 @@ def test_all_plus_signed_file_stays_signed():
 
 def test_binary_code_rejects_minus_signs():
     with pytest.raises(ParameterError):
-        validate(CWCode(n=4, w=2, d=0, words=[((0, 1), (1, -1))],
-                        signed=False))
+        validate(code_of(4, 2, [((0, 1), (1, -1))], signed=False))
 
 
 @st.composite
@@ -396,9 +414,9 @@ def cw_codes(draw):
         min_size=1, max_size=10))
     words = list(dict.fromkeys(tuple(sorted(zip(perm[:w], sg)))
                                for perm, sg in drawn))
-    code = CWCode(n=n, w=w, d=0, words=words, signed=kind != "binary",
-                  provenance=draw(st.sampled_from(
-                      ("ingested", "hand made", "greedy n=5 d=2 w=2"))))
+    code = code_of(n, w, words, signed=kind != "binary",
+                   provenance=draw(st.sampled_from(
+                       ("ingested", "hand made", "greedy n=5 d=2 w=2"))))
     validate(code)
     return code
 
@@ -409,8 +427,8 @@ def test_code_file_round_trip_and_damage(code, data):
     from cwsense.matrices import coherence, from_code
     text = dumps_code(code)
     loaded = loads_code(text)
-    assert (loaded.signed, loaded.d, loaded.words) == (code.signed, code.d,
-                                                       code.words)
+    assert (loaded.signed, loaded.d, words_of(loaded)) == (code.signed, code.d,
+                                                           words_of(code))
     assert dumps_code(loaded) == text
     cut = data.draw(st.integers(0, len(text)), label="cut")
     pos = data.draw(st.integers(0, len(text) - 1), label="pos")

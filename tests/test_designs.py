@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codes_oracle import words_of
 from cwsense.designs import (SteinerTripleSystem, _rref, affine_plane_code,
                              certify_subspace_code, dumps_subspace_code,
                              load_subspace_code, loads_subspace_code,
@@ -78,7 +79,7 @@ def test_affine_plane_lines_cover_pairs_once():
     # Two points of AG(2, 3) lie on exactly one common line.
     code = affine_plane_code(3)
     for p, r in combinations(range(9), 2):
-        containing = [w for w in code.words if (p, 1) in w and (r, 1) in w]
+        containing = [w for w in words_of(code) if (p, 1) in w and (r, 1) in w]
         assert len(containing) == 1
 
 
@@ -149,7 +150,7 @@ def test_spread_memory_budget_before_enumeration():
 def test_spread_code_words_partition_nonzero_vectors(q, n, k):
     code = subspace_to_code(spread_code(q, n, k))
     assert (code.n, code.w) == (q ** n - 1, q ** k - 1)
-    covered = [pos for word in code.words for pos, _ in word]
+    covered = [pos for word in words_of(code) for pos, _ in word]
     assert sorted(covered) == list(range(q ** n - 1))  # each exactly once
     assert code.d == 2 * code.w  # disjoint supports
 

@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from codes_oracle import words_of
 import field_oracle as oracle
 from cwsense.codes import dumps_code
 from cwsense.designs import affine_plane_code, spread_code
@@ -112,7 +113,7 @@ def test_devore_columns_match_poly_eval(p, r):
     elems = oracle.elements(field)
     matrix = devore(p, r)
     assert matrix.N == p ** r
-    for j, col in enumerate(matrix.columns):
+    for j, col in enumerate(words_of(matrix)):
         coeffs = [elems[j // p ** i % p] for i in range(r)]
         assert col == tuple((int(a) * p + int(oracle.poly_eval(coeffs, a)), 1)
                             for a in elems)
@@ -125,7 +126,7 @@ def test_affine_lines_match_oracle(q):
              for a in elems for b in elems]
     words += [sorted(int(c) * q + int(y) for y in elems) for c in elems]
     code = affine_plane_code(q)
-    assert code.words == [tuple((pos, 1) for pos in w) for w in words]
+    assert words_of(code) == [tuple((pos, 1) for pos in w) for w in words]
 
 
 def oracle_spread_bases(q, n, k):

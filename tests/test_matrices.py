@@ -1,11 +1,13 @@
 """Matrices: exact coherence, construction bounds, Welch values, formats."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codes_oracle import matrix_of, words_of
 from cwsense.codes import (certify_binary, greedy_binary, greedy_ternary,
                            loads_code)
 from cwsense.designs import steiner_to_code, make_sts
@@ -62,9 +64,9 @@ def test_coherence_and_omp_share_one_dense_copy(monkeypatch, tmp_path):
     built = []
     real = codes.signed_array
 
-    def counted(n, supports):
+    def counted(n, positions, signs):
         built.append(n)
-        return real(n, supports)
+        return real(n, positions, signs)
     monkeypatch.setattr(codes, "signed_array", counted)
     monkeypatch.setattr(matrices, "signed_array", counted)
     matrix = load_matrix(path)
@@ -94,9 +96,9 @@ def test_bound_header_is_certified_at_load():
 
 
 def test_attached_bound_violation_stays_runtime_error():
-    matrix = MeasurementMatrix(3, [((0, 1), (1, 1), (2, 1)),
-                                   ((0, 1), (1, 1), (2, -1))], 3,
-                               provenance="x", bound=Fraction(1, 6))
+    matrix = matrix_of(3, [((0, 1), (1, 1), (2, 1)),
+                           ((0, 1), (1, 1), (2, -1))], 3,
+                       provenance="x", bound=Fraction(1, 6))
     with pytest.raises(RuntimeError):
         coherence(matrix)
 
@@ -114,10 +116,10 @@ def test_signed_matrix_is_deterministic():
     code = steiner_to_code(make_sts(9))
     a = from_code(code, seed=3)
     b = from_code(code, seed=3)
-    assert a.columns == b.columns
+    assert words_of(a) == words_of(b)
     assert a.provenance == b.provenance
     c = from_code(code, seed=4)
-    assert c.columns != a.columns
+    assert words_of(c) != words_of(a)
 
 
 def test_signed_matrix_keeps_unsigned_bound_and_coherence_holds():
@@ -129,10 +131,28 @@ def test_signed_matrix_keeps_unsigned_bound_and_coherence_holds():
         assert coherence(signed).mu <= signed.bound
 
 
-def test_sign_stream_hook_reproduces_unsigned():
-    code = steiner_to_code(make_sts(9))
-    forced = from_code(code, sign_stream=lambda: 1)
-    assert forced.columns == from_code(code).columns
+# sha256 of dumps_matrix(from_code(code, seed=s)): the seeded sign stream
+# (one PCG64 bit per support position, column by column) is part of the
+# format, so these bytes must never move.
+SIGNED_DIGESTS = {
+    ("greedy", 0): "65603fce732bfc7acab96c0e5c7dae2d26f79deee9ed9ca5030fc0a4cdfcdcd4",
+    ("greedy", 1): "556c80c3b778b67d6d881011ecbc8e14a1add54e5cb0a02baef3abab44688255",
+    ("greedy", 7): "f5fbce276a83207ce5132809024070bbdd0f71e3f2ebd126decd0be3442f4dd4",
+    ("greedy", 123): "04930a0ee397bb92805c97ac33f50277178c093b6c0764d6dad81d24e16488f2",
+    ("sts31", 0): "6c2c269f5b8dd3fb0862c0dba9530be7337e6b0916feaf4436fee737f079f8b6",
+    ("sts31", 1): "bc5322f306d10998c395f3e1caa72ba093701c5d687296fc1eb1ccbaece86683",
+    ("sts31", 7): "3c85821b2b314a755b13b6c23e2149f5041f86d16888358a90c9d2bed0639fcc",
+    ("sts31", 123): "7e1c4a3d09e6f673bc7d789b1cc5efadae8d3b116201a1c997c85e8fb9e6e0c7",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(SIGNED_DIGESTS))
+def test_signed_matrix_bytes_pinned(name, seed):
+    code = (greedy_binary(9, 4, 3) if name == "greedy"
+            else steiner_to_code(make_sts(31)))
+    text = dumps_matrix(from_code(code, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == SIGNED_DIGESTS[name,
+                                                                       seed]
 
 
 def test_signed_rejects_negative_seed():
@@ -184,6 +204,14 @@ def test_devore_rejections():
         devore(101, 3)
 
 
+def test_devore_largest_builds_under_position_cap():
+    # p^r x p positions of 31^4 and 101^3 entries stay under DENSE_CAP
+    for p, r in ((31, 3), (101, 2)):
+        matrix = devore(p, r)
+        assert (matrix.n, matrix.N, matrix.w) == (p * p, p ** r, p)
+        assert matrix.positions.shape == (p ** r, p)
+
+
 # -- Welch bound -----------------------------------------------------------------
 
 def test_welch_bound_frozen_values():
@@ -207,15 +235,15 @@ def test_welch_bound_degenerate_and_errors():
 
 def test_measurement_matrix_rejections():
     with pytest.raises(ParameterError):
-        MeasurementMatrix(3, [], 1, provenance="empty")
+        matrix_of(3, [], 1, provenance="empty")
     with pytest.raises(ParameterError):
-        MeasurementMatrix(3, [((0, 1), (0, -1))], 2, provenance="dup row")
+        matrix_of(3, [((0, 1), (0, -1))], 2, provenance="dup row")
     with pytest.raises(ParameterError):
-        MeasurementMatrix(3, [((0, 1), (5, 1))], 2, provenance="range")
+        matrix_of(3, [((0, 1), (5, 1))], 2, provenance="range")
     with pytest.raises(ParameterError):
-        MeasurementMatrix(3, [((0, 2),)], 1, provenance="sign")
+        matrix_of(3, [((0, 2),)], 1, provenance="sign")
     with pytest.raises(ParameterError):
-        MeasurementMatrix(3, [((1, 1), (0, 1))], 2, provenance="unsorted")
+        matrix_of(3, [((1, 1), (0, 1))], 2, provenance="unsorted")
 
 
 # -- text formats ----------------------------------------------------------------
@@ -292,9 +320,8 @@ def test_from_code_ternary_bound_and_signed_seed():
     code = loads_code("3 2 2\n+0 +1\n+1 +2\n")          # all +, still signed
     assert from_code(code).bound == 1                    # binary reading: 1/2
     assert from_code(loads_code("3 2 2\n0 1\n1 2\n")).bound == Fraction(1, 2)
-    for kwargs in ({"seed": 0}, {"sign_stream": lambda: 1}):
-        with pytest.raises(ParameterError, match="binary codes only"):
-            from_code(code, **kwargs)
+    with pytest.raises(ParameterError, match="binary codes only"):
+        from_code(code, seed=0)
 
 
 def test_matrix_columns_may_repeat_but_not_vanish():
@@ -316,11 +343,11 @@ def measurement_matrices(draw):
         min_size=1, max_size=8))
     columns = [tuple(sorted(zip(perm[:w], signs))) for perm, signs in drawn]
     provenance = draw(st.sampled_from(("ingested", "devore p=3 r=2", "x")))
-    matrix = MeasurementMatrix(n, columns, w, provenance=provenance)
+    matrix = matrix_of(n, columns, w, provenance=provenance)
     if draw(st.booleans()):
         slack = draw(st.sampled_from((0, Fraction(1, 7), 1)))
-        matrix = MeasurementMatrix(n, columns, w, provenance=provenance,
-                                   bound=coherence(matrix).mu + slack)
+        matrix = matrix_of(n, columns, w, provenance=provenance,
+                           bound=coherence(matrix).mu + slack)
     return matrix
 
 

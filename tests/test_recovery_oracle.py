@@ -27,8 +27,9 @@ def repeated_columns():
     tol = 0 OMP iterates on rounding-level residuals, picks repeated or
     dependent columns and takes the rank-deficient path."""
     base = devore(3, 2)
-    text = dumps_matrix(MeasurementMatrix(base.n, base.columns * 2, base.w,
-                                          provenance="repeated devore p=3"))
+    text = dumps_matrix(MeasurementMatrix(
+        base.n, base.w, np.vstack([base.positions] * 2),
+        np.vstack([base.signs] * 2), provenance="repeated devore p=3"))
     return loads_matrix(text)
 
 
