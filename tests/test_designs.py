@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codes_oracle import words_of
+from cwsense.codes import dumps_code
 from cwsense.designs import (SteinerTripleSystem, _rref, affine_plane_code,
                              certify_subspace_code, dumps_subspace_code,
                              load_subspace_code, loads_subspace_code,
@@ -53,6 +54,25 @@ def test_sts_dispatch_matches_direct_constructors():
         sts_bose(13)
     with pytest.raises(ParameterError):
         sts_skolem(9)
+
+
+# sha256 of dumps_code(steiner_to_code(make_sts(n))): the blocks, their
+# order and so the files must not drift when the constructions change
+# (Bose for n = 3 mod 6, Skolem for n = 1 mod 6).
+STS_DIGESTS = {
+    3: "c3a246623c8f441e7ffcbbc72ebe9c3fffec550182ac7572ab82b1b77d8f3346",
+    7: "cb4ac50be0cd3bd6c0feec456bbb3ae6f49d9aeb48d801926ac300b5b0ce280a",
+    9: "731a8e42ef4b8d2ef907eb6106485b4cf6271c2c5003d282068202c36d51a565",
+    13: "36ca59aef6425be75b49fe071a4182a667a8b043b68a94c90a943778d06ee978",
+    109: "6c61b0c07be4120cbb287e3fe1814c6f814cb40d9ed4566ccb0b03ac2f5eda0b",
+    331: "6f91936b3aa425244a8f40cf262261ce83c6eeb2b7a8b9ef323a995e64655856",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STS_DIGESTS))
+def test_sts_code_file_digest_frozen(n):
+    text = dumps_code(steiner_to_code(make_sts(n)))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == STS_DIGESTS[n]
 
 
 def test_steiner_code_parameters():
@@ -113,6 +133,10 @@ SPREAD_DIGESTS = {
     (2, 8, 4): "6b78cf74afad17b6a3bb30b68aa58752c1d5c5baea181ce513331e6b5532f660",
     (4, 6, 3): "01959fccd55f45c683a61c2aeed1de870a685a8f9d6d72f20ecf8115d781e1f1",
     (3, 3, 1): "13664eb615cb8a2466479596dd548e33c9b1de902d050d0f79b50b5a08bd46f8",
+    # the other three instances of the benchmark's spread workload
+    (2, 8, 2): "08c766b49a29561db1d46cd1182ac4661a6f05e26ccb1ad341ce6c9c6a7b161f",
+    (3, 6, 2): "eb9d5bfb6e84e45c7a4f553f5ca003487259434d8e59950662199e4c57c56589",
+    (2, 9, 3): "baf06e2c951d000308524f70cead6dafcef25a0642cb344d64b6702b9847338a",
 }
 
 
