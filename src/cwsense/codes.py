@@ -211,6 +211,13 @@ def _check_budget(count: int, what: str) -> None:
         raise BudgetError(f"{what} = {count} exceed budget {ENUM_BUDGET}")
 
 
+def _check_bound_work(terms: int, n: int, w: int) -> None:
+    """_check_budget for terms big-integer terms of n bits and C(n, w),
+    which math.comb builds from min(w, n - w) factors: as many terms."""
+    terms += min(w, n - w)
+    _check_budget(terms * n, f"{terms} terms x {n} bits")
+
+
 def gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
     """Gilbert-style lower bound on the size of a binary (n, dist, w) code.
 
@@ -218,7 +225,7 @@ def gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
     """
     _check_nwd(n, dist, w, even=True)
     d = dist // 2
-    _check_budget((d + 1) * n, f"{d + 1} terms x {n} bits")
+    _check_bound_work(d, n, w)
     denom = sum(_comb0(w, i) * _comb0(n - w, i) for i in range(d))
     value = math.comb(n, w) // denom
     return BoundReport("gilbert", {"n": n, "dist": dist, "w": w}, value)
@@ -239,7 +246,7 @@ def graham_sloane_bound(n: int, dist: int, w: int) -> BoundReport:
     """
     _check_nwd(n, dist, w, even=True)
     d = dist // 2
-    _check_budget(d * n, f"{d} terms x {n} bits")  # C(n, w), q^(d-1)
+    _check_bound_work(d - 1, n, w)  # q^(d-1) and C(n, w)
     q = smallest_prime_at_least(n)
     value = math.comb(n, w) // q ** (d - 1)
     return BoundReport("graham-sloane", {"n": n, "dist": dist, "w": w, "q": q},
@@ -264,9 +271,7 @@ def ternary_gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
     floor(C(n, w) * 2^w / sphere(dist - 1)).  dist may be odd.
     """
     _check_nwd(n, dist, w, even=False)
-    # C(n, w) and at most dist * (min((dist - 1) // 2, n - w) + 1) terms
-    terms = dist * (min((dist - 1) // 2, n - w) + 1) + 1
-    _check_budget(terms * n, f"{terms} terms x {n} bits")
+    _check_bound_work(dist * (min((dist - 1) // 2, n - w) + 1), n, w)
     value = (math.comb(n, w) << w) // _ternary_sphere(n, w, dist - 1)
     return BoundReport("ternary-gilbert", {"n": n, "dist": dist, "w": w},
                        value)
@@ -383,7 +388,7 @@ def dimension_binary_gs(n: int, k: int, t: int) -> int:
     """
     _check_nkt(n, k, t)
     w = k * t
-    _check_budget((k - 1) * t * n, f"{(k - 1) * t} terms x {n} bits")
+    _check_bound_work((k - 1) * t - 1, n, w)  # n^((k-1)t-1) and C(n, w)
     return math.comb(n, w) // n ** ((k - 1) * t - 1)
 
 

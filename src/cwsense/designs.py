@@ -11,18 +11,18 @@ Three families live here:
   together with two conversions into binary constant-weight codes (one
   word per subspace, or one word per proper coset).
 
+Designs are int64 arrays: N x 3 blocks, N x k x n subspace bases.
 Every derived code goes through the exhaustive distance certification
 in codes.py.  Subspace codes are certified through the same pairwise
 kernel: each subspace is enumerated once as the sorted base-q encodings
 of its points, and the largest pairwise intersection |U & V| = q^dim
 gives the subspace distance exactly.  Pair coverage of triple systems
-is checked separately and also exhaustively.
+is certified by sorting their 3N pair keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
 
 import numpy as np
 
@@ -38,31 +38,64 @@ COSET_CAP = 1 << 16       # largest q^n the coset conversion sweeps
 
 # -- Steiner triple systems ----------------------------------------------
 
-@dataclass
+def _points(values, shape: tuple, bound: int, what: str) -> np.ndarray:
+    """values as an int64 array of the given shape with entries in
+    [0, bound), else a ParameterError; 1.5 and 2^70 (an object array)
+    are outside, caught before the cast would truncate or overflow."""
+    try:
+        a = np.asarray(values)
+        if a.shape != shape:
+            raise ValueError  # ragged rows raise here too
+    except ValueError:
+        raise ParameterError(f"{what}s do not form a {shape} array") from None
+    inside = (a >= 0) & (a < bound) & (a % 1 == 0)
+    bad = ~inside.all(axis=tuple(range(1, a.ndim)))
+    if bad.any():
+        raise ParameterError(
+            f"{what} #{int(bad.argmax())} has entries outside [0, {bound})")
+    return a.astype(np.int64)
+
+
+@dataclass(eq=False)
 class SteinerTripleSystem:
-    """Blocks of size 3 on points {0..n-1}, every pair in exactly one."""
+    """Blocks of size 3 on points {0..n-1}, every pair in exactly one.
+
+    blocks is an N x 3 int64 array, each row increasing; any array-like
+    of triples is taken and its rows sorted.
+    """
     n: int
-    blocks: list[tuple[int, int, int]]
+    blocks: np.ndarray
     tag: str
 
     def __post_init__(self):
-        expected = self.n * (self.n - 1) // 6
-        if len(self.blocks) != expected:
-            raise ParameterError(
-                f"{len(self.blocks)} blocks, an STS({self.n}) needs {expected}")
-        seen: dict[tuple[int, int], int] = {}
-        for block in self.blocks:
-            if len(set(block)) != 3 or not all(0 <= p < self.n for p in block):
-                raise ParameterError(f"bad block {block}")
-            for pair in combinations(sorted(block), 2):
-                if pair in seen:
-                    raise ParameterError(f"pair {pair} covered twice")
-                seen[pair] = 1
-        if len(seen) != self.n * (self.n - 1) // 2:
-            raise ParameterError("some pair is never covered")
+        n = self.n
+        self.blocks = blocks = np.sort(_points(
+            self.blocks, (n * (n - 1) // 6, 3), n, "block"), axis=1)
+        # 3N = n(n-1)/2 pair keys a n + b (a <= b), none repeated, are the
+        # n(n-1)/2 pairs a < b: each covered once, none left uncovered
+        keys = np.sort(blocks[:, [0, 0, 1]] * n + blocks[:, [1, 2, 2]],
+                       axis=None)
+        twice = keys[1:] == keys[:-1]
+        if twice.any():
+            pair = divmod(int(keys[twice.argmax()]), n)
+            raise ParameterError(f"pair {pair} covered twice")
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+
+def _quasigroup_sts(n: int, table: np.ndarray, heads: int, extra,
+                    tag: str) -> SteinerTripleSystem:
+    """Blocks {3i, 3i + 1, 3i + 2} for i < heads, the extra blocks, then
+    {3x + l, 3y + l, 3(x o y) + (l + 1) mod 3} for x < y (combinations
+    order) and l = 0, 1, 2, x o y read from the quasigroup's table."""
+    x, y = np.triu_indices(len(table), 1)
+    level = np.arange(3)
+    triples = np.stack([3 * x[:, None] + level, 3 * y[:, None] + level,
+                        3 * table[x, y][:, None] + (level + 1) % 3], axis=2)
+    return SteinerTripleSystem(n, np.concatenate([
+        3 * np.arange(heads)[:, None] + level, *extra,
+        triples.reshape(-1, 3)]), tag)
 
 
 def sts_bose(n: int) -> SteinerTripleSystem:
@@ -74,17 +107,9 @@ def sts_bose(n: int) -> SteinerTripleSystem:
     if n % 6 != 3 or n < 3:
         raise ParameterError(f"Bose construction needs n = 3 mod 6, got {n}")
     m = n // 3
-    half = (m + 1) // 2  # inverse of 2 mod m
-    blocks: list[tuple[int, int, int]] = []
-    for i in range(m):
-        blocks.append(tuple(sorted((3 * i, 3 * i + 1, 3 * i + 2))))
-    for i, j in combinations(range(m), 2):
-        k = (i + j) * half % m
-        for level in range(3):
-            up = (level + 1) % 3
-            blocks.append(tuple(sorted((3 * i + level, 3 * j + level,
-                                        3 * k + up))))
-    return SteinerTripleSystem(n, blocks, "bose")
+    i = np.arange(m)
+    return _quasigroup_sts(n, (i[:, None] + i) * ((m + 1) // 2) % m, m, (),
+                           "bose")
 
 
 def sts_skolem(n: int) -> SteinerTripleSystem:
@@ -93,34 +118,17 @@ def sts_skolem(n: int) -> SteinerTripleSystem:
     Points are Z_{2s} x {0,1,2} plus one extra point (index n-1), with
     n = 6s + 1.  The half-idempotent commutative quasigroup on Z_{2s}
     is x * y = pi(x + y mod 2s) where pi(2i) = i and pi(2i+1) = i + s.
+    The extra point lies on {n - 1, 3(s + i) + l, 3i + (l + 1) mod 3}.
     """
     if n % 6 != 1 or n < 7:
         raise ParameterError(f"Skolem construction needs n = 1 mod 6 >= 7, got {n}")
     s = n // 6
-    size = 2 * s
-    inf = n - 1
-
-    def pi(v: int) -> int:
-        return v // 2 if v % 2 == 0 else v // 2 + s
-
-    def mul(x: int, y: int) -> int:
-        return pi((x + y) % size)
-
-    blocks: list[tuple[int, int, int]] = []
-    for i in range(s):
-        blocks.append(tuple(sorted((3 * i, 3 * i + 1, 3 * i + 2))))
-    for i in range(s):
-        for level in range(3):
-            up = (level + 1) % 3
-            blocks.append(tuple(sorted((inf, 3 * (s + i) + level,
-                                        3 * i + up))))
-    for x, y in combinations(range(size), 2):
-        k = mul(x, y)
-        for level in range(3):
-            up = (level + 1) % 3
-            blocks.append(tuple(sorted((3 * x + level, 3 * y + level,
-                                        3 * k + up))))
-    return SteinerTripleSystem(n, blocks, "skolem")
+    x, level = np.arange(2 * s), np.arange(3)
+    v = (x[:, None] + x) % (2 * s)
+    inf = np.broadcast_arrays(n - 1, 3 * (s + x[:s, None]) + level,
+                              3 * x[:s, None] + (level + 1) % 3)
+    return _quasigroup_sts(n, v // 2 + v % 2 * s, s,
+                           [np.stack(inf, axis=2).reshape(-1, 3)], "skolem")
 
 
 def make_sts(n: int) -> SteinerTripleSystem:
@@ -161,9 +169,6 @@ def affine_plane_code(q: int) -> CWCode:
 
 
 # -- subspace codes -------------------------------------------------------
-
-Basis = tuple[tuple[int, ...], ...]    # k rows of n coordinates in [0, q)
-
 
 def _rref(field: FiniteField, rows: np.ndarray) -> np.ndarray:
     """Reduced row echelon form over the field of an int64 array of
@@ -209,23 +214,23 @@ def _span_points(field: FiniteField, bases: np.ndarray) -> np.ndarray:
     return points
 
 
-@dataclass
+@dataclass(eq=False)
 class SubspaceCode:
     """k-dimensional subspaces of GF(q)^n with a certified distance.
 
-    Bases are stored in reduced echelon form, as k tuples of n int
-    coordinates; points[i] holds the sorted base-q encodings of the q^k
-    points of subspace i, zero first.  The subspace distance is
-    2k - 2 dim(U & V), certified from the largest pairwise point-set
-    intersection |U & V| = q^dim(U & V); a single-subspace code gets
-    the sentinel 2k.
+    subspaces is an N x k x n int64 array of coordinates in [0, q), the
+    bases in reduced echelon form; points[i] holds the sorted base-q
+    encodings of the q^k points of subspace i, zero first.  The subspace
+    distance is 2k - 2 dim(U & V), certified from the largest pairwise
+    point-set intersection |U & V| = q^dim(U & V); a single-subspace
+    code gets the sentinel 2k.
     """
     field: FiniteField
     n: int
     k: int
     d: int
-    subspaces: list[Basis]
-    points: np.ndarray = dc_field(repr=False, compare=False)
+    subspaces: np.ndarray
+    points: np.ndarray = dc_field(repr=False)
     provenance: str = "ingested"
 
     def __len__(self) -> int:
@@ -234,9 +239,9 @@ class SubspaceCode:
 
 def certify_subspace_code(field: FiniteField, n: int, k: int,
                           bases, provenance: str = "ingested") -> SubspaceCode:
-    """Canonicalize bases (k rows of n int coordinates each) to RREF,
-    reject entries outside [0, q), rank defects and duplicates, and
-    certify the exact subspace distance.
+    """Canonicalize bases (an N x k x n array-like of coordinates, N >= 1)
+    to RREF, reject other shapes, entries outside [0, q), rank defects
+    and duplicates, and certify the exact subspace distance.
 
     Every subspace's points are enumerated once (BudgetError first when
     q^n > SPREAD_CAP or the kernel's dense array would pass its cap) and
@@ -248,35 +253,29 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
         raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
     q = field.q
     _check_space(q, n)
-    canon: dict[Basis, None] = {}
+    if not len(bases):
+        raise ParameterError("a subspace code needs at least one subspace")
+    bases = _points(bases, (len(bases), k, n), q, "basis")
     for i, basis in enumerate(bases):
-        rows = [list(v) for v in basis]
-        if any(len(row) != n for row in rows):
-            raise ParameterError(f"basis #{i} has vectors of length != {n}")
-        if any(x not in range(q) for row in rows for x in row):
-            raise ParameterError(f"basis #{i} has entries outside [0, {q})")
-        red = _rref(field, np.array(rows, dtype=np.int64).reshape(-1, n))
+        red = _rref(field, basis)
         if len(red) != k:
             raise ParameterError(f"basis #{i} has rank {len(red)}, expected {k}")
-        key = tuple(map(tuple, red.tolist()))
-        if key in canon:
-            raise ParameterError(f"duplicate subspace #{i}")
-        canon[key] = None
-    check_dense_budget(q ** n, len(canon))
-    points = _span_points(field, np.array(list(canon), dtype=np.int64)
-                          .reshape(len(canon), k, n))
-    d = 2 * k
-    if len(canon) >= 2:
-        t = array_maxima(signed_array(q ** n, points, np.ones_like(points)))[0]
-        dim = 0
-        while q ** dim < t:
-            dim += 1
-        if q ** dim != t:
-            raise RuntimeError(f"two subspaces share {t} points, "
-                               f"not a power of {q}")
-        d = 2 * k - 2 * dim
-    return SubspaceCode(field=field, n=n, k=k, d=d, subspaces=list(canon),
-                        points=points, provenance=provenance)
+        bases[i] = red
+    repeated = np.ones(len(bases), dtype=bool)
+    repeated[np.unique(bases.reshape(len(bases), -1), axis=0,
+                       return_index=True)[1]] = False
+    if repeated.any():
+        raise ParameterError(f"duplicate subspace #{int(repeated.argmax())}")
+    check_dense_budget(q ** n, len(bases))
+    points = _span_points(field, bases)
+    # one subspace: no pair, t = 1 gives the sentinel 2k
+    t = max(1, array_maxima(signed_array(q ** n, points,
+                                         np.ones_like(points)))[0])
+    dim = next(e for e in range(k + 1) if q ** e >= t)
+    if q ** dim != t:
+        raise RuntimeError(f"two subspaces share {t} points, not a power of {q}")
+    return SubspaceCode(field=field, n=n, k=k, d=2 * k - 2 * dim,
+                        subspaces=bases, points=points, provenance=provenance)
 
 
 def spread_code(q: int, n: int, k: int) -> SubspaceCode:
@@ -315,7 +314,7 @@ def spread_code(q: int, n: int, k: int) -> SubspaceCode:
         shifted = np.pad(c[:, :, :-1], ((0, 0), (0, 0), (1, 0)))
         rows.append(field.sub(shifted, field.mul(c[:, :, -1:], low)))
     bases = np.stack(rows, axis=1).reshape(len(v), k, n)
-    code = certify_subspace_code(field, n, k, bases.tolist(),
+    code = certify_subspace_code(field, n, k, bases,
                                  provenance=f"spread q={q} n={n} k={k}")
     if code.d != 2 * k:
         raise RuntimeError(f"spread members intersect: distance {code.d}")
@@ -375,47 +374,33 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
 def dumps_subspace_code(code: SubspaceCode) -> str:
     q, n = code.field.q, code.n
     lines = [f"# provenance: {code.provenance}", f"{q} {n} {code.k} {code.d}"]
-    for basis in code.subspaces:
-        lines.append(" ".join(str(sum(x * q ** i for i, x in enumerate(row)))
-                              for row in basis))
+    lines.extend(" ".join(map(str, row))
+                 for row in (code.subspaces @ q ** np.arange(n)).tolist())
     return "\n".join(lines) + "\n"
 
 
 def loads_subspace_code(text: str) -> SubspaceCode:
     provenance, _, lines = read_lines(text)
-    header = None
+    if not lines:
+        raise FormatError("missing 'q n k d' header")
     rows_enc: list[list[int]] = []
     for lineno, line in lines:
         try:
-            values = [int(tok) for tok in line.split()]
+            rows_enc.append([int(tok) for tok in line.split()])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer entry") from None
-        if header is None:
-            if len(values) != 4:
-                raise FormatError(f"line {lineno}: header must be 'q n k d'")
-            header = values
-        else:
-            rows_enc.append(values)
-    if header is None:
-        raise FormatError("missing 'q n k d' header")
+    header = rows_enc.pop(0)
+    if len(header) != 4:
+        raise FormatError(f"line {lines[0][0]}: header must be 'q n k d'")
     q, n, k, claimed_d = header
     if q < 2 or n < 1:
         raise FormatError(f"header needs q >= 2 and n >= 1, got q={q} n={n}")
     _check_space(q, n)
     try:
-        p, m = factor_prime_power(q)
-    except ParameterError:
-        raise FormatError(f"header order {q} is not a prime power") from None
-    bases = []
-    for i, encs in enumerate(rows_enc):
-        if len(encs) != k:
-            raise FormatError(f"subspace #{i}: expected {k} basis rows")
-        for e in encs:
-            if not 0 <= e < q ** n:
-                raise FormatError(f"subspace #{i}: encoding {e} out of range")
-        bases.append([[e // q ** j % q for j in range(n)] for e in encs])
-    try:
-        code = certify_subspace_code(make_field(p, m), n, k, bases,
+        field = make_field(*factor_prime_power(q))
+        rows = _points(rows_enc, (len(rows_enc), k), q ** n, "subspace row")
+        code = certify_subspace_code(field, n, k,
+                                     rows[..., None] // q ** np.arange(n) % q,
                                      provenance=provenance)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None

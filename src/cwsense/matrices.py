@@ -35,6 +35,7 @@ from .errors import BudgetError, FormatError, ParameterError
 from .field import factor_prime_power, make_field, power_exceeds
 
 DEVORE_CAP = 1_000_000
+DEVORE_BLOCK = 1 << 16   # positions devore evaluates at once
 
 
 class MeasurementMatrix:
@@ -195,6 +196,13 @@ def from_code(code: CWCode, seed: int | None = None) -> MeasurementMatrix:
                              bound=Fraction(max(0, 2 * w - d), 2 * w))
 
 
+def devore_bytes(p: int, r: int) -> int:
+    """Peak bytes of devore(p, r), p^r <= DEVORE_CAP: 20 per position (the
+    int64 positions, then check_words' sorted copy, int8 signs and up to
+    three bool masks) plus eight block-sized int64 evaluation temporaries."""
+    return 20 * p ** (r + 1) + 64 * DEVORE_BLOCK
+
+
 def devore(p: int, r: int) -> MeasurementMatrix:
     """Polynomial evaluation matrix over GF(p): p^2 rows, p^r columns.
 
@@ -206,21 +214,25 @@ def devore(p: int, r: int) -> MeasurementMatrix:
     min(r - 1, p) points, and that many is reached, so coherence <=
     min(r - 1, p)/p; for r = 2 the value 1/p is attained.  p may be a
     prime power, in which case GF(p) is the extension field.  The caps
-    (p^r columns, a p^r x p int64 array) are checked before factoring.
+    (p^r columns, then devore_bytes against DENSE_CAP) are checked
+    before factoring.
     """
     if r < 2:
         raise ParameterError(f"need polynomial degree bound r >= 2, got {r}")
     if power_exceeds(p, r, DEVORE_CAP):
         raise BudgetError(f"p^r = {p}^{r} columns exceed cap {DEVORE_CAP}")
-    if power_exceeds(p, r + 1, DENSE_CAP // 8):
-        raise BudgetError(f"the {p}^{r} x {p} int64 positions array exceeds "
-                          f"the cap of {DENSE_CAP} bytes")
+    if devore_bytes(p, r) > DENSE_CAP:
+        raise BudgetError(f"building devore({p}, {r}) peaks at "
+                          f"{devore_bytes(p, r)} bytes, past {DENSE_CAP}")
     field = make_field(*factor_prime_power(p))
-    a, j = np.arange(p), np.arange(p ** r)[:, None]
-    values = 0
-    for i in reversed(range(r)):
-        values = field.add(field.mul(values, a), j // p ** i % p)
-    positions = a * p + values
+    a, step = np.arange(p), max(1, DEVORE_BLOCK // p)
+    positions = np.empty((p ** r, p), dtype=np.int64)
+    for start in range(0, p ** r, step):  # block-sized field temporaries
+        j = np.arange(start, min(start + step, p ** r))[:, None]
+        values = 0
+        for i in reversed(range(r)):
+            values = field.add(field.mul(values, a), j // p ** i % p)
+        positions[start:start + step] = a * p + values
     return MeasurementMatrix(p * p, p, positions,
                              np.ones_like(positions, dtype=np.int8),
                              provenance=f"devore p={p} r={r}",
@@ -312,10 +324,7 @@ def _loads_support_list(text: str) -> MeasurementMatrix:
 
 def _loads_dense_csv(text: str) -> MeasurementMatrix:
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(text)[2]:
         try:
             row = [int(tok) for tok in line.split(",")]
         except ValueError:

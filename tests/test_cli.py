@@ -140,6 +140,8 @@ def test_caps_checked_before_factoring(argv):
     "--n 10000000 --d 2000000 --w 1000000",
     "--dims --n 100000000 --k 50 --t 1000000",
     "--ternary --n 300000 --d 100000 --w 100000",
+    # one term, but C(n, w) alone takes minutes at w = n/2
+    "--n 5000000 --d 2 --w 2500000",
 ])
 def test_bounds_refuse_huge_parameters_at_once(argv):
     # each would run for minutes; the work estimate refuses it before

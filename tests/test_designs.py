@@ -2,11 +2,12 @@
 
 import hashlib
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from codes_oracle import words_of
 from cwsense.codes import dumps_code
@@ -41,6 +42,34 @@ def test_sts_constructor_checks_pair_coverage():
         SteinerTripleSystem(9, [tuple(b) for b in bad], "tampered")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 7, 9, 13, 15]), st.data())
+def test_sts_pair_check_matches_pair_set_oracle(n, data):
+    """A block array with one point moved (possibly out of range) or two
+    points swapped is accepted exactly when a brute-force pair count
+    finds three distinct points in [0, n) per block and every pair of
+    points in exactly one block."""
+    blocks = make_sts(n).blocks.tolist()
+    index = st.tuples(st.integers(0, len(blocks) - 1), st.integers(0, 2))
+    (i, j), (i2, j2) = data.draw(index), data.draw(index)
+    if data.draw(st.booleans(), label="move"):
+        blocks[i][j] = data.draw(st.integers(-1, n), label="point")
+    else:
+        blocks[i][j], blocks[i2][j2] = blocks[i2][j2], blocks[i][j]
+    counts = Counter(pair for block in blocks
+                     for pair in combinations(sorted(block), 2))
+    valid = (all(len(set(b)) == 3 and 0 <= min(b) and max(b) < n
+                 for b in blocks)
+             and set(counts.values()) == {1}
+             and len(counts) == n * (n - 1) // 2)
+    if valid:
+        sts = SteinerTripleSystem(n, blocks, "tampered")
+        assert sts.blocks.tolist() == [sorted(b) for b in blocks]
+    else:
+        with pytest.raises(ParameterError):
+            SteinerTripleSystem(n, blocks, "tampered")
+
+
 @pytest.mark.parametrize("n", [5, 8, 11, 6, 0])
 def test_sts_wrong_residues_rejected(n):
     with pytest.raises(ParameterError):
@@ -48,8 +77,8 @@ def test_sts_wrong_residues_rejected(n):
 
 
 def test_sts_dispatch_matches_direct_constructors():
-    assert make_sts(9).blocks == sts_bose(9).blocks
-    assert make_sts(13).blocks == sts_skolem(13).blocks
+    assert np.array_equal(make_sts(9).blocks, sts_bose(9).blocks)
+    assert np.array_equal(make_sts(13).blocks, sts_skolem(13).blocks)
     with pytest.raises(ParameterError):
         sts_bose(13)
     with pytest.raises(ParameterError):
@@ -207,11 +236,16 @@ def test_certify_subspace_code_rejections():
         certify_subspace_code(field, 4, 0, [])
 
 
-@pytest.mark.parametrize("bad", [3, -1, 2 ** 70, 1.5])
+@pytest.mark.parametrize("bad", [3, -1, 2 ** 70, 1.5, "ragged", "empty"])
 def test_certify_subspace_code_rejects_coordinates_outside_field(bad):
+    # 1.5 and 2^70 must be refused, not truncated or overflowed on the
+    # way to int64; ragged bases and the empty code are refused too
     field = make_field(3)
-    with pytest.raises(ParameterError, match="outside"):
-        certify_subspace_code(field, 3, 2, [((1, 0, 0), (0, 1, bad))])
+    bases, match = {"ragged": ([((1, 0, 0), (0, 1))], "do not form"),
+                    "empty": ([], "at least one")}.get(
+        bad, ([((1, 0, 0), (0, 1, bad))], "outside"))
+    with pytest.raises(ParameterError, match=match):
+        certify_subspace_code(field, 3, 2, bases)
 
 
 def test_certified_subspace_distance_counts_intersection():
@@ -230,6 +264,7 @@ def test_subspace_file_round_trip(tmp_path):
     loaded = loads_subspace_code(text)
     assert dumps_subspace_code(loaded) == text
     assert loaded.provenance == code.provenance
+    assert loaded != code  # identity, not an ambiguous array comparison
     path = tmp_path / "spread.txt"
     save_subspace_code(code, path)
     assert dumps_subspace_code(load_subspace_code(path)) == text
@@ -262,7 +297,7 @@ def test_subspace_loads_overstated_distance_rejected():
 def subspace_codes(draw):
     """Random small codes over GF(2), GF(3) and GF(4): distinct full-rank
     bases (random rows, so overlapping non-spread subspaces are common),
-    possibly a single subspace or none."""
+    possibly a single subspace, never none (a code needs one)."""
     q = draw(st.sampled_from((2, 3, 4)))
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, n))
@@ -270,18 +305,19 @@ def subspace_codes(draw):
     rows = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
     bases, keys = [], set()
     for basis in draw(st.lists(st.lists(rows, min_size=k, max_size=k),
-                               max_size=6)):
-        red = tuple(oracle_rref(field, basis))
+                               min_size=1, max_size=6)):
+        red = tuple(map(tuple, oracle_rref(field, basis)))
         if len(red) == k and red not in keys:
             keys.add(red)
             bases.append(tuple(map(tuple, basis)))
+    assume(bases)
     return field, n, k, bases
 
 
 def oracle_rref(field, rows):
     """RREF of int coordinate rows by the FieldElement oracle, as ints."""
     red = rref([[from_encoding(field, x) for x in row] for row in rows])
-    return [tuple(int(x) for x in row) for row in red]
+    return [[int(x) for x in row] for row in red]
 
 
 def span_oracle(field, basis):
@@ -302,16 +338,16 @@ def span_oracle(field, basis):
 def test_point_set_distance_matches_rank_oracle(case):
     field, n, k, bases = case
     code = certify_subspace_code(field, n, k, bases)
+    subspaces = code.subspaces.tolist()
     want = min((2 * k - 2 * (2 * k - len(oracle_rref(field, a + b)))
-                for a, b in combinations(code.subspaces, 2)),
+                for a, b in combinations(subspaces, 2)),
                default=2 * k)  # the single-subspace sentinel
     assert code.d == want
-    assert code.subspaces == [tuple(oracle_rref(field, b)) for b in bases]
-    for basis, red in zip(bases, code.subspaces):
-        got = _rref(field, np.array(basis, dtype=np.int64))
-        assert tuple(map(tuple, got.tolist())) == red
+    assert subspaces == [oracle_rref(field, b) for b in bases]
+    for basis, red in zip(bases, subspaces):
+        assert _rref(field, np.array(basis, dtype=np.int64)).tolist() == red
     assert code.points.shape == (len(bases), field.q ** k)
-    for basis, points in zip(code.subspaces, code.points):
+    for basis, points in zip(subspaces, code.points):
         assert points.tolist() == span_oracle(field, basis)
 
 

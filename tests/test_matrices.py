@@ -1,6 +1,7 @@
 """Matrices: exact coherence, construction bounds, Welch values, formats."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,10 @@ from cwsense.codes import (certify_binary, greedy_binary, greedy_ternary,
                            loads_code)
 from cwsense.designs import steiner_to_code, make_sts
 from cwsense.errors import BudgetError, FormatError, ParameterError
+from cwsense.field import factor_prime_power, make_field
 from cwsense.matrices import (MeasurementMatrix, coherence, devore,
-                              dumps_matrix, from_code, load_matrix,
-                              loads_matrix, matrix_format,
+                              devore_bytes, dumps_matrix, from_code,
+                              load_matrix, loads_matrix, matrix_format,
                               save_matrix, welch_bound, FORMATS)
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
@@ -212,6 +214,20 @@ def test_devore_largest_builds_under_position_cap():
         assert matrix.positions.shape == (p ** r, p)
 
 
+@pytest.mark.parametrize("p,r", [(101, 2), (81, 2), (31, 3)])
+def test_devore_peak_memory_within_its_budget_estimate(p, r):
+    # the cap is checked against devore_bytes, so the build must not
+    # allocate more (the field's cached tables are made first)
+    make_field(*factor_prime_power(p))
+    tracemalloc.start()
+    try:
+        devore(p, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= devore_bytes(p, r)
+
+
 # -- Welch bound -----------------------------------------------------------------
 
 def test_welch_bound_frozen_values():
@@ -273,6 +289,9 @@ def test_dense_csv_drops_metadata():
     loaded = loads_matrix(dumps_matrix(devore(3, 2), "dense-csv"))
     assert loaded.bound is None
     assert loaded.provenance == "dense-csv"
+    # '#' lines are comments to the loader as they are to the sniffer
+    loaded = loads_matrix("# note\n1,0\n0,1\n")
+    assert (loaded.n, loaded.N, loaded.provenance) == (2, 2, "dense-csv")
 
 
 def test_dumps_unknown_format():
