@@ -1,7 +1,9 @@
 """CLI: subcommand output, exit codes, file side effects."""
 
+import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,10 @@ from cwsense.recovery import RecoveryReport
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.fixture()
@@ -87,6 +93,104 @@ def test_construct_signed_is_seed_reproducible(tmp_path, capsys):
                        "--w", "3", "--signed", "--seed", "5",
                        "--matrix-out", str(path)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of construct's stdout and of every file it writes, pinned before
+# the seven constructions shared one write path: the summary line, the
+# code and matrix bytes and the derived default matrix names must not drift
+CONSTRUCT_DIGESTS = [
+    ("greedy --n 10 --d 4 --w 3 --out c.code --emit-matrix m.matrix", {
+        "stdout":
+            "3e151d68699b642152118b797243674a0bdd7d3f94863c0a9f93d38899791522",
+        "c.code":
+            "595cc8d94587592e52fbccca551d4eae1d325f37b01a1099316ee3fd4745e33f",
+        "m.matrix":
+            "e10db542e64542d92880e05b45b98ba1afc3ef84f5ac38edfd8edf2eee09bfbb",
+    }),
+    ("ternary-greedy --n 6 --d 4 --w 3 --out c.code --emit-matrix", {
+        "stdout":
+            "f7b80aa193c5525eb4635a6fa97734d712953ff95680bcc080f8255ca581a003",
+        "c.code":
+            "a003d751b096bd853dd4e1135255dad57ad2fc8a2107ab5c30117614df41c49f",
+        "ternary_greedy-ternary_n6_d4_w3.matrix":
+            "fa49a3a214c64e59bc5528cf0a730edd912e5d0abb5c773ef4d52a97c0476da7",
+    }),
+    ("graham-sloane --n 10 --d 4 --w 3 --out c.code --matrix-out m.csv "
+     "--matrix-format dense-csv", {
+        "stdout":
+            "413f182cb7d9897d7f1aec40096241ec5a70e1228b8bd8da10a4a07d3745c64f",
+        "c.code":
+            "f59c8690b22b5400c7097976098ec84f08d13ae2558b97dec3a92de68a4a8130",
+        "m.csv":
+            "359f26d0dd06afd82df5a4f5f8b87f658e6428d14a4683b9012805d09985dd84",
+    }),
+    ("sts --n 9 --out sts9.code --emit-matrix sts9.matrix", {
+        "stdout":
+            "242a4ad5b4cc857fd2f2ae4fd4b4371a93fe2ed41301b91b176b611d3cb4ad6c",
+        "sts9.code":
+            "731a8e42ef4b8d2ef907eb6106485b4cf6271c2c5003d282068202c36d51a565",
+        "sts9.matrix":
+            "ffbb89d2a7b39ab3ea3d1753468a6b8958897fada6a79c1e6c289e162602f3e7",
+    }),
+    ("sts --n 7", {
+        "stdout":
+            "09c84d9b20ab736f78008aaa4f1013e6c4d502ff993d2f6c4bf7166502f5a2af",
+    }),
+    ("affine --q 5 --out a.code --emit-matrix", {
+        "stdout":
+            "2bae039392c812c8b06d242d76883e2fc4a69204e9fb1fc65a969df852b3c746",
+        "a.code":
+            "2ad7fda8c7b5b06ca2c208dcd829bcfaee75e4bd8b0a709160fe8139b46c35ea",
+        "binary_affine_q5.matrix":
+            "4cfd4070f2de87e5ad487f8f79ac57730650282bd22665429ad2abe558118903",
+    }),
+    ("spread --q 2 --n 6 --k 2 --out s.code --emit-matrix", {
+        "stdout":
+            "102aa5938a895624bf21a5a67e938643a6fc79e1fbaae471322137ac8305242c",
+        "binary_subspace_spread_q2_n6_k2.matrix":
+            "82c492016e7549e6c8620ed4614940291ec6b65f87e300f7935350ab455c080f",
+        "s.code":
+            "78785b7caa7fad31655ef32c29352234ef174c6ae826077234422222635fbcf0",
+    }),
+    ("greedy --n 9 --d 4 --w 3 --signed --seed 7 --out g.code "
+     "--emit-matrix", {
+        "stdout":
+            "0ccf6df519015729b31dc66a7c3c75ab78403bcbb10d62b62fbf38aef31bded0",
+        "g.code":
+            "7f3d6402a414dabee100566647efcc7eaf2653fb500006642527dc30a7233a20",
+        "signed_seed7_binary_greedy_n9_d4_w3.matrix":
+            "f5fbce276a83207ce5132809024070bbdd0f71e3f2ebd126decd0be3442f4dd4",
+    }),
+    ("devore --p 5 --r 2", {
+        "stdout":
+            "7b7d64003e935cd499e4178a6106ef1719b3b6613d746b7ab3d547f1a07ecc44",
+        "devore_p5_r2.matrix":
+            "99affa6851e2601103054927cd21e693e46f18fc72bf6c73f4c71068e9a680e8",
+    }),
+    ("devore --p 5 --r 3 --emit-matrix d.matrix", {
+        "stdout":
+            "5e3f94201dd855198f5b9123d8797243dec418980b541649d52ed8c1f4e53419",
+        "d.matrix":
+            "3654ba6dbd5640e912b8e4470cc182416ed5e1d3e276ef94f376b167db32f21f",
+    }),
+    ("devore --p 4 --r 2 --emit-matrix --matrix-format dense-csv", {
+        "stdout":
+            "13fa2e9fbd1a2b61c7c4b0081d6190cef7aa90b24931b77e615e6945bab19b6f",
+        "devore_p4_r2.matrix":
+            "b73650fc427ad405a8213f9c14efe9ea355edbc0e9bccd091eca7e28df158838",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv,digests", CONSTRUCT_DIGESTS)
+def test_construct_output_digests_frozen(capsys, tmp_path, monkeypatch, argv,
+                                         digests):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("construct", *argv.split()) == 0
+    written = {"stdout": sha256(capsys.readouterr().out.encode())}
+    for path in sorted(tmp_path.iterdir()):
+        written[path.name] = sha256(path.read_bytes())
+    assert written == digests
 
 
 def test_construct_usage_errors(capsys):
@@ -375,6 +479,39 @@ def test_recover_csv_stdout_when_no_out(capsys, spread_matrix_file):
                    "--trials", "5") == 0
     out = capsys.readouterr().out
     assert out.startswith("matrix_id,k,trials,successes")
+
+
+# -- README tour ------------------------------------------------------------------
+
+def readme_tour():
+    """(argv, printed lines) of every '$ cwsense ...' line in README.md's
+    code blocks, in order; the lines are the block's non-blank lines up
+    to the next command."""
+    steps, in_block, printed = [], False, None
+    readme = Path(__file__).parents[1] / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block, printed = not in_block, None
+        elif in_block and line.startswith("$ cwsense "):
+            printed = []
+            steps.append((line.split()[2:], printed))
+        elif printed is not None and line.strip():
+            printed.append(line)
+    return steps
+
+
+def test_readme_tour_matches_the_program(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = readme_tour()
+    assert [argv[0] for argv, _ in steps] == [
+        "construct", "analyze", "bounds", "bounds", "recover"]
+    for argv, expected in steps:
+        assert run_cli(*argv) == 0, argv
+        printed = capsys.readouterr().out.splitlines()
+        if argv[0] == "recover":  # the wall-clock seconds column varies
+            printed, expected = ([line.rsplit(",", 1)[0] for line in lines]
+                                 for lines in (printed, expected))
+        assert printed == expected, argv
 
 
 # -- console entry point --------------------------------------------------------
