@@ -3,7 +3,8 @@
 Subcommands:
 
 * construct: build a code (and optionally its measurement matrix) from
-  one of the named deterministic constructions.
+  one of the named deterministic constructions; devore builds the
+  matrix alone and always writes it.
 * analyze: certify a code or matrix file (exact coherence, bounds,
   sparsity order).
 * bounds: print size bounds or dimension calculator values.
@@ -27,66 +28,48 @@ import sys
 from . import codes, designs, matrices, recovery
 from .errors import BudgetError, FormatError, ParameterError
 
-CONSTRUCTIONS = ("greedy", "ternary-greedy", "graham-sloane", "sts",
-                 "affine", "spread", "devore")
 
-
-def _require(args: argparse.Namespace, names: list[str], ctor: str) -> None:
+def _require(args: argparse.Namespace, names, what: str) -> None:
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
-        raise ParameterError(
-            f"construction {ctor!r} needs {' '.join(missing)}")
+        raise ParameterError(f"{what} needs {' '.join(missing)}")
 
 
-def _build_code(args: argparse.Namespace):
-    name = args.construction
-    if name == "greedy":
-        _require(args, ["n", "d", "w"], name)
-        return codes.greedy_binary(args.n, args.d, args.w)
-    if name == "ternary-greedy":
-        _require(args, ["n", "d", "w"], name)
-        return codes.greedy_ternary(args.n, args.d, args.w)
-    if name == "graham-sloane":
-        _require(args, ["n", "d", "w"], name)
-        return codes.graham_sloane_construct(args.n, args.d, args.w)
-    if name == "sts":
-        _require(args, ["n"], name)
-        return designs.steiner_to_code(designs.make_sts(args.n))
-    if name == "affine":
-        _require(args, ["q"], name)
-        return designs.affine_plane_code(args.q)
-    if name == "spread":
-        _require(args, ["q", "n", "k"], name)
-        return designs.subspace_to_code(
-            designs.spread_code(args.q, args.n, args.k))
-    raise ParameterError(f"unknown construction {name!r}")
-
-
-def _summary(matrix: matrices.MeasurementMatrix, construction: str,
-             d: int) -> str:
-    return (f"summary: construction={construction} n={matrix.n} N={matrix.N} "
-            f"w={matrix.w} d={d} mu_bound={matrix.bound}")
+# name -> (required options, builder called with their values); the
+# builder returns a CWCode, or for devore its MeasurementMatrix directly
+CONSTRUCTIONS = {
+    "greedy": (("n", "d", "w"), codes.greedy_binary),
+    "ternary-greedy": (("n", "d", "w"), codes.greedy_ternary),
+    "graham-sloane": (("n", "d", "w"), codes.graham_sloane_construct),
+    "sts": (("n",), lambda n: designs.steiner_to_code(designs.make_sts(n))),
+    "affine": (("q",), designs.affine_plane_code),
+    "spread": (("q", "n", "k"), lambda q, n, k: designs.subspace_to_code(
+        designs.spread_code(q, n, k))),
+    "devore": (("p", "r"), matrices.devore),
+}
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.construction == "devore":
-        _require(args, ["p", "r"], "devore")
-        if args.signed:
-            raise ParameterError("--signed does not apply to devore")
-        matrix = matrices.devore(args.p, args.r)
-        out = args.emit_matrix or f"devore_p{args.p}_r{args.r}.matrix"
-        matrices.save_matrix(matrix, out, fmt=args.matrix_format)
-        print(_summary(matrix, "devore",
-                       d=2 * (args.p - min(args.r - 1, args.p))))
-        print(f"wrote matrix: {out}")
-        return 0
-    code = _build_code(args)
-    matrix = matrices.from_code(code, seed=args.seed if args.signed else None)
-    print(_summary(matrix, args.construction, d=code.d))
+    name = args.construction
+    options, build = CONSTRUCTIONS[name]
+    _require(args, options, f"construction {name!r}")
+    if name == "devore" and (args.out or args.signed):
+        raise ParameterError("devore builds a matrix, not a code: "
+                             "--out and --signed do not apply")
+    built = build(*(getattr(args, o) for o in options))
+    if isinstance(built, codes.CWCode):
+        code, d = built, built.d
+        matrix = matrices.from_code(code,
+                                    seed=args.seed if args.signed else None)
+    else:  # matrix-only: d = 2w (1 - bound), for devore 2(p - min(r-1, p))
+        code, matrix = None, built
+        d = int(2 * matrix.w * (1 - matrix.bound))
+    print(f"summary: construction={name} n={matrix.n} N={matrix.N} "
+          f"w={matrix.w} d={d} mu_bound={matrix.bound}")
     if args.out:
         codes.save_code(code, args.out)
         print(f"wrote code: {args.out}")
-    if args.emit_matrix is not None or args.matrix_out:
+    if code is None or args.emit_matrix is not None or args.matrix_out:
         path = args.matrix_out or args.emit_matrix
         if not path:
             safe = matrix.provenance.replace(" ", "_").replace("=", "")
@@ -131,9 +114,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.dims:
-        for name in ("n", "k", "t"):
-            if getattr(args, name) is None:
-                raise ParameterError(f"--dims needs --{name}")
+        _require(args, ("n", "k", "t"), "bounds --dims")
         if args.ternary:
             value = codes.dimension_ternary_gilbert(args.n, args.k, args.t)
             print(f"dimension ternary-gilbert N(n={args.n},k={args.k},"
@@ -150,9 +131,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             print(f"dimension moment-prime N(n={args.n},k={args.k},t={args.t}) "
                   f"= {gs.value} (denominator q^((k-1)t-1), q={gs.params['q']})")
         return 0
-    for name in ("n", "d", "w"):
-        if getattr(args, name) is None:
-            raise ParameterError(f"bounds needs --{name}")
+    _require(args, ("n", "d", "w"), "bounds")
     if args.ternary:
         rep = codes.ternary_gilbert_bound(args.n, args.d, args.w)
         print(f"ternary-gilbert A3({args.n},{args.d},{args.w}) >= {rep.value}")

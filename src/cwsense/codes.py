@@ -132,20 +132,23 @@ def array_maxima(a: np.ndarray) -> tuple[int, int]:
 def check_words(n: int, w: int, positions: np.ndarray, signs: np.ndarray,
                 what: str = "word") -> None:
     """Raise ParameterError unless 1 <= w <= n and every word has w
-    distinct positions in [0, n), signs in {+1, -1} and is sorted by
-    position.  Codes and matrix columns share it; messages name the first
-    what (word or column) failing the first of these checks that fails."""
+    positions in [0, n), strictly increasing, and signs in {+1, -1}.
+    Codes and matrix columns share it; messages name the first what
+    (word or column) failing the first of these checks that fails.  A
+    repeat is caught where it is adjacent (a weight error); any other
+    makes the row unsorted.  Only bool arrays are formed, no copy of
+    the positions."""
     if not 1 <= w <= n:
         raise ParameterError(f"need 1 <= w <= n, got w={w} n={n}")
-    ordered = np.sort(positions, axis=1)
+    left, right = positions[:, :-1], positions[:, 1:]
     for bad, message in (
-            ((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-             | (positions.shape[1] != w), f"does not have weight {w}"),
+            ((right == left).any(axis=1) | (positions.shape[1] != w),
+             f"does not have weight {w}"),
             (((positions < 0) | (positions >= n)).any(axis=1),
              f"has positions outside [0, {n})"),
             (((signs != 1) & (signs != -1)).any(axis=1),
              "has signs outside {+1, -1}"),
-            ((positions != ordered).any(axis=1), "is not sorted by position")):
+            ((right < left).any(axis=1), "is not sorted by position")):
         if bad.any():
             raise ParameterError(f"{what} #{int(bad.argmax())} {message}")
 
@@ -173,11 +176,30 @@ def validate(code: CWCode) -> int:
     return code.d
 
 
+def as_points(values, shape: tuple, bound: int, what: str) -> np.ndarray:
+    """values as an int64 array of the given shape with entries in
+    [0, bound), else a ParameterError; 1.5 and 2^70 (an object array)
+    are outside, caught before the cast would truncate or overflow."""
+    try:
+        a = np.asarray(values)
+        if a.shape != shape:
+            raise ValueError  # ragged rows raise here too
+    except ValueError:
+        raise ParameterError(f"{what}s do not form a {shape} array") from None
+    inside = (a >= 0) & (a < bound) & (a % 1 == 0)
+    bad = ~inside.all(axis=tuple(range(1, a.ndim)))
+    if bad.any():
+        raise ParameterError(
+            f"{what} #{int(bad.argmax())} has entries outside [0, {bound})")
+    return a.astype(np.int64)
+
+
 def certify_binary(n: int, w: int, supports,
                    provenance: str = "ingested") -> CWCode:
     """A binary CWCode from an N x w array-like of bare support positions
-    (each row sorted here), certified."""
-    positions = np.sort(np.asarray(supports, dtype=np.int64), axis=1)
+    in [0, n) (each row sorted here), certified."""
+    positions = as_points(supports, (len(supports), w), n, "word")
+    positions.sort(axis=1)  # as_points returns a copy
     code = CWCode(n=n, w=w, d=0, positions=positions,
                   signs=np.ones_like(positions, dtype=np.int8),
                   signed=False, provenance=provenance)
@@ -209,6 +231,16 @@ def _check_budget(count: int, what: str) -> None:
     terms times their n bits) passes ENUM_BUDGET, before any is made."""
     if count > ENUM_BUDGET:
         raise BudgetError(f"{what} = {count} exceed budget {ENUM_BUDGET}")
+
+
+def _check_enumeration(n: int, w: int, sign_bits: int, what: str) -> None:
+    """_check_budget for the C(n, w) * 2^sign_bits words of an
+    enumeration.  C(n, w) >= 2^min(w, n - w), so a count that is surely
+    past ENUM_BUDGET is refused before the binomial is formed."""
+    bits = min(w, n - w) + sign_bits
+    if bits >= ENUM_BUDGET.bit_length():
+        raise BudgetError(f"{what} >= 2^{bits} exceed budget {ENUM_BUDGET}")
+    _check_budget(math.comb(n, w) << sign_bits, what)
 
 
 def _check_bound_work(terms: int, n: int, w: int) -> None:
@@ -301,8 +333,8 @@ def _greedy(n: int, dist: int, w: int, sign_set: tuple[int, ...],
     110 for + and 101 for -, pairwise two bits apart: the popcount of
     two masks' XOR is twice the number of positions where they differ."""
     _check_nwd(n, dist, w, even=False)
-    _check_budget(math.comb(n, w) * len(sign_set) ** w,
-                  f"C({n},{w}) * {len(sign_set)}^{w} words")
+    _check_enumeration(n, w, w * (len(sign_set) - 1),
+                       f"C({n},{w}) * {len(sign_set)}^{w} words")
     patterns = list(product(sign_set, repeat=w))
     kept: list[int] = []
     positions, signs = [], []
@@ -339,7 +371,7 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     parameter error.
     """
     _check_nwd(n, dist, w, even=True)
-    _check_budget(math.comb(n, w), f"C({n},{w}) supports")
+    _check_enumeration(n, w, 0, f"C({n},{w}) supports")
     q = smallest_prime_at_least(n)
     d = dist // 2
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

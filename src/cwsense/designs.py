@@ -26,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .codes import (CWCode, array_maxima, certify_binary, check_dense_budget,
-                    read_lines, signed_array)
+from .codes import (CWCode, array_maxima, as_points, certify_binary,
+                    check_dense_budget, read_lines, signed_array)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field, power_exceeds)
@@ -37,24 +37,6 @@ COSET_CAP = 1 << 16       # largest q^n the coset conversion sweeps
 
 
 # -- Steiner triple systems ----------------------------------------------
-
-def _points(values, shape: tuple, bound: int, what: str) -> np.ndarray:
-    """values as an int64 array of the given shape with entries in
-    [0, bound), else a ParameterError; 1.5 and 2^70 (an object array)
-    are outside, caught before the cast would truncate or overflow."""
-    try:
-        a = np.asarray(values)
-        if a.shape != shape:
-            raise ValueError  # ragged rows raise here too
-    except ValueError:
-        raise ParameterError(f"{what}s do not form a {shape} array") from None
-    inside = (a >= 0) & (a < bound) & (a % 1 == 0)
-    bad = ~inside.all(axis=tuple(range(1, a.ndim)))
-    if bad.any():
-        raise ParameterError(
-            f"{what} #{int(bad.argmax())} has entries outside [0, {bound})")
-    return a.astype(np.int64)
-
 
 @dataclass(eq=False)
 class SteinerTripleSystem:
@@ -69,7 +51,7 @@ class SteinerTripleSystem:
 
     def __post_init__(self):
         n = self.n
-        self.blocks = blocks = np.sort(_points(
+        self.blocks = blocks = np.sort(as_points(
             self.blocks, (n * (n - 1) // 6, 3), n, "block"), axis=1)
         # 3N = n(n-1)/2 pair keys a n + b (a <= b), none repeated, are the
         # n(n-1)/2 pairs a < b: each covered once, none left uncovered
@@ -255,7 +237,7 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
     _check_space(q, n)
     if not len(bases):
         raise ParameterError("a subspace code needs at least one subspace")
-    bases = _points(bases, (len(bases), k, n), q, "basis")
+    bases = as_points(bases, (len(bases), k, n), q, "basis")
     for i, basis in enumerate(bases):
         red = _rref(field, basis)
         if len(red) != k:
@@ -398,7 +380,7 @@ def loads_subspace_code(text: str) -> SubspaceCode:
     _check_space(q, n)
     try:
         field = make_field(*factor_prime_power(q))
-        rows = _points(rows_enc, (len(rows_enc), k), q ** n, "subspace row")
+        rows = as_points(rows_enc, (len(rows_enc), k), q ** n, "subspace row")
         code = certify_subspace_code(field, n, k,
                                      rows[..., None] // q ** np.arange(n) % q,
                                      provenance=provenance)

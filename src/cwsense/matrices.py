@@ -197,10 +197,10 @@ def from_code(code: CWCode, seed: int | None = None) -> MeasurementMatrix:
 
 
 def devore_bytes(p: int, r: int) -> int:
-    """Peak bytes of devore(p, r), p^r <= DEVORE_CAP: 20 per position (the
-    int64 positions, then check_words' sorted copy, int8 signs and up to
-    three bool masks) plus eight block-sized int64 evaluation temporaries."""
-    return 20 * p ** (r + 1) + 64 * DEVORE_BLOCK
+    """Peak bytes of devore(p, r), p^r <= DEVORE_CAP: 12 per position (the
+    int64 positions, then int8 signs and up to three of check_words' bool
+    masks) plus eight block-sized int64 evaluation temporaries."""
+    return 12 * p ** (r + 1) + 64 * DEVORE_BLOCK
 
 
 def devore(p: int, r: int) -> MeasurementMatrix:

@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,20 +194,37 @@ def test_construct_output_digests_frozen(capsys, tmp_path, monkeypatch, argv,
     assert written == digests
 
 
-def test_construct_usage_errors(capsys):
+def test_construct_usage_errors(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert run_cli("construct", "greedy", "--n", "6") == 2
     assert "needs --d --w" in capsys.readouterr().err
     assert run_cli("construct", "ternary-greedy", "--n", "5", "--d", "3",
                    "--w", "2", "--signed") == 2
     assert run_cli("construct", "devore", "--p", "3", "--r", "2",
                    "--signed") == 2
+    # devore has no code to write: --out is refused before the build
+    assert run_cli("construct", "devore", "--p", "3", "--r", "2",
+                   "--matrix-out", "x.matrix", "--out", "y.code") == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+    # and its matrix goes where --matrix-out says, not to the default name
+    assert run_cli("construct", "devore", "--p", "3", "--r", "2",
+                   "--matrix-out", "x.matrix") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "wrote matrix: x.matrix"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.matrix"]
 
 
 def test_construct_budget_exit(capsys):
-    assert run_cli("construct", "affine", "--q", "17") == 3
-    assert "budget exceeded" in capsys.readouterr().err
-    assert run_cli("construct", "greedy", "--n", "40", "--d", "4",
-                   "--w", "10") == 3
+    for argv in ("affine --q 17", "greedy --n 40 --d 4 --w 10",
+                 # C(400000, 200000) has 120,000 digits: the enumeration
+                 # count is refused before the binomial is formed
+                 "greedy --n 400000 --d 2 --w 200000",
+                 "graham-sloane --n 400000 --d 4 --w 200000",
+                 "ternary-greedy --n 400000 --d 2 --w 399999"):
+        start = time.perf_counter()
+        assert run_cli("construct", *argv.split()) == 3, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert capsys.readouterr().err.startswith("budget exceeded"), argv
 
 
 def test_memory_budget_exit(capsys, tmp_path):

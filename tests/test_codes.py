@@ -160,6 +160,12 @@ def test_validate_rejections():
         certify_binary(7, 3, [(0, 1, 9)])                  # out of range
     with pytest.raises(ParameterError):
         certify_binary(3, 4, [(0, 1, 2, 3)])               # w > n
+    for supports in ([[0, 1.5], [2, 3]],                   # never truncated
+                     [],                                   # no words
+                     [[0, 1], [2]],                        # ragged
+                     [[0, 1], [2, 2 ** 70]]):              # past int64
+        with pytest.raises(ParameterError):
+            certify_binary(5, 2, supports)
     with pytest.raises(ParameterError):
         validate(code_of(7, 3, [((2, 1), (1, 1), (0, 1))], signed=False))
 
