@@ -1,10 +1,9 @@
 """Orthogonal matching pursuit and the seeded recovery experiment
 harness.
 
-Everything here is deterministic given a seed.  Trial streams are
-derived with numpy's SeedSequence from the entropy triple
-(seed, k, trial index), so a single trial can be replayed in isolation
-and adding more trials never disturbs earlier ones.
+Everything here is deterministic given a seed.  Each trial has its own
+stream, from SeedSequence([seed, k, trial]), so a trial can be replayed
+alone and adding trials never disturbs earlier ones.
 
 The experiment runs the trials of one k in blocks, in lockstep through
 one batched OMP engine (_omp_rows), after the Batch-OMP idea of
@@ -13,7 +12,15 @@ refit: every trial still gets its own gemv, gelsd solve and ddot, only
 the Python loop around them is gone.  The bits therefore match the
 one-trial-at-a-time loop:
 
-* signals come from the same per-trial streams (_draw);
+* signals come from the same per-trial streams.  SeedSequence reads
+  [seed, k, trial] as each int's little-endian 32-bit words (0 as one
+  word), so a uint32 row of the seed's words, k and the trial index is
+  the same entropy, and Generator(PCG64(...)) is what default_rng
+  builds.  Per trial the loop makes _draw's choice and integers or
+  standard_normal calls into the block arrays; once per block it sorts
+  the supports, maps Rademacher 0/1 by the same exact x * 2.0 - 1.0,
+  and redraws any Gaussian row holding an exact 0.0 with _draw from a
+  fresh stream on the same row, which replays the per-trial resample;
 * a measurement adds the support columns in support order, so each
   entry sees the additions the per-trial loop makes plus +-0.0 terms
   (a finite value times a zero entry); x + (+-0.0) is x, bit for bit,
@@ -38,6 +45,7 @@ engine to it bit for bit.
 from __future__ import annotations
 
 import logging
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -54,7 +62,7 @@ VALUE_MODELS = ("rademacher", "gaussian")
 
 # Bytes of truth and measurement data per trial block: (N + k n) * 8 per
 # trial.  The engine's other per-block arrays scale with the same terms.
-BLOCK_BYTES = 64 * 1024
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -64,11 +72,6 @@ class SparseSignal:
     support: tuple[int, ...]
     values: np.ndarray
     provenance: str = ""
-
-
-def _check_model(model: str) -> None:
-    if model not in VALUE_MODELS:
-        raise ParameterError(f"unknown value model {model!r}")
 
 
 def _draw(rng: np.random.Generator, N: int, k: int,
@@ -179,34 +182,18 @@ def _omp_rows(a: np.ndarray, y: np.ndarray, k: int,
 
 def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
         tol: float = 1e-12) -> SparseSignal:
-    """Orthogonal matching pursuit.
+    """Orthogonal matching pursuit of y (shape (n,)) in at most k
+    iterations, 1 <= k <= n, stopping once the residual norm drops below
+    tol.  Returns the selected support (sorted) with the final
+    least-squares coefficients.
 
-    Parameters
-    ----------
-    matrix : MeasurementMatrix
-        Sensing matrix; columns all share the same norm, so raw inner
-        products rank candidates exactly like normalized correlations.
-    y : ndarray of shape (n,)
-        Measurement vector.
-    k : int
-        Iteration budget, 1 <= k <= n.
-    tol : float
-        Stop early once the residual norm drops below this.
-
-    Returns
-    -------
-    SparseSignal
-        Estimate with the selected support (sorted) and the final
-        least-squares coefficients.
-
-    Each iteration picks the column with the largest absolute
-    correlation against the residual (ties resolve to the lowest column
-    index), then refits all selected columns by least squares.  The
-    solve is rank-revealing; a rank-deficient selection is logged and
-    the minimum-norm solution is used.  Residual norms are checked to
-    be non-increasing, which a correct refit guarantees; an increase
-    raises RuntimeError.  This is the one-row case of the engine
-    run_experiment uses.
+    Each iteration picks the column of largest absolute correlation with
+    the residual (the columns share one norm, so raw inner products rank
+    them; ties go to the lowest index), then refits all selected columns
+    by rank-revealing least squares: a rank-deficient selection is
+    logged and solved minimum-norm, and a residual norm that grows
+    raises RuntimeError.  This is the one-row case of the engine; the
+    module docstring says why it matches the per-trial loop bit for bit.
     """
     if not 1 <= k <= matrix.n:
         raise ParameterError(f"need 1 <= k <= n rows, got k={k} n={matrix.n}")
@@ -269,20 +256,21 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
                    tol: float = 1e-12) -> list[RecoveryReport]:
     """Seeded OMP recovery experiment over a range of sparsity levels.
 
-    Each trial draws its generator from SeedSequence([seed, k, trial]),
+    Each trial draws from the stream of SeedSequence([seed, k, trial]),
     measures a fresh k-sparse signal and checks exact recovery (support
     equality plus values within 1e-9).  k = 0 is skipped with a note;
-    every k is checked before the first trial runs, and one below 0 or
-    above min(n, N) cannot be posed and raises.  The trials of one k
-    run in blocks of about BLOCK_BYTES of signal data through the
-    batched OMP engine; the module docstring says why the results are
-    bit-identical to running the trials one at a time.
+    every k, and 1 <= trials < 2^32, is checked before the first trial
+    runs.  The trials of one k run in blocks of about BLOCK_BYTES of
+    signal data through the batched OMP engine; the module docstring
+    says why the results are bit-identical to one trial at a time.
     """
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
+    if not 1 <= trials < 2 ** 32:   # a trial index is one entropy word
+        raise ParameterError(f"need 1 <= trials < 2^32, got {trials}")
+    seed = operator.index(seed)     # numpy integers too, as SeedSequence
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    _check_model(model)
+    if model not in VALUE_MODELS:
+        raise ParameterError(f"unknown value model {model!r}")
     ks = list(ks)
     n, N = matrix.n, matrix.N
     for k in ks:
@@ -290,6 +278,12 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
             raise ParameterError(f"need 0 <= k <= N, got k={k} N={N}")
         if k > min(n, N):
             raise ParameterError(f"k={k} exceeds min(n, N) = {min(n, N)}")
+    # the seed's 32-bit words, the head of every trial's entropy row
+    words = [(seed >> s) & 0xFFFFFFFF
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    gaussian = model == "gaussian"
+    Generator, PCG64, SeedSequence = (
+        np.random.Generator, np.random.PCG64, np.random.SeedSequence)
     reports = []
     for k in ks:
         if k == 0:
@@ -298,28 +292,35 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
         start = time.perf_counter()
         a = matrix.to_dense()
         block = max(1, BLOCK_BYTES // ((N + k * n) * 8))
-        successes = max_support_err = 0
-        max_value_err = max_residual = 0.0
+        totals = (0, 0, 0.0, 0.0)   # successes, then the report's maxima
         for first in range(0, trials, block):
             size = min(block, trials - first)
+            rows = np.empty((size, len(words) + 2), dtype=np.uint32)
+            rows[:, :-1] = [*words, k]
+            rows[:, -1] = np.arange(first, first + size)
             truth = np.empty((size, k), dtype=np.intp)
             values = np.empty((size, k))
             for i in range(size):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, k, first + i]))
-                truth[i], values[i] = _draw(rng, N, k, model)
+                rng = Generator(PCG64(SeedSequence(rows[i])))
+                truth[i] = rng.choice(N, size=k, replace=False)
+                if gaussian:
+                    rng.standard_normal(out=values[i])
+                else:
+                    values[i] = rng.integers(0, 2, size=k)
+            truth.sort(axis=1)
+            if gaussian:
+                for i in np.flatnonzero((values == 0.0).any(axis=1)):
+                    truth[i], values[i] = _draw(
+                        Generator(PCG64(SeedSequence(rows[i]))), N, k, model)
+            else:
+                values = values * 2.0 - 1.0
             y = _measure_rows(a.T, truth, values)
             scores = _score_rows(a.T, truth, values, y,
                                  *_omp_rows(a, y, k, tol))
-            successes += scores[0]
-            max_support_err = max(max_support_err, scores[1])
-            max_value_err = max(max_value_err, scores[2])
-            max_residual = max(max_residual, scores[3])
-        reports.append(RecoveryReport(
-            matrix_id=matrix.provenance, k=k, trials=trials,
-            successes=successes, max_support_err=max_support_err,
-            max_value_err=max_value_err, max_residual=max_residual,
-            seconds=time.perf_counter() - start))
+            totals = (totals[0] + scores[0],
+                      *map(max, totals[1:], scores[1:]))
+        reports.append(RecoveryReport(matrix.provenance, k, trials, *totals,
+                                      seconds=time.perf_counter() - start))
     return reports
 
 
@@ -327,11 +328,8 @@ CSV_HEADER = "matrix_id,k,trials,successes,max_value_error,seconds"
 
 
 def reports_to_csv(reports: Sequence[RecoveryReport]) -> str:
-    """Serialize reports as CSV, one row per (matrix, k).
-
-    The seconds column is wall-clock time and is the only field that is
-    not reproducible bit-for-bit across reruns.
-    """
+    """Serialize reports as CSV, one row per (matrix, k).  The seconds
+    column, wall-clock time, is the only field not reproducible."""
     lines = [CSV_HEADER]
     for r in reports:
         lines.append(f"{r.matrix_id},{r.k},{r.trials},{r.successes},"

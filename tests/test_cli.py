@@ -464,6 +464,24 @@ def test_recover_refuses_large_k_before_any_trial(capsys, tmp_path,
     assert captured.err == "error: k=10 exceeds min(n, N) = 9\n"
 
 
+def test_recover_refuses_2_to_the_32_trials_at_once(tmp_path):
+    # a trial index must fit one 32-bit word of its stream's entropy;
+    # without the check this count runs until killed
+    out = tmp_path / "s.matrix"
+    assert run_cli("construct", "sts", "--n", "9", "--emit-matrix",
+                   str(out)) == 0
+    script = ("import sys, time; from cwsense.cli import main; "
+              "start = time.perf_counter(); rc = main(sys.argv[1:]); "
+              "print(time.perf_counter() - start); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", script, "recover", str(out),
+                           "--k-max", "2", "--trials",
+                           "99999999999999999999"],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert float(proc.stdout) < 1.0
+
+
 def test_recover_guarantee_violation_exit(capsys, spread_matrix_file,
                                           monkeypatch):
     fake = [RecoveryReport(matrix_id="m", k=1, trials=100, successes=97,

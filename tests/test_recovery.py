@@ -209,6 +209,9 @@ def test_run_experiment_rejections():
         run_experiment(matrix, [1], trials=0, seed=0)
     with pytest.raises(ParameterError):
         run_experiment(matrix, [1], trials=5, seed=-2)
+    # a trial index is one 32-bit word of its stream's entropy
+    with pytest.raises(ParameterError, match=r"need 1 <= trials < 2\^32"):
+        run_experiment(matrix, [1], trials=2 ** 32, seed=0)
 
 
 def test_run_experiment_checks_every_k_before_any_trial(monkeypatch):

@@ -1,9 +1,10 @@
 """The batched OMP engine against the per-trial oracle, bit for bit.
 
 recovery_oracle keeps the one-trial-at-a-time bodies of gen_sparse, omp
-and run_experiment; the engine draws its signals with recovery._draw.  Every RecoveryReport field but seconds, every OMP
-support and value, and the warning lines in their order must agree
-exactly, whatever the block size.
+and run_experiment; the engine makes recovery._draw's stream calls per
+trial and finishes the draw per block.  Every RecoveryReport field but
+seconds, every OMP support and value, and the warning lines in their
+order must agree exactly, whatever the block size and the seed.
 """
 
 import hashlib
@@ -60,14 +61,14 @@ def warnings(caplog):
     return lines
 
 
-def both(caplog, matrix, ks, trials, model, tol=1e-12):
+def both(caplog, matrix, ks, trials, model, tol=1e-12, seed=3):
     """(fields, warning lines) of the oracle and of the engine."""
     with caplog.at_level(logging.INFO, logger="cwsense"):
         want = fields(oracle.run_experiment(matrix, ks, trials, model=model,
-                                            seed=3, tol=tol))
+                                            seed=seed, tol=tol))
         want_log = warnings(caplog)
         got = fields(recovery.run_experiment(matrix, ks, trials, model=model,
-                                             seed=3, tol=tol))
+                                             seed=seed, tol=tol))
         got_log = warnings(caplog)
     return (want, want_log), (got, got_log)
 
@@ -129,6 +130,63 @@ def test_block_edges_match_oracle(caplog, monkeypatch):
                         3 * (matrix.N + 5 * matrix.n) * 8)
     want, got = both(caplog, matrix, [5], 10, "gaussian", tol=0.0)
     assert got == want and want[1]
+
+
+# one, two and three 32-bit words of SeedSequence entropy, and a numpy
+# integer, which SeedSequence also takes
+@pytest.mark.parametrize("model", recovery.VALUE_MODELS)
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1,
+                                  2 ** 70, np.uint64(2 ** 64 - 1)])
+def test_multiword_seeds_match_oracle(caplog, monkeypatch, seed, model):
+    matrix = devore(7, 3)
+    # blocks of 7 trials at k = 1 down to 5 at k = 4
+    monkeypatch.setattr(recovery, "BLOCK_BYTES", 7 * (matrix.N + matrix.n) * 8)
+    want, got = both(caplog, matrix, range(1, 5), 20, model, seed=seed)
+    assert got == want
+
+
+def test_gaussian_exact_zero_is_redrawn_like_the_oracle(caplog, monkeypatch):
+    """An exact 0.0 forced into the first Gaussian draw of trial 5 at
+    k = 4: the engine must measure the values the oracle's per-trial
+    resample gives, and report what the oracle reports."""
+    matrix = devore(7, 3)
+    target = np.random.SeedSequence([3, 4, 5]).pool
+    hits = []
+
+    class Zeroing(np.random.Generator):
+        fresh = True
+
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
+            x = super().standard_normal(size, dtype, out)
+            if self.fresh and np.array_equal(self.bit_generator.seed_seq.pool,
+                                             target):
+                x[1] = 0.0
+                hits.append(x.copy())
+            self.fresh = False
+            return x
+
+    def zeroing_rng(seed):
+        return Zeroing(np.random.PCG64(seed))
+
+    measured = []
+    real_measure = recovery._measure_rows
+
+    def spy(at, supports, values):
+        measured.append(values.copy())
+        return real_measure(at, supports, values)
+
+    monkeypatch.setattr(np.random, "Generator", Zeroing)
+    monkeypatch.setattr(np.random, "default_rng", zeroing_rng)
+    monkeypatch.setattr(recovery, "_measure_rows", spy)
+    truth = oracle.gen_sparse(matrix.N, 4, model="gaussian",
+                              seed=np.random.SeedSequence([3, 4, 5]))
+    # the zero is resampled, the other values are kept
+    assert len(hits) == 1 and 0.0 not in truth.values
+    assert truth.values[[0, 2, 3]].tobytes() == hits[0][[0, 2, 3]].tobytes()
+    want, got = both(caplog, matrix, [4], 12, "gaussian")
+    assert len(hits) >= 3 and got == want
+    # the block's first call measures the signals
+    assert measured[0][5].tobytes() == truth.values.tobytes()
 
 
 def test_residual_growth_stops_at_the_same_trial(caplog, monkeypatch):
