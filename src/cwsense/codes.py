@@ -6,12 +6,12 @@ the same pair a matrix's columns use; a binary code has every sign +1.
 The alphabet is recorded in CWCode.signed, taken from the construction
 or the file syntax and never inferred from the signs, because it picks
 the file syntax and the coherence bound a matrix inherits.  Every code
-object carries a certified minimum distance d that was recomputed by an
-exhaustive pairwise scan (array_maxima on signed_array, shared with
-matrices.coherence and designs.certify_subspace_code), never taken on
-trust from a header or a construction argument.  The scan's dense array
-is checked against DENSE_CAP before it is allocated; the per-word
-checks (check_words) are shared with matrices.MeasurementMatrix.
+object carries a certified minimum distance d (and max |inner product|,
+CWCode.inner) recomputed by an exhaustive pairwise scan of its words
+(array_maxima, shared with matrices and designs), never taken on trust
+from a header or a construction argument.  The scan admits the words
+against DENSE_CAP, then allocates only word tiles; the per-word checks
+(check_words) are shared with matrices.MeasurementMatrix.
 
 Distances count positions whose symbols differ.  For binary words they
 are even, d = 2(w - |A & B|) for supports A and B, so the binary bound
@@ -47,7 +47,8 @@ class CWCode:
     written as bare positions), True for a ternary one (written with
     signs, even when every sign is +1).  d is the exact minimum pairwise
     distance; a code with fewer than two words gets the sentinel n + 1
-    (no pair exists, distance unbounded).
+    (no pair exists, distance unbounded).  inner, set by validate (None
+    until then), is the exact max |<word_i, word_j>|, 0 without a pair.
     """
     n: int
     w: int
@@ -56,6 +57,7 @@ class CWCode:
     signs: np.ndarray
     signed: bool
     provenance: str = "ingested"
+    inner: int | None = None
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -71,62 +73,61 @@ class BoundReport:
 
 # -- pairwise kernel -----------------------------------------------------
 
-PAIR_TILE = 256  # columns per tile; a tile pair allocates O(PAIR_TILE^2)
-DENSE_CAP = 1 << 28  # bytes of dense float64 the kernel may allocate
+PAIR_TILE = 256  # words per tile; a pair of tiles allocates O(PAIR_TILE n)
+DENSE_CAP = 1 << 28  # bytes of dense float64 words a scan may admit
 
 
 def check_dense_budget(n: int, N: int, signed: bool = False) -> None:
-    """Raise BudgetError when the kernel's dense float64 arrays for N words
-    of length n (n x N, doubled for signed words, whose supports need a
-    second array) would pass DENSE_CAP bytes."""
+    """Raise BudgetError when N words of length n as dense float64 (n x N,
+    doubled for signed words, whose supports need a second copy) would
+    pass DENSE_CAP bytes: array_maxima's and to_dense's admission."""
     size = 8 * n * N * (2 if signed else 1)
     if size > DENSE_CAP:
         raise BudgetError(f"{n} x {N} dense float64 words need {size} "
                           f"bytes, past the cap {DENSE_CAP}")
 
 
-def signed_array(n: int, positions: np.ndarray,
-                 signs: np.ndarray) -> np.ndarray:
-    """The n x N float64 array whose column j holds word j (row j of
-    positions and signs), checked against DENSE_CAP before allocation."""
-    N = len(positions)
-    check_dense_budget(n, N, bool((signs < 0).any()))
-    a = np.zeros((n, N))
-    a[positions, np.arange(N)[:, None]] = signs
-    return a
-
-
-def array_maxima(a: np.ndarray) -> tuple[int, int]:
-    """Exact extremes over all column pairs i < j of a {0, +1, -1} array.
+def array_maxima(n: int, positions: np.ndarray,
+                 signs: np.ndarray) -> tuple[int, int]:
+    """Exact extremes over all pairs i < j of the N words of length n.
 
     Returns (max |G_ij|, max (3 S_ij + G_ij) / 2), G the signed inner
     product and S the support overlap; (0, 0) without a pair.  Coherence
     is the first value over w and the minimum distance is 2w minus the
     second, since D sign disagreements on S common positions give
-    G = S - 2D and distance 2(w - S) + D.  For an array without -1
-    entries S = G, so the second value is 2 max G and S is not formed.
-    Float64 column tiles go through BLAS, exact in any summation order
-    because every partial sum is an integer of magnitude at most
-    n < 2^53; only tile-sized products are allocated, never an N x N
-    array.
+    G = S - 2D and distance 2(w - S) + D.  For words without a -1 sign
+    S = G, so the second value is 2 max G and S is not formed.  Once
+    admitted (check_dense_budget), PAIR_TILE words at a time become a
+    word-major float64 tile for BLAS, exact in any summation order as
+    every partial sum is an integer of magnitude at most n < 2^53; no
+    n x N or N x N array is allocated.
     """
-    b = np.abs(a) if (a < 0).any() else a  # supports; binary words: a
+    N, T = len(positions), PAIR_TILE
+    signed = bool((signs < 0).any())
+    check_dense_budget(n, N, signed)
+
+    def tile(i0):  # words i0 .. i0 + T - 1
+        t = np.zeros((min(T, N - i0), n))
+        t[np.arange(len(t))[:, None], positions[i0:i0 + T]] = signs[i0:i0 + T]
+        return t
+
     top_g = top_s = 0
-    N, T = a.shape[1], PAIR_TILE
     for i0 in range(0, N, T):
+        a = tile(i0)
         for j0 in range(i0, N, T):
-            g = a[:, i0:i0 + T].T @ a[:, j0:j0 + T]
+            b = a if i0 == j0 else tile(j0)
+            g = a @ b.T
             if i0 == j0:  # a symmetric tile: drop the diagonal, i != j
                 np.fill_diagonal(g, 0)
             top_g = max(top_g, int(g.max()), int(-g.min()))
-            if b is not a:
-                s = b[:, i0:i0 + T].T @ b[:, j0:j0 + T]
+            if signed:  # the supports' overlaps
+                s = np.abs(a) @ np.abs(b).T
                 if i0 == j0:
                     np.fill_diagonal(s, 0)
                 s *= 3
                 s += g
                 top_s = max(top_s, int(s.max()))
-    return top_g, 2 * top_g if b is a else top_s // 2
+    return top_g, top_s // 2 if signed else 2 * top_g
 
 
 def check_words(n: int, w: int, positions: np.ndarray, signs: np.ndarray,
@@ -157,9 +158,10 @@ def validate(code: CWCode) -> int:
     """Exhaustively recompute the minimum distance and certify it.
 
     Checks the words (check_words), rejects, in a binary code, '-'
-    signs and then duplicates; scans every pair (no early exit), writes
-    the exact distance back into code.d and returns it.  A code with
-    fewer than two words certifies n + 1.
+    signs and then duplicates; scans every pair (array_maxima, no early
+    exit), writes the exact distance into code.d and the largest
+    |inner product| into code.inner, and returns the distance.  A code
+    with fewer than two words certifies n + 1.
     """
     positions, signs = code.positions, code.signs
     check_words(code.n, code.w, positions, signs)
@@ -171,8 +173,8 @@ def validate(code: CWCode) -> int:
                          (repeated, "duplicate codeword #{}")):
         if bad.any():
             raise ParameterError(message.format(int(bad.argmax())))
-    code.d = (code.n + 1 if len(positions) < 2 else 2 * code.w
-              - array_maxima(signed_array(code.n, positions, signs))[1])
+    code.inner, top_s = array_maxima(code.n, positions, signs)
+    code.d = code.n + 1 if len(positions) < 2 else 2 * code.w - top_s
     return code.d
 
 

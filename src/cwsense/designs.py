@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .codes import (CWCode, array_maxima, as_points, certify_binary,
-                    check_dense_budget, read_lines, signed_array)
+                    check_dense_budget, read_lines)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field, power_exceeds)
@@ -138,10 +138,11 @@ def affine_plane_code(q: int) -> CWCode:
     """Lines of AG(2, q) as supports: a (q^2, 2(q-1), q) code, q^2 + q words.
 
     Point (x, y) gets index x * q + y.  Lines y = a*x + b come first,
-    ordered by (a, b), then the verticals x = c.
+    ordered by (a, b), then the verticals x = c.  The certification's
+    budget (codes.check_dense_budget) is checked before q is factored.
     """
-    if q > 16:
-        raise BudgetError(f"affine plane over GF({q}) exceeds desk scale (q <= 16)")
+    if q > 1:  # factoring refuses the rest at once
+        check_dense_budget(q * q, q * q + q)
     field = make_field(*factor_prime_power(q))
     x = np.arange(q)
     lines = field.add(field.mul(x[:, None, None], x), x[:, None])  # [a, b, x]
@@ -226,8 +227,8 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
     and duplicates, and certify the exact subspace distance.
 
     Every subspace's points are enumerated once (BudgetError first when
-    q^n > SPREAD_CAP or the kernel's dense array would pass its cap) and
-    scattered into the q^n x N 0/1 array of the pairwise kernel
+    q^n > SPREAD_CAP or the kernel would refuse N words of length q^n)
+    and handed as words of length q^n to the pairwise kernel
     codes.array_maxima, whose largest pairwise overlap is the largest
     intersection t = q^dim; d = 2k - 2 dim in exact integers.
     """
@@ -251,8 +252,7 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
     check_dense_budget(q ** n, len(bases))
     points = _span_points(field, bases)
     # one subspace: no pair, t = 1 gives the sentinel 2k
-    t = max(1, array_maxima(signed_array(q ** n, points,
-                                         np.ones_like(points)))[0])
+    t = max(1, array_maxima(q ** n, points, np.ones_like(points))[0])
     dim = next(e for e in range(k + 1) if q ** e >= t)
     if q ** dim != t:
         raise RuntimeError(f"two subspaces share {t} points, not a power of {q}")
@@ -270,7 +270,7 @@ def spread_code(q: int, n: int, k: int) -> SubspaceCode:
     generator v (first nonzero coordinate 1).  Every nonzero vector lies
     in exactly one member, so pairwise intersections are trivial and the
     certified distance is 2k.  Both budgets (q^n and the certification
-    kernel's dense array) are checked from that count before any basis
+    kernel's admission) are checked from that count before any basis
     is built, and q^n before q is factored.
     """
     if k < 1 or n < 1 or n % k != 0:

@@ -6,9 +6,9 @@ arrays, checked by the same codes.check_words (duplicate columns are
 allowed), and never normalized: every column has squared norm w, so the
 coherence of a pair is just |<c_i, c_j>| / w and the maximum over all
 pairs is an exact rational.  The pairwise scan is exhaustive
-(codes.array_maxima on the matrix's cached dense array: float64 column
-tiles whose entries are integers of magnitude at most n, exact in any
-summation order) and the certified value is compared against the
+(codes.array_maxima on the columns' float64 word tiles, whose products
+are exact integers in any summation order, or the code's own scan via
+from_code) and the certified value is compared against the
 construction's theoretical bound every time; a violation raises, it is
 never waived.  A bound read from a file is a claim, checked at load.
 from_code turns any code into a matrix and attaches its bound:
@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (DENSE_CAP, CWCode, array_maxima, check_words,
-                    format_words, parse_words, read_lines, signed_array)
+from .codes import (DENSE_CAP, CWCode, array_maxima, check_dense_budget,
+                    check_words, format_words, parse_words, read_lines)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import factor_prime_power, make_field, power_exceeds
 
@@ -67,12 +67,14 @@ class MeasurementMatrix:
         self._mu: Fraction | None = None
         self._dense: np.ndarray | None = None
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        """Dense copy; the float64 one is cached internally and shared by
-        coherence and OMP.  BudgetError past codes.DENSE_CAP."""
+    def to_dense(self) -> np.ndarray:
+        """The n x N float64 array of the columns, cached for OMP and the
+        dense-csv writer; BudgetError where codes.check_dense_budget says."""
         if self._dense is None:
-            self._dense = signed_array(self.n, self.positions, self.signs)
-        return self._dense if dtype == np.float64 else self._dense.astype(dtype)
+            check_dense_budget(self.n, self.N, bool((self.signs < 0).any()))
+            self._dense = np.zeros((self.n, self.N))
+            self._dense[self.positions, np.arange(self.N)[:, None]] = self.signs
+        return self._dense
 
     def __repr__(self) -> str:
         return (f"MeasurementMatrix({self.n}x{self.N}, w={self.w}, "
@@ -123,8 +125,9 @@ def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceRepor
     """Certify the exact coherence of the matrix.
 
     The largest |<c_i, c_j>| over all column pairs comes from
-    codes.array_maxima on to_dense(): exact integers from float64 tiles,
-    exhaustive by construction, cached on the matrix.  Raises
+    codes.array_maxima on the columns (exact integers from float64
+    tiles, exhaustive by construction) or from_code's seed, cached on
+    the matrix.  Raises
     RuntimeError if the exact value exceeds the matrix's theoretical
     bound; that check is a hard assertion and is never skipped.
     """
@@ -147,7 +150,7 @@ def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceRepor
 
 def _exact_mu(matrix: MeasurementMatrix) -> Fraction:
     if matrix._mu is None:
-        top = array_maxima(matrix.to_dense())[0]
+        top = array_maxima(matrix.n, matrix.positions, matrix.signs)[0]
         matrix._mu = Fraction(top, matrix.w)
     return matrix._mu
 
@@ -175,25 +178,27 @@ def from_code(code: CWCode, seed: int | None = None) -> MeasurementMatrix:
     part of the format, so a given (code, seed) pair always yields the
     same matrix, and the unsigned bound still holds: sign flips never
     increase the magnitude of an integer inner product bounded by the
-    support intersection.  The matrix shares the code's positions.
+    support intersection.  The matrix shares the code's positions; with
+    the code's signs too (no seed), CWCode.inner seeds its coherence.
     """
     w, d = code.w, code.d
-    if code.signed:
-        if seed is not None:
-            raise ParameterError("--signed applies to binary codes only")
-        return MeasurementMatrix(code.n, w, code.positions, code.signs,
-                                 provenance=f"ternary {code.provenance}",
-                                 bound=Fraction(max(0, min(w, 2 * w - d)), w))
-    signs, kind = code.signs, "binary"
+    signs, kind = code.signs, "ternary" if code.signed else "binary"
+    bound = (Fraction(max(0, min(w, 2 * w - d)), w) if code.signed
+             else Fraction(max(0, 2 * w - d), 2 * w))
     if seed is not None:
+        if code.signed:
+            raise ParameterError("--signed applies to binary codes only")
         if seed < 0:
             raise ParameterError(f"seed must be >= 0, got {seed}")
         bits = np.random.default_rng(seed).integers(0, 2, code.positions.shape)
         signs = (1 - 2 * bits).astype(np.int8)
         kind = f"signed seed={seed} binary"
-    return MeasurementMatrix(code.n, w, code.positions, signs,
-                             provenance=f"{kind} {code.provenance}",
-                             bound=Fraction(max(0, 2 * w - d), 2 * w))
+    matrix = MeasurementMatrix(code.n, w, code.positions, signs,
+                               provenance=f"{kind} {code.provenance}",
+                               bound=bound)
+    if signs is code.signs and code.inner is not None:
+        matrix._mu = Fraction(code.inner, w)
+    return matrix
 
 
 def devore_bytes(p: int, r: int) -> int:
@@ -246,7 +251,7 @@ FORMATS = ("support-list", "dense-csv")
 
 def dumps_matrix(matrix: MeasurementMatrix, fmt: str = "support-list") -> str:
     if fmt == "dense-csv":
-        a = matrix.to_dense(np.int64)
+        a = matrix.to_dense()
         return "".join(",".join(str(int(v)) for v in row) + "\n" for row in a)
     if fmt == "support-list":
         lines = [f"# provenance: {matrix.provenance}",
@@ -264,13 +269,15 @@ def matrix_format(text: str) -> str | None:
     first data line and dense CSV rows contain commas, or one entry
     when the matrix has one column; code files have neither (their
     header is a bare 'n d w' line and '#' lines only name provenance).
+    Lines (as str.splitlines splits) past the first data line are unread.
     """
-    _, comments, lines = read_lines(text)
-    first, line = lines[0] if lines else (math.inf, "")
-    if any(lineno < first and body.startswith("n ")
-           for lineno, body in comments):
-        return "support-list"
-    return "dense-csv" if "," in line or len(line.split()) == 1 else None
+    for match in re.finditer(r"\S[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*", text):
+        line = match.group()
+        if not line.startswith("#"):
+            return "dense-csv" if "," in line or len(line.split()) == 1 else None
+        if line[1:].strip().startswith("n "):
+            return "support-list"
+    return None
 
 
 def loads_matrix(text: str) -> MeasurementMatrix:

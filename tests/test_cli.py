@@ -215,7 +215,7 @@ def test_construct_usage_errors(capsys, tmp_path, monkeypatch):
 
 
 def test_construct_budget_exit(capsys):
-    for argv in ("affine --q 17", "greedy --n 40 --d 4 --w 10",
+    for argv in ("affine --q 79", "greedy --n 40 --d 4 --w 10",
                  # C(400000, 200000) has 120,000 digits: the enumeration
                  # count is refused before the binomial is formed
                  "greedy --n 400000 --d 2 --w 200000",
@@ -332,6 +332,29 @@ def test_analyze_code_file_and_delta_k(capsys, tmp_path):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "code: binary n=7 w=3 d=4 size=7"
     assert "delta_4 = 1" in lines
+
+
+@pytest.mark.parametrize("argv,mu", [
+    ("sts --n 13", "mu = 1/3, bound = 1/3, order k = 4"),
+    ("ternary-greedy --n 7 --d 4 --w 3", "mu = 2/3, bound = 2/3, order k = 2"),
+])
+def test_analyze_code_file_runs_the_kernel_once(capsys, tmp_path,
+                                                monkeypatch, argv, mu):
+    from cwsense import codes, matrices
+    out = tmp_path / "code.txt"
+    assert run_cli("construct", *argv.split(), "--out", str(out)) == 0
+    capsys.readouterr()
+    calls = []
+    real = codes.array_maxima
+
+    def counted(n, positions, signs):
+        calls.append(n)
+        return real(n, positions, signs)
+    monkeypatch.setattr(codes, "array_maxima", counted)
+    monkeypatch.setattr(matrices, "array_maxima", counted)
+    assert run_cli("analyze", str(out)) == 0
+    assert capsys.readouterr().out.splitlines()[1] == mu
+    assert len(calls) == 1
 
 
 def test_analyze_bound_survives_construct_chain(capsys, tmp_path):

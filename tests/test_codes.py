@@ -15,7 +15,7 @@ from cwsense.codes import (array_maxima, certify_binary,
                            gilbert_bound, graham_sloane_bound,
                            graham_sloane_construct, greedy_binary,
                            greedy_ternary, load_code, loads_code, save_code,
-                           read_lines, signed_array,
+                           read_lines,
                            smallest_prime_at_least, ternary_gilbert_bound,
                            validate)
 from cwsense.errors import BudgetError, FormatError, ParameterError
@@ -60,8 +60,8 @@ def test_ternary_distance_matches_dense_oracle():
 # -- pairwise kernel --------------------------------------------------------
 
 def overlap_maxima(n, words):
-    """array_maxima of the tuple words' signed_array."""
-    return array_maxima(signed_array(n, *arrays_of(words, 0)))
+    """array_maxima of the tuple words."""
+    return array_maxima(n, *arrays_of(words, 0))
 
 
 @st.composite

@@ -117,7 +117,7 @@ def test_steiner_code_degenerate_three_points():
 
 # -- affine planes ------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 17])  # 17: N = 306, d = 32
 def test_affine_plane_parameters(q):
     code = affine_plane_code(q)
     assert (code.n, code.w, len(code)) == (q * q, q, q * q + q)
@@ -136,7 +136,7 @@ def test_affine_plane_rejections():
     with pytest.raises(ParameterError):
         affine_plane_code(6)       # not a prime power
     with pytest.raises(BudgetError):
-        affine_plane_code(17)      # past desk scale
+        affine_plane_code(79)      # 8 * 79^2 * (79^2 + 79) bytes > DENSE_CAP
 
 
 # -- spreads and subspace codes ----------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codes_oracle import matrix_of, words_of
-from cwsense.codes import (certify_binary, greedy_binary, greedy_ternary,
-                           loads_code)
+from cwsense.codes import (CWCode, array_maxima, certify_binary,
+                           greedy_binary, greedy_ternary, loads_code)
 from cwsense.designs import steiner_to_code, make_sts
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.field import factor_prime_power, make_field
@@ -60,21 +60,53 @@ def test_coherence_is_cached():
 
 
 def test_coherence_and_omp_share_one_dense_copy(monkeypatch, tmp_path):
-    from cwsense import codes, matrices, recovery
+    from cwsense import matrices, recovery
     path = tmp_path / "fano.matrix"
     save_matrix(fano_matrix(), path)
     built = []
-    real = codes.signed_array
+    real = matrices.MeasurementMatrix.to_dense
 
-    def counted(n, positions, signs):
-        built.append(n)
-        return real(n, positions, signs)
-    monkeypatch.setattr(codes, "signed_array", counted)
-    monkeypatch.setattr(matrices, "signed_array", counted)
+    def counted(self):
+        built.append(self._dense is None)
+        return real(self)
+    monkeypatch.setattr(matrices.MeasurementMatrix, "to_dense", counted)
     matrix = load_matrix(path)
+    assert matrix.bound == Fraction(1, 3)  # certified at load
     coherence(matrix)
+    assert matrix._dense is None and built == []  # certified from tiles
     recovery.run_experiment(matrix, [1, 2], trials=3)
-    assert len(built) == 1
+    assert built.count(True) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(("unsigned", "ternary", "signed")))
+def test_code_certificate_seeds_coherence(n, w, dist, kind):
+    w = min(w, n)
+    if kind == "ternary":
+        code = greedy_ternary(n, dist, w)
+    else:
+        code = greedy_binary(n, 2 * dist, w)
+    matrix = from_code(code, seed=7 if kind == "signed" else None)
+    top = array_maxima(matrix.n, matrix.positions, matrix.signs)[0]
+    assert matrix._mu == (None if kind == "signed" else Fraction(top, w))
+    assert coherence(matrix).mu == Fraction(top, w)
+    # a code that never went through validate gets its mu from the kernel
+    raw = CWCode(code.n, w, code.d, code.positions, code.signs, code.signed)
+    assert raw.inner is None
+    assert from_code(raw)._mu is None
+    assert coherence(from_code(raw)).mu == coherence(from_code(code)).mu
+
+
+def test_coherence_allocates_tiles_only():
+    matrix = devore(23, 3)
+    tracemalloc.start()
+    try:
+        assert coherence(matrix).mu == Fraction(2, 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20 < 8 * matrix.n * matrix.N  # 8 MiB, against 49 MiB
 
 
 def test_lying_bound_header_raises():
@@ -304,6 +336,9 @@ def test_matrix_format_predicate():
     assert matrix_format(dumps_matrix(devore(3, 2), "dense-csv")) == "dense-csv"
     assert matrix_format("# provenance: x\n9 4 3\n0 1 2\n") is None  # a code
     assert matrix_format("") is None
+    # only a '# n' comment before the first data line marks a support list
+    assert matrix_format("9 4 3\n# n 9 w 3\n0 1 2\n") is None
+    assert matrix_format("1,0\n# n 2 w 1\n0,1\n") == "dense-csv"
 
 
 def test_loads_matrix_rejections():
