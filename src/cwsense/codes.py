@@ -7,11 +7,19 @@ The alphabet is recorded in CWCode.signed, taken from the construction
 or the file syntax and never inferred from the signs, because it picks
 the file syntax and the coherence bound a matrix inherits.  Every code
 object carries a certified minimum distance d (and max |inner product|,
-CWCode.inner) recomputed by an exhaustive pairwise scan of its words
-(array_maxima, shared with matrices and designs), never taken on trust
-from a header or a construction argument.  The scan admits the words
-against DENSE_CAP, then allocates only word tiles; the per-word checks
-(check_words) are shared with matrices.MeasurementMatrix.
+CWCode.inner) recomputed over every pair of its words by array_maxima
+(shared with matrices and designs), never taken on trust from a header
+or a construction argument.  array_maxima admits the words against
+DENSE_CAP, then answers on one of two exact paths.  The subset path
+sorts int64 keys of each word's s-subsets of positions: two words share
+at least s positions exactly when they share an s-subset, so the
+largest overlap is s - 1 at the first s without a repeated key.  It
+answers for binary words, and for signed words whose supports meet in
+at most one position, where the two signs there fix the inner product.
+Other signed words, and levels whose keys pass one word tile's entries
+or int64, go to products of float64 word tiles.  Neither path
+allocates an n x N array.  The per-word checks (check_words) are shared
+with matrices.MeasurementMatrix.
 
 Distances count positions whose symbols differ.  For binary words they
 are even, d = 2(w - |A & B|) for supports A and B, so the binary bound
@@ -24,6 +32,7 @@ arithmetic with a single floor division at the end.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -34,6 +43,8 @@ from .errors import BudgetError, FormatError, ParameterError
 from .field import is_prime
 
 ENUM_BUDGET = 10_000_000
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -96,11 +107,87 @@ def array_maxima(n: int, positions: np.ndarray,
     is the first value over w and the minimum distance is 2w minus the
     second, since D sign disagreements on S common positions give
     G = S - 2D and distance 2(w - S) + D.  For words without a -1 sign
-    S = G, so the second value is 2 max G and S is not formed.  Once
-    admitted (check_dense_budget), PAIR_TILE words at a time become a
-    word-major float64 tile for BLAS, exact in any summation order as
-    every partial sum is an integer of magnitude at most n < 2^53; no
-    n x N or N x N array is allocated.
+    S = G, so the second value is 2 max G.
+
+    The words are admitted first (check_dense_budget), whichever path
+    answers, so both refuse the same inputs.  _subset_maxima finds the
+    largest S from sorted integer keys; it answers for words without a
+    -1 sign and for signed words with S <= 1.  Signed words with S >= 2,
+    and words whose keys would pass the budget or int64, go to the
+    float64 tiles of _tile_maxima.  One DEBUG record on cwsense.codes
+    names the path taken and the keys or pairs it scanned.
+    """
+    N = len(positions)
+    check_dense_budget(n, N, bool((signs < 0).any()))
+    top, level, keys = _subset_maxima(n, positions, signs)
+    if top is not None:
+        log.debug("array_maxima: subsets up to level %d, %d keys",
+                  level, keys)
+        return top
+    log.debug("array_maxima: tiles after subsets up to level %d "
+              "(%d keys), %d pairs", level, keys, N * (N - 1) // 2)
+    return _tile_maxima(n, positions, signs)
+
+
+def _subset_maxima(n: int, positions: np.ndarray, signs: np.ndarray
+                   ) -> tuple[tuple[int, int] | None, int, int]:
+    """array_maxima from sorted s-subset keys, without products.
+
+    Two distinct words share at least s positions exactly when they
+    share some s-subset of positions.  Level s writes each word's
+    C(w, s) subsets as int64 keys (base-n digits, one word's keys all
+    distinct as its positions are) and sorts them: the largest overlap
+    S is s - 1 at the first level without a repeated key, or w when
+    level w repeats (a repeated support).  Words without a -1 sign have
+    G = S, so the answer is (S, 2S).  For signed words S = 0 gives
+    (0, 0), and S = 1 gives max |G| = 1 with the one shared position
+    deciding G: the second value is 2 when some (position, sign) key
+    repeats (G = +1) and 1 otherwise (G = -1 only).
+
+    Returns (answer, last level built, keys built); the answer is None
+    for the tiles: signed words with S >= 2, or a level with more keys
+    than one word tile has entries (N C(w, s) > PAIR_TILE n) or keys
+    past int64 (n^s >= 2^62).  Fewer than two words build no level.
+    """
+    N, w = positions.shape
+    if N < 2:
+        return (0, 0), 0, 0
+    signed = bool((signs < 0).any())
+    built = overlap = s = 0
+    for s in range(1, w + 1):
+        if N * math.comb(w, s) > PAIR_TILE * n or n ** s >= 1 << 62:
+            return None, s - 1, built
+        subsets = np.array(list(combinations(range(w), s)))
+        keys = np.zeros((N, len(subsets)), dtype=np.int64)
+        for column in subsets.T:
+            keys *= n
+            keys += positions[:, column]
+        built += keys.size
+        keys = keys.reshape(-1)
+        keys.sort()
+        if not (keys[1:] == keys[:-1]).any():
+            break
+        overlap = s
+        if signed and s == 2:
+            return None, s, built
+    if not signed:
+        return (overlap, 2 * overlap), s, built
+    if overlap == 0:
+        return (0, 0), s, built
+    keys = (2 * positions + (signs < 0)).reshape(-1)
+    keys.sort()
+    return (1, 2 if (keys[1:] == keys[:-1]).any() else 1), s, built + N * w
+
+
+def _tile_maxima(n: int, positions: np.ndarray,
+                 signs: np.ndarray) -> tuple[int, int]:
+    """array_maxima by products of float64 word tiles.
+
+    Admits the words itself (check_dense_budget), then scatters
+    PAIR_TILE words at a time into a word-major float64 tile for BLAS,
+    exact in any summation order as every partial sum is an integer of
+    magnitude at most n < 2^53; no n x N or N x N array is allocated.
+    For words without a -1 sign the support overlaps are not formed.
     """
     N, T = len(positions), PAIR_TILE
     signed = bool((signs < 0).any())

@@ -228,9 +228,14 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
 
     Every subspace's points are enumerated once (BudgetError first when
     q^n > SPREAD_CAP or the kernel would refuse N words of length q^n)
-    and handed as words of length q^n to the pairwise kernel
-    codes.array_maxima, whose largest pairwise overlap is the largest
-    intersection t = q^dim; d = 2k - 2 dim in exact integers.
+    and handed as unsigned words of length q^n to codes.array_maxima.
+    Its largest pairwise overlap is the largest intersection
+    t = q^dim, so d = 2k - 2 dim in exact integers.  Unsigned words
+    take the kernel's subset path while their keys fit its budget:
+    two subspaces share t points exactly when they share some
+    t-subset of points, and the first level of point subsets without
+    a repeated key is one past t.  Past that budget the float64 tiles
+    answer, with the same value.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")

@@ -5,12 +5,14 @@ Columns are stored as codes.CWCode words are, N x w positions and signs
 arrays, checked by the same codes.check_words (duplicate columns are
 allowed), and never normalized: every column has squared norm w, so the
 coherence of a pair is just |<c_i, c_j>| / w and the maximum over all
-pairs is an exact rational.  The pairwise scan is exhaustive
-(codes.array_maxima on the columns' float64 word tiles, whose products
-are exact integers in any summation order, or the code's own scan via
-from_code) and the certified value is compared against the
-construction's theoretical bound every time; a violation raises, it is
-never waived.  A bound read from a file is a claim, checked at load.
+pairs is an exact rational.  It comes from codes.array_maxima on the
+columns, or from the code's own certificate via from_code.  That
+kernel covers every pair: sorted s-subset keys of the supports give
+the largest overlap when the columns are unsigned or meet in at most
+one row, and float64 column tiles, whose products are exact integers
+in any summation order, answer the rest.  The certified value is
+compared against the construction's theoretical bound every time; a
+violation raises, it is never waived.  A bound read from a file is a claim, checked at load.
 from_code turns any code into a matrix and attaches its bound:
 1 - d/(2w) for a binary code (kept under seeded sign randomization),
 min(w, 2w - d)/w for a ternary one.
@@ -125,11 +127,11 @@ def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceRepor
     """Certify the exact coherence of the matrix.
 
     The largest |<c_i, c_j>| over all column pairs comes from
-    codes.array_maxima on the columns (exact integers from float64
-    tiles, exhaustive by construction) or from_code's seed, cached on
-    the matrix.  Raises
-    RuntimeError if the exact value exceeds the matrix's theoretical
-    bound; that check is a hard assertion and is never skipped.
+    codes.array_maxima on the columns (sorted subset keys or float64
+    tiles, exact integers either way, every pair covered) or from
+    from_code's seed, cached on the matrix.  Raises RuntimeError if the
+    exact value exceeds the matrix's theoretical bound; that check is a
+    hard assertion and is never skipped.
     """
     mu = _exact_mu(matrix)
     if matrix.bound is not None and mu > matrix.bound:

@@ -64,6 +64,11 @@ def overlap_maxima(n, words):
     return array_maxima(n, *arrays_of(words, 0))
 
 
+def tile_maxima(n, words):
+    """The float64 tile path alone on the tuple words."""
+    return codes._tile_maxima(n, *arrays_of(words, 0))
+
+
 @st.composite
 def signed_supports(draw):
     n = draw(st.integers(1, 9))
@@ -118,24 +123,154 @@ def test_overlap_maxima_ragged_tiles(monkeypatch):
     want = brute_extremes(n, words)
     for tile in (1, 3, 7, 40, 41):
         monkeypatch.setattr(codes, "PAIR_TILE", tile)
-        assert overlap_maxima(n, words) == want
+        assert tile_maxima(n, words) == want
     # the closest pair straddles a tile boundary and sits at the ragged end
     far = [((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),), ((4, 1),),
            ((5, 1),), ((6, 1),), ((0, -1),)]
     for tile in (3, 5):
         monkeypatch.setattr(codes, "PAIR_TILE", tile)
-        assert overlap_maxima(8, far) == (1, 1)
-        assert overlap_maxima(8, far[:-1]) == (0, 0)
+        assert tile_maxima(8, far) == (1, 1)
+        assert tile_maxima(8, far[:-1]) == (0, 0)
 
 
 def test_overlap_maxima_memory_budget(monkeypatch):
     words = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, -1))]
     monkeypatch.setattr(codes, "DENSE_CAP", 8 * 3 * 3)  # one 3 x 3 array
-    assert overlap_maxima(3, words[:2] + [((0, 1), (2, 1))]) == (1, 2)
+    assert tile_maxima(3, words[:2] + [((0, 1), (2, 1))]) == (1, 2)
     with pytest.raises(BudgetError):   # signed words need a second array
-        overlap_maxima(3, words)
+        tile_maxima(3, words)
     with pytest.raises(BudgetError):   # 4 x 3 binary words
-        overlap_maxima(4, words[:2] + [((0, 1), (3, 1))])
+        tile_maxima(4, words[:2] + [((0, 1), (3, 1))])
+
+
+@st.composite
+def sparse_words(draw):
+    """Few positions per word out of many: signed words whose supports
+    mostly meet in at most one position, the subset path's signed case."""
+    n = draw(st.integers(3, 30))
+    w = draw(st.integers(1, 3))
+    words = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, n - 1), min_size=w, max_size=w,
+                           unique=True),
+                  st.lists(st.sampled_from((1, -1)), min_size=w, max_size=w)),
+        max_size=14))
+    return n, w, [tuple(sorted(zip(sup, signs))) for sup, signs in words]
+
+
+@st.composite
+def crowded_words(draw):
+    """11 of the first 13 positions of n = 64: supports meet in 9 to 11
+    positions, so the level-11 keys (64^11 >= 2^62) are needed exactly
+    when two supports meet in 10 or more."""
+    words = draw(st.lists(
+        st.tuples(st.permutations(range(13)),
+                  st.lists(st.sampled_from((1, -1)), min_size=11,
+                           max_size=11)),
+        min_size=2, max_size=5))
+    return 64, 11, [tuple(sorted(zip(perm[:11], signs)))
+                    for perm, signs in words]
+
+
+def max_overlap(words):
+    """The largest support overlap S over pairs, 0 without a pair."""
+    return max((len({p for p, _ in x} & {p for p, _ in y})
+                for i, x in enumerate(words) for y in words[i + 1:]),
+               default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(signed_supports(), sparse_words(), crowded_words()),
+       st.booleans())
+def test_subset_maxima_matches_tiles_and_brute_force(case, unsign):
+    n, w, words = case
+    if unsign:
+        words = [tuple((p, 1) for p, _ in word) for word in words]
+    positions, signs = arrays_of(words, w)
+    want = brute_extremes(n, words)
+    assert codes._tile_maxima(n, positions, signs) == want
+    assert array_maxima(n, positions, signs) == want
+    top, level, keys = codes._subset_maxima(n, positions, signs)
+    signed, overlap = (signs < 0).any(), max_overlap(words)
+    past_int64 = n ** min(overlap + 1, w) >= 1 << 62
+    assert (top is None) == ((signed and overlap >= 2) or past_int64)
+    assert top in (None, want)
+    # a budget of one key per row sends every level past it to the tiles
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "PAIR_TILE", 1)
+        assert array_maxima(n, positions, signs) == want
+        top, level, keys = codes._subset_maxima(n, positions, signs)
+        if len(words) * w > n:
+            assert (top, level, keys) == (None, 0, 0)
+
+
+@pytest.mark.parametrize("words,want", [
+    ([], (0, 0)),
+    ([((2, 1),)], (0, 0)),
+    ([((2, 1),), ((3, 1),)], (0, 0)),
+    ([((2, 1),), ((2, 1),)], (1, 2)),      # a repeated column
+    ([((2, 1),), ((2, -1),)], (1, 1)),     # repeated, signs differ
+    ([((2, -1),), ((2, -1),)], (1, 2)),
+    ([((2, -1),), ((3, 1),)], (0, 0)),
+])
+def test_subset_maxima_weight_one(words, want):
+    positions, signs = arrays_of(words, 1)
+    assert codes._subset_maxima(5, positions, signs)[0] == want
+    assert array_maxima(5, positions, signs) == want
+    assert brute_extremes(5, words) == want
+    # without a pair no level is built, however many subsets a word has
+    assert codes._subset_maxima(100, *arrays_of([], 60)) == ((0, 0), 0, 0)
+
+
+def test_subset_maxima_signed_overlap_one():
+    # supports meet in one position at most: the shared sign decides G
+    same = [((0, 1), (1, -1)), ((1, -1), (2, 1)), ((3, 1), (4, 1))]
+    opposite = [((0, 1), (1, -1)), ((1, 1), (2, 1)), ((0, -1), (3, 1))]
+    for words, want in ((same, (1, 2)), (opposite, (1, 1))):
+        top, level, keys = codes._subset_maxima(5, *arrays_of(words, 2))
+        assert (top, level, keys) == (want, 2, 6 + 3 + 6)
+        assert brute_extremes(5, words) == want
+    # a shared pair of positions needs the products, whatever its signs
+    words = [((0, 1), (1, 1)), ((0, 1), (1, -1))]
+    assert codes._subset_maxima(5, *arrays_of(words, 2))[:2] == (None, 2)
+    assert array_maxima(5, *arrays_of(words, 2)) == (0, 3)
+
+
+def test_subset_maxima_repeated_supports():
+    words = [((0, 1), (1, 1), (2, 1)), ((0, 1), (1, 1), (2, 1)),
+             ((0, 1), (3, 1), (4, 1))]
+    assert codes._subset_maxima(6, *arrays_of(words, 3)) == ((3, 6), 3, 21)
+    signed = [((0, 1), (1, 1), (2, 1)), ((0, -1), (1, 1), (2, -1))]
+    assert codes._subset_maxima(6, *arrays_of(signed, 3))[0] is None
+    assert array_maxima(6, *arrays_of(signed, 3)) == \
+        brute_extremes(6, signed) == (1, 4)
+
+
+def test_subset_maxima_int64_fallback():
+    # levels 1 to 10 repeat; level 11 would need keys up to 64^11 > 2^63
+    sup = tuple(range(11))
+    words = [tuple((p, 1) for p in sup),
+             tuple((p, 1) for p in sup[:10] + (12,))]
+    positions, signs = arrays_of(words, 11)
+    assert codes._subset_maxima(64, positions, signs)[:2] == (None, 10)
+    assert array_maxima(64, positions, signs) == (10, 20)
+
+
+def test_subset_path_admitted_like_tiles(monkeypatch):
+    words = [((0, 1), (1, 1)), ((2, 1), (3, 1))]
+    monkeypatch.setattr(codes, "DENSE_CAP", 8 * 4 * 2 - 1)
+    for maxima in (overlap_maxima, tile_maxima):
+        with pytest.raises(BudgetError):
+            maxima(4, words)
+
+
+def test_array_maxima_logs_its_path(caplog):
+    words = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (1, -1))]
+    with caplog.at_level("DEBUG", logger="cwsense.codes"):
+        overlap_maxima(3, words[:2])
+        overlap_maxima(3, words)
+    assert [r.getMessage() for r in caplog.records] == [
+        "array_maxima: subsets up to level 2, 6 keys",
+        "array_maxima: tiles after subsets up to level 2 (9 keys), 3 pairs"]
 
 
 def test_read_lines_splits_comments_and_data():

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from codes_oracle import matrix_of, words_of
 from cwsense.codes import (CWCode, array_maxima, certify_binary,
-                           greedy_binary, greedy_ternary, loads_code)
-from cwsense.designs import steiner_to_code, make_sts
+                           dumps_code, greedy_binary, greedy_ternary,
+                           loads_code)
+from cwsense.designs import (SteinerTripleSystem, make_sts,
+                             steiner_to_code)
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.field import factor_prime_power, make_field
 from cwsense.matrices import (MeasurementMatrix, coherence, devore,
@@ -107,6 +109,49 @@ def test_coherence_allocates_tiles_only():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20 < 8 * matrix.n * matrix.N  # 8 MiB, against 49 MiB
+
+
+def cyclic_sts_blocks(p):
+    """The cyclic STS on Z_p, p = 1 mod 6 prime: the p translates of the
+    base blocks g^i {1, c, c^2}, i < (p - 1)/6, with g a primitive root
+    and c a cube root of unity."""
+    g = next(g for g in range(2, p)
+             if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+    c = pow(g, (p - 1) // 3, p)
+    base = np.array([[pow(g, i, p) * pow(c, j, p) % p for j in range(3)]
+                     for i in range((p - 1) // 6)])
+    return (base[:, None, :] + np.arange(p)[:, None]).reshape(-1, 3) % p
+
+
+def test_low_weight_certification_takes_no_products(monkeypatch):
+    from cwsense import codes
+    entered = []
+    real = codes._tile_maxima
+
+    def tiles(n, positions, signs):
+        entered.append(n)
+        return real(n, positions, signs)
+    monkeypatch.setattr(codes, "_tile_maxima", tiles)
+    code = steiner_to_code(make_sts(109))
+    text = dumps_matrix(from_code(code))
+    tracemalloc.start()
+    try:
+        assert array_maxima(code.n, code.positions, code.signs) == (1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few key arrays of 3N int64 entries, under one word tile's floats
+    assert peak < 8 * codes.PAIR_TILE * code.n
+    assert coherence(loads_matrix(text)).mu == Fraction(1, 3)
+    sts = SteinerTripleSystem(97, cyclic_sts_blocks(97), "cyclic")
+    rng = np.random.default_rng(0)
+    signed = CWCode(97, 3, 4, sts.blocks, 1 - 2 * rng.integers(
+        0, 2, sts.blocks.shape, dtype=np.int8), signed=True)
+    ternary = loads_code(dumps_code(signed))
+    assert (ternary.d, ternary.inner) == (4, 1)
+    assert entered == []
+    assert coherence(devore(23, 3)).mu == Fraction(2, 23)
+    assert entered == [23 * 23]
 
 
 def test_lying_bound_header_raises():
