@@ -16,9 +16,9 @@ at least s positions exactly when they share an s-subset, so the
 largest overlap is s - 1 at the first s without a repeated key.  It
 answers for binary words, and for signed words whose supports meet in
 at most one position, where the two signs there fix the inner product.
-Other signed words, and levels whose keys pass one word tile's entries
-or int64, go to products of float64 word tiles.  Neither path
-allocates an n x N array.  The per-word checks (check_words) are shared
+Other signed words, and levels whose keys would take more memory than
+the word tiles or pass int64, go to products of float64 word tiles.
+Neither path allocates an n x N array.  The per-word checks (check_words) are shared
 with matrices.MeasurementMatrix.
 
 Distances count positions whose symbols differ.  For binary words they
@@ -32,7 +32,6 @@ arithmetic with a single floor division at the end.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -43,8 +42,6 @@ from .errors import BudgetError, FormatError, ParameterError
 from .field import is_prime
 
 ENUM_BUDGET = 10_000_000
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -113,24 +110,27 @@ def array_maxima(n: int, positions: np.ndarray,
     answers, so both refuse the same inputs.  _subset_maxima finds the
     largest S from sorted integer keys; it answers for words without a
     -1 sign and for signed words with S <= 1.  Signed words with S >= 2,
-    and words whose keys would pass the budget or int64, go to the
-    float64 tiles of _tile_maxima.  One DEBUG record on cwsense.codes
-    names the path taken and the keys or pairs it scanned.
+    and words whose keys would take more memory than the word tiles or
+    pass int64, go to the float64 tiles of _tile_maxima.
     """
-    N = len(positions)
-    check_dense_budget(n, N, bool((signs < 0).any()))
-    top, level, keys = _subset_maxima(n, positions, signs)
-    if top is not None:
-        log.debug("array_maxima: subsets up to level %d, %d keys",
-                  level, keys)
-        return top
-    log.debug("array_maxima: tiles after subsets up to level %d "
-              "(%d keys), %d pairs", level, keys, N * (N - 1) // 2)
-    return _tile_maxima(n, positions, signs)
+    check_dense_budget(n, len(positions), bool((signs < 0).any()))
+    top = _subset_maxima(n, positions, signs)
+    return _tile_maxima(n, positions, signs) if top is None else top
 
 
-def _subset_maxima(n: int, positions: np.ndarray, signs: np.ndarray
-                   ) -> tuple[tuple[int, int] | None, int, int]:
+def _next_subsets(subsets: np.ndarray, w: int) -> np.ndarray:
+    """The (s + 1)-subsets of range(w) in lexicographic order, one per
+    row with entries increasing, from the s-subsets (a C x s array);
+    each row is extended by every index past its last."""
+    last = subsets[:, -1] if subsets.shape[1] else np.full(len(subsets), -1)
+    counts = w - 1 - last
+    first = np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
+    return np.column_stack((np.repeat(subsets, counts, axis=0),
+                            first + np.arange(counts.sum())))
+
+
+def _subset_maxima(n: int, positions: np.ndarray,
+                   signs: np.ndarray) -> tuple[int, int] | None:
     """array_maxima from sorted s-subset keys, without products.
 
     Two distinct words share at least s positions exactly when they
@@ -144,54 +144,57 @@ def _subset_maxima(n: int, positions: np.ndarray, signs: np.ndarray
     deciding G: the second value is 2 when some (position, sign) key
     repeats (G = +1) and 1 otherwise (G = -1 only).
 
-    Returns (answer, last level built, keys built); the answer is None
-    for the tiles: signed words with S >= 2, or a level with more keys
-    than one word tile has entries (N C(w, s) > PAIR_TILE n) or keys
-    past int64 (n^s >= 2^62).  Fewer than two words build no level.
+    Level s holds about 8 C(w, s) (2N + 3s) bytes: the keys, one
+    gathered digit of theirs and the subset table as it is built.  It
+    is built only while that fits in the word tiles _tile_maxima holds
+    at once, 8 n min(N, 2 PAIR_TILE) bytes, so this path never needs
+    more memory than the tiles, and only while its keys fit int64
+    (n^s < 2^62).  Returns None for the tiles when a level does not,
+    and for signed words with S >= 2.
     """
     N, w = positions.shape
     if N < 2:
-        return (0, 0), 0, 0
+        return 0, 0
     signed = bool((signs < 0).any())
-    built = overlap = s = 0
+    tiles = 8 * n * min(N, 2 * PAIR_TILE)
+    overlap, subsets = 0, np.zeros((1, 0), dtype=np.int64)
     for s in range(1, w + 1):
-        if N * math.comb(w, s) > PAIR_TILE * n or n ** s >= 1 << 62:
-            return None, s - 1, built
-        subsets = np.array(list(combinations(range(w), s)))
-        keys = np.zeros((N, len(subsets)), dtype=np.int64)
-        for column in subsets.T:
+        if (8 * math.comb(w, s) * (2 * N + 3 * s) > tiles
+                or n ** s >= 1 << 62):
+            return None
+        subsets = _next_subsets(subsets, w)
+        keys = positions[:, subsets[:, 0]]
+        for column in subsets.T[1:]:
             keys *= n
             keys += positions[:, column]
-        built += keys.size
         keys = keys.reshape(-1)
         keys.sort()
         if not (keys[1:] == keys[:-1]).any():
             break
         overlap = s
         if signed and s == 2:
-            return None, s, built
+            return None
     if not signed:
-        return (overlap, 2 * overlap), s, built
+        return overlap, 2 * overlap
     if overlap == 0:
-        return (0, 0), s, built
+        return 0, 0
     keys = (2 * positions + (signs < 0)).reshape(-1)
     keys.sort()
-    return (1, 2 if (keys[1:] == keys[:-1]).any() else 1), s, built + N * w
+    return 1, 2 if (keys[1:] == keys[:-1]).any() else 1
 
 
 def _tile_maxima(n: int, positions: np.ndarray,
                  signs: np.ndarray) -> tuple[int, int]:
     """array_maxima by products of float64 word tiles.
 
-    Admits the words itself (check_dense_budget), then scatters
-    PAIR_TILE words at a time into a word-major float64 tile for BLAS,
-    exact in any summation order as every partial sum is an integer of
-    magnitude at most n < 2^53; no n x N or N x N array is allocated.
-    For words without a -1 sign the support overlaps are not formed.
+    Scatters PAIR_TILE words at a time into a word-major float64 tile
+    for BLAS, exact in any summation order as every partial sum is an
+    integer of magnitude at most n < 2^53; at most two tiles of words
+    are held at once and no n x N or N x N array is allocated.  For
+    words without a -1 sign the support overlaps are not formed.
     """
     N, T = len(positions), PAIR_TILE
     signed = bool((signs < 0).any())
-    check_dense_budget(n, N, signed)
 
     def tile(i0):  # words i0 .. i0 + T - 1
         t = np.zeros((min(T, N - i0), n))

@@ -357,16 +357,6 @@ def test_analyze_code_file_runs_the_kernel_once(capsys, tmp_path,
     assert len(calls) == 1
 
 
-def test_certification_path_record_stays_off_stderr(capsys, tmp_path):
-    # array_maxima's DEBUG record (subsets for STS(13), tiles for the
-    # ternary code) is below the CLI's INFO level
-    for argv in ("sts --n 13", "ternary-greedy --n 7 --d 4 --w 3"):
-        out = tmp_path / "code.txt"
-        assert run_cli("construct", *argv.split(), "--out", str(out)) == 0
-        assert run_cli("analyze", str(out)) == 0
-        assert capsys.readouterr().err == ""
-
-
 def test_analyze_bound_survives_construct_chain(capsys, tmp_path):
     out = tmp_path / "g.matrix"
     run_cli("construct", "greedy", "--n", "12", "--d", "6", "--w", "4",

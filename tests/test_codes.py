@@ -136,11 +136,11 @@ def test_overlap_maxima_ragged_tiles(monkeypatch):
 def test_overlap_maxima_memory_budget(monkeypatch):
     words = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, -1))]
     monkeypatch.setattr(codes, "DENSE_CAP", 8 * 3 * 3)  # one 3 x 3 array
-    assert tile_maxima(3, words[:2] + [((0, 1), (2, 1))]) == (1, 2)
+    assert overlap_maxima(3, words[:2] + [((0, 1), (2, 1))]) == (1, 2)
     with pytest.raises(BudgetError):   # signed words need a second array
-        tile_maxima(3, words)
+        overlap_maxima(3, words)
     with pytest.raises(BudgetError):   # 4 x 3 binary words
-        tile_maxima(4, words[:2] + [((0, 1), (3, 1))])
+        overlap_maxima(4, words[:2] + [((0, 1), (3, 1))])
 
 
 @st.composite
@@ -160,8 +160,8 @@ def sparse_words(draw):
 @st.composite
 def crowded_words(draw):
     """11 of the first 13 positions of n = 64: supports meet in 9 to 11
-    positions, so the level-11 keys (64^11 >= 2^62) are needed exactly
-    when two supports meet in 10 or more."""
+    positions, and the level-2 keys already need more bytes than the
+    word tiles, so the subset path declines after level 1."""
     words = draw(st.lists(
         st.tuples(st.permutations(range(13)),
                   st.lists(st.sampled_from((1, -1)), min_size=11,
@@ -178,6 +178,21 @@ def max_overlap(words):
                default=0)
 
 
+def declines(n, words, w, signed):
+    """Whether the subset path must leave the words to the tiles: a
+    level it needs (1 to S + 1, at most w) holds more than the bytes of
+    the word tiles (8 n min(N, 2 PAIR_TILE)) or has keys past int64,
+    or the words are signed with S >= 2."""
+    N, overlap = len(words), max_overlap(words)
+    if N < 2:
+        return False
+    tiles = 8 * n * min(N, 2 * codes.PAIR_TILE)
+    for s in range(1, min(overlap + 1, w) + 1):
+        if 8 * math.comb(w, s) * (2 * N + 3 * s) > tiles or n ** s >= 1 << 62:
+            return True
+    return signed and overlap >= 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(signed_supports(), sparse_words(), crowded_words()),
        st.booleans())
@@ -187,20 +202,15 @@ def test_subset_maxima_matches_tiles_and_brute_force(case, unsign):
         words = [tuple((p, 1) for p, _ in word) for word in words]
     positions, signs = arrays_of(words, w)
     want = brute_extremes(n, words)
+    signed = bool((signs < 0).any())
     assert codes._tile_maxima(n, positions, signs) == want
-    assert array_maxima(n, positions, signs) == want
-    top, level, keys = codes._subset_maxima(n, positions, signs)
-    signed, overlap = (signs < 0).any(), max_overlap(words)
-    past_int64 = n ** min(overlap + 1, w) >= 1 << 62
-    assert (top is None) == ((signed and overlap >= 2) or past_int64)
-    assert top in (None, want)
-    # a budget of one key per row sends every level past it to the tiles
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "PAIR_TILE", 1)
-        assert array_maxima(n, positions, signs) == want
-        top, level, keys = codes._subset_maxima(n, positions, signs)
-        if len(words) * w > n:
-            assert (top, level, keys) == (None, 0, 0)
+    # the default tiles, then one word per tile: a smaller key budget
+    for tile in (codes.PAIR_TILE, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "PAIR_TILE", tile)
+            assert array_maxima(n, positions, signs) == want
+            top = codes._subset_maxima(n, positions, signs)
+            assert top == (None if declines(n, words, w, signed) else want)
 
 
 @pytest.mark.parametrize("words,want", [
@@ -214,11 +224,11 @@ def test_subset_maxima_matches_tiles_and_brute_force(case, unsign):
 ])
 def test_subset_maxima_weight_one(words, want):
     positions, signs = arrays_of(words, 1)
-    assert codes._subset_maxima(5, positions, signs)[0] == want
+    assert codes._subset_maxima(5, positions, signs) == want
     assert array_maxima(5, positions, signs) == want
     assert brute_extremes(5, words) == want
     # without a pair no level is built, however many subsets a word has
-    assert codes._subset_maxima(100, *arrays_of([], 60)) == ((0, 0), 0, 0)
+    assert codes._subset_maxima(100, *arrays_of([], 60)) == (0, 0)
 
 
 def test_subset_maxima_signed_overlap_one():
@@ -226,51 +236,42 @@ def test_subset_maxima_signed_overlap_one():
     same = [((0, 1), (1, -1)), ((1, -1), (2, 1)), ((3, 1), (4, 1))]
     opposite = [((0, 1), (1, -1)), ((1, 1), (2, 1)), ((0, -1), (3, 1))]
     for words, want in ((same, (1, 2)), (opposite, (1, 1))):
-        top, level, keys = codes._subset_maxima(5, *arrays_of(words, 2))
-        assert (top, level, keys) == (want, 2, 6 + 3 + 6)
-        assert brute_extremes(5, words) == want
+        assert codes._subset_maxima(40, *arrays_of(words, 2)) == want
+        assert brute_extremes(40, words) == want
     # a shared pair of positions needs the products, whatever its signs
     words = [((0, 1), (1, 1)), ((0, 1), (1, -1))]
-    assert codes._subset_maxima(5, *arrays_of(words, 2))[:2] == (None, 2)
-    assert array_maxima(5, *arrays_of(words, 2)) == (0, 3)
+    assert codes._subset_maxima(40, *arrays_of(words, 2)) is None
+    assert array_maxima(40, *arrays_of(words, 2)) == (0, 3)
 
 
 def test_subset_maxima_repeated_supports():
     words = [((0, 1), (1, 1), (2, 1)), ((0, 1), (1, 1), (2, 1)),
              ((0, 1), (3, 1), (4, 1))]
-    assert codes._subset_maxima(6, *arrays_of(words, 3)) == ((3, 6), 3, 21)
+    assert codes._subset_maxima(60, *arrays_of(words, 3)) == (3, 6)
     signed = [((0, 1), (1, 1), (2, 1)), ((0, -1), (1, 1), (2, -1))]
-    assert codes._subset_maxima(6, *arrays_of(signed, 3))[0] is None
-    assert array_maxima(6, *arrays_of(signed, 3)) == \
-        brute_extremes(6, signed) == (1, 4)
+    assert codes._subset_maxima(60, *arrays_of(signed, 3)) is None
+    assert array_maxima(60, *arrays_of(signed, 3)) == \
+        brute_extremes(60, signed) == (1, 4)
 
 
 def test_subset_maxima_int64_fallback():
-    # levels 1 to 10 repeat; level 11 would need keys up to 64^11 > 2^63
-    sup = tuple(range(11))
-    words = [tuple((p, 1) for p in sup),
-             tuple((p, 1) for p in sup[:10] + (12,))]
-    positions, signs = arrays_of(words, 11)
-    assert codes._subset_maxima(64, positions, signs)[:2] == (None, 10)
-    assert array_maxima(64, positions, signs) == (10, 20)
+    # levels 1 to 3 repeat and fit the budget; level 4 needs keys up to
+    # n^4 = 2^68, where the first digits 0 and 2^13 would wrap to one key
+    n = 1 << 17
+    words = [((0, 1), (9000, 1), (9001, 1), (9002, 1)),
+             ((1 << 13, 1), (9000, 1), (9001, 1), (9002, 1))]
+    positions, signs = arrays_of(words, 4)
+    assert codes._subset_maxima(n, positions, signs) is None
+    assert array_maxima(n, positions, signs) == (3, 6)
 
 
 def test_subset_path_admitted_like_tiles(monkeypatch):
+    # words the subset path answers are refused by the same admission
     words = [((0, 1), (1, 1)), ((2, 1), (3, 1))]
-    monkeypatch.setattr(codes, "DENSE_CAP", 8 * 4 * 2 - 1)
-    for maxima in (overlap_maxima, tile_maxima):
-        with pytest.raises(BudgetError):
-            maxima(4, words)
-
-
-def test_array_maxima_logs_its_path(caplog):
-    words = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (1, -1))]
-    with caplog.at_level("DEBUG", logger="cwsense.codes"):
-        overlap_maxima(3, words[:2])
-        overlap_maxima(3, words)
-    assert [r.getMessage() for r in caplog.records] == [
-        "array_maxima: subsets up to level 2, 6 keys",
-        "array_maxima: tiles after subsets up to level 2 (9 keys), 3 pairs"]
+    assert codes._subset_maxima(40, *arrays_of(words, 2)) == (0, 0)
+    monkeypatch.setattr(codes, "DENSE_CAP", 8 * 40 * 2 - 1)
+    with pytest.raises(BudgetError):
+        overlap_maxima(40, words)
 
 
 def test_read_lines_splits_comments_and_data():

@@ -258,6 +258,24 @@ def test_certified_subspace_distance_counts_intersection():
     assert code.d == 2  # 2k - 2 dim(U & V) = 4 - 2
 
 
+def test_large_subspaces_certify_within_one_word_tile():
+    # two 12-dimensional subspaces of GF(2)^20 meeting in 11 dimensions:
+    # words of 4096 points out of 2^20.  Their 2 C(4096, 2) level-2 keys
+    # would take 537 MB, past the 16 MiB tile of both words, so the
+    # tiles answer and the peak stays near that one tile
+    k = 12
+    first = " ".join(str(1 << i) for i in range(k))
+    second = " ".join(str(1 << i) for i in (*range(k - 1), k))
+    tracemalloc.start()
+    try:
+        code = loads_subspace_code(f"2 20 {k} 0\n{first}\n{second}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.d == 2
+    assert peak < 8 * 2 * (1 << 20) + (1 << 20)  # 17 MiB
+
+
 def test_subspace_file_round_trip(tmp_path):
     code = spread_code(2, 4, 2)
     text = dumps_subspace_code(code)
