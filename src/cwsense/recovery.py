@@ -144,10 +144,6 @@ def _omp_rows(a: np.ndarray, y: np.ndarray, k: int,
     prev = _norms(y)
     taken = np.zeros((B, a.shape[1]), dtype=bool)
     up = np.zeros(B, dtype=bool)
-    # one buffer for every iteration's correlations: a fresh B x N
-    # array can pass the allocator's mmap threshold, and is then
-    # page-faulted in anew each time
-    correlations = np.empty((B, a.shape[1], 1))
     for t in range(1, k + 1):
         go = ~(prev < tol) & ~up    # a row whose norm grew is out
         if not go.all():
@@ -155,8 +151,7 @@ def _omp_rows(a: np.ndarray, y: np.ndarray, k: int,
                 rows[go], ys[go], residual[go], prev[go], taken[go])
         if not len(rows):
             break
-        corr = np.matmul(at, residual[:, :, None],
-                         out=correlations[:len(rows)])[:, :, 0]
+        corr = np.matmul(at, residual[:, :, None])[:, :, 0]
         np.abs(corr, out=corr)
         corr[taken] = -1.0
         j = np.argmax(corr, axis=1)  # the first (lowest) index on ties
