@@ -85,11 +85,10 @@ PAIR_TILE = 256  # words per tile; a pair of tiles allocates O(PAIR_TILE n)
 DENSE_CAP = 1 << 28  # bytes of dense float64 words a scan may admit
 
 
-def check_dense_budget(n: int, N: int, signed: bool = False) -> None:
-    """Raise BudgetError when N words of length n as dense float64 (n x N,
-    doubled for signed words, whose supports need a second copy) would
-    pass DENSE_CAP bytes: array_maxima's and to_dense's admission."""
-    size = 8 * n * N * (2 if signed else 1)
+def check_dense_budget(n: int, N: int) -> None:
+    """Raise BudgetError when N words of length n as dense float64 (n x N)
+    would pass DENSE_CAP bytes: array_maxima's and to_dense's admission."""
+    size = 8 * n * N
     if size > DENSE_CAP:
         raise BudgetError(f"{n} x {N} dense float64 words need {size} "
                           f"bytes, past the cap {DENSE_CAP}")
@@ -113,7 +112,7 @@ def array_maxima(n: int, positions: np.ndarray,
     and words whose keys would take more memory than the word tiles or
     pass int64, go to the float64 tiles of _tile_maxima.
     """
-    check_dense_budget(n, len(positions), bool((signs < 0).any()))
+    check_dense_budget(n, len(positions))
     top = _subset_maxima(n, positions, signs)
     return _tile_maxima(n, positions, signs) if top is None else top
 
@@ -526,11 +525,11 @@ def dimension_ternary_gilbert(n: int, k: int, t: int) -> int:
 # -- file format ---------------------------------------------------------
 #
 # Line-oriented text.  Optional leading comment lines starting with '#'
-# ('# provenance: <tag>' is read back), then a header 'n d w', then one
-# codeword per line: bare support positions for binary codes, signed
-# positions like '+3 -7 +9' for ternary ones (the syntax sets
-# CWCode.signed).  Loading recomputes the distance and rejects files
-# whose header claims more than the words deliver.
+# ('# provenance: <tag>' is read back), a header 'n d w' (read_header),
+# then one codeword per line in parse_words' grammar: bare positions
+# like '3 7 9' for binary codes, signed ones like '+3 -7 +9' for ternary
+# ones, as the first word's syntax sets CWCode.signed.  Loading
+# recomputes the distance and rejects headers that overstate it.
 
 def format_words(positions: np.ndarray, signs: np.ndarray,
                  signed: bool = True) -> list[str]:
@@ -547,34 +546,36 @@ def format_words(positions: np.ndarray, signs: np.ndarray,
 
 def parse_words(lines: list[tuple[int, str]], signed: bool, w: int,
                 what: str = "word") -> tuple[np.ndarray, np.ndarray]:
-    """(positions, signs) of numbered lines written by format_words, rows
-    sorted by position.  A bad token is a FormatError naming its line;
-    lines of differing lengths are refused at the first without w."""
+    """(positions, signs) of numbered lines, rows sorted by position: the
+    one position reader of code, support-list and subspace files.  A
+    position is ASCII digits below 2^63, signed by exactly one '+' or '-'
+    when signed and bare when not; any other token is a FormatError naming
+    its line.  Lines of differing lengths fail at the first without w."""
     positions, signs, counts = [], [], []
     for lineno, line in lines:
         row = line.split()
         for tok in row:
-            if (tok[0] in "+-") != signed:
-                raise FormatError(f"line {lineno}: expected "
+            digits = tok[1:] if signed else tok
+            if not (digits.isascii() and digits.isdigit()
+                    and (tok[0] in "+-") == signed
+                    and (value := int(digits)) < 1 << 63):
+                raise FormatError(f"line {lineno}: bad "
                                   f"{'signed' if signed else 'unsigned'} "
-                                  f"positions, got {tok!r}")
-            try:
-                positions.append(int(tok[1:] if signed else tok))
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad position {tok!r}") from None
-            if not -1 << 63 <= positions[-1] < 1 << 63:
-                raise FormatError(f"line {lineno}: position {tok!r} past int64")
-        signs.extend(-1 if tok[0] == "-" else 1 for tok in row)
+                                  f"position {tok!r}")
+            positions.append(value)
+        if signed:
+            signs.extend(-1 if tok[0] == "-" else 1 for tok in row)
         counts.append(len(row))
     if len(set(counts)) > 1:
         i = next(i for i, c in enumerate(counts) if c != w)
         raise ParameterError(f"{what} #{i} does not have weight {w}")
     shape = (len(counts), counts[0] if counts else 0)
     positions = np.array(positions, dtype=np.int64).reshape(shape)
+    signs = (np.array(signs, dtype=np.int8).reshape(shape) if signed
+             else np.ones(shape, dtype=np.int8))
     order = np.argsort(positions, axis=1, kind="stable")
     return (np.take_along_axis(positions, order, axis=1),
-            np.take_along_axis(np.array(signs, dtype=np.int8).reshape(shape),
-                               order, axis=1))
+            np.take_along_axis(signs, order, axis=1))
 
 
 def dumps_code(code: CWCode) -> str:
@@ -611,21 +612,29 @@ def read_lines(text: str) -> tuple[str, list[tuple[int, str]],
     return provenance, comments, data
 
 
-def loads_code(text: str) -> CWCode:
-    provenance, _, lines = read_lines(text)
-    if not lines:
-        raise FormatError("missing 'n d w' header")
-    (lineno, header), body = lines[0], lines[1:]
+def read_header(data: list[tuple[int, str]], names: str) -> tuple:
+    """The integers named in names ('n d w' or 'q n k d') read from the
+    first data line, then the data lines after it.  A missing header, a
+    count other than names' or a value int() refuses is a FormatError;
+    each caller checks the ranges of its own values."""
+    if not data:
+        raise FormatError(f"missing '{names}' header")
+    (lineno, header), body = data[0], data[1:]
     tokens = header.split()
-    if len(tokens) != 3:
-        raise FormatError(f"line {lineno}: header must be 'n d w'")
+    if len(tokens) != len(names.split()):
+        raise FormatError(f"line {lineno}: header must be '{names}'")
     try:
-        n, claimed_d, w = map(int, tokens)
+        return (*map(int, tokens), body)
     except ValueError:
         raise FormatError(f"line {lineno}: non-integer header") from None
+
+
+def loads_code(text: str) -> CWCode:
+    provenance, _, lines = read_lines(text)
+    n, claimed_d, w, body = read_header(lines, "n d w")
     if n < 1 or w < 1 or claimed_d < 1:
         raise FormatError(f"header values must be positive: {(n, claimed_d, w)}")
-    signed = any(tok[0] in "+-" for _, line in body for tok in line.split())
+    signed = bool(body) and body[0][1][0] in "+-"  # the first word's syntax
     try:
         positions, signs = parse_words(body, signed, w)
         code = CWCode(n=n, w=w, d=0, positions=positions, signs=signs,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .codes import (CWCode, array_maxima, as_points, certify_binary,
-                    check_dense_budget, read_lines)
+                    check_dense_budget, parse_words, read_header, read_lines)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field, power_exceeds)
@@ -353,10 +353,10 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
 
 # -- subspace code file format --------------------------------------------
 #
-# Header 'q n k d', then one subspace per line: k base-q integer
-# encodings of its reduced-echelon basis rows.  Loading checks the
-# q^n budget before decoding, re-reduces, recomputes the distance and
-# rejects overstated headers.
+# Header 'q n k d', then one subspace per line: the k base-q encodings
+# of its reduced-echelon basis rows, unsigned positions to parse_words.
+# Loading checks the q^n budget before decoding, re-reduces, recomputes
+# the distance and rejects overstated headers.
 
 def dumps_subspace_code(code: SubspaceCode) -> str:
     q, n = code.field.q, code.n
@@ -368,24 +368,14 @@ def dumps_subspace_code(code: SubspaceCode) -> str:
 
 def loads_subspace_code(text: str) -> SubspaceCode:
     provenance, _, lines = read_lines(text)
-    if not lines:
-        raise FormatError("missing 'q n k d' header")
-    rows_enc: list[list[int]] = []
-    for lineno, line in lines:
-        try:
-            rows_enc.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer entry") from None
-    header = rows_enc.pop(0)
-    if len(header) != 4:
-        raise FormatError(f"line {lines[0][0]}: header must be 'q n k d'")
-    q, n, k, claimed_d = header
+    q, n, k, claimed_d, body = read_header(lines, "q n k d")
     if q < 2 or n < 1:
         raise FormatError(f"header needs q >= 2 and n >= 1, got q={q} n={n}")
     _check_space(q, n)
     try:
         field = make_field(*factor_prime_power(q))
-        rows = as_points(rows_enc, (len(rows_enc), k), q ** n, "subspace row")
+        rows = as_points(parse_words(body, False, k, "subspace row")[0],
+                         (len(body), k), q ** n, "subspace row")
         code = certify_subspace_code(field, n, k,
                                      rows[..., None] // q ** np.arange(n) % q,
                                      provenance=provenance)

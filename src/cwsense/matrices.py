@@ -73,7 +73,7 @@ class MeasurementMatrix:
         """The n x N float64 array of the columns, cached for OMP and the
         dense-csv writer; BudgetError where codes.check_dense_budget says."""
         if self._dense is None:
-            check_dense_budget(self.n, self.N, bool((self.signs < 0).any()))
+            check_dense_budget(self.n, self.N)
             self._dense = np.zeros((self.n, self.N))
             self._dense[self.positions, np.arange(self.N)[:, None]] = self.signs
         return self._dense

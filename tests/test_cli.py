@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from cwsense import cli
-from cwsense.codes import gilbert_bound, load_code, loads_code
-from cwsense.designs import spread_code, subspace_to_code
+from cwsense.codes import dumps_code, gilbert_bound, load_code, loads_code
+from cwsense.designs import (dumps_subspace_code, loads_subspace_code,
+                             spread_code, subspace_to_code)
 from cwsense.errors import FormatError
 from cwsense.matrices import from_code, loads_matrix, save_matrix
 from cwsense.recovery import RecoveryReport
@@ -240,6 +241,14 @@ def test_memory_budget_exit(capsys, tmp_path):
     assert run_cli("recover", str(path), "--k-max", "1") == 3
 
 
+def test_signed_words_admitted_at_the_binary_size(capsys, tmp_path):
+    # 2 x 10^7 dense float64 is 160 MB, under the cap for either alphabet
+    path = tmp_path / "tall.matrix"
+    path.write_text("# n 10000000 w 1\n+0\n-1\n")
+    assert run_cli("analyze", str(path)) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("mu = 0,")
+
+
 @pytest.mark.parametrize("argv", [
     "affine --q 1000000000000000003",
     "spread --q 1000000000000000003 --n 1 --k 1",
@@ -295,6 +304,37 @@ def test_out_of_range_positions_are_format_errors(tmp_path, text):
     path = tmp_path / "hostile.txt"
     path.write_text(text)
     assert run_cli("analyze", str(path)) == 2
+
+
+@pytest.mark.parametrize("signed_token, unsigned_token", [
+    ("++1", "++1"), ("-+2", "-+2"), ("+-1", "+-1"), ("+", "+"),
+    ("+1_0", "1_0"), ("+0x1", "0x1"), (f"+{2 ** 63}", str(2 ** 63)),
+    ("1", "+1"),  # the other alphabet's token, after a first good word
+])
+def test_position_grammar_is_one_for_every_file(tmp_path, signed_token,
+                                                unsigned_token):
+    # each bad token sits on line 3 of a binary and a ternary code file,
+    # a support-list matrix and a subspace code file
+    files = [(loads_code, f"4 2 2\n0 1\n{unsigned_token} 3\n"),
+             (loads_code, f"4 2 2\n+0 -1\n{signed_token} +3\n"),
+             (loads_matrix, f"# n 4 w 2\n+0 -1\n{signed_token} +3\n"),
+             (loads_subspace_code, f"2 4 2 4\n1 2\n{unsigned_token} 8\n")]
+    for loader, text in files:
+        with pytest.raises(FormatError, match="^line 3: "):
+            loader(text)
+        if loader is not loads_subspace_code:
+            path = tmp_path / "hostile.txt"
+            path.write_text(text)
+            assert run_cli("analyze", str(path)) == 2
+
+
+def test_leading_zeros_are_positions():
+    assert dumps_code(loads_code("8 2 2\n007 3\n0 01\n")).endswith(
+        "\n3 7\n0 1\n")
+    assert loads_matrix("# n 8 w 2\n+007 -03\n").positions.tolist() == [[3, 7]]
+    spread = "2 4 2 4\n001 02\n04 0008\n"
+    assert dumps_subspace_code(loads_subspace_code(spread)).endswith(
+        "\n1 2\n4 8\n")
 
 
 def test_unknown_construction_is_usage_error(capsys):

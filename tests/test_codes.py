@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from codes_oracle import (arrays_of, binary_distance, code_of, greedy_words,
                           ternary_distance, words_of)
-from cwsense import codes
+from cwsense import codes, designs
 from cwsense.codes import (array_maxima, certify_binary,
                            dimension_binary_gilbert, dimension_binary_gs,
                            dimension_ternary_gilbert, dumps_code,
@@ -137,8 +137,9 @@ def test_overlap_maxima_memory_budget(monkeypatch):
     words = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, -1))]
     monkeypatch.setattr(codes, "DENSE_CAP", 8 * 3 * 3)  # one 3 x 3 array
     assert overlap_maxima(3, words[:2] + [((0, 1), (2, 1))]) == (1, 2)
-    with pytest.raises(BudgetError):   # signed words need a second array
-        overlap_maxima(3, words)
+    # signed words are admitted at the binary size: no path holds a
+    # second n x N array
+    assert overlap_maxima(3, words) == (1, 2)
     with pytest.raises(BudgetError):   # 4 x 3 binary words
         overlap_maxima(4, words[:2] + [((0, 1), (3, 1))])
 
@@ -521,6 +522,24 @@ def test_loads_format_rejections():
         loads_code("4 2 2\n0 1\n0 1\n")           # duplicate words
     with pytest.raises(FormatError):
         loads_code("0 2 2\n")                     # non-positive header
+
+
+@pytest.mark.parametrize("loader, header", [
+    (loads_code, "n d w"), (designs.loads_subspace_code, "q n k d")])
+@pytest.mark.parametrize("line, message", [
+    (None, "missing '{}' header"),
+    ("{short}", "line 2: header must be '{}'"),
+    ("{full} 4", "line 2: header must be '{}'"),
+    ("{short} x", "line 2: non-integer header"),
+])
+def test_headers_share_one_reader(loader, header, line, message):
+    full = {"n d w": "4 2 2", "q n k d": "2 4 2 4"}[header]
+    text = "# provenance: p\n"
+    if line is not None:
+        text += line.format(short=full.rsplit(" ", 1)[0], full=full) + "\n1 2\n"
+    with pytest.raises(FormatError) as exc:
+        loader(text)
+    assert str(exc.value) == message.format(header)
 
 
 def test_provenance_comment_round_trip():
