@@ -553,16 +553,17 @@ def parse_words(lines: list[tuple[int, str]], signed: bool, w: int,
     its line.  Lines of differing lengths fail at the first without w."""
     positions, signs, counts = [], [], []
     for lineno, line in lines:
-        row = line.split()
-        for tok in row:
-            digits = tok[1:] if signed else tok
-            if not (digits.isascii() and digits.isdigit()
-                    and (tok[0] in "+-") == signed
-                    and (value := int(digits)) < 1 << 63):
-                raise FormatError(f"line {lineno}: bad "
-                                  f"{'signed' if signed else 'unsigned'} "
-                                  f"position {tok!r}")
-            positions.append(value)
+        try:
+            for tok in (row := line.split()):
+                digits = tok[1:] if signed else tok
+                if not (digits.isascii() and digits.isdigit()
+                        and (tok[0] in "+-") == signed
+                        and (value := int(digits)) < 1 << 63):
+                    raise ValueError
+                positions.append(value)
+        except ValueError:  # int() also refuses more than 4300 digits
+            raise FormatError(f"line {lineno}: bad {'' if signed else 'un'}"
+                              f"signed position {tok!r}") from None
         if signed:
             signs.extend(-1 if tok[0] == "-" else 1 for tok in row)
         counts.append(len(row))
@@ -619,12 +620,11 @@ def read_header(data: list[tuple[int, str]], names: str) -> tuple:
     each caller checks the ranges of its own values."""
     if not data:
         raise FormatError(f"missing '{names}' header")
-    (lineno, header), body = data[0], data[1:]
-    tokens = header.split()
+    lineno, tokens = data[0][0], data[0][1].split()
     if len(tokens) != len(names.split()):
         raise FormatError(f"line {lineno}: header must be '{names}'")
     try:
-        return (*map(int, tokens), body)
+        return (*map(int, tokens), data[1:])
     except ValueError:
         raise FormatError(f"line {lineno}: non-integer header") from None
 

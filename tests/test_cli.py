@@ -310,6 +310,7 @@ def test_out_of_range_positions_are_format_errors(tmp_path, text):
     ("++1", "++1"), ("-+2", "-+2"), ("+-1", "+-1"), ("+", "+"),
     ("+1_0", "1_0"), ("+0x1", "0x1"), (f"+{2 ** 63}", str(2 ** 63)),
     ("1", "+1"),  # the other alphabet's token, after a first good word
+    ("+" + "1" * 5000, "1" * 5000),  # past int()'s 4300-digit limit
 ])
 def test_position_grammar_is_one_for_every_file(tmp_path, signed_token,
                                                 unsigned_token):
