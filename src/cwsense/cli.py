@@ -22,6 +22,7 @@ go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 
@@ -250,11 +251,17 @@ def _install_logging() -> None:
         log.addHandler(_StderrHandler())
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main uses in this process: parse_args keeps no
+    state between calls, and building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _install_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -16,11 +16,37 @@ one-trial-at-a-time loop:
   [seed, k, trial] as each int's little-endian 32-bit words (0 as one
   word), so a uint32 row of the seed's words, k and the trial index is
   the same entropy, and Generator(PCG64(...)) is what default_rng
-  builds.  Per trial the loop makes _draw's choice and integers or
-  standard_normal calls into the block arrays; once per block it sorts
-  the supports, maps Rademacher 0/1 by the same exact x * 2.0 - 1.0,
-  and redraws any Gaussian row holding an exact 0.0 with _draw from a
-  fresh stream on the same row, which replays the per-trial resample;
+  builds.  The draw argument follows; the trial streams of a k are
+  drawn in chunks of whole blocks, about BLOCK_BYTES of draw data each.
+  - Streams.  _pcg64_seed runs SeedSequence's pool mixing (pool size 4)
+    and generate_state(4, uint64) on uint32 words held in uint64 arrays
+    (its hash constants do not depend on the data), then pcg64_set_seed:
+    state 0, inc = (initseq << 1) | 1, step, add initstate, step.  A
+    step is the 128-bit LCG on hi/lo uint64 halves, the high product
+    over 32-bit limbs; an output is XSL-RR (O'Neill 2014) of the new
+    state.  Each 64-bit output is two 32-bit words, low half first, the
+    order PCG64's next_uint32 buffers them in.
+  - Choice.  Generator.choice(N, k, replace=False) takes Floyd's branch
+    when N <= 10000 or k <= N // 50.  Floyd's algorithm draws j = N-k ..
+    N-1 on [0, j], no draw when j = 0, and a value already taken
+    inserts j instead; then the shuffle makes k-1 draws on [0, i] for
+    i = k-1 .. 1, which reorder the support but leave its set, sorted
+    as _draw sorts it, alone.  A draw on [0, r] is Lemire's bounded
+    draw (Lemire 2019) on one 32-bit word u: the top word of
+    u * (r + 1), redrawn while the low word is below 2^32 mod (r + 1).
+  - Values.  integers(0, 2, size=k) is the top bit of the next k words
+    (Lemire on [0, 1] never redraws), mapped by the same exact
+    x * 2.0 - 1.0.  standard_normal reads whole 64-bit outputs from the
+    one after the choice's last word, that is from output
+    ceil(words / 2) + 1, so it runs per trial on one reused PCG64 set
+    to that state.
+  - Fallback.  A trial is drawn by _draw from a real Generator on its
+    row when one of its Lemire draws would redraw, when a Gaussian row
+    holds an exact 0.0 (the Generator's resample then replays), and
+    every trial when choice would not take Floyd's branch or N >= 2^32.
+    Each chunk also draws its first computed row with a Generator; if
+    they differ, as under a numpy whose streams changed, it logs one
+    warning and draws the whole chunk one trial at a time.
 * a measurement adds the support columns in support order, so each
   entry sees the additions the per-trial loop makes plus +-0.0 terms
   (a finite value times a zero entry); x + (+-0.0) is x, bit for bit,
@@ -39,7 +65,8 @@ one-trial-at-a-time loop:
 
 tests/recovery_oracle.py keeps that per-trial loop, with its signal
 generation, measurement and exact-recovery check; the tests hold the
-engine to it bit for bit.
+engine to it bit for bit, and the chunk draw to _draw on a Generator
+per row.
 """
 
 from __future__ import annotations
@@ -89,6 +116,162 @@ def _draw(rng: np.random.Generator, N: int, k: int,
             values[values == 0.0] = rng.standard_normal(
                 int(np.sum(values == 0.0)))
     return support, values
+
+
+# SeedSequence's hash constants and PCG64's 128-bit multiplier, as hi
+# and lo 64-bit halves: the chunk draw's streams are numpy's, computed
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _hashes(const: int, mult: int, count: int) -> np.ndarray:
+    """const and the count hash constants SeedSequence steps to from it."""
+    out = [const]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint64)
+
+
+def _hashmix(value: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of 32-bit words value (..., m) held as
+    uint64, call i with hash constants h[i] and h[i + 1]."""
+    value = (value ^ h[:-1]) * h[1:] & _LOW
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = (x * _MIX_L - y * _MIX_R) & _LOW
+    return r ^ r >> 16
+
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of a * b, over 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LOW, a >> 32, b & _LOW, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _LOW) + (p10 & _LOW)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg_step(state: tuple, inc: tuple) -> tuple:
+    """One LCG step, state * multiplier + inc mod 2^128, on (hi, lo)."""
+    hi, lo = state
+    new_lo = lo * _PCG_LO + inc[1]
+    return (hi * _PCG_LO + lo * _PCG_HI + _mulhi(lo, _PCG_LO) + inc[0]
+            + (new_lo < inc[1]), new_lo)
+
+
+def _pcg64_seed(rows: np.ndarray) -> tuple[tuple, tuple]:
+    """(state, inc) of PCG64(SeedSequence(row)) for each uint32 entropy
+    row, each a (hi, lo) pair of uint64 arrays: the pool mixing (pool
+    size 4), generate_state(4, uint64) and pcg64_set_seed."""
+    size, length = rows.shape
+    width = max(length, 4)  # short entropy is padded with 0 words
+    entropy = np.zeros((size, width), dtype=np.uint64)
+    entropy[:, :length] = rows
+    h = _hashes(_INIT_A, _MULT_A, 4 * width)
+    pool = _hashmix(entropy[:, :4], h[:5])
+    at = 4
+    for src in range(4):    # pool[src] into every other pool word
+        dst = [i for i in range(4) if i != src]
+        pool[:, dst] = _mix(pool[:, dst],
+                            _hashmix(pool[:, src, None], h[at:at + 4]))
+        at += 3
+    for src in range(4, length):    # the rest of the entropy
+        pool = _mix(pool, _hashmix(entropy[:, src, None], h[at:at + 5]))
+        at += 4
+    words = _hashmix(pool[:, [0, 1, 2, 3] * 2], _hashes(_INIT_B, _MULT_B, 8))
+    seed = words[:, 0::2] | words[:, 1::2] << 32
+    inc = (seed[:, 2] << 1 | seed[:, 3] >> 63, seed[:, 3] << 1 | 1)
+    lo = inc[1] + seed[:, 1]    # state 0, step, add initstate
+    state = _pcg_step((inc[0] + seed[:, 0] + (lo < inc[1]), lo), inc)
+    return state, inc
+
+
+def _stream_draw(rows: np.ndarray, N: int, k: int, model: str
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_draw(Generator(PCG64(SeedSequence(row))), N, k, model) for each
+    uint32 entropy row, computed from the streams as arrays, for Floyd's
+    branch of choice and N < 2^32.  Returns (supports, values, exact):
+    rows where exact is False had a Lemire draw reject, and their
+    supports and values are meaningless.  The module docstring gives
+    the word order."""
+    state, inc = _pcg64_seed(rows)
+    skip = N == k       # Floyd's first j is 0: no draw
+    choice = 2 * k - 1 - skip
+    need = choice + (k if model == "rademacher" else 0)
+    words = np.empty((len(rows), need + need % 2), dtype=np.uint64)
+    for t in range(0, need, 2):
+        state = _pcg_step(state, inc)
+        hi, lo = state
+        x = hi ^ lo
+        rot = hi >> 58
+        out = x >> rot | x << (64 - rot & 63)
+        words[:, t], words[:, t + 1] = out & _LOW, out >> 32
+    # Lemire on [0, r - 1]: the top word of u * r, rejected while the
+    # low word is below 2^32 mod r
+    r = [*range(N - k + skip + 1, N + 1), *range(k, 1, -1)]
+    m = words[:, :choice] * np.array(r, dtype=np.uint64)
+    limit = np.array([2 ** 32 % x for x in r], dtype=np.uint64)
+    exact = ~((m & _LOW) < limit).any(axis=1)
+    picks = np.zeros((len(rows), k), dtype=np.intp)
+    picks[:, skip:] = m[:, :k - skip] >> 32
+    for t in range(1, k):   # a value already taken inserts j instead
+        taken = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+        picks[taken, t] = N - k + t
+    picks.sort(axis=1)      # the shuffle reorders, the set stays
+    if model == "rademacher":
+        return picks, (words[:, choice:need] >> 31) * 2.0 - 1.0, exact
+    # standard_normal reads whole 64-bit outputs from the one after the
+    # choice's last word, through one PCG64 set to each row's state
+    values = np.empty((len(rows), k))
+    gen = np.random.Generator(np.random.PCG64(0))
+    pcg = {}
+    full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": pcg}
+    # each row's state and inc as 128-bit little-endian integers
+    packed = np.stack([state[1], state[0], inc[1], inc[0]], axis=1).astype(
+        "<u8", copy=False).tobytes()
+    for i in range(len(rows)):
+        pcg["state"] = int.from_bytes(packed[32 * i:32 * i + 16], "little")
+        pcg["inc"] = int.from_bytes(packed[32 * i + 16:32 * i + 32], "little")
+        gen.bit_generator.state = full
+        gen.standard_normal(out=values[i])
+    return picks, values, exact
+
+
+def _draw_chunk(rows: np.ndarray, N: int, k: int,
+                model: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending supports (len(rows), k) and values of
+    _draw(Generator(PCG64(SeedSequence(row))), N, k, model) for each
+    uint32 entropy row, bit for bit: _stream_draw where it applies, and
+    a per-trial Generator for the rest (the module docstring lists
+    when).  The first row _stream_draw drew is checked against the
+    Generator; if they differ, the chunk is drawn one trial at a time."""
+    def one(row):
+        return _draw(np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(row))), N, k, model)
+
+    if N < 2 ** 32 and (N <= 10000 or k <= N // 50):   # Floyd's branch
+        supports, values, exact = _stream_draw(rows, N, k, model)
+        exact &= ~(values == 0.0).any(axis=1)
+        for i in np.flatnonzero(exact)[:1]:
+            support, value = one(rows[i])
+            if not (np.array_equal(support, supports[i])
+                    and value.tobytes() == values[i].tobytes()):
+                log.warning("numpy's stream for %s differs from the chunk "
+                            "draw; drawing %d trials one at a time",
+                            rows[i].tolist(), len(rows))
+                exact[:] = False
+    else:
+        supports = np.empty((len(rows), k), dtype=np.intp)
+        values = np.empty((len(rows), k))
+        exact = np.zeros(len(rows), dtype=bool)
+    for i in np.flatnonzero(~exact):
+        supports[i], values[i] = one(rows[i])
+    return supports, values
 
 
 def _measure_rows(at: np.ndarray, supports: np.ndarray,
@@ -281,9 +464,6 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
     # the seed's 32-bit words, the head of every trial's entropy row
     words = [(seed >> s) & 0xFFFFFFFF
              for s in range(0, max(seed.bit_length(), 1), 32)]
-    gaussian = model == "gaussian"
-    Generator, PCG64, SeedSequence = (
-        np.random.Generator, np.random.PCG64, np.random.SeedSequence)
     reports = []
     for k in ks:
         if k == 0:
@@ -292,33 +472,23 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
         start = time.perf_counter()
         a = matrix.to_dense()
         block = max(1, BLOCK_BYTES // ((N + k * n) * 8))
+        # whole blocks of trials per draw; a trial's draw holds at most
+        # 40 + 9k uint64 at once: the seeding's, then its 3k stream
+        # words, the choice's Lemire products and the values
+        chunk = block * max(1, BLOCK_BYTES // (8 * (40 + 9 * k) * block))
         totals = (0, 0, 0.0, 0.0)   # successes, then the report's maxima
-        for first in range(0, trials, block):
-            size = min(block, trials - first)
+        for first in range(0, trials, chunk):
+            size = min(chunk, trials - first)
             rows = np.empty((size, len(words) + 2), dtype=np.uint32)
             rows[:, :-1] = [*words, k]
             rows[:, -1] = np.arange(first, first + size)
-            truth = np.empty((size, k), dtype=np.intp)
-            values = np.empty((size, k))
-            for i in range(size):
-                rng = Generator(PCG64(SeedSequence(rows[i])))
-                truth[i] = rng.choice(N, size=k, replace=False)
-                if gaussian:
-                    rng.standard_normal(out=values[i])
-                else:
-                    values[i] = rng.integers(0, 2, size=k)
-            truth.sort(axis=1)
-            if gaussian:
-                for i in np.flatnonzero((values == 0.0).any(axis=1)):
-                    truth[i], values[i] = _draw(
-                        Generator(PCG64(SeedSequence(rows[i]))), N, k, model)
-            else:
-                values = values * 2.0 - 1.0
-            y = _measure_rows(a.T, truth, values)
-            scores = _score_rows(a.T, truth, values, y,
-                                 *_omp_rows(a, y, k, tol))
-            totals = (totals[0] + scores[0],
-                      *map(max, totals[1:], scores[1:]))
+            truth, values = _draw_chunk(rows, N, k, model)
+            for b in range(0, size, block):
+                t, v = truth[b:b + block], values[b:b + block]
+                y = _measure_rows(a.T, t, v)
+                scores = _score_rows(a.T, t, v, y, *_omp_rows(a, y, k, tol))
+                totals = (totals[0] + scores[0],
+                          *map(max, totals[1:], scores[1:]))
         reports.append(RecoveryReport(matrix.provenance, k, trials, *totals,
                                       seconds=time.perf_counter() - start))
     return reports

@@ -1,6 +1,7 @@
 """CLI: subcommand output, exit codes, file side effects."""
 
 import hashlib
+import re
 import subprocess
 import sys
 import time
@@ -622,3 +623,38 @@ def test_installed_script_runs():
          "from cwsense.cli import run; run()"],
         input="", capture_output=True, text=True)
     assert proc.returncode == 2  # no subcommand is a usage error
+
+
+def test_main_reuses_one_parser(capsys, tmp_path, monkeypatch):
+    """Consecutive main calls with different subcommands, options left
+    out after a call that gave them, and usage errors print what a
+    fresh parser per call prints."""
+    monkeypatch.chdir(tmp_path)
+    argvs = [
+        ["construct", "sts", "--n", "9", "--out", "s.code",
+         "--emit-matrix", "s.matrix"],
+        ["analyze", "s.code", "--k", "2"],
+        ["analyze", "s.code"],
+        ["bounds", "--n", "12", "--d", "4", "--w", "4"],
+        ["recover", "s.matrix", "--k-max", "2", "--trials", "5",
+         "--values", "gaussian", "--seed", "4"],
+        ["recover", "s.matrix", "--k-max", "2"],
+        ["bounds", "--bogus"],
+        ["recover", "s.matrix"],
+        ["construct", "sts", "--n", "9"],
+    ]
+
+    def outputs():
+        seen = []
+        for argv in argvs:
+            rc = cli.main(argv)
+            out, err = capsys.readouterr()
+            # the recover CSV's seconds column is wall time
+            seen.append((rc, re.sub(r",[0-9.]+$", "", out, flags=re.M), err))
+        return seen
+
+    shared = outputs()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == shared
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 2, 0]

@@ -1,10 +1,12 @@
 """The batched OMP engine against the per-trial oracle, bit for bit.
 
 recovery_oracle keeps the one-trial-at-a-time bodies of gen_sparse, omp
-and run_experiment; the engine makes recovery._draw's stream calls per
-trial and finishes the draw per block.  Every RecoveryReport field but
+and run_experiment; the engine computes the streams of a chunk of
+trials as arrays and falls back to recovery._draw on a Generator per
+trial where the module docstring says.  Every RecoveryReport field but
 seconds, every OMP support and value, and the warning lines in their
-order must agree exactly, whatever the block size and the seed.
+order must agree exactly, whatever the block size and the seed; the
+chunk draw must agree with _draw row by row.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import recovery_oracle as oracle
 from cwsense import recovery
@@ -145,12 +148,123 @@ def test_multiword_seeds_match_oracle(caplog, monkeypatch, seed, model):
     assert got == want
 
 
+def entropy_rows(seed, k, trials):
+    """The uint32 rows [seed words..., k, trial] run_experiment draws."""
+    words = [(seed >> s) & 0xFFFFFFFF
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    return np.array([[*words, k, t] for t in trials], dtype=np.uint32)
+
+
+def assert_chunk_draw_matches(rows, N, k, model):
+    """The chunk draw of rows against one Generator per row, and so is
+    every row the streams drew themselves: the chunk's self-check would
+    hide a wrong stream behind its per-trial fallback, so the check
+    must not fire."""
+    fired = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = fired.append
+    recovery.log.addHandler(handler)
+    try:
+        checks = [(rows, *recovery._draw_chunk(rows, N, k, model))]
+    finally:
+        recovery.log.removeHandler(handler)
+    assert not fired
+    if N <= 10000 or k <= N // 50:
+        supports, values, exact = recovery._stream_draw(rows, N, k, model)
+        checks.append((rows[exact], supports[exact], values[exact]))
+    for drawn, supports, values in checks:
+        assert supports.shape == values.shape == (len(drawn), k)
+        for row, support, value in zip(drawn, supports, values):
+            want = recovery._draw(np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(row))), N, k, model)
+            assert support.tolist() == want[0].tolist(), row
+            assert value.tobytes() == want[1].tobytes(), row
+
+
+# one, two and three 32-bit words of seed
+DRAW_SEEDS = [0, 2 ** 32 - 1, 2 ** 40 + 3, 2 ** 64 + 5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=7),
+       st.integers(1, 4))
+def test_stream_seeding_matches_pcg64(row, count):
+    rows = np.array([row] * count, dtype=np.uint32)
+    rows[:, -1] += np.arange(count, dtype=np.uint32)
+    state, inc = recovery._pcg64_seed(rows)
+    for i, entropy in enumerate(rows):
+        want = np.random.PCG64(np.random.SeedSequence(entropy)).state
+        assert (int(state[0][i]) << 64 | int(state[1][i])
+                == want["state"]["state"])
+        assert int(inc[0][i]) << 64 | int(inc[1][i]) == want["state"]["inc"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DRAW_SEEDS), st.sampled_from(recovery.VALUE_MODELS),
+       st.data())
+def test_chunk_draw_matches_generator(seed, model, data):
+    N = data.draw(st.integers(1, 600), label="N")
+    k = data.draw(st.one_of(st.just(N), st.integers(1, min(N, 12))),
+                  label="k")
+    trials = data.draw(st.lists(
+        st.one_of(st.integers(0, 200), st.integers(2 ** 32 - 40, 2 ** 32 - 1)),
+        min_size=1, max_size=12), label="trials")
+    assert_chunk_draw_matches(entropy_rows(seed, k, trials), N, k, model)
+
+
+@pytest.mark.parametrize("model", recovery.VALUE_MODELS)
+@pytest.mark.parametrize("N,k", [(1, 1), (6, 6), (10001, 200), (10001, 201)])
+def test_chunk_draw_edges_match_generator(N, k, model):
+    """N = 1 and N = k skip the draw on [0, 0]; (10001, 200) is Floyd's
+    branch of choice, (10001, 201) the tail shuffle, drawn per trial."""
+    rows = entropy_rows(2 ** 40 + 3, k, [0, 1, 2 ** 32 - 2, 2 ** 32 - 1])
+    assert_chunk_draw_matches(rows, N, k, model)
+
+
+@pytest.mark.parametrize("model", recovery.VALUE_MODELS)
+def test_chunk_draw_lemire_rejections_match_generator(model):
+    """On [0, 3 * 2^30) a quarter of the words reject: the rows that
+    drew one fall back to a Generator, and every row still matches."""
+    N = 3 * 2 ** 30
+    rows = entropy_rows(1, 2, range(300))
+    assert (~recovery._stream_draw(rows, N, 2, model)[2]).sum() == 118
+    assert_chunk_draw_matches(rows, N, 2, model)
+
+
+def test_chunk_draw_self_check_falls_back(caplog, monkeypatch):
+    """A Generator whose draws differ from the computed streams (a
+    perturbed _draw stands in for a changed numpy): the chunk logs one
+    warning and takes every row from the Generator."""
+    real_draw = recovery._draw
+
+    def perturbed(rng, N, k, model):
+        support, values = real_draw(rng, N, k, model)
+        return support, -values
+
+    rows = entropy_rows(3, 4, range(10))
+    with caplog.at_level(logging.WARNING, logger="cwsense"):
+        recovery._draw_chunk(rows, 343, 4, "gaussian")
+        assert warnings(caplog) == []
+        monkeypatch.setattr(recovery, "_draw", perturbed)
+        supports, values = recovery._draw_chunk(rows, 343, 4, "gaussian")
+        lines = warnings(caplog)
+    assert len(lines) == 1 and lines[0][0] == "WARNING"
+    for row, support, value in zip(rows, supports, values):
+        want = perturbed(np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(row))), 343, 4, "gaussian")
+        assert support.tolist() == want[0].tolist()
+        assert value.tobytes() == want[1].tobytes()
+
+
 def test_gaussian_exact_zero_is_redrawn_like_the_oracle(caplog, monkeypatch):
     """An exact 0.0 forced into the first Gaussian draw of trial 5 at
     k = 4: the engine must measure the values the oracle's per-trial
-    resample gives, and report what the oracle reports."""
+    resample gives, and report what the oracle reports.  The oracle and
+    the engine's per-trial fallback draw from Generators; the engine's
+    chunk draw computes the streams, so the zero goes into its values."""
     matrix = devore(7, 3)
-    target = np.random.SeedSequence([3, 4, 5]).pool
+    row = [3, 4, 5]
+    target = np.random.SeedSequence(row).pool
     hits = []
 
     class Zeroing(np.random.Generator):
@@ -168,6 +282,15 @@ def test_gaussian_exact_zero_is_redrawn_like_the_oracle(caplog, monkeypatch):
     def zeroing_rng(seed):
         return Zeroing(np.random.PCG64(seed))
 
+    real_stream_draw = recovery._stream_draw
+
+    def zeroing_stream_draw(rows, N, k, model):
+        supports, values, exact = real_stream_draw(rows, N, k, model)
+        for i in np.flatnonzero((rows == row).all(axis=1)):
+            values[i, 1] = 0.0
+            hits.append(values[i].copy())
+        return supports, values, exact
+
     measured = []
     real_measure = recovery._measure_rows
 
@@ -177,14 +300,17 @@ def test_gaussian_exact_zero_is_redrawn_like_the_oracle(caplog, monkeypatch):
 
     monkeypatch.setattr(np.random, "Generator", Zeroing)
     monkeypatch.setattr(np.random, "default_rng", zeroing_rng)
+    monkeypatch.setattr(recovery, "_stream_draw", zeroing_stream_draw)
     monkeypatch.setattr(recovery, "_measure_rows", spy)
     truth = oracle.gen_sparse(matrix.N, 4, model="gaussian",
-                              seed=np.random.SeedSequence([3, 4, 5]))
+                              seed=np.random.SeedSequence(row))
     # the zero is resampled, the other values are kept
     assert len(hits) == 1 and 0.0 not in truth.values
     assert truth.values[[0, 2, 3]].tobytes() == hits[0][[0, 2, 3]].tobytes()
     want, got = both(caplog, matrix, [4], 12, "gaussian")
+    # the oracle's draw, the chunk draw's and the engine's fallback
     assert len(hits) >= 3 and got == want
+    assert hits[2].tobytes() == hits[0].tobytes()
     # the block's first call measures the signals
     assert measured[0][5].tobytes() == truth.values.tobytes()
 
