@@ -243,6 +243,16 @@ def check_words(n: int, w: int, positions: np.ndarray, signs: np.ndarray,
             raise ParameterError(f"{what} #{int(bad.argmax())} {message}")
 
 
+def repeated_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a 2-D array equal to an earlier row.  A
+    stable sort of the rows puts each repeat right after an equal row
+    with a smaller index, so comparing neighbours finds every repeat."""
+    order = np.lexsort(rows.T[::-1]) if rows.size else np.arange(len(rows))
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[order[1:]] = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    return repeated
+
+
 def validate(code: CWCode) -> int:
     """Exhaustively recompute the minimum distance and certify it.
 
@@ -254,12 +264,10 @@ def validate(code: CWCode) -> int:
     """
     positions, signs = code.positions, code.signs
     check_words(code.n, code.w, positions, signs)
-    repeated = np.ones(len(positions), dtype=bool)
-    repeated[np.unique(np.hstack([positions, signs]), axis=0,
-                       return_index=True)[1]] = False
     for bad, message in (((signs < 0).any(axis=1) & (not code.signed),
                           "word #{} of a binary code has a '-' sign"),
-                         (repeated, "duplicate codeword #{}")):
+                         (repeated_rows(np.hstack([positions, signs])),
+                          "duplicate codeword #{}")):
         if bad.any():
             raise ParameterError(message.format(int(bad.argmax())))
     code.inner, top_s = array_maxima(code.n, positions, signs)
@@ -547,36 +555,85 @@ def format_words(positions: np.ndarray, signs: np.ndarray,
 def parse_words(lines: list[tuple[int, str]], signed: bool, w: int,
                 what: str = "word") -> tuple[np.ndarray, np.ndarray]:
     """(positions, signs) of numbered lines, rows sorted by position: the
-    one position reader of code, support-list and subspace files.  A
-    position is ASCII digits below 2^63, signed by exactly one '+' or '-'
-    when signed and bare when not; any other token is a FormatError naming
-    its line.  Lines of differing lengths fail at the first without w."""
-    positions, signs, counts = [], [], []
-    for lineno, line in lines:
-        try:
-            for tok in (row := line.split()):
-                digits = tok[1:] if signed else tok
-                if not (digits.isascii() and digits.isdigit()
-                        and (tok[0] in "+-") == signed
-                        and (value := int(digits)) < 1 << 63):
-                    raise ValueError
-                positions.append(value)
-        except ValueError:  # int() also refuses more than 4300 digits
-            raise FormatError(f"line {lineno}: bad {'' if signed else 'un'}"
-                              f"signed position {tok!r}") from None
-        if signed:
-            signs.extend(-1 if tok[0] == "-" else 1 for tok in row)
-        counts.append(len(row))
-    if len(set(counts)) > 1:
-        i = next(i for i, c in enumerate(counts) if c != w)
-        raise ParameterError(f"{what} #{i} does not have weight {w}")
-    shape = (len(counts), counts[0] if counts else 0)
-    positions = np.array(positions, dtype=np.int64).reshape(shape)
-    signs = (np.array(signs, dtype=np.int8).reshape(shape) if signed
-             else np.ones(shape, dtype=np.int8))
+    one position reader of code, support-list and subspace files.  The
+    tokens are those of str.split().  A position is ASCII digits below
+    2^63, signed by exactly one '+' or '-' when signed and bare when
+    not; the first other token in file order is a FormatError naming its
+    line (read_positions).  Only then do lines of differing lengths
+    fail, at the first without w."""
+    values, heads, counts = read_positions(lines, signed)
+    if (counts != counts[:1]).any():
+        raise ParameterError(f"{what} #{int((counts != w).argmax())} "
+                             f"does not have weight {w}")
+    shape = (len(lines), int(counts[0]) if len(lines) else 0)
+    positions = values.reshape(shape)
+    signs = (np.where(heads == ord("-"), np.int8(-1), np.int8(1))
+             if signed else np.ones_like(heads, dtype=np.int8)).reshape(shape)
     order = np.argsort(positions, axis=1, kind="stable")
     return (np.take_along_axis(positions, order, axis=1),
             np.take_along_axis(signs, order, axis=1))
+
+
+def read_positions(lines: list[tuple[int, str]],
+                   signed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, first bytes) of every token of the lines in file order,
+    and the number of tokens on each line: parse_words' reader, which
+    raises the FormatError naming the first bad token.
+
+    The lines (read_lines' data, no line break inside one) are read in
+    one pass over their bytes joined by newlines: separator edges give
+    the tokens, byte masks check the grammar, and Horner's rule over
+    digit columns gives the values on per-token int64 arrays; no
+    per-byte int64 array is formed.  Tokens of 19 digits or more go to
+    int(), which keeps the 2^63 and 4300-digit limits.  A text that is
+    not ASCII is first rebuilt with one space between tokens, so a byte
+    >= 0x80 left sits inside a token.
+    """
+    text = "\n".join(line for _, line in lines)
+    if not text.isascii():
+        text = "\n".join(" ".join(line.split()) for _, line in lines)
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    # str.split()'s ASCII whitespace: \t \n \v \f \r, \x1c-\x1f and space
+    blank = (buf == 32) | (buf - 9 < 5) | (buf - 28 < 4)
+    zero = np.int8(0)  # an int 0 would widen the diff to int64 per byte
+    rise = np.diff((~blank).view(np.int8), prepend=zero, append=zero)
+    starts = np.flatnonzero(rise == 1)  # tokens end where rise is -1
+    length = np.flatnonzero(rise == -1) - starts - signed  # digits
+    newlines = np.flatnonzero(buf == ord("\n"))
+    counts = np.bincount(np.searchsorted(newlines, starts),
+                         minlength=len(lines))
+    heads = buf[starts]
+    bad = ~blank & (buf - 48 >= 10)  # neither a separator nor a digit
+    if signed:
+        bad[starts] = (heads != ord("+")) & (heads != ord("-"))
+    culprit = len(starts)  # the first bad token, none yet
+    if bad.any():
+        culprit = int(np.searchsorted(starts, bad.argmax(), "right")) - 1
+    if (length < 1).any():  # a lone sign
+        culprit = min(culprit, int((length < 1).argmax()))
+    big = {}
+    for t in np.flatnonzero(length[:culprit] > 18).tolist():
+        first = starts[t] + signed
+        try:
+            big[t] = int(buf[first:first + length[t]].tobytes())
+        except ValueError:  # past int()'s 4300 digits
+            big[t] = 1 << 63
+        if big[t] >= 1 << 63:
+            culprit = t
+            break
+    if culprit < len(starts):
+        i = int(np.searchsorted(newlines, starts[culprit]))
+        tok = lines[i][1].split()[culprit - int(counts[:i].sum())]
+        raise FormatError(f"line {lines[i][0]}: bad {'' if signed else 'un'}"
+                          f"signed position {tok!r}")
+    values = np.zeros(len(starts), dtype=np.int64)
+    for k in range(min(int(length.max(initial=0)), 18)):  # Horner's rule
+        live = length > k
+        digit = buf.take(starts + (signed + k), mode="clip") - 48
+        np.multiply(values, 10, out=values, where=live)
+        np.add(values, digit, out=values, where=live)
+    values[list(big)] = list(big.values())
+    return values, heads, counts
 
 
 def dumps_code(code: CWCode) -> str:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .codes import (CWCode, array_maxima, as_points, certify_binary,
-                    check_dense_budget, parse_words, read_header, read_lines)
+                    check_dense_budget, parse_words, read_header, read_lines,
+                    repeated_rows)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field, power_exceeds)
@@ -249,9 +250,7 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
         if len(red) != k:
             raise ParameterError(f"basis #{i} has rank {len(red)}, expected {k}")
         bases[i] = red
-    repeated = np.ones(len(bases), dtype=bool)
-    repeated[np.unique(bases.reshape(len(bases), -1), axis=0,
-                       return_index=True)[1]] = False
+    repeated = repeated_rows(bases.reshape(len(bases), -1))
     if repeated.any():
         raise ParameterError(f"duplicate subspace #{int(repeated.argmax())}")
     check_dense_budget(q ** n, len(bases))

@@ -7,7 +7,9 @@ tuples of (position, sign) pairs (binary supports: tuples of positions)
 and convert them with the helpers here.  greedy_words is the greedy
 search as a plain loop over such tuples with ternary_distance; the
 bit-mask search behind codes.greedy_binary and codes.greedy_ternary is
-checked against it.
+checked against it.  parse_words is the position reader as a loop
+over the tokens of str.split(); codes.parse_words, which reads every
+line's bytes in one numpy pass, is checked against it.
 """
 
 from itertools import combinations, product
@@ -15,6 +17,7 @@ from itertools import combinations, product
 import numpy as np
 
 from cwsense.codes import CWCode
+from cwsense.errors import FormatError, ParameterError
 from cwsense.matrices import MeasurementMatrix
 
 
@@ -81,3 +84,34 @@ def greedy_words(n: int, dist: int, w: int, sign_set=(1, -1)):
             if all(ternary_distance(word, other) >= dist for other in kept):
                 kept.append(word)
     return kept
+
+
+def parse_words(lines, signed: bool, w: int, what: str = "word"):
+    """(positions, signs) of numbered lines, token by token: the grammar,
+    errors and error precedence codes.parse_words must reproduce."""
+    positions, signs, counts = [], [], []
+    for lineno, line in lines:
+        try:
+            for tok in (row := line.split()):
+                digits = tok[1:] if signed else tok
+                if not (digits.isascii() and digits.isdigit()
+                        and (tok[0] in "+-") == signed
+                        and (value := int(digits)) < 1 << 63):
+                    raise ValueError
+                positions.append(value)
+        except ValueError:  # int() also refuses more than 4300 digits
+            raise FormatError(f"line {lineno}: bad {'' if signed else 'un'}"
+                              f"signed position {tok!r}") from None
+        if signed:
+            signs.extend(-1 if tok[0] == "-" else 1 for tok in row)
+        counts.append(len(row))
+    if len(set(counts)) > 1:
+        i = next(i for i, c in enumerate(counts) if c != w)
+        raise ParameterError(f"{what} #{i} does not have weight {w}")
+    shape = (len(counts), counts[0] if counts else 0)
+    positions = np.array(positions, dtype=np.int64).reshape(shape)
+    signs = (np.array(signs, dtype=np.int8).reshape(shape) if signed
+             else np.ones(shape, dtype=np.int8))
+    order = np.argsort(positions, axis=1, kind="stable")
+    return (np.take_along_axis(positions, order, axis=1),
+            np.take_along_axis(signs, order, axis=1))

@@ -330,6 +330,12 @@ def test_position_grammar_is_one_for_every_file(tmp_path, signed_token,
             assert run_cli("analyze", str(path)) == 2
 
 
+def test_dense_csv_underscore_entry_exits_2(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("0_1,0\n0,1\n")  # int() reads 0_1 as 1
+    assert run_cli("analyze", str(path)) == 2
+
+
 def test_leading_zeros_are_positions():
     assert dumps_code(loads_code("8 2 2\n007 3\n0 01\n")).endswith(
         "\n3 7\n0 1\n")

@@ -1,11 +1,13 @@
 """Codes: exact distances, frozen bound values, constructions, file I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import codes_oracle
 from codes_oracle import (arrays_of, binary_distance, code_of, greedy_words,
                           ternary_distance, words_of)
 from cwsense import codes, designs
@@ -15,10 +17,11 @@ from cwsense.codes import (array_maxima, certify_binary,
                            gilbert_bound, graham_sloane_bound,
                            graham_sloane_construct, greedy_binary,
                            greedy_ternary, load_code, loads_code, save_code,
-                           read_lines,
+                           parse_words, read_lines, repeated_rows,
                            smallest_prime_at_least, ternary_gilbert_bound,
                            validate)
 from cwsense.errors import BudgetError, FormatError, ParameterError
+from cwsense.matrices import dumps_matrix, from_code, loads_matrix
 
 # Lines of the projective plane of order 2: the classic (7, 4, 3) code.
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
@@ -307,6 +310,16 @@ def test_validate_rejections():
         validate(code_of(7, 3, [((2, 1), (1, 1), (0, 1))], signed=False))
 
 
+def test_first_repeat_is_named():
+    a, b = ((0, 1), (1, 1)), ((0, 1), (2, 1))
+    assert repeated_rows(np.array([[0, 1], [0, 2], [0, 1], [0, 2]])).tolist() \
+        == [False, False, True, True]
+    with pytest.raises(ParameterError, match="^duplicate codeword #2$"):
+        validate(code_of(4, 2, [a, b, a, b], signed=False))
+    for rows in (np.zeros((0, 3)), np.zeros((3, 0))):  # no rows, no columns
+        assert repeated_rows(rows).tolist() == [False, True, True][:len(rows)]
+
+
 def test_validate_writes_back_exact_distance():
     code = code_of(6, 2, [((0, 1), (1, 1)), ((2, 1), (3, 1)), ((0, 1), (2, 1))],
                    signed=False, d=99)
@@ -540,6 +553,84 @@ def test_headers_share_one_reader(loader, header, line, message):
     with pytest.raises(FormatError) as exc:
         loader(text)
     assert str(exc.value) == message.format(header)
+
+
+# The tokens of the position grammar's cases: digits with leading zeros,
+# values around 2^63 and int()'s 4300-digit limit, stray '+', '-', '_'
+# and 'x', and non-ASCII digits.
+DIGITS = st.from_regex(r"\A0{0,3}[0-9]{1,3}\Z")
+LONG = st.sampled_from(["9" * 18, "1" + "0" * 17, "9" * 19, "1" + "0" * 18,
+                        "0" * 19 + "7", "9" * 20, "0" * 18 + "12",
+                        str(2 ** 63 - 1), str(2 ** 63), "0" * 4300,
+                        "0" * 4299 + "5", "1" * 4300, "0" * 4301, "1" * 4301])
+WILD = st.text("0123456789+-_x\u00b2\u0661", max_size=4)
+SEPARATORS = st.sampled_from([" ", "\t", "\x1f", "\u2003", "\xa0"])
+
+
+@st.composite
+def position_lines(draw):
+    """(lines, signed, w): numbered lines of good tokens of the drawn
+    alphabet, mostly w of them, with any of the separators between and
+    around them; in about half the cases one token is then redrawn from
+    anything."""
+    signed = draw(st.booleans())
+    w = draw(st.integers(1, 3))
+    good = st.builds(str.__add__,
+                     st.sampled_from(("+", "-") if signed else ("",)),
+                     DIGITS | LONG)
+    rows = draw(st.lists(st.lists(good, min_size=w, max_size=w)
+                         | st.lists(good, max_size=4), max_size=4))
+    if draw(st.booleans()) and any(rows):
+        row = draw(st.sampled_from([row for row in rows if row]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.builds(
+            str.__add__, st.sampled_from(("", "+", "-", "++", "+-", "_")),
+            DIGITS | LONG | WILD))
+    lines = []
+    for i, row in enumerate(rows):
+        line = draw(SEPARATORS).join(row)
+        for _ in range(draw(st.integers(0, 2))):  # more blanks, anywhere
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(SEPARATORS) + line[at:]
+        lines.append((2 * i + 3, line))
+    return lines, signed, w
+
+
+def parsed(parse, lines, signed, w):
+    try:
+        return parse(lines, signed, w, "row")
+    except (FormatError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(position_lines())
+def test_parse_words_matches_token_loop(case):
+    got = parsed(parse_words, *case)
+    want = parsed(codes_oracle.parse_words, *case)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert not isinstance(got[0], type), got
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert (a == b).all()
+
+
+@pytest.mark.parametrize("loader, dumps", [
+    (loads_code, dumps_code),
+    (loads_matrix, lambda code: dumps_matrix(from_code(code)))])
+def test_loading_memory_stays_proportional_to_text(loader, dumps):
+    # STS(109): 1962 words of weight 3, the benchmark's largest files;
+    # the reader's arrays are per token (int64) or per byte (1 byte)
+    text = dumps(designs.steiner_to_code(designs.make_sts(109)))
+    loader(text)  # numpy's one-time set-up is not the reader's
+    tracemalloc.start()
+    try:
+        loader(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * len(text)
 
 
 def test_provenance_comment_round_trip():

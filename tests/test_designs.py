@@ -234,6 +234,9 @@ def test_certify_subspace_code_rejections():
         ])
     with pytest.raises(ParameterError):
         certify_subspace_code(field, 4, 0, [])
+    a, b = (e(1, 0, 0, 0), e(0, 1, 0, 0)), (e(0, 0, 1, 0), e(0, 0, 0, 1))
+    with pytest.raises(ParameterError, match="^duplicate subspace #2$"):
+        certify_subspace_code(field, 4, 2, [a, b, a, b])
 
 
 @pytest.mark.parametrize("bad", [3, -1, 2 ** 70, 1.5, "ragged", "empty"])

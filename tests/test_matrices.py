@@ -371,6 +371,19 @@ def test_dense_csv_drops_metadata():
     assert (loaded.n, loaded.N, loaded.provenance) == (2, 2, "dense-csv")
 
 
+@pytest.mark.parametrize("entry", ["0_1", "+1", "\u0661", "1.0", "- 1", "",
+                                   "0" * 4301])
+def test_dense_csv_entries_are_ascii_integers(entry):
+    with pytest.raises(FormatError, match="^line 2: non-integer entry$"):
+        loads_matrix(f"1,0\n{entry},1\n")
+
+
+def test_dense_csv_entries_may_have_blanks():
+    loaded = loads_matrix(" 1 ,\t0\n-0 , -1\xa0\n")
+    assert loaded.positions.tolist() == [[0], [1]]
+    assert loaded.signs.tolist() == [[1], [-1]]
+
+
 def test_dumps_unknown_format():
     with pytest.raises(ParameterError):
         dumps_matrix(devore(3, 2), "parquet")
