@@ -19,7 +19,10 @@ at most one position, where the two signs there fix the inner product.
 Other signed words, and levels whose keys would take more memory than
 the word tiles or pass int64, go to products of float64 word tiles.
 Neither path allocates an n x N array.  The per-word checks (check_words) are shared
-with matrices.MeasurementMatrix.
+with matrices.MeasurementMatrix, and repeated_rows finds duplicate words
+here and duplicate subspaces in designs.  parse_words reads the positions
+of every code, support-list and subspace file in one numpy pass over the
+body's bytes (_read_positions).
 
 Distances count positions whose symbols differ.  For binary words they
 are even, d = 2(w - |A & B|) for supports A and B, so the binary bound
@@ -559,9 +562,9 @@ def parse_words(lines: list[tuple[int, str]], signed: bool, w: int,
     tokens are those of str.split().  A position is ASCII digits below
     2^63, signed by exactly one '+' or '-' when signed and bare when
     not; the first other token in file order is a FormatError naming its
-    line (read_positions).  Only then do lines of differing lengths
+    line (_read_positions).  Only then do lines of differing lengths
     fail, at the first without w."""
-    values, heads, counts = read_positions(lines, signed)
+    values, heads, counts = _read_positions(lines, signed)
     if (counts != counts[:1]).any():
         raise ParameterError(f"{what} #{int((counts != w).argmax())} "
                              f"does not have weight {w}")
@@ -574,7 +577,7 @@ def parse_words(lines: list[tuple[int, str]], signed: bool, w: int,
             np.take_along_axis(signs, order, axis=1))
 
 
-def read_positions(lines: list[tuple[int, str]],
+def _read_positions(lines: list[tuple[int, str]],
                    signed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, first bytes) of every token of the lines in file order,
     and the number of tokens on each line: parse_words' reader, which
@@ -594,7 +597,7 @@ def read_positions(lines: list[tuple[int, str]],
         text = "\n".join(" ".join(line.split()) for _, line in lines)
     buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     # str.split()'s ASCII whitespace: \t \n \v \f \r, \x1c-\x1f and space
-    blank = (buf == 32) | (buf - 9 < 5) | (buf - 28 < 4)
+    blank = (buf - 9 < 5) | (buf - 28 < 5)
     zero = np.int8(0)  # an int 0 would widen the diff to int64 per byte
     rise = np.diff((~blank).view(np.int8), prepend=zero, append=zero)
     starts = np.flatnonzero(rise == 1)  # tokens end where rise is -1
@@ -603,7 +606,7 @@ def read_positions(lines: list[tuple[int, str]],
     counts = np.bincount(np.searchsorted(newlines, starts),
                          minlength=len(lines))
     heads = buf[starts]
-    bad = ~blank & (buf - 48 >= 10)  # neither a separator nor a digit
+    bad = ~blank & (buf - ord("0") >= 10)  # neither a blank nor a digit
     if signed:
         bad[starts] = (heads != ord("+")) & (heads != ord("-"))
     culprit = len(starts)  # the first bad token, none yet
@@ -629,7 +632,7 @@ def read_positions(lines: list[tuple[int, str]],
     values = np.zeros(len(starts), dtype=np.int64)
     for k in range(min(int(length.max(initial=0)), 18)):  # Horner's rule
         live = length > k
-        digit = buf.take(starts + (signed + k), mode="clip") - 48
+        digit = buf.take(starts + (signed + k), mode="clip") - ord("0")
         np.multiply(values, 10, out=values, where=live)
         np.add(values, digit, out=values, where=live)
     values[list(big)] = list(big.values())
