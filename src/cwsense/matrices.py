@@ -332,16 +332,16 @@ def _loads_support_list(text: str) -> MeasurementMatrix:
 
 
 def _loads_dense_csv(text: str) -> MeasurementMatrix:
-    """An entry is an optional '-' and ASCII digits, blanks around it
-    allowed; int() alone would also take '0_1', '+1' and other digits."""
+    """An entry is an optional '-' and ASCII digits with the blanks int()
+    allows around it; int() alone would also take '0_1', '+1' and '١'."""
     rows = []
     for lineno, line in read_lines(text)[2]:
         tokens = line.split(",")
         try:
-            if not all(re.fullmatch(r"\s*-?[0-9]+\s*", t) for t in tokens):
-                raise ValueError
             row = [int(tok) for tok in tokens]
-        except ValueError:  # int() also refuses more than 4300 digits
+            if not all(re.fullmatch(r"-?[0-9]+", t.strip()) for t in tokens):
+                raise ValueError
+        except ValueError:
             raise FormatError(f"line {lineno}: non-integer entry") from None
         if any(v not in (-1, 0, 1) for v in row):
             raise FormatError(f"line {lineno}: entries must be in {{-1, 0, 1}}")

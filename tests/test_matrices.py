@@ -372,10 +372,10 @@ def test_dense_csv_drops_metadata():
 
 
 @pytest.mark.parametrize("entry", ["0_1", "+1", "\u0661", "1.0", "- 1", "",
-                                   "0" * 4301])
+                                   "0" * 4301, "\x1f1"])
 def test_dense_csv_entries_are_ascii_integers(entry):
     with pytest.raises(FormatError, match="^line 2: non-integer entry$"):
-        loads_matrix(f"1,0\n{entry},1\n")
+        loads_matrix(f"1,0\n0,{entry}\n")
 
 
 def test_dense_csv_entries_may_have_blanks():
