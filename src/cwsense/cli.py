@@ -108,8 +108,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"code: {'ternary' if code.signed else 'binary'} n={code.n} "
               f"w={code.w} d={code.d} size={len(code)}")
         matrix = matrices.from_code(code)
-    for line in _coherence_lines(matrix, args.k):
-        print(line)
+    print("\n".join(_coherence_lines(matrix, args.k)))
     return 0
 
 
@@ -147,8 +146,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     matrix = matrices.load_matrix(args.file)
-    report = matrices.coherence(matrix)
-    mu = report.mu
+    mu = matrices.coherence(matrix).mu
     ks = range(args.k_min, args.k_max + 1)
     results = recovery.run_experiment(matrix, ks, trials=args.trials,
                                       model=args.values, seed=args.seed)
@@ -182,13 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="build a code or matrix")
     p_con.add_argument("construction", choices=CONSTRUCTIONS)
-    p_con.add_argument("--n", type=int)
-    p_con.add_argument("--d", type=int)
-    p_con.add_argument("--w", type=int)
-    p_con.add_argument("--q", type=int)
-    p_con.add_argument("--k", type=int)
-    p_con.add_argument("--p", type=int)
-    p_con.add_argument("--r", type=int)
+    for name in "ndwqkpr":
+        p_con.add_argument(f"--{name}", type=int)
     p_con.add_argument("--out", help="write the code file here")
     p_con.add_argument("--emit-matrix", nargs="?", const="", default=None,
                        metavar="PATH",
@@ -209,11 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_bo = sub.add_parser("bounds", help="size bounds and dimension values")
-    p_bo.add_argument("--n", type=int)
-    p_bo.add_argument("--d", type=int)
-    p_bo.add_argument("--w", type=int)
-    p_bo.add_argument("--k", type=int)
-    p_bo.add_argument("--t", type=int)
+    for name in "ndwkt":
+        p_bo.add_argument(f"--{name}", type=int)
     p_bo.add_argument("--ternary", action="store_true")
     p_bo.add_argument("--dims", action="store_true",
                       help="dimension calculators instead of size bounds")

@@ -247,10 +247,13 @@ def check_words(n: int, w: int, positions: np.ndarray, signs: np.ndarray,
 
 
 def repeated_rows(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a 2-D array equal to an earlier row.  A
-    stable sort of the rows puts each repeat right after an equal row
-    with a smaller index, so comparing neighbours finds every repeat."""
-    order = np.lexsort(rows.T[::-1]) if rows.size else np.arange(len(rows))
+    """Mask of the rows of a 2-D integer array equal to an earlier row.
+    A stable sort of the rows, each viewed as one string of bytes (not
+    one lexsort key per column), puts each repeat right after an equal
+    row with a smaller index, so comparing neighbours finds every one."""
+    rows = np.ascontiguousarray(rows)
+    order = np.argsort(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(),
+                       kind="stable") if rows.size else np.arange(len(rows))
     repeated = np.zeros(len(rows), dtype=bool)
     repeated[order[1:]] = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
     return repeated
@@ -673,18 +676,28 @@ def read_lines(text: str) -> tuple[str, list[tuple[int, str]],
     return provenance, comments, data
 
 
+def read_int(token: str) -> int:
+    """A header or dense-CSV integer: an optional '-' and ASCII digits,
+    with the blanks int() allows around them, else a ValueError (int()
+    alone would also take '1_0', '+9' and '١')."""
+    digits = token.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def read_header(data: list[tuple[int, str]], names: str) -> tuple:
     """The integers named in names ('n d w' or 'q n k d') read from the
     first data line, then the data lines after it.  A missing header, a
-    count other than names' or a value int() refuses is a FormatError;
-    each caller checks the ranges of its own values."""
+    count other than names' or a value read_int refuses is a
+    FormatError; each caller checks the ranges of its own values."""
     if not data:
         raise FormatError(f"missing '{names}' header")
     lineno, tokens = data[0][0], data[0][1].split()
     if len(tokens) != len(names.split()):
         raise FormatError(f"line {lineno}: header must be '{names}'")
     try:
-        return (*map(int, tokens), data[1:])
+        return (*map(read_int, tokens), data[1:])
     except ValueError:
         raise FormatError(f"line {lineno}: non-integer header") from None
 

@@ -13,22 +13,21 @@ Three families live here:
 
 Designs are int64 arrays: N x 3 blocks, N x k x n subspace bases.
 Every derived code goes through the exhaustive distance certification
-in codes.py.  Subspace codes are certified through the same pairwise
-kernel: each subspace is enumerated once as the sorted base-q encodings
-of its points, and the largest pairwise intersection |U & V| = q^dim
-gives the subspace distance exactly.  Pair coverage of triple systems
+in codes.py.  A subspace code is certified once, as the binary code of
+its nonzero points: subspaces meeting in q^dim points share q^dim - 1
+nonzero ones, which gives the subspace distance exactly, and
+subspace_to_code returns that code.  Pair coverage of triple systems
 is certified by sorting their 3N pair keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .codes import (CWCode, array_maxima, as_points, certify_binary,
-                    check_dense_budget, parse_words, read_header, read_lines,
-                    repeated_rows)
+from .codes import (CWCode, as_points, certify_binary, check_dense_budget,
+                    parse_words, read_header, read_lines, repeated_rows)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field, power_exceeds)
@@ -203,18 +202,18 @@ class SubspaceCode:
     """k-dimensional subspaces of GF(q)^n with a certified distance.
 
     subspaces is an N x k x n int64 array of coordinates in [0, q), the
-    bases in reduced echelon form; points[i] holds the sorted base-q
-    encodings of the q^k points of subspace i, zero first.  The subspace
-    distance is 2k - 2 dim(U & V), certified from the largest pairwise
-    point-set intersection |U & V| = q^dim(U & V); a single-subspace
-    code gets the sentinel 2k.
+    bases in reduced echelon form.  binary certifies them: a binary
+    (q^n - 1, q^k - 1) code, word i the nonzero points of subspace i as
+    sorted base-q encodings minus one.  The subspace distance
+    2k - 2 dim(U & V) comes from its largest overlap q^dim(U & V) - 1;
+    a single-subspace code gets the sentinel 2k.
     """
     field: FiniteField
     n: int
     k: int
     d: int
     subspaces: np.ndarray
-    points: np.ndarray = dc_field(repr=False)
+    binary: CWCode = dc_field(repr=False)
     provenance: str = "ingested"
 
     def __len__(self) -> int:
@@ -228,15 +227,11 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
     and duplicates, and certify the exact subspace distance.
 
     Every subspace's points are enumerated once (BudgetError first when
-    q^n > SPREAD_CAP or the kernel would refuse N words of length q^n)
-    and handed as unsigned words of length q^n to codes.array_maxima.
-    Its largest pairwise overlap is the largest intersection
-    t = q^dim, so d = 2k - 2 dim in exact integers.  Unsigned words
-    take the kernel's subset path while their keys fit its budget:
-    two subspaces share t points exactly when they share some
-    t-subset of points, and the first level of point subsets without
-    a repeated key is one past t.  Past that budget the float64 tiles
-    answer, with the same value.
+    q^n > SPREAD_CAP or the kernel would refuse N words of length q^n),
+    and the nonzero ones are certified once as a binary code
+    (codes.certify_binary).  Two subspaces meet in t = q^dim points
+    exactly when their nonzero points meet in t - 1, so t is that
+    code's inner + 1 and d = 2k - 2 dim in exact integers.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
@@ -254,14 +249,15 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
     if repeated.any():
         raise ParameterError(f"duplicate subspace #{int(repeated.argmax())}")
     check_dense_budget(q ** n, len(bases))
-    points = _span_points(field, bases)
-    # one subspace: no pair, t = 1 gives the sentinel 2k
-    t = max(1, array_maxima(q ** n, points, np.ones_like(points))[0])
+    binary = certify_binary(q ** n - 1, q ** k - 1,
+                            _span_points(field, bases)[:, 1:] - 1,
+                            provenance=f"subspace {provenance}")
+    t = binary.inner + 1  # one subspace: no pair, t = 1, the sentinel 2k
     dim = next(e for e in range(k + 1) if q ** e >= t)
     if q ** dim != t:
         raise RuntimeError(f"two subspaces share {t} points, not a power of {q}")
     return SubspaceCode(field=field, n=n, k=k, d=2 * k - 2 * dim,
-                        subspaces=bases, points=points, provenance=provenance)
+                        subspaces=bases, binary=binary, provenance=provenance)
 
 
 def spread_code(q: int, n: int, k: int) -> SubspaceCode:
@@ -313,11 +309,10 @@ def subspace_to_code(code: SubspaceCode) -> CWCode:
 
     Vectors are indexed by their base-q encoding minus one, so the
     derived code has length q^n - 1 and weight q^k - 1.  Two subspaces
-    meeting only at zero give disjoint supports.
+    meeting only at zero give disjoint supports.  It is code.binary, the
+    code that certified the subspaces, not certified again.
     """
-    q, n, k = code.field.q, code.n, code.k
-    return certify_binary(q ** n - 1, q ** k - 1, code.points[:, 1:] - 1,
-                          provenance=f"subspace {code.provenance}")
+    return replace(code.binary, provenance=f"subspace {code.provenance}")
 
 
 def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
@@ -333,7 +328,8 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
     if q ** n > COSET_CAP:
         raise BudgetError(f"q^n = {q ** n} exceeds coset sweep cap {COSET_CAP}")
     words: dict[bytes, np.ndarray] = {}  # keyed by the coset's bytes
-    for points in code.points:
+    for positions in code.binary.positions:
+        points = np.concatenate([[0], positions + 1])  # zero, then the rest
         seen = np.zeros(q ** n, dtype=bool)
         seen[points] = True
         for v in range(q ** n):

@@ -32,7 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (DENSE_CAP, CWCode, array_maxima, check_dense_budget,
-                    check_words, format_words, parse_words, read_lines)
+                    check_words, format_words, parse_words, read_int,
+                    read_lines)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import factor_prime_power, make_field, power_exceeds
 
@@ -303,23 +304,25 @@ def _parse_bound(token: str) -> Fraction:
 
 
 def _loads_support_list(text: str) -> MeasurementMatrix:
+    """The dimension header is '# n <n> w <w>', then optionally
+    'bound <fraction>', as dumps_matrix writes it, once per file."""
     provenance, comments, lines = read_lines(text)
-    n = w = None
-    bound: Fraction | None = None
+    header = None
     for lineno, body in comments:
-        if body.startswith("n "):
-            tokens = body.split()
-            try:
-                pairs = dict(zip(tokens[0::2], tokens[1::2]))
-                n = int(pairs["n"])
-                w = int(pairs["w"])
-                if "bound" in pairs:
-                    bound = _parse_bound(pairs["bound"])
-            except (KeyError, ValueError, ZeroDivisionError):
-                raise FormatError(
-                    f"line {lineno}: bad dimension header") from None
-    if n is None or w is None:
+        if not body.startswith("n "):
+            continue
+        tokens = body.split()
+        try:
+            if (header is not None or len(tokens) not in (4, 6)
+                    or tokens[0::2] != ["n", "w", "bound"][:len(tokens) // 2]):
+                raise ValueError
+            header = (read_int(tokens[1]), read_int(tokens[3]),
+                      _parse_bound(tokens[5]) if len(tokens) == 6 else None)
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"line {lineno}: bad dimension header") from None
+    if header is None:
         raise FormatError("missing '# n <n> w <w>' header")
+    n, w, bound = header
     try:
         matrix = MeasurementMatrix(n, w, *parse_words(lines, True, w, "column"),
                                    provenance=provenance, bound=bound)
@@ -332,15 +335,11 @@ def _loads_support_list(text: str) -> MeasurementMatrix:
 
 
 def _loads_dense_csv(text: str) -> MeasurementMatrix:
-    """An entry is an optional '-' and ASCII digits with the blanks int()
-    allows around it; int() alone would also take '0_1', '+1' and '١'."""
+    """Entries are integers as codes.read_int reads them."""
     rows = []
     for lineno, line in read_lines(text)[2]:
-        tokens = line.split(",")
         try:
-            row = [int(tok) for tok in tokens]
-            if not all(re.fullmatch(r"-?[0-9]+", t.strip()) for t in tokens):
-                raise ValueError
+            row = [read_int(tok) for tok in line.split(",")]
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer entry") from None
         if any(v not in (-1, 0, 1) for v in row):

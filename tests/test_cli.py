@@ -182,6 +182,24 @@ CONSTRUCT_DIGESTS = [
         "devore_p4_r2.matrix":
             "b73650fc427ad405a8213f9c14efe9ea355edbc0e9bccd091eca7e28df158838",
     }),
+    # pinned before a subspace code was certified once, on its nonzero
+    # points: the (8, 4, 2) spread used to take the float64 tiles
+    ("spread --q 8 --n 4 --k 2 --out s.code --emit-matrix", {
+        "stdout":
+            "7161bc44e84751d4308e80259bf9ba200ee32f6ee3f448c4b89d7f6ad3b46824",
+        "binary_subspace_spread_q8_n4_k2.matrix":
+            "9188cf3c7747e64363cc142dd11af363f7610bd6cb7c2b57c0d8f253bb2ced1a",
+        "s.code":
+            "dac9c4c877efc83419b2f0302be37de3f0bdbca17bed0cfe3263b05480c3cf7b",
+    }),
+    ("spread --q 4 --n 8 --k 4 --out s.code --emit-matrix s.matrix", {
+        "stdout":
+            "f80b8ef3225e36541eec2af34a06dc001ca0020ebd1a3b0dc0ff93a2a03fda26",
+        "s.code":
+            "44475463ecb6cb4c99f69e9287ef640210303ee9fd70a6c2c40c4efb8a471ad4",
+        "s.matrix":
+            "08217d15c442c8d8eda826c5d7c7d15e05c9ef7632f739af5eb259bc86fa5591",
+    }),
 ]
 
 
@@ -405,6 +423,26 @@ def test_analyze_code_file_runs_the_kernel_once(capsys, tmp_path,
     assert len(calls) == 1
 
 
+def test_construct_spread_runs_the_kernel_once(capsys, tmp_path,
+                                              monkeypatch):
+    # the spread's certificate is its binary code: construct certifies
+    # the nonzero points once and the matrix inherits that value
+    from cwsense import codes, designs, matrices
+    calls = []
+    real = codes.array_maxima
+
+    def counted(n, positions, signs):
+        calls.append(n)
+        return real(n, positions, signs)
+    for module in (codes, designs, matrices):  # every name it is bound to
+        if hasattr(module, "array_maxima"):
+            monkeypatch.setattr(module, "array_maxima", counted)
+    assert run_cli("construct", "spread", "--q", "4", "--n", "8", "--k", "4",
+                   "--out", str(tmp_path / "s.code"),
+                   "--emit-matrix", str(tmp_path / "s.matrix")) == 0
+    assert calls == [4 ** 8 - 1]
+
+
 def test_analyze_bound_survives_construct_chain(capsys, tmp_path):
     out = tmp_path / "g.matrix"
     run_cli("construct", "greedy", "--n", "12", "--d", "6", "--w", "4",
@@ -428,8 +466,10 @@ def test_analyze_missing_file(capsys, tmp_path):
 
 def unreadable_inputs(tmp_path):
     """Files analyze and recover must refuse with exit 2: a lowered, a
-    zero-denominator, an exponent and a decimal bound header, a
-    non-ASCII byte, a directory."""
+    zero-denominator, an exponent and a decimal bound header, support-list
+    headers with trailing junk, an unknown or repeated key, keys out of
+    order, an integer int() takes but the formats do not, or a second
+    '# n' line, a non-ASCII byte, a directory."""
     matrix = tmp_path / "sts9.matrix"
     assert run_cli("construct", "sts", "--n", "9", "--emit-matrix",
                    str(matrix)) == 0
@@ -440,6 +480,15 @@ def unreadable_inputs(tmp_path):
                         ("decimal", "0.5")):
         path = tmp_path / f"{name}.matrix"
         path.write_text(text.replace("bound 1/3", f"bound {bound}"))
+        paths.append(path)
+    for name, header in (("junk", "n 9 w 3 bound 1/3 junk"),
+                         ("unknown", "n 9 w 3 foo 7"),
+                         ("repeated", "n 9 w 3 w 3"),
+                         ("order", "n 9 bound 1/3 w 3"),
+                         ("underscore", "n 9 w 0_3"),
+                         ("second", "n 9 w 3 bound 1/3\n# n 12 w 3")):
+        path = tmp_path / f"{name}.matrix"
+        path.write_text(text.replace("n 9 w 3 bound 1/3", header))
         paths.append(path)
     binary = tmp_path / "binary.matrix"
     binary.write_bytes(text.encode("ascii") + b"\xff\n")

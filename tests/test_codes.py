@@ -544,6 +544,8 @@ def test_loads_format_rejections():
     ("{short}", "line 2: header must be '{}'"),
     ("{full} 4", "line 2: header must be '{}'"),
     ("{short} x", "line 2: non-integer header"),
+    ("{short} 1_0", "line 2: non-integer header"),   # int() would take these
+    ("{short} +2", "line 2: non-integer header"),
 ])
 def test_headers_share_one_reader(loader, header, line, message):
     full = {"n d w": "4 2 2", "q n k d": "2 4 2 4"}[header]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from codes_oracle import words_of
+from cwsense import codes, designs
 from cwsense.codes import dumps_code
 from cwsense.designs import (SteinerTripleSystem, _rref, affine_plane_code,
                              certify_subspace_code, dumps_subspace_code,
@@ -208,6 +209,40 @@ def test_spread_code_words_partition_nonzero_vectors(q, n, k):
     assert code.d == 2 * code.w  # disjoint supports
 
 
+@pytest.mark.parametrize("q,n,k", [(4, 8, 4), (16, 4, 2)])
+def test_spread_certifies_its_nonzero_points_in_little_memory(q, n, k):
+    # 257 subspaces of 256 points: with the shared zero vector every pair
+    # repeats a level-1 key and level 2 took about 130 MiB; on the
+    # nonzero points level 1 already answers
+    tracemalloc.start()
+    try:
+        code = spread_code(q, n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.d == 2 * k
+    assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (8, 4, 2), (4, 8, 4)])
+def test_spread_and_its_binary_code_run_the_kernel_once(monkeypatch, q, n, k):
+    calls = []
+    real = codes.array_maxima
+
+    def counted(n, positions, signs):
+        calls.append(n)
+        return real(n, positions, signs)
+    for module in (codes, designs):  # every name it is bound to
+        if hasattr(module, "array_maxima"):
+            monkeypatch.setattr(module, "array_maxima", counted)
+    spread = spread_code(q, n, k)
+    code = subspace_to_code(spread)
+    assert calls == [q ** n - 1]
+    assert code is not spread.binary  # its own provenance, same words
+    assert code.provenance == f"subspace spread q={q} n={n} k={k}"
+    assert (code.n, code.w, code.d) == (q ** n - 1, q ** k - 1, 2 * code.w)
+
+
 def test_coset_code_frozen_small_case():
     code = subspace_to_coset_code(spread_code(2, 4, 2))
     assert (code.n, code.w, code.d, len(code)) == (15, 4, 6, 15)
@@ -367,9 +402,11 @@ def test_point_set_distance_matches_rank_oracle(case):
     assert subspaces == [oracle_rref(field, b) for b in bases]
     for basis, red in zip(bases, subspaces):
         assert _rref(field, np.array(basis, dtype=np.int64)).tolist() == red
-    assert code.points.shape == (len(bases), field.q ** k)
-    for basis, points in zip(subspaces, code.points):
-        assert points.tolist() == span_oracle(field, basis)
+    # the certificate's words are the nonzero points, encodings minus one
+    positions = code.binary.positions
+    assert positions.shape == (len(bases), field.q ** k - 1)
+    for basis, word in zip(subspaces, positions):
+        assert [0, *(word + 1).tolist()] == span_oracle(field, basis)
 
 
 @settings(max_examples=100, deadline=None)

@@ -164,14 +164,14 @@ def test_spread_bases_and_points_match_oracle(q, n, k):
     want = [[[int(x) for x in row] for row in oracle.rref(basis)]
             for basis in bases]
     assert code.subspaces.tolist() == want
-    for basis, points in zip(bases, code.points):
+    for basis, word in zip(bases, code.binary.positions):
         span = set()
         for coeffs in product(oracle.elements(field), repeat=k):
             vec = [oracle.zero(field)] * n
             for c, row in zip(coeffs, basis):
                 vec = [a + c * b for a, b in zip(vec, row)]
             span.add(oracle.vector_encoding(vec))
-        assert points.tolist() == sorted(span)
+        assert [0, *(word + 1).tolist()] == sorted(span)
 
 
 # sha256 of the files written before the field became integer-coded

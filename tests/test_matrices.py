@@ -418,6 +418,18 @@ def test_loads_matrix_rejections():
         loads_matrix("# n 3 w oops\n+0\n")           # bad dimension header
 
 
+@pytest.mark.parametrize("header, line", [
+    ("# n 4 w 2 junk", 1), ("# n 4 w 2 foo 7", 1), ("# n 4 w 2 w 3", 1),
+    ("# n 4 w 2 bound", 1), ("# n 4 bound 1/2 w 2", 1), ("# n 1_0 w 2", 1),
+    ("# n 4 w +2", 1), ("# n 4 w 2\n# n 9 w 2", 2),
+])
+def test_support_list_header_is_n_w_bound_once(header, line):
+    # int() and a dict of the tokens took all of these, the last key or
+    # the last '# n' line winning
+    with pytest.raises(FormatError, match=f"^line {line}: bad dimension header$"):
+        loads_matrix(f"{header}\n+0 +1\n")
+
+
 def test_float_oracle_agrees_on_small_cases():
     for matrix in (fano_matrix(), devore(5, 2),
                    from_code(steiner_to_code(make_sts(13)), seed=1)):
