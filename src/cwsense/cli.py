@@ -22,8 +22,10 @@ go to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import logging
+import os
 import sys
 
 from . import codes, designs, matrices, recovery
@@ -34,6 +36,16 @@ def _require(args: argparse.Namespace, names, what: str) -> None:
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
         raise ParameterError(f"{what} needs {' '.join(missing)}")
+
+
+def _check_outputs(*paths) -> None:
+    """Fail as opening each path for writing would, but before any work
+    and touching no file, when it is a directory or has no parent."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 # name -> (required options, builder called with their values); the
@@ -57,6 +69,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if name == "devore" and (args.out or args.signed):
         raise ParameterError("devore builds a matrix, not a code: "
                              "--out and --signed do not apply")
+    _check_outputs(args.out, args.matrix_out or args.emit_matrix)
     built = build(*(getattr(args, o) for o in options))
     if isinstance(built, codes.CWCode):
         code, d = built, built.d
@@ -71,10 +84,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         codes.save_code(code, args.out)
         print(f"wrote code: {args.out}")
     if code is None or args.emit_matrix is not None or args.matrix_out:
-        path = args.matrix_out or args.emit_matrix
-        if not path:
-            safe = matrix.provenance.replace(" ", "_").replace("=", "")
-            path = f"{safe}.matrix"
+        safe = matrix.provenance.replace(" ", "_").replace("=", "")
+        path = args.matrix_out or args.emit_matrix or f"{safe}.matrix"
         matrices.save_matrix(matrix, path, fmt=args.matrix_format)
         print(f"wrote matrix: {path}")
     return 0
@@ -145,6 +156,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
+    if args.k_min > args.k_max:
+        raise ParameterError(f"empty k range {args.k_min}..{args.k_max}")
+    _check_outputs(args.out)
     matrix = matrices.load_matrix(args.file)
     mu = matrices.coherence(matrix).mu
     ks = range(args.k_min, args.k_max + 1)

@@ -11,13 +11,13 @@ Three families live here:
   together with two conversions into binary constant-weight codes (one
   word per subspace, or one word per proper coset).
 
-Designs are int64 arrays: N x 3 blocks, N x k x n subspace bases.
-Every derived code goes through the exhaustive distance certification
-in codes.py.  A subspace code is certified once, as the binary code of
-its nonzero points: subspaces meeting in q^dim points share q^dim - 1
-nonzero ones, which gives the subspace distance exactly, and
-subspace_to_code returns that code.  Pair coverage of triple systems
-is certified by sorting their 3N pair keys.
+Designs are int64 arrays: N x 3 blocks, N x k x n subspace bases, all
+row-reduced at once.  Every derived code goes through the exhaustive
+distance certification in codes.py.  A subspace code is certified once,
+as the binary code of its nonzero points: subspaces meeting in q^dim
+points share q^dim - 1 nonzero ones, which gives the subspace distance
+exactly, and subspace_to_code returns that code.  Pair coverage of
+triple systems is certified by sorting their 3N pair keys.
 """
 
 from __future__ import annotations
@@ -153,25 +153,26 @@ def affine_plane_code(q: int) -> CWCode:
 
 # -- subspace codes -------------------------------------------------------
 
-def _rref(field: FiniteField, rows: np.ndarray) -> np.ndarray:
-    """Reduced row echelon form over the field of an int64 array of
-    coordinates; returns its nonzero rows."""
-    rows = rows.copy()
-    r = 0
-    for c in range(rows.shape[1]):
-        if r == len(rows):
-            break
-        nonzero = np.flatnonzero(rows[r:, c])
-        if not len(nonzero):
-            continue
-        piv = r + nonzero[0]
-        rows[[r, piv]] = rows[[piv, r]]
-        rows[r] = field.mul(field.inv(int(rows[r, c])), rows[r])
-        factors = rows[:, c].copy()
-        factors[r] = 0
-        rows = field.sub(rows, field.mul(factors[:, None], rows[r]))
-        r += 1
-    return rows[:r]
+def _rref(field: FiniteField,
+          stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RREF over the field of every item of an N x k x n int64 stack,
+    one column at a time for all items; returns the reduced stack (rank
+    r < k leaves k - r zero rows) and the N ranks."""
+    rows = stack.copy()
+    rank = np.zeros(len(rows), dtype=np.int64)
+    below = np.arange(rows.shape[1])
+    for c in range(rows.shape[2]):
+        found = (rows[:, :, c] != 0) & (below >= rank[:, None])
+        at = np.flatnonzero(found.any(axis=1))
+        r, piv = rank[at], found[at].argmax(axis=1)
+        rows[at, r], rows[at, piv] = rows[at, piv], rows[at, r]
+        scale = field.inv(rows[at, r, c])[:, None]
+        rows[at, r] = field.mul(scale, rows[at, r])
+        factors = np.where(below == r[:, None], 0, rows[at, :, c])
+        rows[at] = field.sub(rows[at], field.mul(factors[:, :, None],
+                                                 rows[at, r][:, None]))
+        rank[at] += 1
+    return rows, rank
 
 
 def _check_space(q: int, n: int) -> None:
@@ -226,12 +227,12 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
     to RREF, reject other shapes, entries outside [0, q), rank defects
     and duplicates, and certify the exact subspace distance.
 
-    Every subspace's points are enumerated once (BudgetError first when
-    q^n > SPREAD_CAP or the kernel would refuse N words of length q^n),
-    and the nonzero ones are certified once as a binary code
-    (codes.certify_binary).  Two subspaces meet in t = q^dim points
-    exactly when their nonzero points meet in t - 1, so t is that
-    code's inner + 1 and d = 2k - 2 dim in exact integers.
+    BudgetError comes first: q^n > SPREAD_CAP, then (after the shape and
+    range checks) a kernel that would refuse N words of length q^n.  One
+    _rref pass reduces all N bases, and the nonzero points of each
+    subspace are certified once as a binary code (certify_binary).  Two
+    subspaces meet in t = q^dim points exactly when their nonzero points
+    meet in t - 1, so t is that code's inner + 1 and d = 2k - 2 dim.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
@@ -240,15 +241,14 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
     if not len(bases):
         raise ParameterError("a subspace code needs at least one subspace")
     bases = as_points(bases, (len(bases), k, n), q, "basis")
-    for i, basis in enumerate(bases):
-        red = _rref(field, basis)
-        if len(red) != k:
-            raise ParameterError(f"basis #{i} has rank {len(red)}, expected {k}")
-        bases[i] = red
+    check_dense_budget(q ** n, len(bases))
+    bases, rank = _rref(field, bases)
+    if (short := rank < k).any():
+        i = int(short.argmax())
+        raise ParameterError(f"basis #{i} has rank {rank[i]}, expected {k}")
     repeated = repeated_rows(bases.reshape(len(bases), -1))
     if repeated.any():
         raise ParameterError(f"duplicate subspace #{int(repeated.argmax())}")
-    check_dense_budget(q ** n, len(bases))
     binary = certify_binary(q ** n - 1, q ** k - 1,
                             _span_points(field, bases)[:, 1:] - 1,
                             provenance=f"subspace {provenance}")

@@ -201,7 +201,7 @@ class FiniteField:
 
     add and sub take ints or int64 arrays (broadcast against each
     other) and n, the number of coordinates of a vector encoding;
-    mul takes ints or arrays, inv an int.  Ints come back as ints.
+    mul and inv take ints or arrays.  Ints come back as ints.
     Arguments must lie in [0, q) (in [0, q^n) for vectors): the
     boundaries that take outside input check that, the operations do
     not.
@@ -250,11 +250,12 @@ class FiniteField:
         prod = self._exp[self._log[a] + self._log[b]]
         return prod if isinstance(prod, np.ndarray) else int(prod)
 
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; zero raises ZeroDivisionError."""
-        if a == 0:
+    def inv(self, a):
+        """Inverse, elementwise on arrays; a zero raises ZeroDivisionError."""
+        if not np.all(a):
             raise ZeroDivisionError("inverse of zero")
-        return int(self._exp[self.q - 1 - self._log[a]])
+        out = self._exp[self.q - 1 - self._log[a]]
+        return out if isinstance(out, np.ndarray) else int(out)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FiniteField)

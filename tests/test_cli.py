@@ -15,7 +15,7 @@ from cwsense.designs import (dumps_subspace_code, loads_subspace_code,
                              spread_code, subspace_to_code)
 from cwsense.errors import FormatError
 from cwsense.matrices import from_code, loads_matrix, save_matrix
-from cwsense.recovery import RecoveryReport
+from cwsense.recovery import CSV_HEADER, RecoveryReport
 
 
 def run_cli(*argv):
@@ -628,6 +628,77 @@ def test_recover_k_zero_note_on_stderr(capsys, spread_matrix_file):
     def rows(out):  # the CSV and summary lines minus the seconds column
         return [line.rsplit(",", 1)[0] for line in out.splitlines()]
     assert rows(noted.out) == rows(plain.out)
+
+
+def test_recover_empty_k_range_is_usage_error(capsys, spread_matrix_file,
+                                              monkeypatch):
+    assert run_cli("recover", str(spread_matrix_file), "--k-min", "0",
+                   "--k-max", "0") == 0   # k = 0 alone: the skip note
+    captured = capsys.readouterr()
+    assert captured.out == CSV_HEADER + "\n"
+    assert "info: skipping k = 0" in captured.err
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("an empty k range reached the trials")
+    monkeypatch.setattr("cwsense.recovery.run_experiment", no_trials)
+    assert run_cli("recover", str(spread_matrix_file), "--k-min", "3",
+                   "--k-max", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty k range 3..2\n"
+
+
+def opening_error(path):
+    """The message the CLI prints when open(path, "w") fails."""
+    with pytest.raises(OSError) as failed:
+        open(path, "w")
+    return f"error: {failed.value}\n"
+
+
+@pytest.mark.parametrize("outputs,bad", [
+    ("--out missing/g.code", "missing/g.code"),
+    ("--out somedir", "somedir"),
+    ("--out kept.code --matrix-out missing/g.matrix", "missing/g.matrix"),
+    ("--emit-matrix missing/g.matrix", "missing/g.matrix"),
+    ("--emit-matrix somedir", "somedir"),
+])
+def test_unwritable_construct_output_fails_before_the_build(
+        capsys, tmp_path, monkeypatch, outputs, bad):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "somedir").mkdir()
+    (tmp_path / "kept.code").write_text("kept")
+
+    def no_build(*args):
+        raise AssertionError("the code was built before its output failed")
+    monkeypatch.setitem(cli.CONSTRUCTIONS, "greedy",
+                        (("n", "d", "w"), no_build))
+    assert run_cli("construct", "greedy", "--n", "30", "--d", "4", "--w",
+                   "4", *outputs.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == opening_error(bad)
+    # nothing created or truncated
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.code",
+                                                          "somedir"]
+    assert (tmp_path / "kept.code").read_text() == "kept"
+    assert not any((tmp_path / "somedir").iterdir())
+
+
+@pytest.mark.parametrize("out", ["missing/r.csv", "somedir"])
+def test_unwritable_recover_output_fails_before_any_trial(
+        capsys, tmp_path, monkeypatch, spread_matrix_file, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "somedir").mkdir()
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the report path failed")
+    monkeypatch.setattr("cwsense.recovery.run_experiment", no_trials)
+    assert run_cli("recover", str(spread_matrix_file), "--k-max", "2",
+                   "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == opening_error(out)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_recover_csv_stdout_when_no_out(capsys, spread_matrix_file):

@@ -19,7 +19,7 @@ from cwsense.designs import (SteinerTripleSystem, _rref, affine_plane_code,
                              steiner_to_code, sts_bose, sts_skolem,
                              subspace_to_code, subspace_to_coset_code)
 from cwsense.errors import BudgetError, FormatError, ParameterError
-from cwsense.field import factor_prime_power, make_field
+from cwsense.field import FiniteField, factor_prime_power, make_field
 from field_oracle import elements, from_encoding, rref, vector_encoding
 
 
@@ -274,6 +274,45 @@ def test_certify_subspace_code_rejections():
         certify_subspace_code(field, 4, 2, [a, b, a, b])
 
 
+def test_rank_error_names_the_first_deficient_basis():
+    field = make_field(3)
+    full = ((1, 0, 2), (0, 1, 1))
+    deficient = ((1, 2, 0), (2, 1, 0))   # the second row is twice the first
+    with pytest.raises(ParameterError,
+                       match=r"^basis #1 has rank 1, expected 2$"):
+        certify_subspace_code(field, 3, 2, [full, deficient,
+                                            ((0, 0, 1), (1, 0, 0)),
+                                            ((0, 0, 0), (0, 0, 0))])
+
+
+def test_certification_reduces_all_bases_in_one_pass(monkeypatch):
+    # 1365 lines of GF(2)^12: one field.sub per column, where reducing
+    # each basis on its own subtracts once per pivot of every basis
+    spread = spread_code(2, 12, 2)
+    calls = []
+    real = FiniteField.sub
+
+    def counted(self, a, b, n=1):
+        calls.append(n)
+        return real(self, a, b, n)
+    monkeypatch.setattr(FiniteField, "sub", counted)
+    code = certify_subspace_code(spread.field, 12, 2, spread.subspaces)
+    assert len(calls) <= 12
+    assert code.d == 4
+    assert (code.subspaces == spread.subspaces).all()
+
+
+def test_over_budget_subspace_file_is_refused_before_reduction(monkeypatch):
+    # 65,535 lines of GF(2)^16 would be a 2^16 x 65,535 float64 array:
+    # refused from N and q^n before any basis is reduced
+    def no_reduction(*args):
+        raise AssertionError("a basis was reduced before the budget check")
+    monkeypatch.setattr(designs, "_rref", no_reduction)
+    text = "2 16 1 2\n" + "\n".join(map(str, range(1, 1 << 16))) + "\n"
+    with pytest.raises(BudgetError, match="past the cap"):
+        loads_subspace_code(text)
+
+
 @pytest.mark.parametrize("bad", [3, -1, 2 ** 70, 1.5, "ragged", "empty"])
 def test_certify_subspace_code_rejects_coordinates_outside_field(bad):
     # 1.5 and 2^70 must be refused, not truncated or overflowed on the
@@ -401,12 +440,51 @@ def test_point_set_distance_matches_rank_oracle(case):
     assert code.d == want
     assert subspaces == [oracle_rref(field, b) for b in bases]
     for basis, red in zip(bases, subspaces):
-        assert _rref(field, np.array(basis, dtype=np.int64)).tolist() == red
+        assert _rref(field, np.array([basis]))[0][0].tolist() == red
     # the certificate's words are the nonzero points, encodings minus one
     positions = code.binary.positions
     assert positions.shape == (len(bases), field.q ** k - 1)
     for basis, word in zip(subspaces, positions):
         assert [0, *(word + 1).tolist()] == span_oracle(field, basis)
+
+
+@st.composite
+def basis_stacks(draw):
+    """N x k x n stacks over GF(2), GF(3), GF(4) and GF(9) whose items
+    are random rows (often rank-deficient), rows with zero rows mixed
+    in, or an already reduced basis padded with zero rows; k = n is
+    drawn as often as the other k put together."""
+    q = draw(st.sampled_from((2, 3, 4, 9)))
+    n = draw(st.integers(1, 5))
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    field = make_field(*factor_prime_power(q))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    items = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows = draw(st.lists(row, min_size=k, max_size=k))
+        kind = draw(st.sampled_from(("random", "zeros", "reduced")))
+        if kind == "zeros":
+            rows = [r if draw(st.booleans()) else [0] * n for r in rows]
+        elif kind == "reduced":
+            red = oracle_rref(field, rows)
+            rows = red + [[0] * n] * (k - len(red))
+        items.append(rows)
+    return field, np.array(items, dtype=np.int64).reshape(-1, k, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(basis_stacks())
+def test_batched_rref_matches_oracle_per_item(case):
+    field, stack = case
+    before = stack.copy()
+    reduced, rank = _rref(field, stack)
+    assert (stack == before).all()  # the input is not touched
+    assert reduced.shape == stack.shape and rank.shape == (len(stack),)
+    for item, red, r in zip(stack.tolist(), reduced, rank.tolist()):
+        want = oracle_rref(field, item)
+        assert r == len(want)
+        assert red[:r].tolist() == want
+        assert not red[r:].any()  # below the rank only zero rows
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,6 +6,7 @@ tests/field_oracle.py."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from cwsense.errors import BudgetError, ParameterError
@@ -126,6 +127,9 @@ def test_multiplicative_group_order(q):
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         make_field(3).inv(0)
+    for values in ([1, 2, 0], [[1, 1], [0, 2]]):   # any zero in an array
+        with pytest.raises(ZeroDivisionError):
+            make_field(3).inv(np.array(values))
     with pytest.raises(ZeroDivisionError):
         zero(make_field(3)).inverse()
 

@@ -61,8 +61,13 @@ def test_ops_match_oracle_exhaustively(q):
     field = field_of(q)
     a, b = (g.ravel() for g in np.meshgrid(np.arange(q), np.arange(q)))
     check_pairs(field, a, b)
-    for x in oracle.elements(field)[1:]:
-        assert field.inv(int(x)) == int(x.inverse())
+    nonzero = oracle.elements(field)[1:]
+    for x in nonzero:
+        got = field.inv(int(x))
+        assert type(got) is int and got == int(x.inverse())
+    # all at once, as an int64 array
+    inverses = field.inv(np.array([int(x) for x in nonzero]))
+    assert inverses.tolist() == [int(x.inverse()) for x in nonzero]
 
 
 @pytest.mark.parametrize("p,m", [(2, 16), (3, 10), (251, 2)])
