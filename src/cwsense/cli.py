@@ -39,13 +39,15 @@ def _require(args: argparse.Namespace, names, what: str) -> None:
 
 
 def _check_outputs(*paths) -> None:
-    """Fail as opening each path for writing would, but before any work
-    and touching no file, when it is a directory or has no parent."""
+    """Fail as opening each path for writing would, touching no file: it
+    is a directory, or its parent does not look up as one (ENOENT, ENOTDIR)."""
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        try:  # the trailing '/' makes a parent that is a file ENOTDIR
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
 
 
 # name -> (required options, builder called with their values); the
@@ -69,7 +71,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if name == "devore" and (args.out or args.signed):
         raise ParameterError("devore builds a matrix, not a code: "
                              "--out and --signed do not apply")
-    _check_outputs(args.out, args.matrix_out or args.emit_matrix)
+    _check_outputs(args.out, args.emit_matrix)
     built = build(*(getattr(args, o) for o in options))
     if isinstance(built, codes.CWCode):
         code, d = built, built.d
@@ -78,14 +80,16 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:  # matrix-only: d = 2w (1 - bound), for devore 2(p - min(r-1, p))
         code, matrix = None, built
         d = int(2 * matrix.w * (1 - matrix.bound))
+    path = args.emit_matrix  # "", or None for devore: the derived name
+    if path == "" or code is None and path is None:
+        path = matrix.provenance.replace(" ", "_").replace("=", "") + ".matrix"
+        _check_outputs(path)
     print(f"summary: construction={name} n={matrix.n} N={matrix.N} "
           f"w={matrix.w} d={d} mu_bound={matrix.bound}")
     if args.out:
         codes.save_code(code, args.out)
         print(f"wrote code: {args.out}")
-    if code is None or args.emit_matrix is not None or args.matrix_out:
-        safe = matrix.provenance.replace(" ", "_").replace("=", "")
-        path = args.matrix_out or args.emit_matrix or f"{safe}.matrix"
+    if path is not None:
         matrices.save_matrix(matrix, path, fmt=args.matrix_format)
         print(f"wrote matrix: {path}")
     return 0
@@ -108,8 +112,9 @@ def _coherence_lines(matrix: matrices.MeasurementMatrix,
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    with open(args.file, "r", encoding="ascii") as fh:
-        text = fh.read()
+    if args.k is not None and args.k < 1:
+        raise ParameterError(f"k must be >= 1, got {args.k}")
+    text = codes.read_text(args.file)
     if matrices.matrix_format(text) is not None:
         matrix = matrices.loads_matrix(text)
         print(f"matrix: {matrix.n}x{matrix.N} w={matrix.w} "
@@ -166,8 +171,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
                                       model=args.values, seed=args.seed)
     csv_text = recovery.reports_to_csv(results)
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(csv_text)
+        codes.write_text(args.out, csv_text)
         print(f"wrote report: {args.out}")
     else:
         sys.stdout.write(csv_text)
@@ -197,11 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in "ndwqkpr":
         p_con.add_argument(f"--{name}", type=int)
     p_con.add_argument("--out", help="write the code file here")
-    p_con.add_argument("--emit-matrix", nargs="?", const="", default=None,
+    p_con.add_argument("--emit-matrix", "--matrix-out", nargs="?", const="",
                        metavar="PATH",
                        help="also write the measurement matrix (default "
                             "path derived from the provenance)")
-    p_con.add_argument("--matrix-out", help="explicit matrix path")
     p_con.add_argument("--matrix-format", choices=matrices.FORMATS,
                        default="support-list")
     p_con.add_argument("--signed", action="store_true",

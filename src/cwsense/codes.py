@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -545,17 +546,19 @@ def dimension_ternary_gilbert(n: int, k: int, t: int) -> int:
 # ones, as the first word's syntax sets CWCode.signed.  Loading
 # recomputes the distance and rejects headers that overstate it.
 
-def format_words(positions: np.ndarray, signs: np.ndarray,
-                 signed: bool = True) -> list[str]:
-    """One data line per word: '+3 -7 +9' for signed words, '3 7 9' for
-    binary ones.  Each distinct position is formatted once."""
+def format_words(provenance: str, header: str, positions: np.ndarray,
+                 signs: np.ndarray | None = None) -> str:
+    """The text of a code, support-list or subspace file: '# provenance:
+    <tag>', the header line, then one line per word, '+3 -7 +9' given
+    signs, '3 7 9' without.  Each distinct position is formatted once."""
     values, index = np.unique(positions, return_inverse=True)  # index: N x w
     table = list(map(str, values.tolist()))
-    if signed:
+    if signs is not None:
         table = ["+" + t for t in table] + ["-" + t for t in table]
         index = index + len(values) * (signs < 0)
     tokens = np.array(table, dtype=object)[index]
-    return list(map(" ".join, tokens.tolist()))
+    return "\n".join([f"# provenance: {provenance}", header,
+                      *map(" ".join, tokens.tolist())]) + "\n"
 
 
 def parse_words(lines: list[tuple[int, str]], signed: bool, w: int,
@@ -643,10 +646,8 @@ def _read_positions(lines: list[tuple[int, str]],
 
 
 def dumps_code(code: CWCode) -> str:
-    lines = [f"# provenance: {code.provenance}",
-             f"{code.n} {code.d} {code.w}"]
-    lines.extend(format_words(code.positions, code.signs, code.signed))
-    return "\n".join(lines) + "\n"
+    return format_words(code.provenance, f"{code.n} {code.d} {code.w}",
+                        code.positions, code.signs if code.signed else None)
 
 
 def read_lines(text: str) -> tuple[str, list[tuple[int, str]],
@@ -722,11 +723,19 @@ def loads_code(text: str) -> CWCode:
     return code
 
 
+def read_text(path) -> str:
+    """An ASCII file's text: the one way cwsense reads a file."""
+    return Path(path).read_text(encoding="ascii")
+
+
+def write_text(path, text: str) -> None:
+    """The one way cwsense writes a file: ASCII, '\\n' line ends."""
+    Path(path).write_text(text, encoding="ascii", newline="\n")
+
+
 def save_code(code: CWCode, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dumps_code(code))
+    write_text(path, dumps_code(code))
 
 
 def load_code(path) -> CWCode:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_code(fh.read())
+    return loads_code(read_text(path))

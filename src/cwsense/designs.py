@@ -27,7 +27,8 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .codes import (CWCode, as_points, certify_binary, check_dense_budget,
-                    parse_words, read_header, read_lines, repeated_rows)
+                    format_words, parse_words, read_header, read_lines,
+                    read_text, repeated_rows, write_text)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field, power_exceeds)
@@ -349,16 +350,14 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
 # -- subspace code file format --------------------------------------------
 #
 # Header 'q n k d', then one subspace per line: the k base-q encodings
-# of its reduced-echelon basis rows, unsigned positions to parse_words.
+# of its reduced-echelon basis rows (format_words' unsigned words).
 # Loading checks the q^n budget before decoding, re-reduces, recomputes
 # the distance and rejects overstated headers.
 
 def dumps_subspace_code(code: SubspaceCode) -> str:
     q, n = code.field.q, code.n
-    lines = [f"# provenance: {code.provenance}", f"{q} {n} {code.k} {code.d}"]
-    lines.extend(" ".join(map(str, row))
-                 for row in (code.subspaces @ q ** np.arange(n)).tolist())
-    return "\n".join(lines) + "\n"
+    return format_words(code.provenance, f"{q} {n} {code.k} {code.d}",
+                        code.subspaces @ q ** np.arange(n))
 
 
 def loads_subspace_code(text: str) -> SubspaceCode:
@@ -384,10 +383,8 @@ def loads_subspace_code(text: str) -> SubspaceCode:
 
 
 def save_subspace_code(code: SubspaceCode, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dumps_subspace_code(code))
+    write_text(path, dumps_subspace_code(code))
 
 
 def load_subspace_code(path) -> SubspaceCode:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_subspace_code(fh.read())
+    return loads_subspace_code(read_text(path))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .codes import (DENSE_CAP, CWCode, array_maxima, check_dense_budget,
                     check_words, format_words, parse_words, read_int,
-                    read_lines)
+                    read_lines, read_text, write_text)
 from .errors import BudgetError, FormatError, ParameterError
 from .field import factor_prime_power, make_field, power_exceeds
 
@@ -257,11 +257,9 @@ def dumps_matrix(matrix: MeasurementMatrix, fmt: str = "support-list") -> str:
         a = matrix.to_dense()
         return "".join(",".join(str(int(v)) for v in row) + "\n" for row in a)
     if fmt == "support-list":
-        lines = [f"# provenance: {matrix.provenance}",
-                 f"# n {matrix.n} w {matrix.w}" + (
-                     f" bound {matrix.bound}" if matrix.bound is not None else "")]
-        lines.extend(format_words(matrix.positions, matrix.signs))
-        return "\n".join(lines) + "\n"
+        bound = "" if matrix.bound is None else f" bound {matrix.bound}"
+        return format_words(matrix.provenance, f"# n {matrix.n} w {matrix.w}"
+                            f"{bound}", matrix.positions, matrix.signs)
     raise ParameterError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
@@ -364,10 +362,8 @@ def _loads_dense_csv(text: str) -> MeasurementMatrix:
 
 
 def save_matrix(matrix: MeasurementMatrix, path, fmt: str = "support-list") -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dumps_matrix(matrix, fmt))
+    write_text(path, dumps_matrix(matrix, fmt))
 
 
 def load_matrix(path) -> MeasurementMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_matrix(fh.read())
+    return loads_matrix(read_text(path))

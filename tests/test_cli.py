@@ -98,6 +98,14 @@ def test_construct_signed_is_seed_reproducible(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_matrix_out_is_a_second_spelling_of_emit_matrix(capsys, tmp_path):
+    a, b = tmp_path / "a.matrix", tmp_path / "b.matrix"
+    for option, path in (("--matrix-out", a), ("--emit-matrix", b)):
+        assert run_cli("construct", "sts", "--n", "9", "--out",
+                       str(tmp_path / "c.code"), option, str(path)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 # sha256 of construct's stdout and of every file it writes, pinned before
 # the seven constructions shared one write path: the summary line, the
 # code and matrix bytes and the derived default matrix names must not drift
@@ -453,6 +461,21 @@ def test_analyze_bound_survives_construct_chain(capsys, tmp_path):
     assert "bound = 1/4" in capsys.readouterr().out
 
 
+def test_analyze_k_below_one_is_refused_before_the_file_is_read(
+        capsys, tmp_path, monkeypatch):
+    out = tmp_path / "code.txt"
+    run_cli("construct", "sts", "--n", "7", "--out", str(out))
+    capsys.readouterr()
+
+    def no_read(path):
+        raise AssertionError("the file was read before --k was checked")
+    monkeypatch.setattr("cwsense.codes.read_text", no_read, raising=False)
+    assert run_cli("analyze", str(out), "--k", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be >= 1, got 0\n"
+
+
 def test_analyze_garbage_is_format_error(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("hello\nworld\n")
@@ -661,6 +684,8 @@ def opening_error(path):
     ("--out kept.code --matrix-out missing/g.matrix", "missing/g.matrix"),
     ("--emit-matrix missing/g.matrix", "missing/g.matrix"),
     ("--emit-matrix somedir", "somedir"),
+    ("--out kept.code/x.code", "kept.code/x.code"),          # ENOTDIR
+    ("--out kept.code/sub/x.code", "kept.code/sub/x.code"),  # ENOTDIR
 ])
 def test_unwritable_construct_output_fails_before_the_build(
         capsys, tmp_path, monkeypatch, outputs, bad):
@@ -684,11 +709,13 @@ def test_unwritable_construct_output_fails_before_the_build(
     assert not any((tmp_path / "somedir").iterdir())
 
 
-@pytest.mark.parametrize("out", ["missing/r.csv", "somedir"])
+@pytest.mark.parametrize("out", ["missing/r.csv", "somedir",
+                                 "kept.code/r.csv"])
 def test_unwritable_recover_output_fails_before_any_trial(
         capsys, tmp_path, monkeypatch, spread_matrix_file, out):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "somedir").mkdir()
+    (tmp_path / "kept.code").write_text("kept")
 
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before the report path failed")
@@ -699,6 +726,23 @@ def test_unwritable_recover_output_fails_before_any_trial(
     assert captured.out == ""
     assert captured.err == opening_error(out)
     assert not (tmp_path / "missing").exists()
+    assert (tmp_path / "kept.code").read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv,derived", [
+    ("devore --p 5 --r 2", "devore_p5_r2.matrix"),
+    ("sts --n 9 --out c.code --emit-matrix", "binary_steiner-bose_n9.matrix"),
+])
+def test_derived_matrix_name_is_checked_before_any_output(
+        capsys, tmp_path, monkeypatch, argv, derived):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / derived).mkdir()
+    assert run_cli("construct", *argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == opening_error(derived)
+    assert [p.name for p in tmp_path.iterdir()] == [derived]
+    assert not any((tmp_path / derived).iterdir())
 
 
 def test_recover_csv_stdout_when_no_out(capsys, spread_matrix_file):
