@@ -114,13 +114,13 @@ def _coherence_lines(matrix: matrices.MeasurementMatrix,
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.k is not None and args.k < 1:
         raise ParameterError(f"k must be >= 1, got {args.k}")
-    text = codes.read_text(args.file)
-    if matrices.matrix_format(text) is not None:
-        matrix = matrices.loads_matrix(text)
+    provenance, comments, data = codes.read_lines(codes.read_text(args.file))
+    if matrices.matrix_format(comments, data) is not None:
+        matrix = matrices.matrix_from_lines(provenance, comments, data)
         print(f"matrix: {matrix.n}x{matrix.N} w={matrix.w} "
               f"provenance={matrix.provenance!r}")
     else:
-        code = codes.loads_code(text)
+        code = codes.code_from_lines(provenance, data)
         print(f"code: {'ternary' if code.signed else 'binary'} n={code.n} "
               f"w={code.w} d={code.d} size={len(code)}")
         matrix = matrices.from_code(code)

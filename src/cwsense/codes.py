@@ -657,7 +657,7 @@ def read_lines(text: str) -> tuple[str, list[tuple[int, str]],
     Blank lines are dropped; comments are the bodies of '#' lines other
     than '# provenance: <tag>' (the last such tag wins, 'ingested' when
     absent); data are the remaining stripped lines.  Both lists carry
-    1-based line numbers.  Code, matrix and subspace files share it.
+    1-based line numbers.  Every file cwsense loads is split here, once.
     """
     provenance = "ingested"
     comments: list[tuple[int, str]] = []
@@ -704,8 +704,13 @@ def read_header(data: list[tuple[int, str]], names: str) -> tuple:
 
 
 def loads_code(text: str) -> CWCode:
-    provenance, _, lines = read_lines(text)
-    n, claimed_d, w, body = read_header(lines, "n d w")
+    provenance, _, data = read_lines(text)
+    return code_from_lines(provenance, data)
+
+
+def code_from_lines(provenance: str, data: list[tuple[int, str]]) -> CWCode:
+    """loads_code on the provenance and data lines read_lines splits off."""
+    n, claimed_d, w, body = read_header(data, "n d w")
     if n < 1 or w < 1 or claimed_d < 1:
         raise FormatError(f"header values must be positive: {(n, claimed_d, w)}")
     signed = bool(body) and body[0][1][0] in "+-"  # the first word's syntax

@@ -25,7 +25,6 @@ support per line).
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -263,53 +262,53 @@ def dumps_matrix(matrix: MeasurementMatrix, fmt: str = "support-list") -> str:
     raise ParameterError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
-def matrix_format(text: str) -> str | None:
-    """The matrix format of a text, None when it is not a matrix.
-
-    Support-list files carry a '# n <n> w <w>' comment before their
-    first data line and dense CSV rows contain commas, or one entry
-    when the matrix has one column; code files have neither (their
-    header is a bare 'n d w' line and '#' lines only name provenance).
-    Lines (as str.splitlines splits) past the first data line are unread.
-    """
-    for match in re.finditer(r"\S[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*", text):
-        line = match.group()
-        if not line.startswith("#"):
-            return "dense-csv" if "," in line or len(line.split()) == 1 else None
-        if line[1:].strip().startswith("n "):
-            return "support-list"
-    return None
+def matrix_format(comments: list[tuple[int, str]],
+                  data: list[tuple[int, str]]) -> str | None:
+    """The matrix format of read_lines' (comments, data), else None: dense
+    CSV if the first data line has a comma; else a support list if a
+    '# n ...' comment precedes a first data line starting with '+' or '-'
+    (or there is none); else dense CSV if that line has one entry.  A
+    code's bare 'n d w' header is none of these; other comments never count."""
+    lineno, line = data[0] if data else (math.inf, "")
+    if "," in line:
+        return "dense-csv"
+    if (not data or line[0] in "+-") and any(
+            at < lineno and body.startswith("n ") for at, body in comments):
+        return "support-list"
+    return "dense-csv" if len(line.split()) == 1 else None
 
 
 def loads_matrix(text: str) -> MeasurementMatrix:
-    fmt = matrix_format(text)
-    if fmt == "support-list":
-        return _loads_support_list(text)
-    if fmt == "dense-csv":
-        return _loads_dense_csv(text)
-    raise FormatError("unrecognized matrix format: expected a '# n <n> w <w>' "
-                      "header (support-list) or a CSV row (dense-csv)")
+    return matrix_from_lines(*read_lines(text))
+
+
+def matrix_from_lines(provenance: str, comments: list[tuple[int, str]],
+                      data: list[tuple[int, str]]) -> MeasurementMatrix:
+    """loads_matrix on read_lines' split of a text."""
+    fmt = matrix_format(comments, data)
+    if fmt is None:
+        raise FormatError("unrecognized matrix format: expected a '# n <n> w "
+                          "<w>' header (support-list) or a CSV row (dense-csv)")
+    return (_loads_dense_csv(data) if fmt == "dense-csv"
+            else _loads_support_list(provenance, comments, data))
 
 
 def _parse_bound(token: str) -> Fraction:
-    """A bound claim: '[-]digits' or '[-]digits/digits', the forms
-    str(Fraction) writes.  Fraction(token) would also take exponents
-    and decimals ('1e5000', '0.5'), so anything else is a ValueError."""
-    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", token):
+    """A bound claim as str(Fraction) writes it, read_int's '[-]digits' then
+    optionally '/digits', else a ValueError: Fraction(token) takes '0.5'."""
+    num, slash, den = token.partition("/")
+    if slash and not (den.isascii() and den.isdigit()):
         raise ValueError(f"bad bound {token!r}")
-    num, _, den = token.partition("/")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(read_int(num), int(den or 1))
 
 
-def _loads_support_list(text: str) -> MeasurementMatrix:
+def _loads_support_list(provenance: str, comments: list[tuple[int, str]],
+                        lines: list[tuple[int, str]]) -> MeasurementMatrix:
     """The dimension header is '# n <n> w <w>', then optionally
     'bound <fraction>', as dumps_matrix writes it, once per file."""
-    provenance, comments, lines = read_lines(text)
     header = None
-    for lineno, body in comments:
-        if not body.startswith("n "):
-            continue
-        tokens = body.split()
+    for lineno, tokens in [(at, body.split()) for at, body in comments
+                           if body.startswith("n ")]:
         try:
             if (header is not None or len(tokens) not in (4, 6)
                     or tokens[0::2] != ["n", "w", "bound"][:len(tokens) // 2]):
@@ -318,9 +317,7 @@ def _loads_support_list(text: str) -> MeasurementMatrix:
                       _parse_bound(tokens[5]) if len(tokens) == 6 else None)
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"line {lineno}: bad dimension header") from None
-    if header is None:
-        raise FormatError("missing '# n <n> w <w>' header")
-    n, w, bound = header
+    n, w, bound = header  # matrix_format saw a '# n' comment
     try:
         matrix = MeasurementMatrix(n, w, *parse_words(lines, True, w, "column"),
                                    provenance=provenance, bound=bound)
@@ -332,10 +329,10 @@ def _loads_support_list(text: str) -> MeasurementMatrix:
     return matrix
 
 
-def _loads_dense_csv(text: str) -> MeasurementMatrix:
+def _loads_dense_csv(lines: list[tuple[int, str]]) -> MeasurementMatrix:
     """Entries are integers as codes.read_int reads them."""
     rows = []
-    for lineno, line in read_lines(text)[2]:
+    for lineno, line in lines:
         try:
             row = [read_int(tok) for tok in line.split(",")]
         except ValueError:
@@ -343,8 +340,6 @@ def _loads_dense_csv(text: str) -> MeasurementMatrix:
         if any(v not in (-1, 0, 1) for v in row):
             raise FormatError(f"line {lineno}: entries must be in {{-1, 0, 1}}")
         rows.append(row)
-    if not rows:
-        raise FormatError("empty matrix file")
     if len({len(r) for r in rows}) != 1:
         raise FormatError("rows have differing lengths")
     a = np.array(rows, dtype=np.int64).T

@@ -1,20 +1,27 @@
 """CLI: subcommand output, exit codes, file side effects."""
 
+import contextlib
 import hashlib
+import io
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwsense import cli
-from cwsense.codes import dumps_code, gilbert_bound, load_code, loads_code
+from cwsense.codes import (dumps_code, gilbert_bound, greedy_ternary,
+                           load_code, loads_code)
 from cwsense.designs import (dumps_subspace_code, loads_subspace_code,
-                             spread_code, subspace_to_code)
+                             make_sts, spread_code, steiner_to_code,
+                             subspace_to_code)
 from cwsense.errors import FormatError
-from cwsense.matrices import from_code, loads_matrix, save_matrix
+from cwsense.matrices import dumps_matrix, from_code, loads_matrix, save_matrix
 from cwsense.recovery import CSV_HEADER, RecoveryReport
 
 
@@ -294,6 +301,22 @@ def test_caps_checked_before_factoring(argv):
     assert proc.stderr.startswith("budget exceeded")
 
 
+def test_devore_byte_budget_refuses_before_the_build(capsys):
+    # the 997^2 x 997 positions array alone would be 7.4 GiB; the refusal
+    # allocates next to nothing
+    tracemalloc.start()
+    try:
+        assert run_cli("construct", "devore", "--p", "997", "--r", "2") == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: building devore(997, 2) peaks "
+                            "at 11896517980 bytes, past 268435456\n")
+
+
 @pytest.mark.parametrize("argv", [
     "--n 10000000 --d 2000000 --w 1000000",
     "--dims --n 100000000 --k 50 --t 1000000",
@@ -476,6 +499,66 @@ def test_analyze_k_below_one_is_refused_before_the_file_is_read(
     assert captured.err == "error: k must be >= 1, got 0\n"
 
 
+def test_free_n_comments_leave_the_file_kind(capsys, tmp_path):
+    # a '# n' comment marks a support list only before signed columns:
+    # here it is free text before a code header and a CSV row
+    code = tmp_path / "c.code"
+    code.write_text("# n is the length\n4 2 2\n0 1\n2 3\n")
+    csv = tmp_path / "ncomment.csv"
+    csv.write_text("# n rows, 2 columns\n1,0\n0,1\n")
+    assert run_cli("analyze", str(code)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "code: binary n=4 w=2 d=4 size=2")
+    assert run_cli("analyze", str(csv)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "matrix: 2x2 w=1 provenance='dense-csv'")
+    assert run_cli("recover", str(csv), "--k-max", "1") == 0
+    assert capsys.readouterr().err == ""
+
+
+def analyze_output(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", str(path)]) == 0
+    return out.getvalue()
+
+
+FREE_COMMENT_SOURCES = {
+    "binary.code": dumps_code(steiner_to_code(make_sts(7))),
+    "ternary.code": dumps_code(greedy_ternary(5, 3, 2)),
+    "sts7.csv": dumps_matrix(from_code(steiner_to_code(make_sts(7))),
+                             "dense-csv"),
+}
+
+
+def free_comments():
+    """Bodies of '#' lines other than a provenance tag, a third of them
+    starting with 'n '."""
+    text = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                   max_size=12)
+    return st.one_of(text, text, text.map(lambda t: "n " + t)).filter(
+        lambda body: not body.strip().startswith("provenance:"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FREE_COMMENT_SOURCES)),
+       st.lists(free_comments(), min_size=1, max_size=4), st.data())
+def test_free_comments_before_the_data_leave_analyze_unchanged(name, bodies,
+                                                               data):
+    lines = FREE_COMMENT_SOURCES[name].split("\n")
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(FREE_COMMENT_SOURCES[name])
+        expected = analyze_output(path)
+        for body in bodies:
+            at = data.draw(st.integers(0, first))
+            lines.insert(at, "#" + body)
+            first += 1
+        path.write_text("\n".join(lines))
+        assert analyze_output(path) == expected
+
+
 def test_analyze_garbage_is_format_error(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("hello\nworld\n")
@@ -566,6 +649,17 @@ def test_bounds_usage_errors(capsys):
     assert run_cli("bounds", "--n", "10", "--d", "4") == 2
     assert run_cli("bounds", "--dims", "--n", "10", "--k", "2") == 2
     assert run_cli("bounds", "--n", "10", "--d", "3", "--w", "3") == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("--n 3 --d 4 --w 5", "need 1 <= w <= n, got w=5 n=3"),
+    ("--n 5 --d 0 --w 2", "distance must be positive, got 0"),
+])
+def test_bounds_parameter_errors_name_the_parameter(capsys, argv, message):
+    assert run_cli("bounds", *argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # -- recover ------------------------------------------------------------------

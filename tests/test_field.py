@@ -191,6 +191,11 @@ def test_low_degree_polys_agree_rarely():
             assert agreements <= 2
 
 
+def test_find_irreducible_refuses_degree_zero():
+    with pytest.raises(ParameterError, match="degree must be >= 1"):
+        find_irreducible(make_field(2), 0)
+
+
 def test_find_irreducible_has_no_roots():
     field = make_field(3)
     poly = find_irreducible(field, 2)

@@ -1,6 +1,7 @@
 """Matrices: exact coherence, construction bounds, Welch values, formats."""
 
 import hashlib
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from codes_oracle import matrix_of, words_of
 from cwsense.codes import (CWCode, array_maxima, certify_binary,
                            dumps_code, greedy_binary, greedy_ternary,
-                           loads_code)
+                           loads_code, read_lines)
 from cwsense.designs import (SteinerTripleSystem, make_sts,
                              steiner_to_code)
 from cwsense.errors import BudgetError, FormatError, ParameterError
@@ -19,7 +20,7 @@ from cwsense.field import factor_prime_power, make_field
 from cwsense.matrices import (MeasurementMatrix, coherence, devore,
                               devore_bytes, dumps_matrix, from_code,
                               load_matrix, loads_matrix, matrix_format,
-                              save_matrix, welch_bound, FORMATS)
+                              save_matrix, welch_bound, FORMATS, _parse_bound)
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
         (2, 3, 6), (2, 4, 5)]
@@ -389,14 +390,73 @@ def test_dumps_unknown_format():
         dumps_matrix(devore(3, 2), "parquet")
 
 
+def kind(text):
+    return matrix_format(*read_lines(text)[1:])
+
+
 def test_matrix_format_predicate():
-    assert matrix_format(dumps_matrix(devore(3, 2))) == "support-list"
-    assert matrix_format(dumps_matrix(devore(3, 2), "dense-csv")) == "dense-csv"
-    assert matrix_format("# provenance: x\n9 4 3\n0 1 2\n") is None  # a code
-    assert matrix_format("") is None
+    assert kind(dumps_matrix(devore(3, 2))) == "support-list"
+    assert kind(dumps_matrix(devore(3, 2), "dense-csv")) == "dense-csv"
+    assert kind("# provenance: x\n9 4 3\n0 1 2\n") is None  # a code
+    assert kind("") is None
     # only a '# n' comment before the first data line marks a support list
-    assert matrix_format("9 4 3\n# n 9 w 3\n0 1 2\n") is None
-    assert matrix_format("1,0\n# n 2 w 1\n0,1\n") == "dense-csv"
+    assert kind("9 4 3\n# n 9 w 3\n0 1 2\n") is None
+    assert kind("1,0\n# n 2 w 1\n0,1\n") == "dense-csv"
+    # and only before signed columns (or none): other '# n' comments are
+    # free text, and a comma always means dense CSV
+    assert kind("# n is the length\n4 2 2\n0 1\n2 3\n") is None
+    assert kind("# n rows, 2 columns\n1,0\n0,1\n") == "dense-csv"
+    assert kind("# n 2 w 1\n") == "support-list"
+    assert kind("# n 3 w 1\n+0\n-2\n") == "support-list"
+    assert kind("# n 3 w 1 bound 0\n-1\n") == "support-list"
+    assert kind("# a remark\n1\n0\n") == "dense-csv"
+    assert kind("# n 2 w 1\n1\n0\n") == "dense-csv"
+    assert kind("# n 4 w 2\n0 1\n") is None
+    assert kind("# n\t4 w 2\n+0 +1\n") is None
+
+
+def test_one_column_support_list_stays_a_support_list(capsys):
+    matrix = MeasurementMatrix(3, 1, np.array([[0], [2]]),
+                               np.array([[1], [-1]], dtype=np.int8), "w1")
+    text = dumps_matrix(matrix)
+    assert text == "# provenance: w1\n# n 3 w 1\n+0\n-2\n"
+    assert kind(text) == "support-list"
+    loaded = loads_matrix(text)
+    assert (loaded.n, loaded.w, loaded.provenance) == (3, 1, "w1")
+    assert dumps_matrix(loaded) == text
+
+
+def old_parse_bound(token):
+    """_parse_bound as it was, on the regex the grammar was written in."""
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", token):
+        raise ValueError(f"bad bound {token!r}")
+    num, _, den = token.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
+def outcome(parse, token):
+    try:
+        return parse(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+LONG = "1" * 4301  # past int()'s 4300-digit limit
+
+
+def bound_tokens():
+    """Tokens over '-0123456789/+e._', pieced from short runs and from
+    signs, slashes and digit runs up to and past 4300 digits."""
+    pieces = st.one_of(st.text("-0123456789/+e._", max_size=4),
+                       st.sampled_from(["-", "/", "/0", "0", "12", "007",
+                                        LONG, "9" * 4300]))
+    return st.lists(pieces, max_size=4).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(bound_tokens())
+def test_bound_grammar_matches_the_old_regex(token):
+    assert outcome(_parse_bound, token) == outcome(old_parse_bound, token)
 
 
 def test_loads_matrix_rejections():

@@ -30,3 +30,47 @@ def test_field_element_stays_in_field_module():
             if "FieldElement" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_regex_and_one_line_splitter():
+    """Files are split into lines in one place, codes.read_lines: no
+    module imports re, and only codes.py calls splitlines."""
+    imports, splits = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            if any(m == "re" or m.startswith("re.") for m in modules):
+                imports.append(f"{path.name}:{node.lineno}")
+            if (getattr(node, "attr", None) == "splitlines"
+                    or getattr(node, "id", None) == "splitlines"):
+                splits.append(path.name)
+    assert imports == []
+    assert set(splits) == {"codes.py"}
+
+
+def test_analyze_and_recover_split_each_file_once(tmp_path, monkeypatch):
+    from cwsense import cli, codes, matrices
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["construct", "sts", "--n", "9", "--out", "c.code",
+                     "--emit-matrix", "s.matrix"]) == 0
+    assert cli.main(["construct", "sts", "--n", "9", "--matrix-format",
+                     "dense-csv", "--emit-matrix", "d.csv"]) == 0
+    calls = []
+    real = codes.read_lines
+
+    def counted(text):
+        calls.append(len(text))
+        return real(text)
+    for module in (codes, matrices):
+        monkeypatch.setattr(module, "read_lines", counted)
+    for argv in (["analyze", "c.code"], ["analyze", "s.matrix"],
+                 ["analyze", "d.csv"],
+                 ["recover", "s.matrix", "--k-max", "1", "--trials", "2"],
+                 ["recover", "d.csv", "--k-max", "1", "--trials", "2"]):
+        calls.clear()
+        assert cli.main(argv) == 0, argv
+        assert calls == [(tmp_path / argv[1]).stat().st_size], argv
