@@ -9,7 +9,7 @@ Three families live here:
   q^2 + q words.
 * Constant-dimension subspace codes in GF(q)^n, in particular spreads,
   together with two conversions into binary constant-weight codes (one
-  word per subspace, or one word per proper coset).
+  word per subspace, or one per proper coset: exactly N (q^(n-k) - 1)).
 
 Designs are int64 arrays: N x 3 blocks, N x k x n subspace bases, all
 row-reduced at once.  Every derived code goes through the exhaustive
@@ -34,7 +34,6 @@ from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field, power_exceeds)
 
 SPREAD_CAP = 1 << 20      # largest q^n a spread is enumerated for
-COSET_CAP = 1 << 16       # largest q^n the coset conversion sweeps
 
 
 # -- Steiner triple systems ----------------------------------------------
@@ -317,34 +316,30 @@ def subspace_to_code(code: SubspaceCode) -> CWCode:
 
 
 def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
-    """One word per proper coset v + U over all subspaces U in the code.
+    """One word per proper coset v + U of each subspace U in the code.
 
-    Each subspace contributes q^(n-k) - 1 cosets of weight q^k; cosets
-    are canonicalized by their minimum-encoded element and duplicate
-    point sets across subspaces are dropped before certification.  The
-    achieved size is recorded in the provenance next to the nominal
-    count q^(n-k-1) * |code|, which it usually exceeds.
+    A coset's differences are its subspace, so no coset repeats: the
+    code has exactly N (q^(n-k) - 1) words of weight q^k, admitted
+    before any is formed.  A reduced basis's non-pivot coordinates carry
+    one representative per coset, and one field.add forms them all, each
+    subspace's cosets ordered by smallest element.  The provenance
+    records that count next to the nominal q^(n-k-1) N.
     """
-    q, n, k = code.field.q, code.n, code.k
-    if q ** n > COSET_CAP:
-        raise BudgetError(f"q^n = {q ** n} exceeds coset sweep cap {COSET_CAP}")
-    words: dict[bytes, np.ndarray] = {}  # keyed by the coset's bytes
-    for positions in code.binary.positions:
-        points = np.concatenate([[0], positions + 1])  # zero, then the rest
-        seen = np.zeros(q ** n, dtype=bool)
-        seen[points] = True
-        for v in range(q ** n):
-            if seen[v]:
-                continue
-            coset = np.sort(code.field.add(points, v, n))
-            seen[coset] = True
-            words.setdefault(coset.tobytes(), coset)
-    nominal = q ** (n - k - 1) * len(code) if n - k - 1 >= 0 else 0
+    field, n, k, N = code.field, code.n, code.k, len(code)
+    q, count = field.q, N * (field.q ** (n - k) - 1)
+    check_dense_budget(q ** n - 1, count)
+    free = np.ones((N, n), dtype=bool)
+    free[np.arange(N)[:, None], (code.subspaces != 0).argmax(axis=2)] = False
+    digits = np.arange(1, q ** (n - k))[:, None] // q ** np.arange(n - k) % q
+    reps = q ** np.nonzero(free)[1].reshape(N, n - k) @ digits.T  # N x R
+    points = np.pad(code.binary.positions + 1, ((0, 0), (1, 0)))
+    cosets = field.add(points[:, None], reps[:, :, None], n)
+    cosets -= 1
+    cosets = cosets[np.arange(N)[:, None], cosets.min(axis=2).argsort(axis=1)]
     return certify_binary(
-        q ** n - 1, q ** k,
-        np.array(list(words.values()), dtype=np.int64).reshape(-1, q ** k) - 1,
-        provenance=(f"subspace-cosets {code.provenance} "
-                    f"achieved={len(words)} nominal={nominal}"))
+        q ** n - 1, q ** k, cosets.reshape(count, q ** k),
+        provenance=(f"subspace-cosets {code.provenance} achieved={count} "
+                    f"nominal={q ** (n - k) // q * N}"))
 
 
 # -- subspace code file format --------------------------------------------

@@ -266,16 +266,20 @@ def matrix_format(comments: list[tuple[int, str]],
                   data: list[tuple[int, str]]) -> str | None:
     """The matrix format of read_lines' (comments, data), else None: dense
     CSV if the first data line has a comma; else a support list if a
-    '# n ...' comment precedes a first data line starting with '+' or '-'
-    (or there is none); else dense CSV if that line has one entry.  A
-    code's bare 'n d w' header is none of these; other comments never count."""
+    '# n ...' comment (shaped 'n _ w ...' before a one-entry line, since
+    '-1' is a CSV row too) precedes a first data line starting with '+'
+    or '-' (or there is none); else dense CSV if that line has one entry.
+    A code's bare 'n d w' header is none of these; other comments never count."""
     lineno, line = data[0] if data else (math.inf, "")
     if "," in line:
         return "dense-csv"
+    one = len(line.split()) == 1
     if (not data or line[0] in "+-") and any(
-            at < lineno and body.startswith("n ") for at, body in comments):
+            at < lineno and body.startswith("n ")
+            and (not one or body.split()[:3:2] == ["n", "w"])
+            for at, body in comments):
         return "support-list"
-    return "dense-csv" if len(line.split()) == 1 else None
+    return "dense-csv" if one else None
 
 
 def loads_matrix(text: str) -> MeasurementMatrix:

@@ -10,14 +10,17 @@ bit-mask search behind codes.greedy_binary and codes.greedy_ternary is
 checked against it.  parse_words is the position reader as a loop
 over the tokens of str.split(); codes.parse_words, which reads every
 line's bytes in one numpy pass, is checked against it.
+coset_code is the coset conversion as a sweep of all q^n vectors per
+subspace; designs.subspace_to_coset_code, which forms every coset in
+one array pass from complement representatives, is checked against it.
 """
 
 from itertools import combinations, product
 
 import numpy as np
 
-from cwsense.codes import CWCode
-from cwsense.errors import FormatError, ParameterError
+from cwsense.codes import CWCode, certify_binary
+from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.matrices import MeasurementMatrix
 
 
@@ -115,3 +118,33 @@ def parse_words(lines, signed: bool, w: int, what: str = "word"):
     order = np.argsort(positions, axis=1, kind="stable")
     return (np.take_along_axis(positions, order, axis=1),
             np.take_along_axis(signs, order, axis=1))
+
+
+COSET_CAP = 1 << 16  # largest q^n the sweep is run for
+
+
+def coset_code(code) -> CWCode:
+    """One word per proper coset v + U of each subspace U of a
+    designs.SubspaceCode: every vector v of GF(q)^n not yet covered
+    starts a coset, kept by its bytes unless already kept, then the
+    words are certified (certify_binary)."""
+    q, n, k = code.field.q, code.n, code.k
+    if q ** n > COSET_CAP:
+        raise BudgetError(f"q^n = {q ** n} exceeds coset sweep cap {COSET_CAP}")
+    words: dict[bytes, np.ndarray] = {}  # keyed by the coset's bytes
+    for positions in code.binary.positions:
+        points = np.concatenate([[0], positions + 1])  # zero, then the rest
+        seen = np.zeros(q ** n, dtype=bool)
+        seen[points] = True
+        for v in range(q ** n):
+            if seen[v]:
+                continue
+            coset = np.sort(code.field.add(points, v, n))
+            seen[coset] = True
+            words.setdefault(coset.tobytes(), coset)
+    nominal = q ** (n - k - 1) * len(code) if n - k - 1 >= 0 else 0
+    return certify_binary(
+        q ** n - 1, q ** k,
+        np.array(list(words.values()), dtype=np.int64).reshape(-1, q ** k) - 1,
+        provenance=(f"subspace-cosets {code.provenance} "
+                    f"achieved={len(words)} nominal={nominal}"))

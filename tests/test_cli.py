@@ -514,6 +514,14 @@ def test_free_n_comments_leave_the_file_kind(capsys, tmp_path):
         "matrix: 2x2 w=1 provenance='dense-csv'")
     assert run_cli("recover", str(csv), "--k-max", "1") == 0
     assert capsys.readouterr().err == ""
+    # also above a one-entry row, unless shaped 'n _ w': '-1' is a CSV row
+    neg = tmp_path / "neg.csv"
+    neg.write_text("# n rows\n-1\n0\n1\n")
+    assert run_cli("analyze", str(neg)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "matrix: 3x1 w=2 provenance='dense-csv'")
+    assert run_cli("recover", str(neg), "--k-max", "1") == 0
+    assert capsys.readouterr().err == ""
 
 
 def analyze_output(path):

@@ -1,5 +1,6 @@
 """Designs: triple systems, affine planes, spreads and their codes."""
 
+import functools
 import hashlib
 import tracemalloc
 from collections import Counter
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from codes_oracle import words_of
+from codes_oracle import coset_code, words_of
 from cwsense import codes, designs
 from cwsense.codes import dumps_code
 from cwsense.designs import (SteinerTripleSystem, _rref, affine_plane_code,
@@ -254,7 +255,142 @@ def test_coset_code_budget():
     basis = [tuple(1 if i == 0 else 0 for i in range(17))]
     tiny = certify_subspace_code(field, 17, 1, [basis])
     with pytest.raises(BudgetError):
-        subspace_to_coset_code(tiny)  # 2^17 is past the coset sweep cap
+        subspace_to_coset_code(tiny)  # 65,535 cosets: past the dense cap
+
+
+COSET_SPREADS = [(2, 4, 2), (2, 6, 2), (2, 6, 3), (2, 8, 2), (2, 9, 3),
+                 (2, 10, 5), (3, 4, 2), (3, 6, 3), (4, 4, 2), (4, 2, 1),
+                 (5, 4, 2), (7, 4, 2), (8, 4, 2), (2, 3, 3)]
+
+
+def hyperplanes(n):
+    """The 2^n - 1 hyperplanes of GF(2)^n, the kernels of the nonzero
+    functionals a: e_j for j not the lowest set bit p of a, plus e_p
+    where a has bit j."""
+    bases = []
+    for a in range(1, 1 << n):
+        p = (a & -a).bit_length() - 1
+        bases.append([[int(i == j or (i == p and a >> j & 1))
+                       for i in range(n)] for j in range(n) if j != p])
+    return certify_subspace_code(make_field(2), n, n - 1, bases,
+                                 provenance="hyperplanes")
+
+
+def random_subspace_codes(count, seed=20):
+    """Seeded certified codes over fields up to GF(9) with q^n <= 4096
+    and at most 20,000 vectors swept in all; draws that repeat a
+    subspace or lose rank are redrawn."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        q = int(rng.choice([2, 3, 4, 5, 7, 8, 9]))
+        top = next(m for m in range(13) if q ** (m + 1) > 4096)
+        n = int(rng.integers(1, top + 1))
+        k = int(rng.integers(1, n + 1))
+        size = int(rng.integers(1, 1 + min(6, 20000 // q ** n)))
+        field = make_field(*factor_prime_power(q))
+        try:
+            out.append(certify_subspace_code(
+                field, n, k, rng.integers(0, q, (size, k, n)),
+                provenance=f"random #{len(out)}"))
+        except ParameterError:
+            continue
+    return out
+
+
+def coset_outcome(convert, code, traced=False):
+    """(outcome, tracemalloc peak or None) of one conversion; the outcome
+    is the positions bytes, provenance, d and inner, or the error's type
+    and message."""
+    if traced:
+        tracemalloc.start()
+    try:
+        got = convert(code)
+        outcome = (got.positions.tobytes(), got.provenance, got.d, got.inner)
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    finally:
+        peak = tracemalloc.get_traced_memory()[1] if traced else None
+        tracemalloc.stop()  # a no-op when not tracing
+    return outcome, peak
+
+
+PEAK_CASES = [(8, 4, 2), "hyperplanes"]
+
+
+@functools.cache
+def coset_outcomes(case):
+    """Oracle and library outcome (and peak, for PEAK_CASES) for a
+    spread's (q, n, k), 'hyperplanes' or five coordinate 'axes',
+    computed once for the tests that share them."""
+    if case == "axes":  # 10,235 cosets of GF(2)^12: past the dense cap
+        code = certify_subspace_code(make_field(2), 12, 1,
+                                     np.eye(12, dtype=int)[:5, None])
+    else:
+        code = hyperplanes(10) if case == "hyperplanes" else spread_code(*case)
+    return [coset_outcome(convert, code, case in PEAK_CASES)
+            for convert in (coset_code, subspace_to_coset_code)]
+
+
+@pytest.mark.parametrize("case", COSET_SPREADS + ["hyperplanes", "axes"],
+                         ids=str)
+def test_coset_code_matches_the_sweep_oracle(case):
+    (want, _), (got, _) = coset_outcomes(case)
+    assert got == want
+
+
+def test_coset_code_matches_the_sweep_oracle_on_random_codes():
+    cases = random_subspace_codes(50)
+    assert {code.field.q for code in cases} == {2, 3, 4, 5, 7, 8, 9}
+    for code in cases:
+        want, _ = coset_outcome(coset_code, code)
+        assert coset_outcome(subspace_to_coset_code, code)[0] == want, \
+            code.provenance
+
+
+@pytest.mark.parametrize("case", PEAK_CASES, ids=str)
+def test_coset_code_peak_memory_at_most_the_sweeps(case):
+    (_, want), (_, got) = coset_outcomes(case)
+    assert got <= want
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 12, 2), (2, 10, 2), (4, 6, 2)])
+def test_coset_code_is_refused_before_any_coset(monkeypatch, q, n, k):
+    # 1,396,395, 86,955 and 69,615 cosets: refused from their count
+    # alone, before the one field.add that would form them
+    spread = spread_code(q, n, k)
+
+    def no_cosets(*args):
+        raise AssertionError("a coset was formed before the budget check")
+    monkeypatch.setattr(FiniteField, "add", no_cosets)
+    with pytest.raises(BudgetError, match="past the cap"):
+        subspace_to_coset_code(spread)
+
+
+def test_coset_code_forms_every_coset_in_one_add(monkeypatch):
+    spread = spread_code(2, 8, 2)
+    calls = []
+    real = FiniteField.add
+
+    def counted(self, a, b, n=1):
+        calls.append(n)
+        return real(self, a, b, n)
+    monkeypatch.setattr(FiniteField, "add", counted)
+    code = subspace_to_coset_code(spread)
+    assert calls == [8]
+    assert len(code) == 85 * 63
+
+
+def test_coset_code_past_q_n_of_2_16():
+    # q^n = 2^17 fits when the count does: one hyperplane has one proper
+    # coset, its complement
+    basis = [[int(i == j) for i in range(17)] for j in range(16)]
+    code = subspace_to_coset_code(
+        certify_subspace_code(make_field(2), 17, 16, [basis]))
+    assert (code.n, code.w, len(code)) == ((1 << 17) - 1, 1 << 16, 1)
+    assert code.positions.tolist() == [list(range((1 << 16) - 1,
+                                                  (1 << 17) - 1))]
+    assert "achieved=1 nominal=1" in code.provenance
 
 
 def test_certify_subspace_code_rejections():

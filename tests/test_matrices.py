@@ -413,6 +413,10 @@ def test_matrix_format_predicate():
     assert kind("# n 2 w 1\n1\n0\n") == "dense-csv"
     assert kind("# n 4 w 2\n0 1\n") is None
     assert kind("# n\t4 w 2\n+0 +1\n") is None
+    # before a one-entry line ('-1' is also a CSV row) the comment must be
+    # shaped 'n _ w ...' like the header
+    assert kind("# n rows\n-1\n0\n1\n") == "dense-csv"
+    assert kind("# n 3 w oops\n-1\n") == "support-list"
 
 
 def test_one_column_support_list_stays_a_support_list(capsys):
