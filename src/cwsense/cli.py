@@ -11,7 +11,8 @@ Subcommands:
 * recover: run the seeded OMP experiment against a matrix file.
 
 Exit codes: 0 success, 2 usage, file-format or unreadable-file error,
-3 enumeration or memory budget exceeded, 4 recovery guarantee violated.
+3 a stage's work or bytes estimate past its budget (errors.admit), 4
+recovery guarantee violated.
 Every randomized path takes --seed (default 0); no command ever draws
 entropy from the system, so identical invocations write identical
 files, with the single exception of the wall-clock seconds column in
@@ -29,7 +30,7 @@ import os
 import sys
 
 from . import codes, designs, matrices, recovery
-from .errors import BudgetError, FormatError, ParameterError
+from .errors import BudgetError, FormatError, ParameterError, admit
 
 
 def _require(args: argparse.Namespace, names, what: str) -> None:
@@ -129,34 +130,39 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    n, d, w, k, t = args.n, args.d, args.w, args.k, args.t
     if args.dims:
         _require(args, ("n", "k", "t"), "bounds --dims")
+        at = f"N(n={n},k={k},t={t}) ="
         if args.ternary:
-            value = codes.dimension_ternary_gilbert(args.n, args.k, args.t)
-            print(f"dimension ternary-gilbert N(n={args.n},k={args.k},"
-                  f"t={args.t}) = {value}")
+            rows = [(f"dimension ternary-gilbert {at}",
+                     codes.dimension_ternary_gilbert(n, k, t), "")]
         else:
-            via_gilbert = codes.dimension_binary_gilbert(args.n, args.k, args.t)
-            via_moments = codes.dimension_binary_gs(args.n, args.k, args.t)
-            gs = codes.graham_sloane_bound(
-                args.n, 2 * (args.k - 1) * args.t, args.k * args.t)
-            print(f"dimension gilbert N(n={args.n},k={args.k},t={args.t}) "
-                  f"= {via_gilbert}")
-            print(f"dimension moment N(n={args.n},k={args.k},t={args.t}) "
-                  f"= {via_moments} (denominator n^((k-1)t-1))")
-            print(f"dimension moment-prime N(n={args.n},k={args.k},t={args.t}) "
-                  f"= {gs.value} (denominator q^((k-1)t-1), q={gs.params['q']})")
-        return 0
-    _require(args, ("n", "d", "w"), "bounds")
-    if args.ternary:
-        rep = codes.ternary_gilbert_bound(args.n, args.d, args.w)
-        print(f"ternary-gilbert A3({args.n},{args.d},{args.w}) >= {rep.value}")
+            rows = [(f"dimension gilbert {at}",
+                     codes.dimension_binary_gilbert(n, k, t), ""),
+                    (f"dimension moment {at}", codes.dimension_binary_gs(
+                        n, k, t), " (denominator n^((k-1)t-1))")]
+            gs = codes.graham_sloane_bound(n, 2 * (k - 1) * t, k * t)
+            rows.append((f"dimension moment-prime {at}", gs.value,
+                         f" (denominator q^((k-1)t-1), q={gs.params['q']})"))
     else:
-        gil = codes.gilbert_bound(args.n, args.d, args.w)
-        gs = codes.graham_sloane_bound(args.n, args.d, args.w)
-        print(f"gilbert A({args.n},{args.d},{args.w}) >= {gil.value}")
-        print(f"graham-sloane A({args.n},{args.d},{args.w}) >= {gs.value} "
-              f"(q={gs.params['q']})")
+        _require(args, ("n", "d", "w"), "bounds")
+        if args.ternary:
+            rows = [(f"ternary-gilbert A3({n},{d},{w}) >=",
+                     codes.ternary_gilbert_bound(n, d, w).value, "")]
+        else:
+            rows = [(f"gilbert A({n},{d},{w}) >=",
+                     codes.gilbert_bound(n, d, w).value, "")]
+            gs = codes.graham_sloane_bound(n, d, w)
+            rows.append((f"graham-sloane A({n},{d},{w}) >=", gs.value,
+                         f" (q={gs.params['q']})"))
+    limit = sys.get_int_max_str_digits() or float("inf")
+    for _, value, _ in rows:  # at most limit digits below 10^limit
+        digits = value.bit_length() * 30103 // 100000 + 1  # >= log10 + 1
+        admit(f"printing a {value.bit_length()}-bit value", digits if value
+              >= 10 ** limit else min(digits, limit), "digits", limit)
+    for head, value, tail in rows:
+        print(f"{head} {value}{tail}")
     return 0
 
 

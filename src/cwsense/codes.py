@@ -9,11 +9,11 @@ the file syntax and the coherence bound a matrix inherits.  Every code
 object carries a certified minimum distance d (and max |inner product|,
 CWCode.inner) recomputed over every pair of its words by array_maxima
 (shared with matrices and designs), never taken on trust from a header
-or a construction argument.  array_maxima admits the words against
-DENSE_CAP, then answers on one of two exact paths.  The subset path
-sorts int64 keys of each word's s-subsets of positions: two words share
-at least s positions exactly when they share an s-subset, so the
-largest overlap is s - 1 at the first s without a repeated key.  It
+or a construction argument.  array_maxima admits the words at their
+dense size, 8 n N bytes (errors.admit), then answers on one of two
+exact paths.  The subset path sorts int64 keys of each word's s-subsets
+of positions: two words share at least s positions exactly when they
+share an s-subset, so the largest overlap is s - 1 at the first s without a repeated key.  It
 answers for binary words, and for signed words whose supports meet in
 at most one position, where the two signs there fix the inner product.
 Other signed words, and levels whose keys would take more memory than
@@ -42,10 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError, FormatError, ParameterError
+from .errors import FormatError, ParameterError, admit, power
 from .field import is_prime
-
-ENUM_BUDGET = 10_000_000
 
 
 @dataclass
@@ -86,16 +84,6 @@ class BoundReport:
 # -- pairwise kernel -----------------------------------------------------
 
 PAIR_TILE = 256  # words per tile; a pair of tiles allocates O(PAIR_TILE n)
-DENSE_CAP = 1 << 28  # bytes of dense float64 words a scan may admit
-
-
-def check_dense_budget(n: int, N: int) -> None:
-    """Raise BudgetError when N words of length n as dense float64 (n x N)
-    would pass DENSE_CAP bytes: array_maxima's and to_dense's admission."""
-    size = 8 * n * N
-    if size > DENSE_CAP:
-        raise BudgetError(f"{n} x {N} dense float64 words need {size} "
-                          f"bytes, past the cap {DENSE_CAP}")
 
 
 def array_maxima(n: int, positions: np.ndarray,
@@ -109,14 +97,15 @@ def array_maxima(n: int, positions: np.ndarray,
     G = S - 2D and distance 2(w - S) + D.  For words without a -1 sign
     S = G, so the second value is 2 max G.
 
-    The words are admitted first (check_dense_budget), whichever path
-    answers, so both refuse the same inputs.  _subset_maxima finds the
-    largest S from sorted integer keys; it answers for words without a
-    -1 sign and for signed words with S <= 1.  Signed words with S >= 2,
+    The words are admitted first, at 8 n N bytes (their dense float64
+    size), whichever path answers, so both refuse the same inputs.
+    _subset_maxima finds the largest S from sorted integer keys; it
+    answers for words without a -1 sign and for signed words with S <= 1.  Signed words with S >= 2,
     and words whose keys would take more memory than the word tiles or
     pass int64, go to the float64 tiles of _tile_maxima.
     """
-    check_dense_budget(n, len(positions))
+    admit(f"certifying {len(positions)} words of length {n}",
+          8 * n * len(positions))
     top = _subset_maxima(n, positions, signs)
     return _tile_maxima(n, positions, signs) if top is None else top
 
@@ -332,28 +321,17 @@ def _check_nwd(n: int, dist: int, w: int, even: bool) -> None:
             f"binary constant-weight distances are even, got {dist}")
 
 
-def _check_budget(count: int, what: str) -> None:
-    """BudgetError when count of what (enumerated words, or a bound's
-    terms times their n bits) passes ENUM_BUDGET, before any is made."""
-    if count > ENUM_BUDGET:
-        raise BudgetError(f"{what} = {count} exceed budget {ENUM_BUDGET}")
-
-
-def _check_enumeration(n: int, w: int, sign_bits: int, what: str) -> None:
-    """_check_budget for the C(n, w) * 2^sign_bits words of an
-    enumeration.  C(n, w) >= 2^min(w, n - w), so a count that is surely
-    past ENUM_BUDGET is refused before the binomial is formed."""
+def _word_count(n: int, w: int, sign_bits: int) -> int:
+    """C(n, w) 2^sign_bits, an enumeration's steps, or 2^64 where C(n, w)
+    >= 2^min(w, n - w) puts it past every budget before it is formed."""
     bits = min(w, n - w) + sign_bits
-    if bits >= ENUM_BUDGET.bit_length():
-        raise BudgetError(f"{what} >= 2^{bits} exceed budget {ENUM_BUDGET}")
-    _check_budget(math.comb(n, w) << sign_bits, what)
+    return math.comb(n, w) << sign_bits if bits < 64 else 1 << 64
 
 
-def _check_bound_work(terms: int, n: int, w: int) -> None:
-    """_check_budget for terms big-integer terms of n bits and C(n, w),
+def _bound_work(terms: int, n: int, w: int) -> int:
+    """Steps of a bound: terms big-integer terms of n bits and C(n, w),
     which math.comb builds from min(w, n - w) factors: as many terms."""
-    terms += min(w, n - w)
-    _check_budget(terms * n, f"{terms} terms x {n} bits")
+    return (terms + min(w, n - w)) * n
 
 
 def gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
@@ -363,7 +341,7 @@ def gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
     """
     _check_nwd(n, dist, w, even=True)
     d = dist // 2
-    _check_bound_work(d, n, w)
+    admit("the gilbert bound", _bound_work(d, n, w), "steps")
     denom = sum(_comb0(w, i) * _comb0(n - w, i) for i in range(d))
     value = math.comb(n, w) // denom
     return BoundReport("gilbert", {"n": n, "dist": dist, "w": w}, value)
@@ -371,6 +349,7 @@ def gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
 
 def smallest_prime_at_least(n: int) -> int:
     p = max(n, 2)
+    admit(f"a prime search from {p}", math.isqrt(p), "steps")
     while not is_prime(p):
         p += 1
     return p
@@ -384,7 +363,7 @@ def graham_sloane_bound(n: int, dist: int, w: int) -> BoundReport:
     """
     _check_nwd(n, dist, w, even=True)
     d = dist // 2
-    _check_bound_work(d - 1, n, w)  # q^(d-1) and C(n, w)
+    admit("the graham-sloane bound", _bound_work(d - 1, n, w), "steps")
     q = smallest_prime_at_least(n)
     value = math.comb(n, w) // q ** (d - 1)
     return BoundReport("graham-sloane", {"n": n, "dist": dist, "w": w, "q": q},
@@ -409,7 +388,8 @@ def ternary_gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
     floor(C(n, w) * 2^w / sphere(dist - 1)).  dist may be odd.
     """
     _check_nwd(n, dist, w, even=False)
-    _check_bound_work(dist * (min((dist - 1) // 2, n - w) + 1), n, w)
+    terms = dist * (min((dist - 1) // 2, n - w) + 1)
+    admit("the ternary-gilbert bound", _bound_work(terms, n, w), "steps")
     value = (math.comb(n, w) << w) // _ternary_sphere(n, w, dist - 1)
     return BoundReport("ternary-gilbert", {"n": n, "dist": dist, "w": w},
                        value)
@@ -439,8 +419,9 @@ def _greedy(n: int, dist: int, w: int, sign_set: tuple[int, ...],
     110 for + and 101 for -, pairwise two bits apart: the popcount of
     two masks' XOR is twice the number of positions where they differ."""
     _check_nwd(n, dist, w, even=False)
-    _check_enumeration(n, w, w * (len(sign_set) - 1),
-                       f"C({n},{w}) * {len(sign_set)}^{w} words")
+    admit(f"enumerating C({n},{w}) * {len(sign_set)}^{w} words",
+          _word_count(n, w, w * (len(sign_set) - 1)), "steps")
+    admit(f"certifying the first word of {name}", 8 * n)  # always kept
     patterns = list(product(sign_set, repeat=w))
     kept: list[int] = []
     positions, signs = [], []
@@ -474,15 +455,23 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     more than dist/2 - 1 positions, which forces distance >= dist; the
     certification scan double-checks that and a failure would mean an
     implementation bug, so it raises RuntimeError rather than a
-    parameter error.
+    parameter error.  The largest of the q^(dist/2 - 1) buckets, at least
+    ceil(C(n, w) / q^(dist/2 - 1)) words, is admitted before any support
+    is enumerated.  Keys stop at w moments: for w < q Newton's identities
+    make the first w separate all supports (w = q leaves one), so each
+    bucket holds one and those w decide the smallest key.
     """
     _check_nwd(n, dist, w, even=True)
-    _check_enumeration(n, w, 0, f"C({n},{w}) supports")
+    count = _word_count(n, w, 0)
+    admit(f"enumerating C({n},{w}) supports", count, "steps")
     q = smallest_prime_at_least(n)
     d = dist // 2
+    admit(f"certifying the largest of {q}^{d - 1} buckets of C({n},{w})",
+          8 * n * -(-count // power(q, d - 1)))
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for sup in combinations(range(n), w):
-        key = tuple(sum(pow(s, e, q) for s in sup) % q for e in range(1, d))
+        key = tuple(sum(pow(s, e, q) for s in sup) % q
+                    for e in range(1, min(d, w + 1)))
         buckets.setdefault(key, []).append(sup)
     best_key = min(buckets, key=lambda k: (-len(buckets[k]), k))
     code = certify_binary(n, w, buckets[best_key],
@@ -526,7 +515,7 @@ def dimension_binary_gs(n: int, k: int, t: int) -> int:
     """
     _check_nkt(n, k, t)
     w = k * t
-    _check_bound_work((k - 1) * t - 1, n, w)  # n^((k-1)t-1) and C(n, w)
+    admit("the moment dimension", _bound_work((k - 1) * t - 1, n, w), "steps")
     return math.comb(n, w) // n ** ((k - 1) * t - 1)
 
 

@@ -26,14 +26,12 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .codes import (CWCode, as_points, certify_binary, check_dense_budget,
-                    format_words, parse_words, read_header, read_lines,
-                    read_text, repeated_rows, write_text)
-from .errors import BudgetError, FormatError, ParameterError
+from .codes import (CWCode, as_points, certify_binary, format_words,
+                    parse_words, read_header, read_lines, read_text,
+                    repeated_rows, write_text)
+from .errors import FormatError, ParameterError, admit, power
 from .field import (FiniteField, factor_prime_power, find_irreducible,
-                    make_field, power_exceeds)
-
-SPREAD_CAP = 1 << 20      # largest q^n a spread is enumerated for
+                    make_field)
 
 
 # -- Steiner triple systems ----------------------------------------------
@@ -88,6 +86,7 @@ def sts_bose(n: int) -> SteinerTripleSystem:
     """
     if n % 6 != 3 or n < 3:
         raise ParameterError(f"Bose construction needs n = 3 mod 6, got {n}")
+    admit(f"certifying STS({n})", 8 * n * (n * (n - 1) // 6))
     m = n // 3
     i = np.arange(m)
     return _quasigroup_sts(n, (i[:, None] + i) * ((m + 1) // 2) % m, m, (),
@@ -104,6 +103,7 @@ def sts_skolem(n: int) -> SteinerTripleSystem:
     """
     if n % 6 != 1 or n < 7:
         raise ParameterError(f"Skolem construction needs n = 1 mod 6 >= 7, got {n}")
+    admit(f"certifying STS({n})", 8 * n * (n * (n - 1) // 6))
     s = n // 6
     x, level = np.arange(2 * s), np.arange(3)
     v = (x[:, None] + x) % (2 * s)
@@ -139,10 +139,10 @@ def affine_plane_code(q: int) -> CWCode:
 
     Point (x, y) gets index x * q + y.  Lines y = a*x + b come first,
     ordered by (a, b), then the verticals x = c.  The certification's
-    budget (codes.check_dense_budget) is checked before q is factored.
+    8 q^2 (q^2 + q) bytes are admitted before q is factored.
     """
     if q > 1:  # factoring refuses the rest at once
-        check_dense_budget(q * q, q * q + q)
+        admit(f"certifying the lines of AG(2, {q})", 8 * q * q * (q * q + q))
     field = make_field(*factor_prime_power(q))
     x = np.arange(q)
     lines = field.add(field.mul(x[:, None, None], x), x[:, None])  # [a, b, x]
@@ -175,11 +175,11 @@ def _rref(field: FiniteField,
     return rows, rank
 
 
-def _check_space(q: int, n: int) -> None:
-    """BudgetError when GF(q)^n (q >= 2, n >= 1) has more than SPREAD_CAP
-    vectors, checked without forming a huge q^n."""
-    if power_exceeds(q, n, SPREAD_CAP):
-        raise BudgetError(f"q^n = {q}^{n} exceeds spread cap {SPREAD_CAP}")
+def _subspace_bytes(q: int, n: int, k: int, N: int) -> int:
+    """Peak bytes of certifying N k-subspaces of GF(q)^n, q >= 2: 10 int64
+    per entry of the N x k x n bases as they are reduced, 10 per point of
+    _span_points and their code, and the N words array_maxima admits."""
+    return 8 * N * (10 * k * n + 10 * power(q, k) + power(q, n)) + (1 << 16)
 
 
 def _span_points(field: FiniteField, bases: np.ndarray) -> np.ndarray:
@@ -227,21 +227,20 @@ def certify_subspace_code(field: FiniteField, n: int, k: int,
     to RREF, reject other shapes, entries outside [0, q), rank defects
     and duplicates, and certify the exact subspace distance.
 
-    BudgetError comes first: q^n > SPREAD_CAP, then (after the shape and
-    range checks) a kernel that would refuse N words of length q^n.  One
-    _rref pass reduces all N bases, and the nonzero points of each
-    subspace are certified once as a binary code (certify_binary).  Two
-    subspaces meet in t = q^dim points exactly when their nonzero points
-    meet in t - 1, so t is that code's inner + 1 and d = 2k - 2 dim.
+    Admitted first (_subspace_bytes), one _rref pass reduces all N bases,
+    and the nonzero points of each subspace are certified once as a
+    binary code (certify_binary).  Two subspaces meet in t = q^dim
+    points exactly when their nonzero points meet in t - 1, so t is that
+    code's inner + 1 and d = 2k - 2 dim.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
     q = field.q
-    _check_space(q, n)
+    admit(f"certifying {len(bases)} subspaces of GF({q})^{n}",
+          _subspace_bytes(q, n, k, len(bases)))
     if not len(bases):
         raise ParameterError("a subspace code needs at least one subspace")
     bases = as_points(bases, (len(bases), k, n), q, "basis")
-    check_dense_budget(q ** n, len(bases))
     bases, rank = _rref(field, bases)
     if (short := rank < k).any():
         i = int(short.argmax())
@@ -269,15 +268,15 @@ def spread_code(q: int, n: int, k: int) -> SubspaceCode:
     spanned over GF(q) by v, x v, ..., x^(k-1) v for its normalized
     generator v (first nonzero coordinate 1).  Every nonzero vector lies
     in exactly one member, so pairwise intersections are trivial and the
-    certified distance is 2k.  Both budgets (q^n and the certification
-    kernel's admission) are checked from that count before any basis
-    is built, and q^n before q is factored.
+    certified distance is 2k.  Certifying that many members is admitted
+    before q is factored.
     """
     if k < 1 or n < 1 or n % k != 0:
         raise ParameterError(f"need k | n, got n={n} k={k}")
-    _check_space(q, n)
+    if q > 1:  # factoring refuses the rest at once
+        admit(f"certifying the spread of GF({q})^{n}", _subspace_bytes(
+            q, n, k, (power(q, n) - 1) // (power(q, k) - 1)))
     field = make_field(*factor_prime_power(q))
-    check_dense_budget(q ** n, (q ** n - 1) // (q ** k - 1))
     low = np.array(find_irreducible(field, k)[:k])
     r, qk = n // k, q ** k
     # generators v, pivot by pivot with tails in ascending base-q^k
@@ -327,7 +326,8 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
     """
     field, n, k, N = code.field, code.n, code.k, len(code)
     q, count = field.q, N * (field.q ** (n - k) - 1)
-    check_dense_budget(q ** n - 1, count)
+    admit(f"certifying {count} words of length {q ** n - 1}",
+          8 * (q ** n - 1) * count)
     free = np.ones((N, n), dtype=bool)
     free[np.arange(N)[:, None], (code.subspaces != 0).argmax(axis=2)] = False
     digits = np.arange(1, q ** (n - k))[:, None] // q ** np.arange(n - k) % q
@@ -346,7 +346,7 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
 #
 # Header 'q n k d', then one subspace per line: the k base-q encodings
 # of its reduced-echelon basis rows (format_words' unsigned words).
-# Loading checks the q^n budget before decoding, re-reduces, recomputes
+# Loading admits the subspaces before decoding, re-reduces, recomputes
 # the distance and rejects overstated headers.
 
 def dumps_subspace_code(code: SubspaceCode) -> str:
@@ -360,7 +360,9 @@ def loads_subspace_code(text: str) -> SubspaceCode:
     q, n, k, claimed_d, body = read_header(lines, "q n k d")
     if q < 2 or n < 1:
         raise FormatError(f"header needs q >= 2 and n >= 1, got q={q} n={n}")
-    _check_space(q, n)
+    # a k past n fails certify_subspace_code's own check
+    admit(f"certifying {len(body)} subspaces of GF({q})^{n}",
+          _subspace_bytes(q, n, min(k, n), max(len(body), 1)))
     try:
         field = make_field(*factor_prime_power(q))
         rows = as_points(parse_words(body, False, k, "subspace row")[0],

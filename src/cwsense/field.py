@@ -22,8 +22,10 @@ import functools
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError
+from .errors import ParameterError, admit, power
 
+# The one proxy cap: the work of the irreducible and primitive-element
+# searches has no estimate, so the field order stands in for it.
 ORDER_CAP = 1 << 16
 
 
@@ -41,20 +43,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def power_exceeds(base: int, e: int, cap: int) -> bool:
-    """Whether base^e > cap, for base >= 2 (False below 2, which
-    factor_prime_power rejects).  The power is only formed for e below
-    cap's bit length, past which 2^e alone exceeds cap, so a huge e
-    costs nothing.  Callers check their size caps with it before
-    factoring, whose trial division runs up to sqrt(q)."""
-    return base >= 2 and (e >= cap.bit_length() or base ** e > cap)
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m and p prime.
 
     Raises ParameterError when q is not a prime power.  Trial division
-    runs up to sqrt(q), so callers check their size caps first.
+    runs up to sqrt(q), so callers admit their stage first.
     """
     if q < 2:
         raise ParameterError(f"not a prime power: {q}")
@@ -218,12 +211,8 @@ class FiniteField:
             raise ParameterError(f"characteristic must be prime, got {p}")
         if m < 1:
             raise ParameterError(f"extension degree must be >= 1, got {m}")
-        q = p ** m
-        if q > ORDER_CAP:
-            raise BudgetError(f"field order {q} exceeds cap {ORDER_CAP}")
-        self.p = p
-        self.m = m
-        self.q = q
+        admit(f"building GF({p}^{m})", power(p, m), "elements", ORDER_CAP)
+        self.p, self.m, self.q = p, m, p ** m
         self.modulus = ((0, 1) if m == 1
                         else find_irreducible(make_field(p), m))
         self._exp, self._log = _tables(p, m, self.modulus)

@@ -30,13 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (DENSE_CAP, CWCode, array_maxima, check_dense_budget,
-                    check_words, format_words, parse_words, read_int,
-                    read_lines, read_text, write_text)
-from .errors import BudgetError, FormatError, ParameterError
-from .field import factor_prime_power, make_field, power_exceeds
+from .codes import (CWCode, array_maxima, check_words, format_words,
+                    parse_words, read_int, read_lines, read_text, write_text)
+from .errors import FormatError, ParameterError, admit, power
+from .field import factor_prime_power, make_field
 
-DEVORE_CAP = 1_000_000
 DEVORE_BLOCK = 1 << 16   # positions devore evaluates at once
 
 
@@ -71,9 +69,9 @@ class MeasurementMatrix:
 
     def to_dense(self) -> np.ndarray:
         """The n x N float64 array of the columns, cached for OMP and the
-        dense-csv writer; BudgetError where codes.check_dense_budget says."""
+        dense-csv writer, admitted at its 8 n N bytes."""
         if self._dense is None:
-            check_dense_budget(self.n, self.N)
+            admit(f"a dense {self.n} x {self.N} matrix", 8 * self.n * self.N)
             self._dense = np.zeros((self.n, self.N))
             self._dense[self.positions, np.arange(self.N)[:, None]] = self.signs
         return self._dense
@@ -204,10 +202,11 @@ def from_code(code: CWCode, seed: int | None = None) -> MeasurementMatrix:
 
 
 def devore_bytes(p: int, r: int) -> int:
-    """Peak bytes of devore(p, r), p^r <= DEVORE_CAP: 12 per position (the
-    int64 positions, then int8 signs and up to three of check_words' bool
-    masks) plus eight block-sized int64 evaluation temporaries."""
-    return 12 * p ** (r + 1) + 64 * DEVORE_BLOCK
+    """Peak bytes of devore(p, r) and of the support list construct devore
+    writes: the build holds 12 per position (int64 positions, then int8
+    signs and up to three bool masks) and eight block-sized int64
+    temporaries; format_words, 56 per position and 120 per column."""
+    return 56 * power(p, r + 1) + 120 * power(p, r) + 64 * DEVORE_BLOCK
 
 
 def devore(p: int, r: int) -> MeasurementMatrix:
@@ -220,17 +219,12 @@ def devore(p: int, r: int) -> MeasurementMatrix:
     at once.  Distinct polynomials of degree < r agree on at most
     min(r - 1, p) points, and that many is reached, so coherence <=
     min(r - 1, p)/p; for r = 2 the value 1/p is attained.  p may be a
-    prime power, in which case GF(p) is the extension field.  The caps
-    (p^r columns, then devore_bytes against DENSE_CAP) are checked
-    before factoring.
+    prime power, in which case GF(p) is the extension field.  Its
+    devore_bytes are admitted before p is factored.
     """
     if r < 2:
         raise ParameterError(f"need polynomial degree bound r >= 2, got {r}")
-    if power_exceeds(p, r, DEVORE_CAP):
-        raise BudgetError(f"p^r = {p}^{r} columns exceed cap {DEVORE_CAP}")
-    if devore_bytes(p, r) > DENSE_CAP:
-        raise BudgetError(f"building devore({p}, {r}) peaks at "
-                          f"{devore_bytes(p, r)} bytes, past {DENSE_CAP}")
+    admit(f"building devore({p}, {r})", devore_bytes(p, r))
     field = make_field(*factor_prime_power(p))
     a, step = np.arange(p), max(1, DEVORE_BLOCK // p)
     positions = np.empty((p ** r, p), dtype=np.int64)

@@ -148,3 +148,13 @@ def coset_code(code) -> CWCode:
         np.array(list(words.values()), dtype=np.int64).reshape(-1, q ** k) - 1,
         provenance=(f"subspace-cosets {code.provenance} "
                     f"achieved={len(words)} nominal={nominal}"))
+
+
+def moment_bucket(n: int, dist: int, w: int, q: int):
+    """The largest moment bucket with full keys: every weight-w support
+    keyed by its dist/2 - 1 power sums mod q, ties to the smallest key."""
+    buckets = {}
+    for sup in combinations(range(n), w):
+        key = tuple(sum(s ** e for s in sup) % q for e in range(1, dist // 2))
+        buckets.setdefault(key, []).append(list(sup))
+    return buckets[min(buckets, key=lambda k: (-len(buckets[k]), k))]

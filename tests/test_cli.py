@@ -313,8 +313,43 @@ def test_devore_byte_budget_refuses_before_the_build(capsys):
     assert peak < 1 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("budget exceeded: building devore(997, 2) peaks "
-                            "at 11896517980 bytes, past 268435456\n")
+    assert captured.err == ("budget exceeded: building devore(997, 2) needs "
+                            "55620985872 bytes, past the cap 268435456\n")
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    # 2^15000 has 4516 digits, past int->str's 4300: counted, not printed
+    ("bounds --n 15000 --d 1 --w 15000 --ternary", 3,
+     "printing a 15001-bit value needs 4516 digits, past the cap 4300"),
+    # one bucket of C(100, 4) supports: refused before any is enumerated
+    ("construct graham-sloane --n 100 --d 2 --w 4", 3,
+     "certifying the largest of 101^0 buckets of C(100,4) needs 3136980000 "
+     "bytes, past the cap 268435456"),
+    # w = 3 moments separate every support: one word, whatever d is
+    ("construct graham-sloane --n 4 --d 1000000 --w 3", 0, None),
+    (f"construct graham-sloane --n 4 --d {2 ** 31} --w 3", 0, None),
+    (f"construct graham-sloane --n 16 --d {10 ** 30} --w 8", 0, None),
+])
+def test_huge_values_end_at_once(argv, code, err, capsys):
+    start = time.perf_counter()
+    assert run_cli(*argv.split()) == code
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == ("" if err is None else f"budget exceeded: {err}\n")
+    if code == 0:
+        assert captured.out.startswith("summary: construction=graham-sloane")
+        assert " N=1 " in captured.out
+
+
+def test_bounds_print_up_to_the_int_str_limit(capsys):
+    # 2^14284 has 4300 digits, as many as int->str gives; 2^14285 has 4301
+    argv = "bounds --d 1 --ternary --n {0} --w {0}"
+    assert run_cli(*argv.format(14284).split()) == 0
+    assert capsys.readouterr().out.endswith(f" >= {2 ** 14284}\n")
+    assert run_cli(*argv.format(14285).split()) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: printing a 14286-bit value needs 4301 digits, "
+        "past the cap 4300\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import codes_oracle
 from codes_oracle import (arrays_of, binary_distance, code_of, greedy_words,
-                          ternary_distance, words_of)
-from cwsense import codes, designs
+                          moment_bucket, ternary_distance, words_of)
+from cwsense import codes, designs, errors
 from cwsense.codes import (array_maxima, certify_binary,
                            dimension_binary_gilbert, dimension_binary_gs,
                            dimension_ternary_gilbert, dumps_code,
@@ -138,7 +138,7 @@ def test_overlap_maxima_ragged_tiles(monkeypatch):
 
 def test_overlap_maxima_memory_budget(monkeypatch):
     words = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, -1))]
-    monkeypatch.setattr(codes, "DENSE_CAP", 8 * 3 * 3)  # one 3 x 3 array
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 8 * 3 * 3)  # one 3 x 3 array
     assert overlap_maxima(3, words[:2] + [((0, 1), (2, 1))]) == (1, 2)
     # signed words are admitted at the binary size: no path holds a
     # second n x N array
@@ -273,7 +273,7 @@ def test_subset_path_admitted_like_tiles(monkeypatch):
     # words the subset path answers are refused by the same admission
     words = [((0, 1), (1, 1)), ((2, 1), (3, 1))]
     assert codes._subset_maxima(40, *arrays_of(words, 2)) == (0, 0)
-    monkeypatch.setattr(codes, "DENSE_CAP", 8 * 40 * 2 - 1)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 8 * 40 * 2 - 1)
     with pytest.raises(BudgetError):
         overlap_maxima(40, words)
 
@@ -460,6 +460,28 @@ def test_graham_sloane_construct_frozen_sizes():
     assert len(code) >= 5 and code.d >= 4
     assert len(graham_sloane_construct(6, 2, 2)) == 15
     assert len(graham_sloane_construct(10, 4, 3)) >= 10
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_graham_sloane_keys_stop_at_w_moments(n):
+    # past dist/2 - 1 = w moments every bucket holds one support, and the
+    # w-moment keys pick the same word as the full ones
+    for w in range(1, min(n, 4) + 1):
+        q = graham_sloane_bound(n, 2, w).params["q"]
+        for dist in range(2 * w + 2, 2 * w + 9, 2):
+            code = graham_sloane_construct(n, dist, w)
+            assert code.positions.tolist() == moment_bucket(n, dist, w, q)
+            assert code.provenance == f"graham-sloane n={n} d={dist} w={w} q={q}"
+
+
+def test_graham_sloane_refuses_its_bucket_before_enumerating(monkeypatch):
+    # C(100, 4) supports in one bucket (dist 2) would need 3.1 GB to
+    # certify: refused before the first support
+    def no_supports(*args):
+        raise AssertionError("a support was enumerated")
+    monkeypatch.setattr(codes, "combinations", no_supports)
+    with pytest.raises(BudgetError, match="past the cap"):
+        graham_sloane_construct(100, 2, 4)
 
 
 def test_graham_sloane_construct_beats_its_bound():

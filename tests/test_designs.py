@@ -20,7 +20,8 @@ from cwsense.designs import (SteinerTripleSystem, _rref, affine_plane_code,
                              steiner_to_code, sts_bose, sts_skolem,
                              subspace_to_code, subspace_to_coset_code)
 from cwsense.errors import BudgetError, FormatError, ParameterError
-from cwsense.field import FiniteField, factor_prime_power, make_field
+from cwsense.field import (FiniteField, factor_prime_power, find_irreducible,
+                           make_field)
 from field_oracle import elements, from_encoding, rref, vector_encoding
 
 
@@ -188,6 +189,30 @@ def test_spread_budget():
         spread_code(2, 21, 3)
 
 
+@pytest.mark.parametrize("q,n,k", [(2, 8, 4), (2, 12, 3), (4, 4, 2),
+                                   (9, 4, 2), (16, 4, 2), (2, 16, 16),
+                                   (3, 9, 9)])
+def test_subspace_stages_peak_within_their_estimate(q, n, k):
+    # _subspace_bytes admits spreading, certifying and loading in place of
+    # a cap on q^n, so each must stay within it (k = n is one subspace
+    # whose points alone are the whole space)
+    field = make_field(*factor_prime_power(q))
+    find_irreducible(field, k)
+    code = spread_code(q, n, k)
+    text = dumps_subspace_code(code)
+    estimate = designs._subspace_bytes(q, n, k, len(code))
+    for stage in (lambda: spread_code(q, n, k),
+                  lambda: certify_subspace_code(field, n, k, code.subspaces),
+                  lambda: loads_subspace_code(text)):
+        tracemalloc.start()
+        try:
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate
+
+
 def test_spread_memory_budget_before_enumeration():
     # q^n = 2^20 is within SPREAD_CAP, but certifying 2^20 - 1 lines would
     # need a 2^20 x (2^20 - 1) float64 array: refused before any basis
@@ -323,7 +348,7 @@ def coset_outcomes(case):
     """Oracle and library outcome (and peak, for PEAK_CASES) for a
     spread's (q, n, k), 'hyperplanes' or five coordinate 'axes',
     computed once for the tests that share them."""
-    if case == "axes":  # 10,235 cosets of GF(2)^12: past the dense cap
+    if case == "axes":  # 10,235 cosets of GF(2)^12: past the byte budget
         code = certify_subspace_code(make_field(2), 12, 1,
                                      np.eye(12, dtype=int)[:5, None])
     else:

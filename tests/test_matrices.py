@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codes_oracle import matrix_of, words_of
+from cwsense import cli
 from cwsense.codes import (CWCode, array_maxima, certify_binary,
                            dumps_code, greedy_binary, greedy_ternary,
                            loads_code, read_lines)
@@ -553,3 +554,21 @@ def test_matrix_file_round_trip_and_damage(matrix, fmt, data):
             coherence(loads_matrix(damaged))
         except (FormatError, BudgetError):
             pass
+
+
+@pytest.mark.parametrize("p,r", [(2, 15), (3, 9), (7, 5), (31, 3)])
+def test_devore_with_its_write_peaks_within_its_budget_estimate(
+        p, r, tmp_path, monkeypatch, capsys):
+    # construct devore always writes its support list, and devore_bytes
+    # admits that write too
+    make_field(*factor_prime_power(p))
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        assert cli.main(["construct", "devore", "--p", str(p),
+                         "--r", str(r)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= devore_bytes(p, r)
+    assert capsys.readouterr().out.endswith(f"devore_p{p}_r{r}.matrix\n")

@@ -74,3 +74,31 @@ def test_analyze_and_recover_split_each_file_once(tmp_path, monkeypatch):
         calls.clear()
         assert cli.main(argv) == 0, argv
         assert calls == [(tmp_path / argv[1]).stat().st_size], argv
+
+
+
+def test_one_admission_function():
+    """BudgetError is raised in errors.admit alone, and the module-level
+    caps are its two budgets and field.ORDER_CAP, the one proxy cap."""
+    raises, caps, admit = [], [], None
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "admit":
+                admit = (path.name, node.lineno, node.end_lineno)
+            if isinstance(node, ast.Raise):
+                exc = getattr(node.exc, "func", node.exc)
+                if getattr(exc, "id", None) == "BudgetError":
+                    raises.append((path.name, node.lineno))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            caps += [f"{path.stem}.{t.id}" for t in targets
+                     if isinstance(t, ast.Name)
+                     and t.id.endswith(("_CAP", "_BUDGET"))]
+    assert admit is not None and admit[0] == "errors.py"
+    assert len(raises) == 1
+    assert raises[0][0] == admit[0] and admit[1] < raises[0][1] <= admit[2]
+    assert sorted(caps) == ["errors.BYTE_BUDGET", "errors.WORK_BUDGET",
+                            "field.ORDER_CAP"]
