@@ -29,7 +29,7 @@ import logging
 import os
 import sys
 
-from . import codes, designs, matrices, recovery
+from . import codes, designs, matrices, recovery, textio
 from .errors import BudgetError, FormatError, ParameterError, admit
 
 
@@ -85,6 +85,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if path == "" or code is None and path is None:
         path = matrix.provenance.replace(" ", "_").replace("=", "") + ".matrix"
         _check_outputs(path)
+    if path is not None and args.matrix_format == "dense-csv":
+        matrices.admit_dense_csv(matrix)  # before anything is written
     print(f"summary: construction={name} n={matrix.n} N={matrix.N} "
           f"w={matrix.w} d={d} mu_bound={matrix.bound}")
     if args.out:
@@ -115,8 +117,8 @@ def _coherence_lines(matrix: matrices.MeasurementMatrix,
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.k is not None and args.k < 1:
         raise ParameterError(f"k must be >= 1, got {args.k}")
-    provenance, comments, data = codes.read_lines(codes.read_text(args.file))
-    if matrices.matrix_format(comments, data) is not None:
+    provenance, comments, data = textio.read_lines(textio.read_text(args.file))
+    if textio.matrix_format(comments, data) is not None:
         matrix = matrices.matrix_from_lines(provenance, comments, data)
         print(f"matrix: {matrix.n}x{matrix.N} w={matrix.w} "
               f"provenance={matrix.provenance!r}")
@@ -177,7 +179,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
                                       model=args.values, seed=args.seed)
     csv_text = recovery.reports_to_csv(results)
     if args.out:
-        codes.write_text(args.out, csv_text)
+        textio.write_text(args.out, csv_text)
         print(f"wrote report: {args.out}")
     else:
         sys.stdout.write(csv_text)
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH",
                        help="also write the measurement matrix (default "
                             "path derived from the provenance)")
-    p_con.add_argument("--matrix-format", choices=matrices.FORMATS,
+    p_con.add_argument("--matrix-format", choices=textio.FORMATS,
                        default="support-list")
     p_con.add_argument("--signed", action="store_true",
                        help="randomize column signs (binary codes)")

@@ -20,9 +20,7 @@ Other signed words, and levels whose keys would take more memory than
 the word tiles or pass int64, go to products of float64 word tiles.
 Neither path allocates an n x N array.  The per-word checks (check_words) are shared
 with matrices.MeasurementMatrix, and repeated_rows finds duplicate words
-here and duplicate subspaces in designs.  parse_words reads the positions
-of every code, support-list and subspace file in one numpy pass over the
-body's bytes (_read_positions).
+here and duplicate subspaces in designs.
 
 Distances count positions whose symbols differ.  For binary words they
 are even, d = 2(w - |A & B|) for supports A and B, so the binary bound
@@ -38,10 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
 
+from . import textio
 from .errors import FormatError, ParameterError, admit, power
 from .field import is_prime
 
@@ -457,7 +455,9 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     implementation bug, so it raises RuntimeError rather than a
     parameter error.  The largest of the q^(dist/2 - 1) buckets, at least
     ceil(C(n, w) / q^(dist/2 - 1)) words, is admitted before any support
-    is enumerated.  Keys stop at w moments: for w < q Newton's identities
+    is enumerated, and so are the buckets' bytes, from tracemalloc peaks:
+    8w + 58 per support, 8m + 218 per bucket of m moments and 32m more
+    for q > 257.  Keys stop at w moments: for w < q Newton's identities
     make the first w separate all supports (w = q leaves one), so each
     bucket holds one and those w decide the smallest key.
     """
@@ -465,16 +465,20 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     count = _word_count(n, w, 0)
     admit(f"enumerating C({n},{w}) supports", count, "steps")
     q = smallest_prime_at_least(n)
-    d = dist // 2
+    d, m = dist // 2, min(dist // 2, w + 1) - 1
     admit(f"certifying the largest of {q}^{d - 1} buckets of C({n},{w})",
           8 * n * -(-count // power(q, d - 1)))
+    admit(f"bucketing C({n},{w}) supports by {m} moments mod {q}",
+          count * (8 * w + 58) + (1 << 16) + min(count, power(q, m))
+          * (8 * m + 218 + 32 * m * (q > 257)))
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for sup in combinations(range(n), w):
         key = tuple(sum(pow(s, e, q) for s in sup) % q
-                    for e in range(1, min(d, w + 1)))
+                    for e in range(1, m + 1))
         buckets.setdefault(key, []).append(sup)
-    best_key = min(buckets, key=lambda k: (-len(buckets[k]), k))
-    code = certify_binary(n, w, buckets[best_key],
+    supports = buckets.pop(min(buckets, key=lambda k: (-len(buckets[k]), k)))
+    del buckets
+    code = certify_binary(n, w, supports,
                           provenance=f"graham-sloane n={n} d={dist} w={w} q={q}")
     if len(code) >= 2 and code.d < dist:
         # a single word carries the sentinel distance n + 1, which can sit
@@ -526,185 +530,27 @@ def dimension_ternary_gilbert(n: int, k: int, t: int) -> int:
     return ternary_gilbert_bound(n, 2 * (k - 1) * t, k * t).value
 
 
-# -- file format ---------------------------------------------------------
-#
-# Line-oriented text.  Optional leading comment lines starting with '#'
-# ('# provenance: <tag>' is read back), a header 'n d w' (read_header),
-# then one codeword per line in parse_words' grammar: bare positions
-# like '3 7 9' for binary codes, signed ones like '+3 -7 +9' for ternary
-# ones, as the first word's syntax sets CWCode.signed.  Loading
-# recomputes the distance and rejects headers that overstate it.
-
-def format_words(provenance: str, header: str, positions: np.ndarray,
-                 signs: np.ndarray | None = None) -> str:
-    """The text of a code, support-list or subspace file: '# provenance:
-    <tag>', the header line, then one line per word, '+3 -7 +9' given
-    signs, '3 7 9' without.  Each distinct position is formatted once."""
-    values, index = np.unique(positions, return_inverse=True)  # index: N x w
-    table = list(map(str, values.tolist()))
-    if signs is not None:
-        table = ["+" + t for t in table] + ["-" + t for t in table]
-        index = index + len(values) * (signs < 0)
-    tokens = np.array(table, dtype=object)[index]
-    return "\n".join([f"# provenance: {provenance}", header,
-                      *map(" ".join, tokens.tolist())]) + "\n"
-
-
-def parse_words(lines: list[tuple[int, str]], signed: bool, w: int,
-                what: str = "word") -> tuple[np.ndarray, np.ndarray]:
-    """(positions, signs) of numbered lines, rows sorted by position: the
-    one position reader of code, support-list and subspace files.  The
-    tokens are those of str.split().  A position is ASCII digits below
-    2^63, signed by exactly one '+' or '-' when signed and bare when
-    not; the first other token in file order is a FormatError naming its
-    line (_read_positions).  Only then do lines of differing lengths
-    fail, at the first without w."""
-    values, heads, counts = _read_positions(lines, signed)
-    if (counts != counts[:1]).any():
-        raise ParameterError(f"{what} #{int((counts != w).argmax())} "
-                             f"does not have weight {w}")
-    shape = (len(lines), int(counts[0]) if len(lines) else 0)
-    positions = values.reshape(shape)
-    signs = (np.where(heads == ord("-"), np.int8(-1), np.int8(1))
-             if signed else np.ones_like(heads, dtype=np.int8)).reshape(shape)
-    order = np.argsort(positions, axis=1, kind="stable")
-    return (np.take_along_axis(positions, order, axis=1),
-            np.take_along_axis(signs, order, axis=1))
-
-
-def _read_positions(lines: list[tuple[int, str]],
-                   signed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, first bytes) of every token of the lines in file order,
-    and the number of tokens on each line: parse_words' reader, which
-    raises the FormatError naming the first bad token.
-
-    The lines (read_lines' data, no line break inside one) are read in
-    one pass over their bytes joined by newlines: separator edges give
-    the tokens, byte masks check the grammar, and Horner's rule over
-    digit columns gives the values on per-token int64 arrays; no
-    per-byte int64 array is formed.  Tokens of 19 digits or more go to
-    int(), which keeps the 2^63 and 4300-digit limits.  A text that is
-    not ASCII is first rebuilt with one space between tokens, so a byte
-    >= 0x80 left sits inside a token.
-    """
-    text = "\n".join(line for _, line in lines)
-    if not text.isascii():
-        text = "\n".join(" ".join(line.split()) for _, line in lines)
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    # str.split()'s ASCII whitespace: \t \n \v \f \r, \x1c-\x1f and space
-    blank = (buf - 9 < 5) | (buf - 28 < 5)
-    zero = np.int8(0)  # an int 0 would widen the diff to int64 per byte
-    rise = np.diff((~blank).view(np.int8), prepend=zero, append=zero)
-    starts = np.flatnonzero(rise == 1)  # tokens end where rise is -1
-    length = np.flatnonzero(rise == -1) - starts - signed  # digits
-    newlines = np.flatnonzero(buf == ord("\n"))
-    counts = np.bincount(np.searchsorted(newlines, starts),
-                         minlength=len(lines))
-    heads = buf[starts]
-    bad = ~blank & (buf - ord("0") >= 10)  # neither a blank nor a digit
-    if signed:
-        bad[starts] = (heads != ord("+")) & (heads != ord("-"))
-    culprit = len(starts)  # the first bad token, none yet
-    if bad.any():
-        culprit = int(np.searchsorted(starts, bad.argmax(), "right")) - 1
-    if (length < 1).any():  # a lone sign
-        culprit = min(culprit, int((length < 1).argmax()))
-    big = {}
-    for t in np.flatnonzero(length[:culprit] > 18).tolist():
-        first = starts[t] + signed
-        try:
-            big[t] = int(buf[first:first + length[t]].tobytes())
-        except ValueError:  # past int()'s 4300 digits
-            big[t] = 1 << 63
-        if big[t] >= 1 << 63:
-            culprit = t
-            break
-    if culprit < len(starts):
-        i = int(np.searchsorted(newlines, starts[culprit]))
-        tok = lines[i][1].split()[culprit - int(counts[:i].sum())]
-        raise FormatError(f"line {lines[i][0]}: bad {'' if signed else 'un'}"
-                          f"signed position {tok!r}")
-    values = np.zeros(len(starts), dtype=np.int64)
-    for k in range(min(int(length.max(initial=0)), 18)):  # Horner's rule
-        live = length > k
-        digit = buf.take(starts + (signed + k), mode="clip") - ord("0")
-        np.multiply(values, 10, out=values, where=live)
-        np.add(values, digit, out=values, where=live)
-    values[list(big)] = list(big.values())
-    return values, heads, counts
-
+# -- code files -----------------------------------------------------------
 
 def dumps_code(code: CWCode) -> str:
-    return format_words(code.provenance, f"{code.n} {code.d} {code.w}",
-                        code.positions, code.signs if code.signed else None)
-
-
-def read_lines(text: str) -> tuple[str, list[tuple[int, str]],
-                                   list[tuple[int, str]]]:
-    """Split a line-oriented file into (provenance, comments, data).
-
-    Blank lines are dropped; comments are the bodies of '#' lines other
-    than '# provenance: <tag>' (the last such tag wins, 'ingested' when
-    absent); data are the remaining stripped lines.  Both lists carry
-    1-based line numbers.  Every file cwsense loads is split here, once.
-    """
-    provenance = "ingested"
-    comments: list[tuple[int, str]] = []
-    data: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("provenance:"):
-                provenance = body[len("provenance:"):].strip()
-            else:
-                comments.append((lineno, body))
-        else:
-            data.append((lineno, line))
-    return provenance, comments, data
-
-
-def read_int(token: str) -> int:
-    """A header or dense-CSV integer: an optional '-' and ASCII digits,
-    with the blanks int() allows around them, else a ValueError (int()
-    alone would also take '1_0', '+9' and '١')."""
-    digits = token.strip().removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {token!r}")
-    return int(token)
-
-
-def read_header(data: list[tuple[int, str]], names: str) -> tuple:
-    """The integers named in names ('n d w' or 'q n k d') read from the
-    first data line, then the data lines after it.  A missing header, a
-    count other than names' or a value read_int refuses is a
-    FormatError; each caller checks the ranges of its own values."""
-    if not data:
-        raise FormatError(f"missing '{names}' header")
-    lineno, tokens = data[0][0], data[0][1].split()
-    if len(tokens) != len(names.split()):
-        raise FormatError(f"line {lineno}: header must be '{names}'")
-    try:
-        return (*map(read_int, tokens), data[1:])
-    except ValueError:
-        raise FormatError(f"line {lineno}: non-integer header") from None
+    return textio.format_words(code.provenance, f"{code.n} {code.d} {code.w}",
+                               code.positions,
+                               code.signs if code.signed else None)
 
 
 def loads_code(text: str) -> CWCode:
-    provenance, _, data = read_lines(text)
+    provenance, _, data = textio.read_lines(text)
     return code_from_lines(provenance, data)
 
 
 def code_from_lines(provenance: str, data: list[tuple[int, str]]) -> CWCode:
     """loads_code on the provenance and data lines read_lines splits off."""
-    n, claimed_d, w, body = read_header(data, "n d w")
+    n, claimed_d, w, body = textio.read_header(data, "n d w")
     if n < 1 or w < 1 or claimed_d < 1:
         raise FormatError(f"header values must be positive: {(n, claimed_d, w)}")
     signed = bool(body) and body[0][1][0] in "+-"  # the first word's syntax
     try:
-        positions, signs = parse_words(body, signed, w)
+        positions, signs = textio.parse_words(body, signed, w)
         code = CWCode(n=n, w=w, d=0, positions=positions, signs=signs,
                       signed=signed, provenance=provenance)
         validate(code)
@@ -717,19 +563,9 @@ def code_from_lines(provenance: str, data: list[tuple[int, str]]) -> CWCode:
     return code
 
 
-def read_text(path) -> str:
-    """An ASCII file's text: the one way cwsense reads a file."""
-    return Path(path).read_text(encoding="ascii")
-
-
-def write_text(path, text: str) -> None:
-    """The one way cwsense writes a file: ASCII, '\\n' line ends."""
-    Path(path).write_text(text, encoding="ascii", newline="\n")
-
-
 def save_code(code: CWCode, path) -> None:
-    write_text(path, dumps_code(code))
+    textio.write_text(path, dumps_code(code))
 
 
 def load_code(path) -> CWCode:
-    return loads_code(read_text(path))
+    return loads_code(textio.read_text(path))

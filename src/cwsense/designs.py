@@ -26,9 +26,8 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .codes import (CWCode, as_points, certify_binary, format_words,
-                    parse_words, read_header, read_lines, read_text,
-                    repeated_rows, write_text)
+from . import textio
+from .codes import CWCode, as_points, certify_binary, repeated_rows
 from .errors import FormatError, ParameterError, admit, power
 from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field)
@@ -344,20 +343,19 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
 
 # -- subspace code file format --------------------------------------------
 #
-# Header 'q n k d', then one subspace per line: the k base-q encodings
-# of its reduced-echelon basis rows (format_words' unsigned words).
-# Loading admits the subspaces before decoding, re-reduces, recomputes
-# the distance and rejects overstated headers.
+# One subspace per line under 'q n k d', its k reduced-echelon basis
+# rows as base-q encodings.  Loading admits the subspaces before decoding,
+# re-reduces, recomputes the distance and rejects overstated headers.
 
 def dumps_subspace_code(code: SubspaceCode) -> str:
     q, n = code.field.q, code.n
-    return format_words(code.provenance, f"{q} {n} {code.k} {code.d}",
-                        code.subspaces @ q ** np.arange(n))
+    return textio.format_words(code.provenance, f"{q} {n} {code.k} {code.d}",
+                               code.subspaces @ q ** np.arange(n))
 
 
 def loads_subspace_code(text: str) -> SubspaceCode:
-    provenance, _, lines = read_lines(text)
-    q, n, k, claimed_d, body = read_header(lines, "q n k d")
+    provenance, _, lines = textio.read_lines(text)
+    q, n, k, claimed_d, body = textio.read_header(lines, "q n k d")
     if q < 2 or n < 1:
         raise FormatError(f"header needs q >= 2 and n >= 1, got q={q} n={n}")
     # a k past n fails certify_subspace_code's own check
@@ -365,8 +363,8 @@ def loads_subspace_code(text: str) -> SubspaceCode:
           _subspace_bytes(q, n, min(k, n), max(len(body), 1)))
     try:
         field = make_field(*factor_prime_power(q))
-        rows = as_points(parse_words(body, False, k, "subspace row")[0],
-                         (len(body), k), q ** n, "subspace row")
+        words = textio.parse_words(body, False, k, "subspace row")[0]
+        rows = as_points(words, (len(body), k), q ** n, "subspace row")
         code = certify_subspace_code(field, n, k,
                                      rows[..., None] // q ** np.arange(n) % q,
                                      provenance=provenance)
@@ -380,8 +378,8 @@ def loads_subspace_code(text: str) -> SubspaceCode:
 
 
 def save_subspace_code(code: SubspaceCode, path) -> None:
-    write_text(path, dumps_subspace_code(code))
+    textio.write_text(path, dumps_subspace_code(code))
 
 
 def load_subspace_code(path) -> SubspaceCode:
-    return loads_subspace_code(read_text(path))
+    return loads_subspace_code(textio.read_text(path))

@@ -15,11 +15,8 @@ compared against the construction's theoretical bound every time; a
 violation raises, it is never waived.  A bound read from a file is a claim, checked at load.
 from_code turns any code into a matrix and attaches its bound:
 1 - d/(2w) for a binary code (kept under seeded sign randomization),
-min(w, 2w - d)/w for a ternary one.
-
-Two text formats round-trip byte-exactly: 'dense-csv' (one CSV row per
-matrix row) and 'support-list' (a short '#' header, then one signed
-support per line).
+min(w, 2w - d)/w for a ternary one.  The two file FORMATS are
+textio's; dumps_matrix and loads_matrix convert to and from them.
 """
 
 from __future__ import annotations
@@ -30,10 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (CWCode, array_maxima, check_words, format_words,
-                    parse_words, read_int, read_lines, read_text, write_text)
+from . import textio
+from .codes import CWCode, array_maxima, check_words
 from .errors import FormatError, ParameterError, admit, power
 from .field import factor_prime_power, make_field
+from .textio import FORMATS
 
 DEVORE_BLOCK = 1 << 16   # positions devore evaluates at once
 
@@ -242,48 +240,32 @@ def devore(p: int, r: int) -> MeasurementMatrix:
 
 # -- text formats ---------------------------------------------------------
 
-FORMATS = ("support-list", "dense-csv")
+def admit_dense_csv(matrix: MeasurementMatrix) -> None:
+    """Admit dumps_matrix's dense CSV first: 8 bytes an entry (the array),
+    2 or 3 twice (its rows, then their join), 64 a row and a row token."""
+    n, N = matrix.n, matrix.N
+    admit(f"writing a dense {n} x {N} matrix as CSV", 12 * n * N
+          + 2 * N * matrix.w + 64 * (n + N) + (1 << 16))
 
 
 def dumps_matrix(matrix: MeasurementMatrix, fmt: str = "support-list") -> str:
     if fmt == "dense-csv":
-        a = matrix.to_dense()
-        return "".join(",".join(str(int(v)) for v in row) + "\n" for row in a)
+        admit_dense_csv(matrix)
+        return textio.format_dense_csv(matrix.to_dense())
     if fmt == "support-list":
-        bound = "" if matrix.bound is None else f" bound {matrix.bound}"
-        return format_words(matrix.provenance, f"# n {matrix.n} w {matrix.w}"
-                            f"{bound}", matrix.positions, matrix.signs)
+        return textio.format_words(matrix.provenance, textio.support_header(
+            matrix.n, matrix.w, matrix.bound), matrix.positions, matrix.signs)
     raise ParameterError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
-def matrix_format(comments: list[tuple[int, str]],
-                  data: list[tuple[int, str]]) -> str | None:
-    """The matrix format of read_lines' (comments, data), else None: dense
-    CSV if the first data line has a comma; else a support list if a
-    '# n ...' comment (shaped 'n _ w ...' before a one-entry line, since
-    '-1' is a CSV row too) precedes a first data line starting with '+'
-    or '-' (or there is none); else dense CSV if that line has one entry.
-    A code's bare 'n d w' header is none of these; other comments never count."""
-    lineno, line = data[0] if data else (math.inf, "")
-    if "," in line:
-        return "dense-csv"
-    one = len(line.split()) == 1
-    if (not data or line[0] in "+-") and any(
-            at < lineno and body.startswith("n ")
-            and (not one or body.split()[:3:2] == ["n", "w"])
-            for at, body in comments):
-        return "support-list"
-    return "dense-csv" if one else None
-
-
 def loads_matrix(text: str) -> MeasurementMatrix:
-    return matrix_from_lines(*read_lines(text))
+    return matrix_from_lines(*textio.read_lines(text))
 
 
 def matrix_from_lines(provenance: str, comments: list[tuple[int, str]],
                       data: list[tuple[int, str]]) -> MeasurementMatrix:
     """loads_matrix on read_lines' split of a text."""
-    fmt = matrix_format(comments, data)
+    fmt = textio.matrix_format(comments, data)
     if fmt is None:
         raise FormatError("unrecognized matrix format: expected a '# n <n> w "
                           "<w>' header (support-list) or a CSV row (dense-csv)")
@@ -291,33 +273,13 @@ def matrix_from_lines(provenance: str, comments: list[tuple[int, str]],
             else _loads_support_list(provenance, comments, data))
 
 
-def _parse_bound(token: str) -> Fraction:
-    """A bound claim as str(Fraction) writes it, read_int's '[-]digits' then
-    optionally '/digits', else a ValueError: Fraction(token) takes '0.5'."""
-    num, slash, den = token.partition("/")
-    if slash and not (den.isascii() and den.isdigit()):
-        raise ValueError(f"bad bound {token!r}")
-    return Fraction(read_int(num), int(den or 1))
-
-
 def _loads_support_list(provenance: str, comments: list[tuple[int, str]],
                         lines: list[tuple[int, str]]) -> MeasurementMatrix:
-    """The dimension header is '# n <n> w <w>', then optionally
-    'bound <fraction>', as dumps_matrix writes it, once per file."""
-    header = None
-    for lineno, tokens in [(at, body.split()) for at, body in comments
-                           if body.startswith("n ")]:
-        try:
-            if (header is not None or len(tokens) not in (4, 6)
-                    or tokens[0::2] != ["n", "w", "bound"][:len(tokens) // 2]):
-                raise ValueError
-            header = (read_int(tokens[1]), read_int(tokens[3]),
-                      _parse_bound(tokens[5]) if len(tokens) == 6 else None)
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"line {lineno}: bad dimension header") from None
-    n, w, bound = header  # matrix_format saw a '# n' comment
+    """The columns under the dimension header, certified against its bound."""
+    n, w, bound = textio.read_support_header(comments)  # saw a '# n'
     try:
-        matrix = MeasurementMatrix(n, w, *parse_words(lines, True, w, "column"),
+        positions, signs = textio.parse_words(lines, True, w, "column")
+        matrix = MeasurementMatrix(n, w, positions, signs,
                                    provenance=provenance, bound=bound)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
@@ -328,19 +290,7 @@ def _loads_support_list(provenance: str, comments: list[tuple[int, str]],
 
 
 def _loads_dense_csv(lines: list[tuple[int, str]]) -> MeasurementMatrix:
-    """Entries are integers as codes.read_int reads them."""
-    rows = []
-    for lineno, line in lines:
-        try:
-            row = [read_int(tok) for tok in line.split(",")]
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer entry") from None
-        if any(v not in (-1, 0, 1) for v in row):
-            raise FormatError(f"line {lineno}: entries must be in {{-1, 0, 1}}")
-        rows.append(row)
-    if len({len(r) for r in rows}) != 1:
-        raise FormatError("rows have differing lengths")
-    a = np.array(rows, dtype=np.int64).T
+    a = textio.read_dense_csv(lines).T
     weights = sorted(set(np.count_nonzero(a, axis=1).tolist()))
     if len(weights) != 1:
         raise FormatError(f"column weights differ: {weights}")
@@ -355,8 +305,8 @@ def _loads_dense_csv(lines: list[tuple[int, str]]) -> MeasurementMatrix:
 
 
 def save_matrix(matrix: MeasurementMatrix, path, fmt: str = "support-list") -> None:
-    write_text(path, dumps_matrix(matrix, fmt))
+    textio.write_text(path, dumps_matrix(matrix, fmt))
 
 
 def load_matrix(path) -> MeasurementMatrix:
-    return loads_matrix(read_text(path))
+    return loads_matrix(textio.read_text(path))

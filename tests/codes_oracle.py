@@ -8,7 +8,7 @@ and convert them with the helpers here.  greedy_words is the greedy
 search as a plain loop over such tuples with ternary_distance; the
 bit-mask search behind codes.greedy_binary and codes.greedy_ternary is
 checked against it.  parse_words is the position reader as a loop
-over the tokens of str.split(); codes.parse_words, which reads every
+over the tokens of str.split(); textio.parse_words, which reads every
 line's bytes in one numpy pass, is checked against it.
 coset_code is the coset conversion as a sweep of all q^n vectors per
 subspace; designs.subspace_to_coset_code, which forms every coset in
@@ -91,7 +91,7 @@ def greedy_words(n: int, dist: int, w: int, sign_set=(1, -1)):
 
 def parse_words(lines, signed: bool, w: int, what: str = "word"):
     """(positions, signs) of numbered lines, token by token: the grammar,
-    errors and error precedence codes.parse_words must reproduce."""
+    errors and error precedence textio.parse_words must reproduce."""
     positions, signs, counts = [], [], []
     for lineno, line in lines:
         try:

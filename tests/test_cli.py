@@ -341,6 +341,35 @@ def test_huge_values_end_at_once(argv, code, err, capsys):
         assert " N=1 " in captured.out
 
 
+def test_graham_sloane_buckets_refused_before_enumerating(capsys):
+    # about 3.8M supports in 41^5 buckets would hold over 1 GB
+    start = time.perf_counter()
+    assert run_cli("construct", "graham-sloane", "--n", "40", "--d", "12",
+                   "--w", "6") == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exceeded: bucketing C(40,6) supports by 5 moments mod 41 "
+        "needs 1397235856 bytes, past the cap 268435456\n")
+
+
+def test_dense_csv_write_refused_before_anything_is_written(
+        capsys, tmp_path, monkeypatch):
+    # devore(31, 3): its 961 x 29791 float64 array fits the budget, the
+    # array with its CSV text does not
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("construct", "devore", "--p", "31", "--r", "3",
+                   "--matrix-format", "dense-csv",
+                   "--emit-matrix", "big.csv") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exceeded: writing a dense 961 x 29791 matrix as CSV needs "
+        "347430518 bytes, past the cap 268435456\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bounds_print_up_to_the_int_str_limit(capsys):
     # 2^14284 has 4300 digits, as many as int->str gives; 2^14285 has 4301
     argv = "bounds --d 1 --ternary --n {0} --w {0}"
@@ -527,7 +556,7 @@ def test_analyze_k_below_one_is_refused_before_the_file_is_read(
 
     def no_read(path):
         raise AssertionError("the file was read before --k was checked")
-    monkeypatch.setattr("cwsense.codes.read_text", no_read, raising=False)
+    monkeypatch.setattr("cwsense.textio.read_text", no_read)
     assert run_cli("analyze", str(out), "--k", "0") == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -17,11 +17,11 @@ from cwsense.codes import (array_maxima, certify_binary,
                            gilbert_bound, graham_sloane_bound,
                            graham_sloane_construct, greedy_binary,
                            greedy_ternary, load_code, loads_code, save_code,
-                           parse_words, read_lines, repeated_rows,
-                           smallest_prime_at_least, ternary_gilbert_bound,
-                           validate)
+                           repeated_rows, smallest_prime_at_least,
+                           ternary_gilbert_bound, validate)
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.matrices import dumps_matrix, from_code, loads_matrix
+from cwsense.textio import parse_words, read_lines
 
 # Lines of the projective plane of order 2: the classic (7, 4, 3) code.
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
@@ -482,6 +482,29 @@ def test_graham_sloane_refuses_its_bucket_before_enumerating(monkeypatch):
     monkeypatch.setattr(codes, "combinations", no_supports)
     with pytest.raises(BudgetError, match="past the cap"):
         graham_sloane_construct(100, 2, 4)
+
+
+@pytest.mark.parametrize("n,dist,w", [
+    (22, 4, 6),    # 23 buckets of about 3245 supports each
+    (24, 12, 5),   # one support per bucket, 5-moment keys
+    (22, 14, 6),   # one support per bucket, 6-moment keys
+    (10, 4, 3),    # a few words
+])
+def test_graham_sloane_peaks_within_its_bucket_admission(n, dist, w,
+                                                         monkeypatch):
+    sizes, real = {}, codes.admit
+
+    def recorded(what, size, *rest):
+        sizes[what.split()[0]] = size
+        real(what, size, *rest)
+    monkeypatch.setattr(codes, "admit", recorded)
+    tracemalloc.start()
+    try:
+        graham_sloane_construct(n, dist, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sizes["bucketing"]
 
 
 def test_graham_sloane_construct_beats_its_bound():

@@ -10,18 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codes_oracle import matrix_of, words_of
-from cwsense import cli
+from cwsense import cli, matrices
 from cwsense.codes import (CWCode, array_maxima, certify_binary,
                            dumps_code, greedy_binary, greedy_ternary,
-                           loads_code, read_lines)
+                           loads_code)
 from cwsense.designs import (SteinerTripleSystem, make_sts,
                              steiner_to_code)
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.field import factor_prime_power, make_field
 from cwsense.matrices import (MeasurementMatrix, coherence, devore,
                               devore_bytes, dumps_matrix, from_code,
-                              load_matrix, loads_matrix, matrix_format,
-                              save_matrix, welch_bound, FORMATS, _parse_bound)
+                              load_matrix, loads_matrix, save_matrix,
+                              welch_bound)
+from cwsense.textio import FORMATS, _parse_bound, matrix_format, read_lines
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
         (2, 3, 6), (2, 4, 5)]
@@ -572,3 +573,26 @@ def test_devore_with_its_write_peaks_within_its_budget_estimate(
         tracemalloc.stop()
     assert peak <= devore_bytes(p, r)
     assert capsys.readouterr().out.endswith(f"devore_p{p}_r{r}.matrix\n")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: devore(13, 3), lambda: devore(17, 3), lambda: devore(2, 2),
+    lambda: from_code(steiner_to_code(make_sts(99)), seed=3),
+    lambda: from_code(greedy_ternary(9, 4, 3)),
+])
+def test_dense_csv_write_peaks_within_its_admission(make, monkeypatch):
+    # the float64 array and its text are admitted together, first
+    matrix, sizes, real = make(), [], matrices.admit
+
+    def recorded(what, size, *rest):
+        sizes.append((what, size))
+        real(what, size, *rest)
+    monkeypatch.setattr(matrices, "admit", recorded)
+    tracemalloc.start()
+    try:
+        dumps_matrix(matrix, "dense-csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes[0][0].startswith("writing a dense")
+    assert peak <= sizes[0][1]

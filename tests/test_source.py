@@ -1,6 +1,7 @@
 """Guards over the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cwsense"
@@ -33,8 +34,8 @@ def test_field_element_stays_in_field_module():
 
 
 def test_no_regex_and_one_line_splitter():
-    """Files are split into lines in one place, codes.read_lines: no
-    module imports re, and only codes.py calls splitlines."""
+    """Files are split into lines in one place, textio.read_lines: no
+    module imports re, and only textio.py calls splitlines."""
     imports, splits = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -49,24 +50,26 @@ def test_no_regex_and_one_line_splitter():
                     or getattr(node, "id", None) == "splitlines"):
                 splits.append(path.name)
     assert imports == []
-    assert set(splits) == {"codes.py"}
+    assert set(splits) == {"textio.py"}
 
 
 def test_analyze_and_recover_split_each_file_once(tmp_path, monkeypatch):
-    from cwsense import cli, codes, matrices
+    from cwsense import cli, textio
     monkeypatch.chdir(tmp_path)
     assert cli.main(["construct", "sts", "--n", "9", "--out", "c.code",
                      "--emit-matrix", "s.matrix"]) == 0
     assert cli.main(["construct", "sts", "--n", "9", "--matrix-format",
                      "dense-csv", "--emit-matrix", "d.csv"]) == 0
     calls = []
-    real = codes.read_lines
+    real = textio.read_lines
 
     def counted(text):
         calls.append(len(text))
         return real(text)
-    for module in (codes, matrices):
-        monkeypatch.setattr(module, "read_lines", counted)
+    for name, module in list(sys.modules.items()):  # wherever it is looked up
+        if name.startswith("cwsense") and getattr(module, "read_lines",
+                                                  None) is real:
+            monkeypatch.setattr(module, "read_lines", counted)
     for argv in (["analyze", "c.code"], ["analyze", "s.matrix"],
                  ["analyze", "d.csv"],
                  ["recover", "s.matrix", "--k-max", "1", "--trials", "2"],
@@ -75,6 +78,34 @@ def test_analyze_and_recover_split_each_file_once(tmp_path, monkeypatch):
         assert cli.main(argv) == 0, argv
         assert calls == [(tmp_path / argv[1]).stat().st_size], argv
 
+
+def test_textio_alone_touches_files():
+    """Only textio.py imports pathlib, calls open (as a name or an
+    attribute, os.open and io.open too) or calls splitlines."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            called = (isinstance(node, ast.Call) and {
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)} & {"open", "splitlines"})
+            if called or any(m.split(".")[0] == "pathlib" for m in modules):
+                found.add(path.name)
+    assert found == {"textio.py"}
+
+
+def test_package_binds_only_its_version():
+    """cwsense/__init__.py re-exports nothing: its one public name is
+    __version__, and it imports no module."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = [t.id for node in tree.body if isinstance(node, ast.Assign)
+             for t in node.targets]
+    assert bound == ["__version__"]
+    assert all(isinstance(node, (ast.Expr, ast.Assign)) for node in tree.body)
 
 
 def test_one_admission_function():
