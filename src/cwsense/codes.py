@@ -238,12 +238,18 @@ def repeated_rows(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows of a 2-D integer array equal to an earlier row.
     A stable sort of the rows, each viewed as one string of bytes (not
     one lexsort key per column), puts each repeat right after an equal
-    row with a smaller index, so comparing neighbours finds every one."""
+    row with a smaller index, so comparing neighbours finds every one.
+    The sorted rows are gathered about 256 KiB at a time, never whole."""
     rows = np.ascontiguousarray(rows)
-    order = np.argsort(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(),
+    width = rows.itemsize * rows.shape[1]
+    order = np.argsort(rows.view(f"V{width}").ravel(),
                        kind="stable") if rows.size else np.arange(len(rows))
     repeated = np.zeros(len(rows), dtype=bool)
-    repeated[order[1:]] = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    step = max(1, (1 << 18) // max(width, 1))
+    for start in range(1, len(rows), step):
+        near = rows[order[start - 1:start + step]]
+        repeated[order[start:start + step]] = (near[1:] == near[:-1]).all(
+            axis=1)
     return repeated
 
 
@@ -254,14 +260,20 @@ def validate(code: CWCode) -> int:
     signs and then duplicates; scans every pair (array_maxima, no early
     exit), writes the exact distance into code.d and the largest
     |inner product| into code.inner, and returns the distance.  A code
-    with fewer than two words certifies n + 1.
+    with fewer than two words certifies n + 1.  The duplicate check
+    keys each position with its sign in one int64 column, 2x + 1 for a
+    '-', and uses the positions themselves when no sign is '-'.
     """
     positions, signs = code.positions, code.signs
     check_words(code.n, code.w, positions, signs)
-    for bad, message in (((signs < 0).any(axis=1) & (not code.signed),
+    negative = signs < 0
+    keys = positions
+    if negative.any():
+        keys = positions << 1
+        keys |= negative
+    for bad, message in ((negative.any(axis=1) & (not code.signed),
                           "word #{} of a binary code has a '-' sign"),
-                         (repeated_rows(np.hstack([positions, signs])),
-                          "duplicate codeword #{}")):
+                         (repeated_rows(keys), "duplicate codeword #{}")):
         if bad.any():
             raise ParameterError(message.format(int(bad.argmax())))
     code.inner, top_s = array_maxima(code.n, positions, signs)
@@ -415,7 +427,9 @@ def _greedy(n: int, dist: int, w: int, sign_set: tuple[int, ...],
     """The lexicographic greedy over words with signs from sign_set.
     Position x of a word is the three bits at 3x of a mask, 000 for 0,
     110 for + and 101 for -, pairwise two bits apart: the popcount of
-    two masks' XOR is twice the number of positions where they differ."""
+    two masks' XOR is twice the number of positions where they differ.
+    Three bits are one octal digit, so a mask is read from its n digits,
+    position n - 1 first, in one linear int(..., 8)."""
     _check_nwd(n, dist, w, even=False)
     admit(f"enumerating C({n},{w}) * {len(sign_set)}^{w} words",
           _word_count(n, w, w * (len(sign_set) - 1)), "steps")
@@ -424,10 +438,13 @@ def _greedy(n: int, dist: int, w: int, sign_set: tuple[int, ...],
     kept: list[int] = []
     positions, signs = [], []
     limit = 2 * dist
+    digit = {1: ord("6"), -1: ord("5")}
     for sup in combinations(range(n), w):
         for pattern in patterns:
-            mask = sum((6 if g > 0 else 5) << 3 * p
-                       for p, g in zip(sup, pattern))
+            digits = bytearray(b"0" * n)
+            for p, g in zip(sup, pattern):
+                digits[~p] = digit[g]
+            mask = int(digits, 8)
             for other in kept:
                 if (mask ^ other).bit_count() < limit:
                     break

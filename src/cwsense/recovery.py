@@ -61,7 +61,23 @@ one-trial-at-a-time loop:
   Fortran order, as a[:, selected] is, so the residual's gemv runs the
   same kernel; norms are matmul dots, the ddot np.linalg.norm uses;
 * rank-deficiency warnings and the residual-growth RuntimeError come
-  out in trial order, as the per-trial loop would emit them.
+  out in trial order, as the per-trial loop would emit them: the
+  engine and the chunk draw return them as notes, and run_experiment
+  logs each unit's notes and raises at the first growth, in unit
+  order, whichever process ran the unit;
+* the units of an experiment (one chunk of one k) share nothing, so
+  they run on forked processes, one per usable core
+  (os.sched_getaffinity), when the trial work pays for the forks
+  (FORK_WORK).  The children inherit the dense matrix and numpy.random
+  copy-on-write, send back (scores, seconds, notes) per unit, pickled
+  through a pipe, and leave through os._exit.  Python 3.12 and later
+  warn (DeprecationWarning) when a process with threads alive forks,
+  as OpenBLAS's pool is; run_experiment silences that one warning
+  around its fork, because a child runs only the units, which import
+  nothing and log nothing, and OpenBLAS shuts its pool down before a
+  fork itself (its pthread_atfork handler).  A span or counter
+  that wraps a function inside the engine sees only this process's
+  units.
 
 tests/recovery_oracle.py keeps that per-trial loop, with its signal
 generation, measurement and exact-recovery check; the tests hold the
@@ -71,9 +87,13 @@ per row.
 
 from __future__ import annotations
 
+import functools
 import logging
 import operator
+import os
+import pickle
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -90,6 +110,17 @@ VALUE_MODELS = ("rademacher", "gaussian")
 # Bytes of truth and measurement data per trial block: (N + k n) * 8 per
 # trial.  The engine's other per-block arrays scale with the same terms.
 BLOCK_BYTES = 256 * 1024
+
+# Trial work, size * k * n * N over an experiment's units, that each
+# process must bring before run_experiment forks it: about 16 ms of
+# trials at the 0.4-1.4 ns per unit measured on devore(7,3) and the
+# spread matrices, ten times the 1.6 ms that a fork, its pickled reply
+# and its reap took (2-core box, Python 3.11, numpy 2.4.6).
+FORK_WORK = 25_000_000
+
+# The note that stops an experiment: _omp_rows ends its notes with it
+# when a residual norm grew, and _report raises it.
+GREW = "residual norm increased across an OMP iteration"
 
 
 @dataclass
@@ -242,14 +273,15 @@ def _stream_draw(rows: np.ndarray, N: int, k: int, model: str
     return picks, values, exact
 
 
-def _draw_chunk(rows: np.ndarray, N: int, k: int,
-                model: str) -> tuple[np.ndarray, np.ndarray]:
+def _draw_chunk(rows: np.ndarray, N: int, k: int, model: str,
+                warn=log.warning) -> tuple[np.ndarray, np.ndarray]:
     """Ascending supports (len(rows), k) and values of
     _draw(Generator(PCG64(SeedSequence(row))), N, k, model) for each
     uint32 entropy row, bit for bit: _stream_draw where it applies, and
     a per-trial Generator for the rest (the module docstring lists
     when).  The first row _stream_draw drew is checked against the
-    Generator; if they differ, the chunk is drawn one trial at a time."""
+    Generator; if they differ, warn gets one message and the chunk is
+    drawn one trial at a time."""
     def one(row):
         return _draw(np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(row))), N, k, model)
@@ -261,9 +293,9 @@ def _draw_chunk(rows: np.ndarray, N: int, k: int,
             support, value = one(rows[i])
             if not (np.array_equal(support, supports[i])
                     and value.tobytes() == values[i].tobytes()):
-                log.warning("numpy's stream for %s differs from the chunk "
-                            "draw; drawing %d trials one at a time",
-                            rows[i].tolist(), len(rows))
+                warn(f"numpy's stream for {rows[i].tolist()} differs from "
+                     f"the chunk draw; drawing {len(rows)} trials one at "
+                     "a time")
                 exact[:] = False
     else:
         supports = np.empty((len(rows), k), dtype=np.intp)
@@ -306,14 +338,18 @@ def _lstsq(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coef[:, :, 0], rank
 
 
-def _omp_rows(a: np.ndarray, y: np.ndarray, k: int,
-              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _omp_rows(a: np.ndarray, y: np.ndarray, k: int, tol: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """OMP on every row of y (B, n) in lockstep against dense a (n, N).
 
-    Returns (selected, coef, count): row b picked the columns
+    Returns (selected, coef, count, notes): row b picked the columns
     selected[b, :count[b]] in that order with least-squares
     coefficients coef[b, :count[b]]; entries past count[b] are 0.
-    A row stops early once its residual norm drops below tol.
+    A row stops early once its residual norm drops below tol.  notes
+    holds the rank-deficiency warnings in trial order, as the per-trial
+    loop would log them, and ends with GREW when some row's residual
+    norm grew: then only the warnings up to that row's failing
+    iteration are kept, and the results are not to be used.
     """
     at = a.T
     B = len(y)
@@ -352,15 +388,19 @@ def _omp_rows(a: np.ndarray, y: np.ndarray, k: int,
         up = norm > prev + 1e-9 * (1.0 + prev)
         grew += [(int(row), t) for row in rows[up]]
         prev = norm
-    first = min(grew, default=None)
-    for row, cols, rank in sorted(warnings):
-        if first is not None and (row, cols) > first:
-            break
-        log.warning("rank-deficient selection (%d columns, rank %d); "
-                    "using the minimum-norm solution", cols, rank)
-    if first is not None:
-        raise RuntimeError("residual norm increased across an OMP iteration")
-    return selected, coef, count
+    first = min(grew, default=(B, 0))
+    notes = [f"rank-deficient selection ({cols} columns, rank {rank}); "
+             "using the minimum-norm solution"
+             for row, cols, rank in sorted(warnings) if (row, cols) <= first]
+    return selected, coef, count, notes + [GREW] * bool(grew)
+
+
+def _report(notes: list[str]) -> None:
+    """Log notes as warnings in order, raising RuntimeError at GREW."""
+    for note in notes:
+        if note == GREW:
+            raise RuntimeError(GREW)
+        log.warning(note)
 
 
 def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
@@ -383,7 +423,9 @@ def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (matrix.n,):
         raise ParameterError(f"y must have shape ({matrix.n},)")
-    selected, coef, count = _omp_rows(matrix.to_dense(), y[None], k, tol)
+    selected, coef, count, notes = _omp_rows(matrix.to_dense(), y[None], k,
+                                             tol)
+    _report(notes)
     picked = selected[0, :count[0]]
     order = np.argsort(picked)
     return SparseSignal(N=matrix.N, support=tuple(picked[order].tolist()),
@@ -446,6 +488,14 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
     runs.  The trials of one k run in blocks of about BLOCK_BYTES of
     signal data through the batched OMP engine; the module docstring
     says why the results are bit-identical to one trial at a time.
+
+    The work is cut into units, a chunk of whole blocks of one k each,
+    and the units are shared among forked processes, one per usable
+    core, when each process gets at least FORK_WORK of trial work
+    (size * k * n * N summed over its units); see _map.  The results are
+    folded in unit order, so every report field but seconds, and every
+    warning and the residual-growth RuntimeError, come out as from one
+    process.  seconds is the sum of each unit's time, over processes.
     """
     if not 1 <= trials < 2 ** 32:   # a trial index is one entropy word
         raise ParameterError(f"need 1 <= trials < 2^32, got {trials}")
@@ -464,34 +514,172 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
     # the seed's 32-bit words, the head of every trial's entropy row
     words = [(seed >> s) & 0xFFFFFFFF
              for s in range(0, max(seed.bit_length(), 1), 32)]
-    reports = []
+    plan = []   # (k, its units (first trial, trials, block size))
     for k in ks:
-        if k == 0:
-            log.info("skipping k = 0: nothing to recover")
-            continue
-        start = time.perf_counter()
-        a = matrix.to_dense()
         block = max(1, BLOCK_BYTES // ((N + k * n) * 8))
         # whole blocks of trials per draw; a trial's draw holds at most
         # 40 + 9k uint64 at once: the seeding's, then its 3k stream
         # words, the choice's Lemire products and the values
         chunk = block * max(1, BLOCK_BYTES // (8 * (40 + 9 * k) * block))
+        plan.append((k, [(first, min(chunk, trials - first), block)
+                         for first in range(0, trials, chunk)] if k else []))
+    units = [(k, *unit) for k, group in plan for unit in group]
+    if units:
+        # admitted, and numpy.random imported, before any fork, so the
+        # children share both copy-on-write
+        import numpy.random  # noqa: F401
+        task = functools.partial(_unit, matrix.to_dense(), words, model, tol)
+        results = iter(_map(task, units, [k * size * n * N
+                                          for k, _, size, _ in units]))
+    reports = []
+    for k, group in plan:
+        if k == 0:
+            log.info("skipping k = 0: nothing to recover")
+            continue
         totals = (0, 0, 0.0, 0.0)   # successes, then the report's maxima
-        for first in range(0, trials, chunk):
-            size = min(chunk, trials - first)
-            rows = np.empty((size, len(words) + 2), dtype=np.uint32)
-            rows[:, :-1] = [*words, k]
-            rows[:, -1] = np.arange(first, first + size)
-            truth, values = _draw_chunk(rows, N, k, model)
-            for b in range(0, size, block):
-                t, v = truth[b:b + block], values[b:b + block]
-                y = _measure_rows(a.T, t, v)
-                scores = _score_rows(a.T, t, v, y, *_omp_rows(a, y, k, tol))
-                totals = (totals[0] + scores[0],
-                          *map(max, totals[1:], scores[1:]))
+        seconds = 0.0
+        for _ in group:
+            result = next(results)
+            if isinstance(result, Exception):
+                raise result
+            scores, took, notes = result
+            _report(notes)
+            totals = (totals[0] + scores[0],
+                      *map(max, totals[1:], scores[1:]))
+            seconds += took
         reports.append(RecoveryReport(matrix.provenance, k, trials, *totals,
-                                      seconds=time.perf_counter() - start))
+                                      seconds=seconds))
     return reports
+
+
+def _unit(a: np.ndarray, words: list[int], model: str, tol: float, k: int,
+          first: int, size: int, block: int) -> tuple[tuple, float, list[str]]:
+    """Trials first .. first + size - 1 at sparsity k, drawn as one chunk
+    and run in blocks of block trials: (scores, seconds, notes), the
+    scores being the successes and the report's maxima over them.  The
+    notes are the warnings in trial order; at a residual growth they end
+    with GREW and the unit stops there."""
+    start = time.perf_counter()
+    rows = np.empty((size, len(words) + 2), dtype=np.uint32)
+    rows[:, :-1] = [*words, k]
+    rows[:, -1] = np.arange(first, first + size)
+    notes: list[str] = []
+    truth, values = _draw_chunk(rows, a.shape[1], k, model, notes.append)
+    totals = (0, 0, 0.0, 0.0)
+    for b in range(0, size, block):
+        t, v = truth[b:b + block], values[b:b + block]
+        y = _measure_rows(a.T, t, v)
+        *found, block_notes = _omp_rows(a, y, k, tol)
+        notes += block_notes
+        if GREW in block_notes:
+            break
+        scores = _score_rows(a.T, t, v, y, *found)
+        totals = (totals[0] + scores[0], *map(max, totals[1:], scores[1:]))
+    return totals, time.perf_counter() - start, notes
+
+
+def _run(task, units: list) -> list:
+    """task(*unit) for the units in order, up to the first that fails: a
+    raised Exception takes its result's place, to be raised again when
+    run_experiment reaches it, and notes ending in GREW stop the run."""
+    results = []
+    for unit in units:
+        try:
+            result = task(*unit)
+        except Exception as exc:    # any: run_experiment raises it in turn
+            results.append(exc)
+            break
+        results.append(result)
+        if GREW in result[2]:
+            break
+    return results
+
+
+def _map(task, units: list, work: list[int]) -> list:
+    """_run over the units, in this process or shared among up to one
+    process per usable core when the work pays for the forks: each
+    process needs FORK_WORK of it.  Processes are given units longest
+    first, each to the least loaded, and run theirs in order; this one
+    runs the first share while bare os.fork children run the others and
+    send their results back pickled through a pipe.  The list is in unit
+    order; a unit after a failure in its process has None, and a child
+    that exits without its results leaves a RuntimeError at its first
+    unit.  Children always leave through os._exit and are always reaped,
+    killed first if this process stops early (an interrupt)."""
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             else 1)
+    procs = min(cores, len(units), sum(work) // FORK_WORK)
+    if procs < 2:
+        return _run(task, units)
+    import signal   # loaded here, where a child may need killing
+    loads, shares = [0] * procs, [[] for _ in range(procs)]
+    for i in sorted(range(len(units)), key=lambda i: -work[i]):
+        least = loads.index(min(loads))
+        loads[least] += work[i]
+        shares[least].append(i)
+    shares = [sorted(share) for share in shares]
+    results = [None] * len(units)
+    children = []   # (pid, read end of its pipe, its share), unreaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                # Python 3.12 warns that forking with threads alive (the
+                # BLAS pool's) may deadlock the child; the module
+                # docstring says why it is safe for these children
+                with warnings.catch_warnings():
+                    warnings.filterwarnings(
+                        "ignore", "This process .* is multi-threaded",
+                        DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(write, task, [units[i] for i in share])
+            os.close(write)
+            children.append((pid, read, share))
+        for i, result in zip(shares[0], _run(task, [units[i]
+                                                      for i in shares[0]])):
+            results[i] = result
+        while children:
+            pid, read, share = children[0]
+            chunks = []
+            while chunk := os.read(read, 1 << 16):
+                chunks.append(chunk)
+            children.pop(0)
+            os.close(read)
+            status = os.waitpid(pid, 0)[1]
+            if status or not chunks:
+                results[share[0]] = RuntimeError(
+                    f"recovery worker {pid} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} before sending "
+                    "its results")
+                continue
+            for i, result in zip(share, pickle.loads(b"".join(chunks))):
+                results[i] = result
+    finally:
+        for pid, read, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    return results
+
+
+def _child(fd: int, task, units: list) -> None:
+    """A forked child's whole life: _run's results, pickled, down fd, then
+    os._exit, so no handler, buffer or teardown of the parent's runs
+    twice; status 0 only once every byte is written."""
+    status = 1
+    try:
+        data = memoryview(pickle.dumps(_run(task, units)))
+        while data:
+            data = data[os.write(fd, data):]
+        status = 0
+    finally:
+        os._exit(status)
 
 
 CSV_HEADER = "matrix_id,k,trials,successes,max_value_error,seconds"

@@ -1,7 +1,9 @@
 """Codes: exact distances, frozen bound values, constructions, file I/O."""
 
 import math
+import time
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -320,6 +322,33 @@ def test_first_repeat_is_named():
         assert repeated_rows(rows).tolist() == [False, True, True][:len(rows)]
 
 
+@pytest.mark.parametrize("signed", [False, True])
+def test_certify_peaks_within_its_admission(signed, monkeypatch):
+    """Every support of weight 5 in 20 positions (w > n / 7), signed or
+    not: the duplicate check, on one int64 key per position, stays
+    within the 8 n N bytes the words are admitted at."""
+    supports = np.array(list(combinations(range(20), 5)))
+    signs = np.ones_like(supports, dtype=np.int8)
+    signs[:, 0] = -1 if signed else 1
+    sizes, real = [], codes.admit
+
+    def recorded(what, size, *rest):
+        sizes.append(size)
+        real(what, size, *rest)
+    monkeypatch.setattr(codes, "admit", recorded)
+    tracemalloc.start()
+    try:
+        if signed:
+            validate(codes.CWCode(20, 5, 0, supports, signs, signed=True))
+        else:
+            certify_binary(20, 5, supports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [8 * 20 * len(supports)]
+    assert peak <= sizes[0]
+
+
 def test_validate_writes_back_exact_distance():
     code = code_of(6, 2, [((0, 1), (1, 1)), ((2, 1), (3, 1)), ((0, 1), (2, 1))],
                    signed=False, d=99)
@@ -423,6 +452,15 @@ def test_greedy_binary_meets_gilbert(n, dist, w):
 def test_greedy_binary_budget():
     with pytest.raises(BudgetError):
         greedy_binary(40, 4, 10)
+
+
+def test_greedy_one_wide_word_is_linear():
+    """w = n leaves one word; its mask is built in O(n), not from n
+    shifted ints, so n = 200,000 answers at once."""
+    start = time.perf_counter()
+    code = greedy_binary(200_000, 2, 200_000)
+    assert time.perf_counter() - start < 1.0
+    assert len(code) == 1 and code.positions[0, -1] == 199_999
 
 
 def test_greedy_ternary_smallest_case():

@@ -1,5 +1,8 @@
 """Recovery: signal generation, measurement, OMP, the experiment harness."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,83 @@ def test_run_experiment_zero_coherence_always_succeeds():
     reports = run_experiment(matrix, range(1, 6), trials=25, seed=0)
     assert all(r.successes == r.trials for r in reports)
     assert all(r.max_value_err < 1e-9 for r in reports)
+
+
+# -- the forked path ---------------------------------------------------------
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_cores = pytest.mark.skipif(
+    CORES < 2 or not hasattr(os, "fork"),
+    reason="run_experiment forks only where two cores are usable")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_runs_leave_no_child(monkeypatch):
+    """One process per unit up to one per core, each reaped, after a
+    normal return and after a residual growth raised; the CSV fields
+    match the in-process run."""
+    forks, real_fork = [], os.fork
+
+    def counted():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+    matrix = devore(5, 2)
+    alone = run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(recovery, "FORK_WORK", 1)
+    shared = run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
+    assert len(forks) == min(CORES, 3) - 1
+    assert_no_child_left()
+    assert [(r.k, r.successes, r.max_value_err) for r in shared] == \
+        [(r.k, r.successes, r.max_value_err) for r in alone]
+
+    def overshooting(subs, ys):
+        return np.full(subs.shape[::2], 100.0), np.full(len(subs),
+                                                        subs.shape[2])
+    monkeypatch.setattr(recovery, "_lstsq", overshooting)
+    with pytest.raises(RuntimeError, match="residual norm increased"):
+        run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
+    assert len(forks) == 2 * (min(CORES, 3) - 1)
+    assert_no_child_left()
+
+
+@needs_cores
+def test_a_child_that_dies_without_results_is_an_error(monkeypatch):
+    monkeypatch.setattr(recovery, "FORK_WORK", 1)
+    monkeypatch.setattr(recovery, "_child",
+                        lambda fd, task, units: os._exit(1))
+    with pytest.raises(RuntimeError, match=r"recovery worker \d+ exited with "
+                       "status 1 before sending its results"):
+        run_experiment(devore(5, 2), [1, 2], trials=10, seed=0)
+    assert_no_child_left()
+
+
+@needs_cores
+def test_an_interrupted_parent_kills_its_children(monkeypatch):
+    """The parent's share stops on an interrupt while the children would
+    run for a minute: they are killed and reaped at once."""
+    class Interrupt(BaseException):
+        pass
+
+    parent, real_unit = os.getpid(), recovery._unit
+
+    def unit(*args):
+        if os.getpid() == parent:
+            raise Interrupt
+        time.sleep(60)
+        return real_unit(*args)
+    monkeypatch.setattr(recovery, "FORK_WORK", 1)
+    monkeypatch.setattr(recovery, "_unit", unit)
+    start = time.perf_counter()
+    with pytest.raises(Interrupt):
+        run_experiment(devore(5, 2), [1, 2, 3], trials=10, seed=0)
+    assert time.perf_counter() - start < 10
+    assert_no_child_left()
 
 
 def test_reports_to_csv_layout():

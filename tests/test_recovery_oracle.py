@@ -64,16 +64,34 @@ def warnings(caplog):
     return lines
 
 
+def outcome(run, *args, **kwargs):
+    """fields of run's reports, or the message of the residual-growth
+    RuntimeError it raised."""
+    try:
+        return fields(run(*args, **kwargs))
+    except RuntimeError as exc:
+        return f"raised: {exc}"
+
+
 def both(caplog, matrix, ks, trials, model, tol=1e-12, seed=3):
-    """(fields, warning lines) of the oracle and of the engine."""
+    """(fields, warning lines) of the oracle and of the engine.  The
+    engine runs twice, in this process (FORK_WORK past any work) and
+    then shared among forked processes wherever more than one core is
+    usable (FORK_WORK 1: one process per unit, up to one per core); the
+    two runs must agree, and the first is returned."""
+    args = (matrix, ks, trials)
+    kwargs = dict(model=model, seed=seed, tol=tol)
     with caplog.at_level(logging.INFO, logger="cwsense"):
-        want = fields(oracle.run_experiment(matrix, ks, trials, model=model,
-                                            seed=seed, tol=tol))
+        want = outcome(oracle.run_experiment, *args, **kwargs)
         want_log = warnings(caplog)
-        got = fields(recovery.run_experiment(matrix, ks, trials, model=model,
-                                             seed=seed, tol=tol))
-        got_log = warnings(caplog)
-    return (want, want_log), (got, got_log)
+        runs = []
+        for fork_work in (2 ** 63, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(recovery, "FORK_WORK", fork_work)
+                runs.append((outcome(recovery.run_experiment, *args,
+                                     **kwargs), warnings(caplog)))
+    assert runs[1] == runs[0]
+    return (want, want_log), runs[0]
 
 
 @pytest.mark.parametrize("model", recovery.VALUE_MODELS)
@@ -346,6 +364,37 @@ def test_residual_growth_stops_at_the_same_trial(caplog, monkeypatch):
                 run(matrix, [7], 40, model="rademacher", seed=3, tol=0.0)
             logs.append(warnings(caplog))
     assert logs[0] == logs[1] and logs[0]
+
+
+def test_residual_growth_stops_at_the_same_trial_across_units(
+        caplog, monkeypatch):
+    """The refit overshoots at its sixth column in some trials, so the
+    units of k = 6 and k = 7 both stop: whichever process ran them, the
+    engine logs k = 5's warnings and k = 6's up to its first failing
+    trial, then raises, as the per-trial loop does."""
+    def marked(y):
+        return int(np.abs(y).sum()) % 3 == 0
+
+    real_lstsq, real_stacked = np.linalg.lstsq, recovery._lstsq
+
+    def overshooting_lstsq(sub, y, rcond=None):
+        coef, res, rank, sv = real_lstsq(sub, y, rcond=rcond)
+        if sub.shape[1] == 6 and marked(y):
+            coef = np.full_like(coef, 100.0)
+        return coef, res, rank, sv
+
+    def overshooting_stacked(subs, ys):
+        coef, rank = real_stacked(subs, ys)
+        if subs.shape[2] == 6:
+            coef[[marked(y) for y in ys]] = 100.0
+        return coef, rank
+
+    monkeypatch.setattr(np.linalg, "lstsq", overshooting_lstsq)
+    monkeypatch.setattr(recovery, "_lstsq", overshooting_stacked)
+    want, got = both(caplog, repeated_columns(), [5, 6, 7], 40, "rademacher",
+                     tol=0.0)
+    assert got == want and want[0].startswith("raised: residual norm")
+    assert want[1]
 
 
 # sha256 of reports_to_csv with the seconds column cut, devore(7,3),

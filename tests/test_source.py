@@ -133,3 +133,16 @@ def test_one_admission_function():
     assert raises[0][0] == admit[0] and admit[1] < raises[0][1] <= admit[2]
     assert sorted(caps) == ["errors.BYTE_BUDGET", "errors.WORK_BUDGET",
                             "field.ORDER_CAP"]
+
+
+def test_only_recovery_forks():
+    """The one place that forks is run_experiment's process pool in
+    recovery.py, which alone owns its children's lifetime."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and "fork" in {
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)}):
+                found.add(path.name)
+    assert found == {"recovery.py"}
