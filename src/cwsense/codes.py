@@ -10,17 +10,17 @@ object carries a certified minimum distance d (and max |inner product|,
 CWCode.inner) recomputed over every pair of its words by array_maxima
 (shared with matrices and designs), never taken on trust from a header
 or a construction argument.  array_maxima admits the words at their
-dense size, 8 n N bytes (errors.admit), then answers on one of two
-exact paths.  The subset path sorts int64 keys of each word's s-subsets
-of positions: two words share at least s positions exactly when they
-share an s-subset, so the largest overlap is s - 1 at the first s without a repeated key.  It
-answers for binary words, and for signed words whose supports meet in
-at most one position, where the two signs there fix the inner product.
-Other signed words, and levels whose keys would take more memory than
-the word tiles or pass int64, go to products of float64 word tiles.
-Neither path allocates an n x N array.  The per-word checks (check_words) are shared
-with matrices.MeasurementMatrix, and repeated_rows finds duplicate words
-here and duplicate subspaces in designs.
+dense size, 8 n N bytes (errors.admit), then answers on one of two exact
+paths.  The subset path sorts int64 keys of each word's s-subsets of
+positions: two words share at least s positions exactly when they share
+an s-subset, so the largest overlap is s - 1 at the first s without a
+repeated key.  It answers for binary words, and for signed words whose
+supports meet in at most one position, where the two signs there fix the
+inner product.  Other signed words, and levels whose keys would take
+more memory than the word tiles or pass int64, go to products of float64
+word tiles.  Neither path allocates an n x N array.  check_words is
+shared with matrices; repeated_rows names a repeat only after
+array_maxima finds one, and finds duplicate subspaces in designs.
 
 Distances count positions whose symbols differ.  For binary words they
 are even, d = 2(w - |A & B|) for supports A and B, so the binary bound
@@ -97,10 +97,10 @@ def array_maxima(n: int, positions: np.ndarray,
 
     The words are admitted first, at 8 n N bytes (their dense float64
     size), whichever path answers, so both refuse the same inputs.
-    _subset_maxima finds the largest S from sorted integer keys; it
-    answers for words without a -1 sign and for signed words with S <= 1.  Signed words with S >= 2,
-    and words whose keys would take more memory than the word tiles or
-    pass int64, go to the float64 tiles of _tile_maxima.
+    _subset_maxima finds the largest S from sorted integer keys for
+    words without a -1 sign and for signed words with S <= 1; other
+    signed words, and words whose keys would take more memory than the
+    word tiles or pass int64, go to the float64 tiles of _tile_maxima.
     """
     admit(f"certifying {len(positions)} words of length {n}",
           8 * n * len(positions))
@@ -256,27 +256,24 @@ def repeated_rows(rows: np.ndarray) -> np.ndarray:
 def validate(code: CWCode) -> int:
     """Exhaustively recompute the minimum distance and certify it.
 
-    Checks the words (check_words), rejects, in a binary code, '-'
-    signs and then duplicates; scans every pair (array_maxima, no early
-    exit), writes the exact distance into code.d and the largest
-    |inner product| into code.inner, and returns the distance.  A code
-    with fewer than two words certifies n + 1.  The duplicate check
-    keys each position with its sign in one int64 column, 2x + 1 for a
-    '-', and uses the positions themselves when no sign is '-'.
+    Checks the words (check_words), rejects '-' signs in a binary code,
+    scans every pair (array_maxima, no early exit), writes the exact
+    distance into code.d and the largest |inner product| into
+    code.inner, and returns the distance.  A code with fewer than two
+    words certifies n + 1.  The scan's (3S + G) / 2 is 2w exactly when
+    two words are equal (G <= S <= w; a negation gives w), and only then
+    repeated_rows names the first repeat, keyed 2x + 1 for a '-' sign.
     """
     positions, signs = code.positions, code.signs
     check_words(code.n, code.w, positions, signs)
-    negative = signs < 0
-    keys = positions
-    if negative.any():
-        keys = positions << 1
-        keys |= negative
-    for bad, message in ((negative.any(axis=1) & (not code.signed),
-                          "word #{} of a binary code has a '-' sign"),
-                         (repeated_rows(keys), "duplicate codeword #{}")):
-        if bad.any():
-            raise ParameterError(message.format(int(bad.argmax())))
-    code.inner, top_s = array_maxima(code.n, positions, signs)
+    if not code.signed and (bad := (signs < 0).any(axis=1)).any():
+        raise ParameterError(
+            f"word #{int(bad.argmax())} of a binary code has a '-' sign")
+    inner, top_s = array_maxima(code.n, positions, signs)
+    if top_s == 2 * code.w:
+        repeat = repeated_rows((positions << 1) | (signs < 0))
+        raise ParameterError(f"duplicate codeword #{int(repeat.argmax())}")
+    code.inner = inner
     code.d = code.n + 1 if len(positions) < 2 else 2 * code.w - top_s
     return code.d
 
@@ -474,9 +471,11 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     ceil(C(n, w) / q^(dist/2 - 1)) words, is admitted before any support
     is enumerated, and so are the buckets' bytes, from tracemalloc peaks:
     8w + 58 per support, 8m + 218 per bucket of m moments and 32m more
-    for q > 257.  Keys stop at w moments: for w < q Newton's identities
-    make the first w separate all supports (w = q leaves one), so each
-    bucket holds one and those w decide the smallest key.
+    for q > 257; the chosen bucket, one int64 array once its tuples are
+    freed, is admitted with its certification at 8 (n + w) bytes a word.
+    Keys stop at w moments: for w < q Newton's identities make the first
+    w separate all supports (w = q leaves one), so each bucket holds one
+    and those w decide the smallest key.
     """
     _check_nwd(n, dist, w, even=True)
     count = _word_count(n, w, 0)
@@ -495,6 +494,9 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
         buckets.setdefault(key, []).append(sup)
     supports = buckets.pop(min(buckets, key=lambda k: (-len(buckets[k]), k)))
     del buckets
+    admit(f"certifying a bucket of {len(supports)} supports",
+          8 * (n + w) * len(supports))
+    supports = np.array(supports, dtype=np.int64)  # frees the tuples
     code = certify_binary(n, w, supports,
                           provenance=f"graham-sloane n={n} d={dist} w={w} q={q}")
     if len(code) >= 2 and code.d < dist:

@@ -16,8 +16,8 @@ row-reduced at once.  Every derived code goes through the exhaustive
 distance certification in codes.py.  A subspace code is certified once,
 as the binary code of its nonzero points: subspaces meeting in q^dim
 points share q^dim - 1 nonzero ones, which gives the subspace distance
-exactly, and subspace_to_code returns that code.  Pair coverage of
-triple systems is certified by sorting their 3N pair keys.
+exactly, and subspace_to_code returns that code.  So is a triple system:
+n(n-1)/6 blocks meeting pairwise in at most one point cover every pair.
 """
 
 from __future__ import annotations
@@ -40,24 +40,22 @@ class SteinerTripleSystem:
     """Blocks of size 3 on points {0..n-1}, every pair in exactly one.
 
     blocks is an N x 3 int64 array, each row increasing; any array-like
-    of triples is taken and its rows sorted.
+    of triples is taken and its rows sorted.  code is their certified
+    (n, 4, 3) code, whose inner <= 1 certifies the pair coverage.
     """
     n: int
     blocks: np.ndarray
     tag: str
+    code: CWCode = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
-        self.blocks = blocks = np.sort(as_points(
-            self.blocks, (n * (n - 1) // 6, 3), n, "block"), axis=1)
-        # 3N = n(n-1)/2 pair keys a n + b (a <= b), none repeated, are the
-        # n(n-1)/2 pairs a < b: each covered once, none left uncovered
-        keys = np.sort(blocks[:, [0, 0, 1]] * n + blocks[:, [1, 2, 2]],
-                       axis=None)
-        twice = keys[1:] == keys[:-1]
-        if twice.any():
-            pair = divmod(int(keys[twice.argmax()]), n)
-            raise ParameterError(f"pair {pair} covered twice")
+        self.code = certify_binary(n, 3, as_points(
+            self.blocks, (n * (n - 1) // 6, 3), n, "block"),
+            provenance=f"steiner-{self.tag} n={n}")
+        self.blocks = self.code.positions
+        if self.code.inner > 1:
+            raise ParameterError("two blocks cover the same pair of points")
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -123,12 +121,11 @@ def make_sts(n: int) -> SteinerTripleSystem:
 
 
 def steiner_to_code(sts: SteinerTripleSystem) -> CWCode:
-    """Blocks as supports: an (n, 4, 3) code of n(n-1)/6 words.
+    """Blocks as supports: an (n, 4, 3) code of n(n-1)/6 words, sts.code.
 
     Two blocks share at most one point, so the certified distance is 4
     (the sentinel n + 1 for the degenerate single-block STS(3))."""
-    return certify_binary(sts.n, 3, sts.blocks,
-                          provenance=f"steiner-{sts.tag} n={sts.n}")
+    return sts.code
 
 
 # -- affine plane lines ---------------------------------------------------

@@ -538,6 +538,27 @@ def test_construct_spread_runs_the_kernel_once(capsys, tmp_path,
     assert calls == [4 ** 8 - 1]
 
 
+def test_no_certification_scans_for_repeats(capsys, tmp_path, monkeypatch):
+    # repeated_rows only names a repeat the certificate has found; the
+    # spread's basis scan calls the name designs binds, not this one
+    from cwsense import codes, designs
+
+    def refused(rows):
+        raise AssertionError("repeated_rows was called")
+    monkeypatch.setattr(codes, "repeated_rows", refused)
+    spread = spread_code(2, 4, 2)
+    built = [codes.greedy_binary(8, 4, 3), greedy_ternary(6, 3, 2),
+             codes.graham_sloane_construct(10, 4, 3),
+             steiner_to_code(make_sts(13)), designs.affine_plane_code(4),
+             subspace_to_code(spread), designs.subspace_to_coset_code(spread)]
+    assert [code.d for code in built] == [4, 3, 4, 4, 6, 6, 6]
+    for code in built[:2]:  # a binary and a ternary code file
+        path = tmp_path / "c.code"
+        path.write_text(dumps_code(code))
+        assert run_cli("analyze", str(path)) == 0
+        assert f"d={code.d}" in capsys.readouterr().out
+
+
 def test_analyze_bound_survives_construct_chain(capsys, tmp_path):
     out = tmp_path / "g.matrix"
     run_cli("construct", "greedy", "--n", "12", "--d", "6", "--w", "4",

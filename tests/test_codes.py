@@ -325,8 +325,9 @@ def test_first_repeat_is_named():
 @pytest.mark.parametrize("signed", [False, True])
 def test_certify_peaks_within_its_admission(signed, monkeypatch):
     """Every support of weight 5 in 20 positions (w > n / 7), signed or
-    not: the duplicate check, on one int64 key per position, stays
-    within the 8 n N bytes the words are admitted at."""
+    not: certification, which sorts rows for repeats only once the
+    pairwise scan has found one, stays within the 8 n N bytes the words
+    are admitted at."""
     supports = np.array(list(combinations(range(20), 5)))
     signs = np.ones_like(supports, dtype=np.int8)
     signs[:, 0] = -1 if signed else 1
@@ -347,6 +348,51 @@ def test_certify_peaks_within_its_admission(signed, monkeypatch):
         tracemalloc.stop()
     assert sizes == [8 * 20 * len(supports)]
     assert peak <= sizes[0]
+
+
+@st.composite
+def planted_words(draw):
+    """Distinct words of a binary or ternary code (w = 1 among them) with
+    a copy of one, or in a ternary code its negation, planted anywhere."""
+    n = draw(st.integers(1, 7))
+    w = draw(st.integers(1, n))
+    signed = draw(st.booleans())
+    sign = st.sampled_from((1, -1) if signed else (1,))
+    drawn = draw(st.lists(
+        st.tuples(st.permutations(range(n)),
+                  st.lists(sign, min_size=w, max_size=w)),
+        min_size=1, max_size=10))
+    words = list(dict.fromkeys(tuple(sorted(zip(perm[:w], signs)))
+                               for perm, signs in drawn))
+    planted = draw(st.sampled_from(words))
+    if signed and draw(st.booleans(), label="negate"):
+        planted = tuple((p, -s) for p, s in planted)
+    words.insert(draw(st.integers(0, len(words))), planted)
+    return n, w, words, signed
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_words())
+def test_validate_names_the_first_repeat_and_certifies_negations(case):
+    """A repeat is refused as the first one a brute-force scan finds and
+    anything else certifies, negations too, on the subset path and on
+    the tiles alone."""
+    n, w, words, signed = case
+    first = next((j for j in range(len(words)) if words[j] in words[:j]),
+                 None)
+    for tiles in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if tiles:
+                mp.setattr(codes, "_subset_maxima", lambda *args: None)
+            code = code_of(n, w, words, signed)
+            if first is not None:
+                with pytest.raises(ParameterError,
+                                   match=f"^duplicate codeword #{first}$"):
+                    validate(code)
+            else:
+                top_g, top_s = brute_extremes(n, words)
+                assert validate(code) == 2 * w - top_s
+                assert code.inner == top_g
 
 
 def test_validate_writes_back_exact_distance():
@@ -543,6 +589,28 @@ def test_graham_sloane_peaks_within_its_bucket_admission(n, dist, w,
     finally:
         tracemalloc.stop()
     assert peak <= sizes["bucketing"]
+
+
+def test_graham_sloane_peaks_within_its_certifying_admission(monkeypatch):
+    """One bucket of all C(20, 5) supports: it reaches certification as
+    one int64 array, its tuples freed, and the peak stays within the
+    8 (n + w) N bytes admitted for that array and its certification."""
+    sizes, real = [], codes.admit
+
+    def recorded(what, size, *rest):
+        if what.startswith("certifying a bucket"):
+            sizes.append(size)
+        real(what, size, *rest)
+    monkeypatch.setattr(codes, "admit", recorded)
+    tracemalloc.start()
+    try:
+        code = graham_sloane_construct(20, 2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(code) == math.comb(20, 5)
+    assert sizes == [8 * 25 * len(code)]
+    assert peak <= sizes[0]
 
 
 def test_graham_sloane_construct_beats_its_bound():

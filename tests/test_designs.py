@@ -118,6 +118,33 @@ def test_steiner_code_degenerate_three_points():
     assert len(code) == 1 and code.d == 4  # sentinel n + 1
 
 
+@pytest.mark.parametrize("n", [3, 7, 9, 109])
+def test_steiner_code_runs_the_kernel_once(monkeypatch, n):
+    calls = []
+    real = codes.array_maxima
+
+    def counted(n, positions, signs):
+        calls.append(n)
+        return real(n, positions, signs)
+    for module in (codes, designs):  # every name it is bound to
+        if hasattr(module, "array_maxima"):
+            monkeypatch.setattr(module, "array_maxima", counted)
+    sts = make_sts(n)
+    code = steiner_to_code(sts)
+    assert calls == [n]
+    assert code is sts.code and code.positions is sts.blocks
+    assert code.provenance == f"steiner-{sts.tag} n={n}"
+
+
+def test_sts_refuses_a_pair_covered_twice():
+    # (0, 1, 3) in place of (0, 3, 7) shares (0, 1) with (0, 1, 2)
+    blocks = make_sts(9).blocks.tolist()
+    blocks[blocks.index([0, 3, 7])] = [0, 1, 3]
+    with pytest.raises(ParameterError,
+                       match="^two blocks cover the same pair of points$"):
+        SteinerTripleSystem(9, blocks, "tampered")
+
+
 # -- affine planes ------------------------------------------------------------
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 17])  # 17: N = 306, d = 32
