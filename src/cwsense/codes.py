@@ -281,27 +281,30 @@ def validate(code: CWCode) -> int:
 def as_points(values, shape: tuple, bound: int, what: str) -> np.ndarray:
     """values as an int64 array of the given shape with entries in
     [0, bound), else a ParameterError; 1.5 and 2^70 (an object array)
-    are outside, caught before the cast would truncate or overflow."""
+    are outside, caught before the cast would truncate or overflow.  An
+    int64 array comes back as it is, not copied."""
     try:
         a = np.asarray(values)
         if a.shape != shape:
             raise ValueError  # ragged rows raise here too
     except ValueError:
         raise ParameterError(f"{what}s do not form a {shape} array") from None
-    inside = (a >= 0) & (a < bound) & (a % 1 == 0)
+    inside = (a >= 0) & (a < bound)
+    if not np.issubdtype(a.dtype, np.integer):
+        inside &= a % 1 == 0
     bad = ~inside.all(axis=tuple(range(1, a.ndim)))
     if bad.any():
         raise ParameterError(
             f"{what} #{int(bad.argmax())} has entries outside [0, {bound})")
-    return a.astype(np.int64)
+    return a.astype(np.int64, copy=False)
 
 
 def certify_binary(n: int, w: int, supports,
                    provenance: str = "ingested") -> CWCode:
     """A binary CWCode from an N x w array-like of bare support positions
     in [0, n) (each row sorted here), certified."""
-    positions = as_points(supports, (len(supports), w), n, "word")
-    positions.sort(axis=1)  # as_points returns a copy
+    positions = np.sort(as_points(supports, (len(supports), w), n, "word"),
+                        axis=1)
     code = CWCode(n=n, w=w, d=0, positions=positions,
                   signs=np.ones_like(positions, dtype=np.int8),
                   signed=False, provenance=provenance)

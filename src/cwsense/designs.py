@@ -50,9 +50,11 @@ class SteinerTripleSystem:
 
     def __post_init__(self):
         n = self.n
-        self.code = certify_binary(n, 3, as_points(
-            self.blocks, (n * (n - 1) // 6, 3), n, "block"),
-            provenance=f"steiner-{self.tag} n={n}")
+        if len(self.blocks) != n * (n - 1) // 6:
+            raise ParameterError(f"STS({n}) has {n * (n - 1) // 6} blocks, "
+                                 f"got {len(self.blocks)}")
+        self.code = certify_binary(n, 3, self.blocks,
+                                   provenance=f"steiner-{self.tag} n={n}")
         self.blocks = self.code.positions
         if self.code.inner > 1:
             raise ParameterError("two blocks cover the same pair of points")

@@ -60,6 +60,13 @@ one-trial-at-a-time loop:
   the stacked selections (_lstsq); each selection is laid out in
   Fortran order, as a[:, selected] is, so the residual's gemv runs the
   same kernel; norms are matmul dots, the ddot np.linalg.norm uses;
+* at one selected column the fit is each column entry times its
+  coefficient, one product per entry as in the product a[:, selected]
+  @ coef, whose 0.0 + a c differs only in turning a -0.0 product into
+  +0.0.  y - (-0.0) and y - (+0.0) differ only where y is -0.0, which no
+  measurement is; in a y given to omp the difference is the sign of a
+  zero residual entry, which the norm squares away and which changes
+  at most the sign of a zero correlation, whose absolute value is used;
 * rank-deficiency warnings and the residual-growth RuntimeError come
   out in trial order, as the per-trial loop would emit them: the
   engine and the chunk draw return them as notes, and run_experiment
@@ -77,7 +84,18 @@ one-trial-at-a-time loop:
   nothing and log nothing, and OpenBLAS shuts its pool down before a
   fork itself (its pthread_atfork handler).  A span or counter
   that wraps a function inside the engine sees only this process's
-  units.
+  units;
+* the units run on one BLAS thread per process.  Their gemv and gelsd
+  calls are small, and with one process per core more BLAS threads
+  only compete for the same cores: forked, spread(8,4,2)'s 200 trials
+  took 140 ms (median of 15) at OpenBLAS's default of one thread per
+  core and 111 ms on one thread (2-core box).  So run_experiment sets
+  numpy's bundled OpenBLAS to one thread before the units start, which
+  the forked children inherit, and gives the caller's count back when
+  they end, however they end.  It finds the OpenBLAS thread API through
+  ctypes (_blas_threads) and leaves the count alone where numpy links
+  another BLAS.  The tests hold the results on one thread to those at
+  the caller's count, bit for bit.
 
 tests/recovery_oracle.py keeps that per-trial loop, with its signal
 generation, measurement and exact-recovery check; the tests hold the
@@ -87,6 +105,7 @@ per row.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import logging
 import operator
@@ -98,6 +117,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy._core import _multiarray_umath
 from numpy.linalg import _umath_linalg
 
 from .errors import ParameterError
@@ -112,11 +132,13 @@ VALUE_MODELS = ("rademacher", "gaussian")
 BLOCK_BYTES = 256 * 1024
 
 # Trial work, size * k * n * N over an experiment's units, that each
-# process must bring before run_experiment forks it: about 16 ms of
-# trials at the 0.4-1.4 ns per unit measured on devore(7,3) and the
-# spread matrices, ten times the 1.6 ms that a fork, its pickled reply
-# and its reap took (2-core box, Python 3.11, numpy 2.4.6).
-FORK_WORK = 25_000_000
+# process must bring before run_experiment forks it: the break-even.  A
+# fork, its copy-on-write faults, its pickled reply and its reap took
+# 3.8 ms (two one-trial units, forked against in one process), and
+# trials on one BLAS thread took 0.5-2.2 ns per unit of work on
+# devore(7,3), STS(109) and the spread matrices, about 0.8 typical: 5e6
+# units are about 4 ms (2-core box, Python 3.11, numpy 2.4.6).
+FORK_WORK = 5_000_000
 
 # The note that stops an experiment: _omp_rows ends its notes with it
 # when a residual norm grew, and _report raises it.
@@ -383,7 +405,8 @@ def _omp_rows(a: np.ndarray, y: np.ndarray, k: int, tol: float
                      for i in np.flatnonzero(rank < t)]
         coef[rows, :t] = c
         count[rows] = t
-        residual = ys - np.matmul(sub, c[:, :, None])[:, :, 0]
+        residual = ys - (sub[:, :, 0] * c if t == 1 else
+                         np.matmul(sub, c[:, :, None])[:, :, 0])
         norm = _norms(residual)
         up = norm > prev + 1e-9 * (1.0 + prev)
         grew += [(int(row), t) for row in rows[up]]
@@ -496,6 +519,8 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
     folded in unit order, so every report field but seconds, and every
     warning and the residual-growth RuntimeError, come out as from one
     process.  seconds is the sum of each unit's time, over processes.
+    The units run on one OpenBLAS thread per process; the caller's
+    thread count is restored when they end.
     """
     if not 1 <= trials < 2 ** 32:   # a trial index is one entropy word
         raise ParameterError(f"need 1 <= trials < 2^32, got {trials}")
@@ -529,8 +554,16 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
         # children share both copy-on-write
         import numpy.random  # noqa: F401
         task = functools.partial(_unit, matrix.to_dense(), words, model, tol)
-        results = iter(_map(task, units, [k * size * n * N
-                                          for k, _, size, _ in units]))
+        blas = _blas_threads()
+        if blas:
+            caller = blas[0]()
+            blas[1](1)      # before any fork: the children inherit it
+        try:
+            results = iter(_map(task, units, [k * size * n * N
+                                              for k, _, size, _ in units]))
+        finally:
+            if blas:
+                blas[1](caller)
     reports = []
     for k, group in plan:
         if k == 0:
@@ -550,6 +583,22 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
         reports.append(RecoveryReport(matrix.provenance, k, trials, *totals,
                                       seconds=seconds))
     return reports
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where its symbols are absent (another BLAS, Windows).  dlsym on the
+    handle of numpy's core extension searches its dependencies too."""
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 def _unit(a: np.ndarray, words: list[int], model: str, tol: float, k: int,

@@ -312,6 +312,16 @@ def test_validate_rejections():
         validate(code_of(7, 3, [((2, 1), (1, 1), (0, 1))], signed=False))
 
 
+def test_certify_binary_leaves_the_callers_array_alone():
+    """as_points hands an int64 array back uncopied, so the rows must be
+    sorted into a new array."""
+    supports = np.array([[2, 0, 1], [5, 4, 3]], dtype=np.int64)
+    code = certify_binary(7, 3, supports)
+    assert supports.tolist() == [[2, 0, 1], [5, 4, 3]]
+    assert code.positions.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert not np.shares_memory(code.positions, supports)
+
+
 def test_first_repeat_is_named():
     a, b = ((0, 1), (1, 1)), ((0, 1), (2, 1))
     assert repeated_rows(np.array([[0, 1], [0, 2], [0, 1], [0, 2]])).tolist() \

@@ -143,6 +143,8 @@ def test_sts_refuses_a_pair_covered_twice():
     with pytest.raises(ParameterError,
                        match="^two blocks cover the same pair of points$"):
         SteinerTripleSystem(9, blocks, "tampered")
+    with pytest.raises(ParameterError, match="^STS.9. has 12 blocks, got 11$"):
+        SteinerTripleSystem(9, blocks[1:], "tampered")
 
 
 # -- affine planes ------------------------------------------------------------

@@ -10,7 +10,7 @@ from cwsense import recovery
 from cwsense.designs import spread_code, subspace_to_code
 from cwsense.errors import ParameterError
 from cwsense.matrices import devore, from_code
-from cwsense.recovery import (CSV_HEADER, RecoveryReport, omp,
+from cwsense.recovery import (CSV_HEADER, VALUE_MODELS, RecoveryReport, omp,
                               reports_to_csv, run_experiment)
 from recovery_oracle import exact_recovery, gen_sparse, measure, to_dense
 
@@ -309,6 +309,96 @@ def test_an_interrupted_parent_kills_its_children(monkeypatch):
         run_experiment(devore(5, 2), [1, 2, 3], trials=10, seed=0)
     assert time.perf_counter() - start < 10
     assert_no_child_left()
+
+
+# -- one BLAS thread per process ---------------------------------------------
+
+BLAS = recovery._blas_threads()
+needs_blas = pytest.mark.skipif(
+    BLAS is None, reason="numpy's BLAS has no OpenBLAS thread API")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The count at 2 for the test, so that 1 inside is told apart from
+    the caller's count; the count before the test is set back after."""
+    get, put = BLAS
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+@needs_blas
+def test_units_run_on_one_blas_thread(monkeypatch, two_blas_threads):
+    """In this process and in forked children alike; the caller's count
+    is back afterwards."""
+    real_unit = recovery._unit
+
+    def unit(*args):
+        if two_blas_threads() != 1:
+            raise RuntimeError(f"a unit ran on {two_blas_threads()} threads")
+        return real_unit(*args)
+    monkeypatch.setattr(recovery, "_unit", unit)
+    matrix = devore(5, 2)
+    alone = run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
+    assert two_blas_threads() == 2
+    forks, real_fork = [], os.fork
+
+    def counted():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(recovery, "FORK_WORK", 1)
+    shared = run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
+    assert len(forks) == min(CORES, 3) - 1
+    assert two_blas_threads() == 2
+    assert [(r.k, r.successes) for r in shared] == \
+        [(r.k, r.successes) for r in alone]
+
+
+@needs_blas
+def test_the_callers_blas_threads_come_back_after_a_failure(
+        monkeypatch, two_blas_threads):
+    """After the residual-growth RuntimeError, in one process and
+    forked, and after a child that exits without its results."""
+    def overshooting(subs, ys):
+        return np.full(subs.shape[::2], 100.0), np.full(len(subs),
+                                                        subs.shape[2])
+    monkeypatch.setattr(recovery, "_lstsq", overshooting)
+    for fork_work in (recovery.FORK_WORK, 1):
+        monkeypatch.setattr(recovery, "FORK_WORK", fork_work)
+        with pytest.raises(RuntimeError, match="residual norm increased"):
+            run_experiment(devore(5, 2), [1, 2, 3], trials=30, seed=4)
+        assert two_blas_threads() == 2
+    monkeypatch.undo()
+    if CORES >= 2 and hasattr(os, "fork"):
+        monkeypatch.setattr(recovery, "FORK_WORK", 1)
+        monkeypatch.setattr(recovery, "_child",
+                            lambda fd, task, units: os._exit(1))
+        with pytest.raises(RuntimeError, match="before sending its results"):
+            run_experiment(devore(5, 2), [1, 2], trials=10, seed=0)
+        assert two_blas_threads() == 2
+    assert_no_child_left()
+
+
+@needs_blas
+@pytest.mark.parametrize("model", VALUE_MODELS)
+def test_one_blas_thread_gives_the_same_bits(monkeypatch, two_blas_threads,
+                                             model):
+    """The results with the count left at the caller's equal those on one
+    thread, bit for bit, field by field."""
+    def fields(reports):
+        return [(r.k, r.successes, r.max_support_err, r.max_value_err.hex(),
+                 r.max_residual.hex()) for r in reports]
+    matrix = from_code(subspace_to_code(spread_code(2, 8, 2)))
+    one = fields(run_experiment(matrix, range(1, 6), trials=60, model=model,
+                                seed=3))
+    monkeypatch.setattr(recovery, "_blas_threads", lambda: None)
+    assert fields(run_experiment(matrix, range(1, 6), trials=60, model=model,
+                                 seed=3)) == one
+    assert two_blas_threads() == 2
 
 
 def test_reports_to_csv_layout():

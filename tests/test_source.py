@@ -146,3 +146,20 @@ def test_only_recovery_forks():
                     getattr(node.func, "attr", None)}):
                 found.add(path.name)
     assert found == {"recovery.py"}
+
+
+def test_only_recovery_uses_ctypes():
+    """The one foreign call is run_experiment's OpenBLAS thread count in
+    recovery.py: no other module imports or names ctypes."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            if (any(m.split(".")[0] == "ctypes" for m in modules)
+                    or getattr(node, "id", None) == "ctypes"):
+                found.add(path.name)
+    assert found == {"recovery.py"}
