@@ -71,31 +71,7 @@ one-trial-at-a-time loop:
   out in trial order, as the per-trial loop would emit them: the
   engine and the chunk draw return them as notes, and run_experiment
   logs each unit's notes and raises at the first growth, in unit
-  order, whichever process ran the unit;
-* the units of an experiment (one chunk of one k) share nothing, so
-  they run on forked processes, one per usable core
-  (os.sched_getaffinity), when the trial work pays for the forks
-  (FORK_WORK).  The children inherit the dense matrix and numpy.random
-  copy-on-write, send back (scores, seconds, notes) per unit, pickled
-  through a pipe, and leave through os._exit.  Python 3.12 and later
-  warn (DeprecationWarning) when a process with threads alive forks,
-  as OpenBLAS's pool is; run_experiment silences that one warning
-  around its fork, because a child runs only the units, which import
-  nothing and log nothing, and OpenBLAS shuts its pool down before a
-  fork itself (its pthread_atfork handler).  A span or counter
-  that wraps a function inside the engine sees only this process's
-  units;
-* the units run on one BLAS thread per process.  Their gemv and gelsd
-  calls are small, and with one process per core more BLAS threads
-  only compete for the same cores: forked, spread(8,4,2)'s 200 trials
-  took 140 ms (median of 15) at OpenBLAS's default of one thread per
-  core and 111 ms on one thread (2-core box).  So run_experiment sets
-  numpy's bundled OpenBLAS to one thread before the units start, which
-  the forked children inherit, and gives the caller's count back when
-  they end, however they end.  It finds the OpenBLAS thread API through
-  ctypes (_blas_threads) and leaves the count alone where numpy links
-  another BLAS.  The tests hold the results on one thread to those at
-  the caller's count, bit for bit.
+  order, whichever process of pool.share ran the unit.
 
 tests/recovery_oracle.py keeps that per-trial loop, with its signal
 generation, measurement and exact-recovery check; the tests hold the
@@ -105,21 +81,17 @@ per row.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import logging
 import operator
-import os
-import pickle
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy._core import _multiarray_umath
 from numpy.linalg import _umath_linalg
 
+from . import pool
 from .errors import ParameterError
 from .matrices import MeasurementMatrix
 
@@ -130,15 +102,6 @@ VALUE_MODELS = ("rademacher", "gaussian")
 # Bytes of truth and measurement data per trial block: (N + k n) * 8 per
 # trial.  The engine's other per-block arrays scale with the same terms.
 BLOCK_BYTES = 256 * 1024
-
-# Trial work, size * k * n * N over an experiment's units, that each
-# process must bring before run_experiment forks it: the break-even.  A
-# fork, its copy-on-write faults, its pickled reply and its reap took
-# 3.8 ms (two one-trial units, forked against in one process), and
-# trials on one BLAS thread took 0.5-2.2 ns per unit of work on
-# devore(7,3), STS(109) and the spread matrices, about 0.8 typical: 5e6
-# units are about 4 ms (2-core box, Python 3.11, numpy 2.4.6).
-FORK_WORK = 5_000_000
 
 # The note that stops an experiment: _omp_rows ends its notes with it
 # when a residual norm grew, and _report raises it.
@@ -513,14 +476,11 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
     says why the results are bit-identical to one trial at a time.
 
     The work is cut into units, a chunk of whole blocks of one k each,
-    and the units are shared among forked processes, one per usable
-    core, when each process gets at least FORK_WORK of trial work
-    (size * k * n * N summed over its units); see _map.  The results are
-    folded in unit order, so every report field but seconds, and every
-    warning and the residual-growth RuntimeError, come out as from one
-    process.  seconds is the sum of each unit's time, over processes.
-    The units run on one OpenBLAS thread per process; the caller's
-    thread count is restored when they end.
+    which pool.share runs with their trial work, size * k * n * N.  The
+    results are folded in unit order, so every report field but seconds,
+    and every warning and the residual-growth RuntimeError, come out as
+    from one process.  seconds is the sum of each unit's time, over
+    processes.
     """
     if not 1 <= trials < 2 ** 32:   # a trial index is one entropy word
         raise ParameterError(f"need 1 <= trials < 2^32, got {trials}")
@@ -554,16 +514,8 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
         # children share both copy-on-write
         import numpy.random  # noqa: F401
         task = functools.partial(_unit, matrix.to_dense(), words, model, tol)
-        blas = _blas_threads()
-        if blas:
-            caller = blas[0]()
-            blas[1](1)      # before any fork: the children inherit it
-        try:
-            results = iter(_map(task, units, [k * size * n * N
-                                              for k, _, size, _ in units]))
-        finally:
-            if blas:
-                blas[1](caller)
+        results = iter(pool.share(task, units, [k * size * n * N
+                                                for k, _, size, _ in units]))
     reports = []
     for k, group in plan:
         if k == 0:
@@ -583,22 +535,6 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
         reports.append(RecoveryReport(matrix.provenance, k, trials, *totals,
                                       seconds=seconds))
     return reports
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    where its symbols are absent (another BLAS, Windows).  dlsym on the
-    handle of numpy's core extension searches its dependencies too."""
-    try:
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
 
 
 def _unit(a: np.ndarray, words: list[int], model: str, tol: float, k: int,
@@ -625,110 +561,6 @@ def _unit(a: np.ndarray, words: list[int], model: str, tol: float, k: int,
         scores = _score_rows(a.T, t, v, y, *found)
         totals = (totals[0] + scores[0], *map(max, totals[1:], scores[1:]))
     return totals, time.perf_counter() - start, notes
-
-
-def _run(task, units: list) -> list:
-    """task(*unit) for the units in order, up to the first that fails: a
-    raised Exception takes its result's place, to be raised again when
-    run_experiment reaches it, and notes ending in GREW stop the run."""
-    results = []
-    for unit in units:
-        try:
-            result = task(*unit)
-        except Exception as exc:    # any: run_experiment raises it in turn
-            results.append(exc)
-            break
-        results.append(result)
-        if GREW in result[2]:
-            break
-    return results
-
-
-def _map(task, units: list, work: list[int]) -> list:
-    """_run over the units, in this process or shared among up to one
-    process per usable core when the work pays for the forks: each
-    process needs FORK_WORK of it.  Processes are given units longest
-    first, each to the least loaded, and run theirs in order; this one
-    runs the first share while bare os.fork children run the others and
-    send their results back pickled through a pipe.  The list is in unit
-    order; a unit after a failure in its process has None, and a child
-    that exits without its results leaves a RuntimeError at its first
-    unit.  Children always leave through os._exit and are always reaped,
-    killed first if this process stops early (an interrupt)."""
-    cores = (len(os.sched_getaffinity(0))
-             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-             else 1)
-    procs = min(cores, len(units), sum(work) // FORK_WORK)
-    if procs < 2:
-        return _run(task, units)
-    import signal   # loaded here, where a child may need killing
-    loads, shares = [0] * procs, [[] for _ in range(procs)]
-    for i in sorted(range(len(units)), key=lambda i: -work[i]):
-        least = loads.index(min(loads))
-        loads[least] += work[i]
-        shares[least].append(i)
-    shares = [sorted(share) for share in shares]
-    results = [None] * len(units)
-    children = []   # (pid, read end of its pipe, its share), unreaped
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            try:
-                # Python 3.12 warns that forking with threads alive (the
-                # BLAS pool's) may deadlock the child; the module
-                # docstring says why it is safe for these children
-                with warnings.catch_warnings():
-                    warnings.filterwarnings(
-                        "ignore", "This process .* is multi-threaded",
-                        DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(write, task, [units[i] for i in share])
-            os.close(write)
-            children.append((pid, read, share))
-        for i, result in zip(shares[0], _run(task, [units[i]
-                                                      for i in shares[0]])):
-            results[i] = result
-        while children:
-            pid, read, share = children[0]
-            chunks = []
-            while chunk := os.read(read, 1 << 16):
-                chunks.append(chunk)
-            children.pop(0)
-            os.close(read)
-            status = os.waitpid(pid, 0)[1]
-            if status or not chunks:
-                results[share[0]] = RuntimeError(
-                    f"recovery worker {pid} exited with status "
-                    f"{os.waitstatus_to_exitcode(status)} before sending "
-                    "its results")
-                continue
-            for i, result in zip(share, pickle.loads(b"".join(chunks))):
-                results[i] = result
-    finally:
-        for pid, read, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read)
-    return results
-
-
-def _child(fd: int, task, units: list) -> None:
-    """A forked child's whole life: _run's results, pickled, down fd, then
-    os._exit, so no handler, buffer or teardown of the parent's runs
-    twice; status 0 only once every byte is written."""
-    status = 1
-    try:
-        data = memoryview(pickle.dumps(_run(task, units)))
-        while data:
-            data = data[os.write(fd, data):]
-        status = 0
-    finally:
-        os._exit(status)
 
 
 CSV_HEADER = "matrix_id,k,trials,successes,max_value_error,seconds"

@@ -1,12 +1,11 @@
 """Recovery: signal generation, measurement, OMP, the experiment harness."""
 
 import os
-import time
 
 import numpy as np
 import pytest
 
-from cwsense import recovery
+from cwsense import pool, recovery
 from cwsense.designs import spread_code, subspace_to_code
 from cwsense.errors import ParameterError
 from cwsense.matrices import devore, from_code
@@ -234,23 +233,15 @@ def test_run_experiment_zero_coherence_always_succeeds():
     assert all(r.max_value_err < 1e-9 for r in reports)
 
 
-# -- the forked path ---------------------------------------------------------
+# -- the units shared among processes (cwsense.pool) -------------------------
 
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-needs_cores = pytest.mark.skipif(
-    CORES < 2 or not hasattr(os, "fork"),
-    reason="run_experiment forks only where two cores are usable")
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_forked_runs_leave_no_child(monkeypatch):
     """One process per unit up to one per core, each reaped, after a
-    normal return and after a residual growth raised; the CSV fields
-    match the in-process run."""
+    normal return and after a residual growth raised in the units; the
+    CSV fields match the in-process run."""
     forks, real_fork = [], os.fork
 
     def counted():
@@ -260,10 +251,11 @@ def test_forked_runs_leave_no_child(monkeypatch):
     matrix = devore(5, 2)
     alone = run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
     monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(recovery, "FORK_WORK", 1)
+    monkeypatch.setattr(pool, "FORK_WORK", 1)
     shared = run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
     assert len(forks) == min(CORES, 3) - 1
-    assert_no_child_left()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     assert [(r.k, r.successes, r.max_value_err) for r in shared] == \
         [(r.k, r.successes, r.max_value_err) for r in alone]
 
@@ -274,116 +266,10 @@ def test_forked_runs_leave_no_child(monkeypatch):
     with pytest.raises(RuntimeError, match="residual norm increased"):
         run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
     assert len(forks) == 2 * (min(CORES, 3) - 1)
-    assert_no_child_left()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-@needs_cores
-def test_a_child_that_dies_without_results_is_an_error(monkeypatch):
-    monkeypatch.setattr(recovery, "FORK_WORK", 1)
-    monkeypatch.setattr(recovery, "_child",
-                        lambda fd, task, units: os._exit(1))
-    with pytest.raises(RuntimeError, match=r"recovery worker \d+ exited with "
-                       "status 1 before sending its results"):
-        run_experiment(devore(5, 2), [1, 2], trials=10, seed=0)
-    assert_no_child_left()
-
-
-@needs_cores
-def test_an_interrupted_parent_kills_its_children(monkeypatch):
-    """The parent's share stops on an interrupt while the children would
-    run for a minute: they are killed and reaped at once."""
-    class Interrupt(BaseException):
-        pass
-
-    parent, real_unit = os.getpid(), recovery._unit
-
-    def unit(*args):
-        if os.getpid() == parent:
-            raise Interrupt
-        time.sleep(60)
-        return real_unit(*args)
-    monkeypatch.setattr(recovery, "FORK_WORK", 1)
-    monkeypatch.setattr(recovery, "_unit", unit)
-    start = time.perf_counter()
-    with pytest.raises(Interrupt):
-        run_experiment(devore(5, 2), [1, 2, 3], trials=10, seed=0)
-    assert time.perf_counter() - start < 10
-    assert_no_child_left()
-
-
-# -- one BLAS thread per process ---------------------------------------------
-
-BLAS = recovery._blas_threads()
-needs_blas = pytest.mark.skipif(
-    BLAS is None, reason="numpy's BLAS has no OpenBLAS thread API")
-
-
-@pytest.fixture
-def two_blas_threads():
-    """The count at 2 for the test, so that 1 inside is told apart from
-    the caller's count; the count before the test is set back after."""
-    get, put = BLAS
-    before = get()
-    put(2)
-    yield get
-    put(before)
-
-
-@needs_blas
-def test_units_run_on_one_blas_thread(monkeypatch, two_blas_threads):
-    """In this process and in forked children alike; the caller's count
-    is back afterwards."""
-    real_unit = recovery._unit
-
-    def unit(*args):
-        if two_blas_threads() != 1:
-            raise RuntimeError(f"a unit ran on {two_blas_threads()} threads")
-        return real_unit(*args)
-    monkeypatch.setattr(recovery, "_unit", unit)
-    matrix = devore(5, 2)
-    alone = run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
-    assert two_blas_threads() == 2
-    forks, real_fork = [], os.fork
-
-    def counted():
-        pid = real_fork()
-        forks.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(recovery, "FORK_WORK", 1)
-    shared = run_experiment(matrix, [1, 2, 3], trials=30, seed=4)
-    assert len(forks) == min(CORES, 3) - 1
-    assert two_blas_threads() == 2
-    assert [(r.k, r.successes) for r in shared] == \
-        [(r.k, r.successes) for r in alone]
-
-
-@needs_blas
-def test_the_callers_blas_threads_come_back_after_a_failure(
-        monkeypatch, two_blas_threads):
-    """After the residual-growth RuntimeError, in one process and
-    forked, and after a child that exits without its results."""
-    def overshooting(subs, ys):
-        return np.full(subs.shape[::2], 100.0), np.full(len(subs),
-                                                        subs.shape[2])
-    monkeypatch.setattr(recovery, "_lstsq", overshooting)
-    for fork_work in (recovery.FORK_WORK, 1):
-        monkeypatch.setattr(recovery, "FORK_WORK", fork_work)
-        with pytest.raises(RuntimeError, match="residual norm increased"):
-            run_experiment(devore(5, 2), [1, 2, 3], trials=30, seed=4)
-        assert two_blas_threads() == 2
-    monkeypatch.undo()
-    if CORES >= 2 and hasattr(os, "fork"):
-        monkeypatch.setattr(recovery, "FORK_WORK", 1)
-        monkeypatch.setattr(recovery, "_child",
-                            lambda fd, task, units: os._exit(1))
-        with pytest.raises(RuntimeError, match="before sending its results"):
-            run_experiment(devore(5, 2), [1, 2], trials=10, seed=0)
-        assert two_blas_threads() == 2
-    assert_no_child_left()
-
-
-@needs_blas
 @pytest.mark.parametrize("model", VALUE_MODELS)
 def test_one_blas_thread_gives_the_same_bits(monkeypatch, two_blas_threads,
                                              model):
@@ -395,7 +281,7 @@ def test_one_blas_thread_gives_the_same_bits(monkeypatch, two_blas_threads,
     matrix = from_code(subspace_to_code(spread_code(2, 8, 2)))
     one = fields(run_experiment(matrix, range(1, 6), trials=60, model=model,
                                 seed=3))
-    monkeypatch.setattr(recovery, "_blas_threads", lambda: None)
+    monkeypatch.setattr(pool, "_blas_threads", lambda: None)
     assert fields(run_experiment(matrix, range(1, 6), trials=60, model=model,
                                  seed=3)) == one
     assert two_blas_threads() == 2

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import recovery_oracle as oracle
-from cwsense import recovery
+from cwsense import pool, recovery
 from cwsense.codes import greedy_binary
 from cwsense.designs import (make_sts, spread_code, steiner_to_code,
                              subspace_to_code)
@@ -87,7 +87,7 @@ def both(caplog, matrix, ks, trials, model, tol=1e-12, seed=3):
         runs = []
         for fork_work in (2 ** 63, 1):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(recovery, "FORK_WORK", fork_work)
+                patch.setattr(pool, "FORK_WORK", fork_work)
                 runs.append((outcome(recovery.run_experiment, *args,
                                      **kwargs), warnings(caplog)))
     assert runs[1] == runs[0]

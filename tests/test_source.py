@@ -135,31 +135,26 @@ def test_one_admission_function():
                             "field.ORDER_CAP"]
 
 
-def test_only_recovery_forks():
-    """The one place that forks is run_experiment's process pool in
-    recovery.py, which alone owns its children's lifetime."""
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Call) and "fork" in {
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None)}):
-                found.add(path.name)
-    assert found == {"recovery.py"}
-
-
-def test_only_recovery_uses_ctypes():
-    """The one foreign call is run_experiment's OpenBLAS thread count in
-    recovery.py: no other module imports or names ctypes."""
-    found = set()
+def test_only_pool_handles_processes():
+    """pool.py alone forks, names ctypes (the OpenBLAS thread count) or
+    imports pickle or signal, and owns its children's lifetime;
+    recovery.py hands it its units and imports none of what it uses."""
+    found, recovery_imports = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             modules = []
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
+                modules = [alias.name.split(".")[0] for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            if (any(m.split(".")[0] == "ctypes" for m in modules)
-                    or getattr(node, "id", None) == "ctypes"):
+                modules = [(node.module or "").split(".")[0]]
+            if path.name == "recovery.py":
+                recovery_imports.update(modules)
+            if ({"ctypes", "pickle", "signal"} & set(modules)
+                    or getattr(node, "id", None) == "ctypes"
+                    or isinstance(node, ast.Call) and "fork" in {
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)}):
                 found.add(path.name)
-    assert found == {"recovery.py"}
+    assert found == {"pool.py"}
+    assert not recovery_imports & {"os", "ctypes", "pickle", "warnings",
+                                   "signal"}
