@@ -135,26 +135,55 @@ def test_one_admission_function():
                             "field.ORDER_CAP"]
 
 
-def test_only_pool_handles_processes():
-    """pool.py alone forks, names ctypes (the OpenBLAS thread count) or
-    imports pickle or signal, and owns its children's lifetime;
-    recovery.py hands it its units and imports none of what it uses."""
-    found, recovery_imports = set(), set()
+def _modules(node):
+    """The top-level module names an import node binds, else []."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [(node.module or "").split(".")[0]]
+    return []
+
+
+def _pool_users():
+    """The modules that import cwsense.pool."""
+    users = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            modules = []
-            if isinstance(node, ast.Import):
-                modules = [alias.name.split(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [(node.module or "").split(".")[0]]
-            if path.name == "recovery.py":
-                recovery_imports.update(modules)
-            if ({"ctypes", "pickle", "signal"} & set(modules)
-                    or getattr(node, "id", None) == "ctypes"
+            if (isinstance(node, ast.ImportFrom) and node.level
+                    and (node.module == "pool" or node.module is None
+                         and "pool" in {a.name for a in node.names})):
+                users.add(path.name)
+    return users
+
+
+def test_only_recovery_forks():
+    """The one place that forks is pool.py, which alone imports pickle or
+    signal and owns its children's lifetime, and recovery.py is the one
+    module that hands it units; recovery.py itself imports none of what
+    the pool uses."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if ({"pickle", "signal"} & set(_modules(node))
                     or isinstance(node, ast.Call) and "fork" in {
                         getattr(node.func, "id", None),
                         getattr(node.func, "attr", None)}):
                 found.add(path.name)
     assert found == {"pool.py"}
-    assert not recovery_imports & {"os", "ctypes", "pickle", "warnings",
-                                   "signal"}
+    assert _pool_users() == {"recovery.py"}
+    recovery = ast.parse((SRC / "recovery.py").read_text())
+    imported = {m for node in ast.walk(recovery) for m in _modules(node)}
+    assert not imported & {"os", "ctypes", "pickle", "warnings", "signal"}
+
+
+def test_only_recovery_uses_ctypes():
+    """The one foreign call is the OpenBLAS thread count in pool.py, which
+    recovery.py alone uses: no other module imports or names ctypes."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if ("ctypes" in _modules(node)
+                    or getattr(node, "id", None) == "ctypes"):
+                found.add(path.name)
+    assert found == {"pool.py"}
+    assert _pool_users() == {"recovery.py"}
