@@ -554,10 +554,14 @@ def dimension_ternary_gilbert(n: int, k: int, t: int) -> int:
 
 # -- code files -----------------------------------------------------------
 
-def dumps_code(code: CWCode) -> str:
+def _words(code: CWCode) -> bytes:
     return textio.format_words(code.provenance, f"{code.n} {code.d} {code.w}",
                                code.positions,
                                code.signs if code.signed else None)
+
+
+def dumps_code(code: CWCode) -> str:
+    return _words(code).decode("utf-8", "surrogatepass")
 
 
 def loads_code(text: str) -> CWCode:
@@ -565,12 +569,12 @@ def loads_code(text: str) -> CWCode:
     return code_from_lines(provenance, data)
 
 
-def code_from_lines(provenance: str, data: list[tuple[int, str]]) -> CWCode:
+def code_from_lines(provenance: str, data: textio.Lines) -> CWCode:
     """loads_code on the provenance and data lines read_lines splits off."""
     n, claimed_d, w, body = textio.read_header(data, "n d w")
     if n < 1 or w < 1 or claimed_d < 1:
         raise FormatError(f"header values must be positive: {(n, claimed_d, w)}")
-    signed = bool(body) and body[0][1][0] in "+-"  # the first word's syntax
+    signed = len(body) > 0 and body.line(0)[0] in "+-"  # first word's syntax
     try:
         positions, signs = textio.parse_words(body, signed, w)
         code = CWCode(n=n, w=w, d=0, positions=positions, signs=signs,
@@ -586,7 +590,7 @@ def code_from_lines(provenance: str, data: list[tuple[int, str]]) -> CWCode:
 
 
 def save_code(code: CWCode, path) -> None:
-    textio.write_text(path, dumps_code(code))
+    textio.write_text(path, _words(code))
 
 
 def load_code(path) -> CWCode:

@@ -346,10 +346,14 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
 # rows as base-q encodings.  Loading admits the subspaces before decoding,
 # re-reduces, recomputes the distance and rejects overstated headers.
 
-def dumps_subspace_code(code: SubspaceCode) -> str:
+def _words(code: SubspaceCode) -> bytes:
     q, n = code.field.q, code.n
     return textio.format_words(code.provenance, f"{q} {n} {code.k} {code.d}",
                                code.subspaces @ q ** np.arange(n))
+
+
+def dumps_subspace_code(code: SubspaceCode) -> str:
+    return _words(code).decode("utf-8", "surrogatepass")
 
 
 def loads_subspace_code(text: str) -> SubspaceCode:
@@ -377,7 +381,7 @@ def loads_subspace_code(text: str) -> SubspaceCode:
 
 
 def save_subspace_code(code: SubspaceCode, path) -> None:
-    textio.write_text(path, dumps_subspace_code(code))
+    textio.write_text(path, _words(code))
 
 
 def load_subspace_code(path) -> SubspaceCode:

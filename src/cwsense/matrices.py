@@ -66,8 +66,8 @@ class MeasurementMatrix:
         self._dense: np.ndarray | None = None
 
     def to_dense(self) -> np.ndarray:
-        """The n x N float64 array of the columns, cached for OMP and the
-        dense-csv writer, admitted at its 8 n N bytes."""
+        """The n x N float64 array of the columns, cached for OMP,
+        admitted at its 8 n N bytes."""
         if self._dense is None:
             admit(f"a dense {self.n} x {self.N} matrix", 8 * self.n * self.N)
             self._dense = np.zeros((self.n, self.N))
@@ -241,21 +241,27 @@ def devore(p: int, r: int) -> MeasurementMatrix:
 # -- text formats ---------------------------------------------------------
 
 def admit_dense_csv(matrix: MeasurementMatrix) -> None:
-    """Admit dumps_matrix's dense CSV first: 8 bytes an entry (the array),
-    2 or 3 twice (its rows, then their join), 64 a row and a row token."""
+    """Admit dumps_matrix's dense CSV first: 6 bytes an entry (its digit
+    cells, np.insert's mask and output, then its bytes and their str),
+    48 a position (the indices of the '-' signs)."""
     n, N = matrix.n, matrix.N
-    admit(f"writing a dense {n} x {N} matrix as CSV", 12 * n * N
-          + 2 * N * matrix.w + 64 * (n + N) + (1 << 16))
+    admit(f"writing a dense {n} x {N} matrix as CSV",
+          6 * n * N + 48 * N * matrix.w + (1 << 16))
 
 
-def dumps_matrix(matrix: MeasurementMatrix, fmt: str = "support-list") -> str:
+def _text(matrix: MeasurementMatrix, fmt: str) -> bytes:
     if fmt == "dense-csv":
         admit_dense_csv(matrix)
-        return textio.format_dense_csv(matrix.to_dense())
+        return textio.format_dense_csv(matrix.n, matrix.positions,
+                                       matrix.signs)
     if fmt == "support-list":
         return textio.format_words(matrix.provenance, textio.support_header(
             matrix.n, matrix.w, matrix.bound), matrix.positions, matrix.signs)
     raise ParameterError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+
+
+def dumps_matrix(matrix: MeasurementMatrix, fmt: str = "support-list") -> str:
+    return _text(matrix, fmt).decode("utf-8", "surrogatepass")
 
 
 def loads_matrix(text: str) -> MeasurementMatrix:
@@ -263,7 +269,7 @@ def loads_matrix(text: str) -> MeasurementMatrix:
 
 
 def matrix_from_lines(provenance: str, comments: list[tuple[int, str]],
-                      data: list[tuple[int, str]]) -> MeasurementMatrix:
+                      data: textio.Lines) -> MeasurementMatrix:
     """loads_matrix on read_lines' split of a text."""
     fmt = textio.matrix_format(comments, data)
     if fmt is None:
@@ -274,7 +280,7 @@ def matrix_from_lines(provenance: str, comments: list[tuple[int, str]],
 
 
 def _loads_support_list(provenance: str, comments: list[tuple[int, str]],
-                        lines: list[tuple[int, str]]) -> MeasurementMatrix:
+                        lines: textio.Lines) -> MeasurementMatrix:
     """The columns under the dimension header, certified against its bound."""
     n, w, bound = textio.read_support_header(comments)  # saw a '# n'
     try:
@@ -289,23 +295,25 @@ def _loads_support_list(provenance: str, comments: list[tuple[int, str]],
     return matrix
 
 
-def _loads_dense_csv(lines: list[tuple[int, str]]) -> MeasurementMatrix:
-    a = textio.read_dense_csv(lines).T
-    weights = sorted(set(np.count_nonzero(a, axis=1).tolist()))
+def _loads_dense_csv(lines: textio.Lines) -> MeasurementMatrix:
+    rows = textio.read_dense_csv(lines)
+    positions, cols = np.nonzero(rows)
+    order = np.argsort(cols, kind="stable")  # column by column
+    weights = np.unique(np.bincount(cols, minlength=rows.shape[1])).tolist()
     if len(weights) != 1:
         raise FormatError(f"column weights differ: {weights}")
-    cols, positions = np.nonzero(a)
-    shape = (len(a), weights[0])
+    shape = (rows.shape[1], weights[0])
     try:
-        return MeasurementMatrix(a.shape[1], weights[0], positions.reshape(shape),
-                                 a[cols, positions].astype(np.int8).reshape(shape),
+        return MeasurementMatrix(len(rows), weights[0],
+                                 positions[order].reshape(shape),
+                                 rows[positions, cols][order].reshape(shape),
                                  provenance="dense-csv")
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
 
 
 def save_matrix(matrix: MeasurementMatrix, path, fmt: str = "support-list") -> None:
-    textio.write_text(path, dumps_matrix(matrix, fmt))
+    textio.write_text(path, _text(matrix, fmt))
 
 
 def load_matrix(path) -> MeasurementMatrix:

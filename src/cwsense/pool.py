@@ -30,8 +30,10 @@ exits without its results leaves a RuntimeError at its first unit.
   runs about 1 ms slower (copy-on-write pages, OpenBLAS's pool restart).
 * The fork warning.  Python 3.12 and later warn (DeprecationWarning)
   when a process with threads alive forks, as OpenBLAS's pool is; share
-  silences it: a child runs only its units, which must import and log
-  nothing, and OpenBLAS stops its pool before a fork (pthread_atfork).
+  silences it, by its category, as an os.fork that raised it after the
+  child exists would leave that child unreaped: a child runs only its
+  units, which must import and log nothing, and OpenBLAS stops its pool
+  before a fork (pthread_atfork).
 * One BLAS thread.  Set before any fork, so the children inherit it;
   the caller's count comes back however the units end.  Small gemv and
   gelsd calls gain nothing from more threads, which only compete with
@@ -118,9 +120,7 @@ def _fork(task, units: list, work: list[int], procs: int) -> list:
             read, write = os.pipe()
             try:
                 with warnings.catch_warnings():
-                    warnings.filterwarnings(
-                        "ignore", "This process .* is multi-threaded",
-                        DeprecationWarning)
+                    warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
             except OSError:
                 os.close(read)

@@ -1,15 +1,18 @@
-"""The grammar of every file cwsense reads or writes, and the one place
-a file is opened (read_text, write_text: ASCII, '\\n' line ends); the
-loaders in codes, matrices and designs convert.  read_lines splits each
-file once.  Code and subspace files have an 'n d w' or 'q n k d' header
-(read_header), then a word a line in parse_words' grammar, bare ('3 7 9')
-or signed ('+3 -7 +9'), written by format_words.  Matrix FORMATS, told
-apart by matrix_format: 'support-list', signed columns under a '# n <n>
-w <w> [bound <fraction>]' comment, and 'dense-csv', {-1, 0, 1} rows.
+"""The grammar of every file cwsense reads or writes, byte by byte, and
+the one place a file is opened (read_text, write_text: ASCII bytes).
+read_lines splits each file once, in one numpy pass, into data lines as
+spans (Lines); lines end where str.splitlines ends them, so a str loads
+as its bytes do.  Code and subspace files have an 'n d w' or 'q n k d'
+header (read_header), then a word a line, bare ('3 7 9') or signed
+('+3 -7 +9'): parse_words, format_words.  Matrix FORMATS (matrix_format):
+'support-list', signed columns under a '# n <n> w <w> [bound <fraction>]'
+comment, and 'dense-csv', {-1, 0, 1} rows: read_dense_csv,
+format_dense_csv.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,181 +23,234 @@ from .errors import FormatError, ParameterError
 FORMATS = ("support-list", "dense-csv")
 
 
-def read_text(path) -> str:
-    """An ASCII file's text: the one way cwsense reads a file."""
-    return Path(path).read_text(encoding="ascii")
+class _Narrow(dict):
+    """str.translate's table to one byte a code point, so offsets index
+    the str: past ASCII, str.splitlines()' line ends become '\\n', other
+    str.split() blanks ' ', the rest '\\x80'."""
+    def __missing__(self, c: int):
+        self[c] = c if c < 128 else "\x80" if not chr(c).isspace() else (
+            "\n" if len(f"a{chr(c)}b".splitlines()) == 2 else " ")
+        return self[c]
 
 
-def write_text(path, text: str) -> None:
-    """The one way cwsense writes a file: ASCII, '\\n' line ends."""
-    Path(path).write_text(text, encoding="ascii", newline="\n")
+_NARROW = _Narrow()
+# bytes 0-32: 0, 1 a blank of str.split(), 2 a line end of str.splitlines()
+KINDS = np.array([c.isspace() + (len(f"a{c}b".splitlines()) == 2)
+                  for c in map(chr, range(33))], dtype=np.uint8)
 
 
-def read_lines(text: str) -> tuple[str, list[tuple[int, str]],
-                                   list[tuple[int, str]]]:
-    """Split a line-oriented file into (provenance, comments, data).
+def read_text(path) -> bytes:
+    """An ASCII file's bytes, else an ASCII decode's UnicodeDecodeError."""
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        data.decode("ascii")
+    return data
 
-    Blank lines are dropped; comments are the bodies of '#' lines other
-    than '# provenance: <tag>' (the last such tag wins, 'ingested' when
-    absent); data are the remaining stripped lines.  Both lists carry
-    1-based line numbers.  Every file cwsense loads is split here, once.
-    """
-    provenance = "ingested"
-    comments: list[tuple[int, str]] = []
-    data: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("provenance:"):
-                provenance = body[len("provenance:"):].strip()
-            else:
-                comments.append((lineno, body))
+
+def write_text(path, data: bytes | str) -> None:
+    """Write ASCII bytes or a str; a text past ASCII (a caller's tag, which
+    the writers encode as UTF-8) fails as its str's ASCII encode does."""
+    if isinstance(data, bytes) and data.isascii():
+        Path(path).write_bytes(data)
+    else:
+        Path(path).write_text(data if isinstance(data, str) else
+                              data.decode("utf-8", "surrogatepass"),
+                              encoding="ascii", newline="\n")
+
+
+def _text(src: str | bytes, a: int, b: int) -> str:
+    text = src[a:b]
+    return text if isinstance(text, str) else text.decode("ascii")
+
+
+class Lines:
+    """Data lines as spans: line i is numbered lineno[i] and has the
+    str.split() tokens first[i]:first[i + 1] of starts/stops, offsets
+    into buf, the bytes of src (_NARROW's for a non-ASCII str); blank
+    marks the blanks in buf."""
+
+    __slots__ = ("src", "buf", "blank", "lineno", "first", "starts", "stops")
+
+    def __init__(self, src, buf, blank, lineno, first, starts, stops):
+        self.src, self.buf, self.blank = src, buf, blank
+        self.lineno, self.first = lineno, first
+        self.starts, self.stops = starts, stops
+
+    def __len__(self) -> int:
+        return len(self.lineno)
+
+    def line(self, i: int) -> str:  # stripped
+        return _text(self.src, self.starts[self.first[i]],
+                     self.stops[self.first[i + 1] - 1])
+
+    def tail(self) -> Lines:  # the lines after the first
+        return Lines(self.src, self.buf, self.blank, self.lineno[1:],
+                     self.first[1:], self.starts, self.stops)
+
+
+def read_lines(text: str | bytes) -> tuple[str, list[tuple[int, str]], Lines]:
+    """(provenance, comments, data): blank lines dropped, '#' lines'
+    bodies as comments, numbered from 1, but for '# provenance: <tag>'
+    (the last wins, else 'ingested'), the rest as data.  Every file is
+    split here, once: tokens lie between blanks, a token's line is the
+    count of line ends ('\\r\\n' one) before it, and the line's first byte
+    sorts it."""
+    src = text
+    if isinstance(text, str):
+        text = (text if text.isascii() else text.translate(_NARROW)).encode(
+            "latin-1")
+    buf = np.frombuffer(text, np.uint8)
+    blank = buf <= ord(" ")
+    ends = np.flatnonzero(blank)
+    kind = KINDS[buf[ends]]
+    if not kind.all():  # a control byte that is no blank
+        blank[ends[kind == 0]] = False
+        ends, kind = ends[kind > 0], kind[kind > 0]
+    edges = np.concatenate(([-1], ends, [len(buf)]))
+    gaps = np.flatnonzero(np.diff(edges) > 1)
+    starts, stops = edges[gaps] + 1, edges[gaps + 1]  # of tokens
+    end = kind == 2
+    crlf = np.flatnonzero(np.diff(ends) == 1)  # '\r\n' is one line end
+    end[crlf[(buf[ends[crlf]] == 13) & (buf[ends[crlf + 1]] == 10)] + 1] = 0
+    line = np.concatenate(([0], np.cumsum(end)))[gaps]  # numbers, from 0
+    heads = np.flatnonzero(np.diff(line, prepend=-1))  # first tokens
+    bounds = np.append(heads, len(starts))
+    comment = buf[starts[heads]] == ord("#")
+    provenance, comments = "ingested", []
+    for j in np.flatnonzero(comment).tolist():
+        body = _text(src, starts[heads[j]] + 1,
+                     stops[bounds[j + 1] - 1]).strip()
+        if body.startswith("provenance:"):
+            provenance = body[len("provenance:"):].strip()
         else:
-            data.append((lineno, line))
-    return provenance, comments, data
+            comments.append((int(line[heads[j]]) + 1, body))
+    if comment.any():
+        keep = np.repeat(~comment, np.diff(bounds))
+        starts, stops = starts[keep], stops[keep]
+    first = np.concatenate(([0], np.cumsum(np.diff(bounds)[~comment])))
+    return provenance, comments, Lines(src, buf, blank,
+                                       line[heads[~comment]] + 1, first,
+                                       starts, stops)
 
 
 def read_int(token: str) -> int:
-    """A header or dense-CSV integer: an optional '-' and ASCII digits,
-    with the blanks int() allows around them, else a ValueError (int()
-    alone would also take '1_0', '+9' and '١')."""
+    """A header integer, '-'? and ASCII digits with int()'s blanks around,
+    else a ValueError (int() alone also takes '1_0', '+9', '\u0661')."""
     digits = token.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {token!r}")
     return int(token)
 
 
-def read_header(data: list[tuple[int, str]], names: str) -> tuple:
+def read_header(data: Lines, names: str) -> tuple:
     """The integers named in names ('n d w' or 'q n k d') read from the
     first data line, then the data lines after it.  A missing header, a
     count other than names' or a value read_int refuses is a
     FormatError; each caller checks the ranges of its own values."""
-    if not data:
+    if not len(data):
         raise FormatError(f"missing '{names}' header")
-    lineno, tokens = data[0][0], data[0][1].split()
+    lineno, tokens = data.lineno[0], data.line(0).split()
     if len(tokens) != len(names.split()):
         raise FormatError(f"line {lineno}: header must be '{names}'")
     try:
-        return (*map(read_int, tokens), data[1:])
+        return (*map(read_int, tokens), data.tail())
     except ValueError:
         raise FormatError(f"line {lineno}: non-integer header") from None
 
 
 def format_words(provenance: str, header: str, positions: np.ndarray,
-                 signs: np.ndarray | None = None) -> str:
-    """The text of a code, support-list or subspace file: '# provenance:
-    <tag>', the header line, then one line per word, '+3 -7 +9' given
-    signs, '3 7 9' without.  Each distinct position is formatted once."""
-    values, index = np.unique(positions, return_inverse=True)  # index: N x w
-    table = list(map(str, values.tolist()))
+                 signs: np.ndarray | None = None) -> bytes:
+    """A code, support-list or subspace file: '# provenance: <tag>', the
+    header, then a word a line, '+3 -7 +9' given signs, '3 7 9' without.
+    Each position gets a row of bytes, its sign, its digit columns (NUL
+    above its first digit) and a separator, and the NULs are dropped."""
+    width = len(str(int(positions.max(initial=0))))
+    cells = np.zeros((*positions.shape, width + 2), dtype=np.uint8)
     if signs is not None:
-        table = ["+" + t for t in table] + ["-" + t for t in table]
-        index = index + len(values) * (signs < 0)
-    tokens = np.array(table, dtype=object)[index]
-    return "\n".join([f"# provenance: {provenance}", header,
-                      *map(" ".join, tokens.tolist())]) + "\n"
+        cells[..., 0] = np.where(signs < 0, ord("-"), ord("+"))
+    for j in range(width):  # the digits of 10^j, and 0's own
+        digit = positions // 10 ** j % 10 + ord("0")
+        cells[..., width - j] = np.where((positions >= 10 ** j) | (j == 0),
+                                         digit, 0)
+    cells[..., -1] = ord(" ")
+    cells[:, -1:, -1] = ord("\n")
+    head = f"# provenance: {provenance}\n{header}\n"
+    return b"".join((head.encode("utf-8", "surrogatepass"),
+                     cells[cells != 0]))
 
 
-def parse_words(lines: list[tuple[int, str]], signed: bool, w: int,
+def parse_words(lines: Lines, signed: bool, w: int,
                 what: str = "word") -> tuple[np.ndarray, np.ndarray]:
-    """(positions, signs) of numbered lines, rows sorted by position: the
-    one position reader of code, support-list and subspace files.  The
-    tokens are those of str.split().  A position is ASCII digits below
-    2^63, signed by exactly one '+' or '-' when signed and bare when
-    not; the first other token in file order is a FormatError naming its
-    line (_read_positions).  Only then do lines of differing lengths
-    fail, at the first without w."""
-    values, heads, counts = _read_positions(lines, signed)
-    if (counts != counts[:1]).any():
-        raise ParameterError(f"{what} #{int((counts != w).argmax())} "
-                             f"does not have weight {w}")
-    shape = (len(lines), int(counts[0]) if len(lines) else 0)
-    positions = values.reshape(shape)
-    signs = (np.where(heads == ord("-"), np.int8(-1), np.int8(1))
-             if signed else np.ones_like(heads, dtype=np.int8)).reshape(shape)
-    order = np.argsort(positions, axis=1, kind="stable")
-    return (np.take_along_axis(positions, order, axis=1),
-            np.take_along_axis(signs, order, axis=1))
-
-
-def _read_positions(lines: list[tuple[int, str]],
-                   signed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, first bytes) of every token of the lines in file order,
-    and the number of tokens on each line: parse_words' reader, which
-    raises the FormatError naming the first bad token.
-
-    The lines (read_lines' data, no line break inside one) are read in
-    one pass over their bytes joined by newlines: separator edges give
-    the tokens, byte masks check the grammar, and Horner's rule over
-    digit columns gives the values on per-token int64 arrays; no
-    per-byte int64 array is formed.  Tokens of 19 digits or more go to
-    int(), which keeps the 2^63 and 4300-digit limits.  A text that is
-    not ASCII is first rebuilt with one space between tokens, so a byte
-    >= 0x80 left sits inside a token.
-    """
-    text = "\n".join(line for _, line in lines)
-    if not text.isascii():
-        text = "\n".join(" ".join(line.split()) for _, line in lines)
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    # str.split()'s ASCII whitespace: \t \n \v \f \r, \x1c-\x1f and space
-    blank = (buf - 9 < 5) | (buf - 28 < 5)
-    zero = np.int8(0)  # an int 0 would widen the diff to int64 per byte
-    rise = np.diff((~blank).view(np.int8), prepend=zero, append=zero)
-    starts = np.flatnonzero(rise == 1)  # tokens end where rise is -1
-    length = np.flatnonzero(rise == -1) - starts - signed  # digits
-    newlines = np.flatnonzero(buf == ord("\n"))
-    counts = np.bincount(np.searchsorted(newlines, starts),
-                         minlength=len(lines))
-    heads = buf[starts]
-    bad = ~blank & (buf - ord("0") >= 10)  # neither a blank nor a digit
-    if signed:
-        bad[starts] = (heads != ord("+")) & (heads != ord("-"))
+    """(positions, signs) of the lines, rows sorted by position.  A
+    position is a token of ASCII digits below 2^63, with one '+' or '-'
+    when signed, bare when not; the first other token is a FormatError
+    naming its line, then lines of lengths other than the first's fail,
+    at the first without w.  Byte masks check the grammar (passing over
+    comment lines), digit columns from the last give the values, and
+    int() those of 19 digits or more, keeping its limits."""
+    buf, first = lines.buf, lines.first
+    starts, stops = lines.starts[first[0]:first[-1]], lines.stops[
+        first[0]:first[-1]]
+    counts, heads = np.diff(first), buf[starts]
+    length = stops - starts - signed  # digits
     culprit = len(starts)  # the first bad token, none yet
-    if bad.any():
-        culprit = int(np.searchsorted(starts, bad.argmax(), "right")) - 1
+    if len(starts):
+        lo, hi = starts[0], stops[-1]
+        bad = ~lines.blank[lo:hi] & (buf[lo:hi] - ord("0") >= 10)
+        if signed:
+            bad[starts - lo] = (heads != ord("+")) & (heads != ord("-"))
+        at = np.flatnonzero(bad) + lo
+        tokens = np.searchsorted(starts, at, "right") - 1
+        tokens = tokens[at < stops[tokens]]  # not in a comment line
+        culprit = int(tokens[0]) if len(tokens) else culprit
     if (length < 1).any():  # a lone sign
         culprit = min(culprit, int((length < 1).argmax()))
     big = {}
     for t in np.flatnonzero(length[:culprit] > 18).tolist():
-        first = starts[t] + signed
         try:
-            big[t] = int(buf[first:first + length[t]].tobytes())
+            big[t] = int(_text(lines.src, starts[t] + signed, stops[t]))
         except ValueError:  # past int()'s 4300 digits
             big[t] = 1 << 63
         if big[t] >= 1 << 63:
             culprit = t
             break
     if culprit < len(starts):
-        i = int(np.searchsorted(newlines, starts[culprit]))
-        tok = lines[i][1].split()[culprit - int(counts[:i].sum())]
-        raise FormatError(f"line {lines[i][0]}: bad {'' if signed else 'un'}"
-                          f"signed position {tok!r}")
+        i = int(np.searchsorted(first, culprit + first[0], "right")) - 1
+        token = _text(lines.src, starts[culprit], stops[culprit])
+        raise FormatError(f"line {lines.lineno[i]}: bad "
+                          f"{'' if signed else 'un'}signed position {token!r}")
+    if (counts != counts[:1]).any():
+        raise ParameterError(f"{what} #{int((counts != w).argmax())} "
+                             f"does not have weight {w}")
     values = np.zeros(len(starts), dtype=np.int64)
-    for k in range(min(int(length.max(initial=0)), 18)):  # Horner's rule
-        live = length > k
-        digit = buf.take(starts + (signed + k), mode="clip") - ord("0")
-        np.multiply(values, 10, out=values, where=live)
-        np.add(values, digit, out=values, where=live)
+    for k in range(min(int(length.max(initial=0)), 18)):  # k-th from last
+        digit = buf.take(stops - 1 - k, mode="clip") - np.int64(ord("0"))
+        values += digit * (length > k) * 10 ** k
     values[list(big)] = list(big.values())
-    return values, heads, counts
+    shape = (len(lines), int(counts[0]) if len(lines) else 0)
+    positions = values.reshape(shape)
+    signs = (np.where(heads == ord("-"), np.int8(-1), np.int8(1))
+             if signed else np.ones_like(heads, dtype=np.int8)).reshape(shape)
+    if (positions[:, 1:] < positions[:, :-1]).any():  # else already sorted
+        order = np.argsort(positions, axis=1, kind="stable")
+        positions, signs = (np.take_along_axis(positions, order, axis=1),
+                            np.take_along_axis(signs, order, axis=1))
+    return positions, signs
 
 
-def matrix_format(comments: list[tuple[int, str]],
-                  data: list[tuple[int, str]]) -> str | None:
+def matrix_format(comments: list[tuple[int, str]], data: Lines) -> str | None:
     """The matrix format of read_lines' (comments, data), else None: dense
     CSV if the first data line has a comma; else a support list if a
     '# n ...' comment (shaped 'n _ w ...' before a one-entry line, since
     '-1' is a CSV row too) precedes a first data line starting with '+'
     or '-' (or there is none); else dense CSV if that line has one entry.
     A code's bare 'n d w' header is none of these; other comments never count."""
-    lineno, line = data[0] if data else (float("inf"), "")
+    lineno, line = (data.lineno[0], data.line(0)) if len(data) else (
+        float("inf"), "")
     if "," in line:
         return "dense-csv"
     one = len(line.split()) == 1
-    if (not data or line[0] in "+-") and any(
+    if (not len(data) or line[0] in "+-") and any(
             at < lineno and body.startswith("n ")
             and (not one or body.split()[:3:2] == ["n", "w"])
             for at, body in comments):
@@ -233,23 +289,86 @@ def _parse_bound(token: str) -> Fraction:
     return Fraction(read_int(num), int(den or 1))
 
 
-def format_dense_csv(rows: np.ndarray) -> str:
-    """One CSV line of integers per row of the array."""
-    return "".join(",".join(str(int(v)) for v in row) + "\n" for row in rows)
+def format_dense_csv(n: int, positions: np.ndarray,
+                     signs: np.ndarray) -> bytes:
+    """The n x N matrix whose column j holds signs[j] on the rows
+    positions[j] as CSV, one line of -1/0/1 a row: every entry is a
+    digit and its separator, then a '-' goes before each -1."""
+    N = len(positions)
+    cells = np.empty((n, N, 2), dtype=np.uint8)
+    cells[...] = (ord("0"), ord(","))
+    cells[:, -1, 1] = ord("\n")
+    cells[positions, np.arange(N)[:, None], 0] = ord("1")
+    at = (positions * N + np.arange(N)[:, None])[signs < 0]
+    return np.insert(cells.reshape(-1), 2 * at, ord("-")).tobytes()
 
 
-def read_dense_csv(lines: list[tuple[int, str]]) -> np.ndarray:
-    """The rows of a dense CSV as an int64 array: entries are integers as
-    read_int reads them, in {-1, 0, 1}, and every row has as many."""
-    rows = []
-    for lineno, line in lines:
-        try:
-            row = [read_int(tok) for tok in line.split(",")]
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer entry") from None
-        if any(v not in (-1, 0, 1) for v in row):
-            raise FormatError(f"line {lineno}: entries must be in {{-1, 0, 1}}")
-        rows.append(row)
-    if len({len(r) for r in rows}) != 1:
+def read_dense_csv(lines: Lines) -> np.ndarray:
+    """The rows (one line or more) of a dense CSV as an int8 array: each
+    entry is read_int's, with int()'s blanks around and its digit limit,
+    in {-1, 0, 1}, and rows are as long; the first line with an entry
+    read_int refuses, else one out of range, is a FormatError, and only
+    then a length.  Two passes find the bytes other than '0' ',' and
+    those equal to the next; the grammar is checked at them and between
+    tokens.  Without blanks, '-' and digits after an entry's first (the
+    noise), a row reads 'd,d,...,d': a byte's column is half the other
+    bytes before it in its line, and '1' and '-' set entries' values."""
+    buf, first = lines.buf, lines.first
+    starts, stops = lines.starts[first[0]:first[-1]], lines.stops[
+        first[0]:first[-1]]
+    first, lo = first - first[0], starts[0]
+    r = buf[lo:stops[-1]]
+    begin, end = starts[first[:-1]] - lo, stops[first[1:] - 1] - lo  # lines
+    rare = np.flatnonzero((r != ord("0")) & (r != ord(",")))
+    kind, blank = r[rare], lines.blank[rare + lo]
+    digit = rare[kind - ord("1") < 9]
+    minus, ones = rare[kind == ord("-")], rare[kind == ord("1")]
+    pairs = np.flatnonzero(r[1:] == r[:-1])
+    near = r.take(minus - 1, mode="clip"), r.take(minus + 1, mode="clip")
+    cont = np.sort(np.concatenate((  # digits after a digit
+        pairs[r[pairs] == ord("0")] + 1,
+        digit[(digit > 0) & (r.take(digit - 1, mode="clip") - ord("0") < 10)],
+        digit[(digit + 1 < len(r))
+              & (r.take(digit + 1, mode="clip") == ord("0"))] + 1)))
+    runs = np.flatnonzero(np.diff(cont, prepend=-2) != 1)  # their starts
+    left = np.roll(buf[stops - 1], 1)
+    left[first[:-1]] = ord(",")
+    head = buf[starts]
+
+    def inside(at):  # the bytes at that are in the lines, and their lines
+        line = np.searchsorted(begin, at, "right") - 1
+        return at[at < end[line]], line[at < end[line]]
+    wrong = inside(np.concatenate((  # \x1f splits words, but not int()'s
+        rare[(~blank | (kind == 0x1f)) & (kind - ord("1") >= 9)
+             & (kind != ord("-"))],
+        pairs[r[pairs] == ord(",")],  # ',,', then '--' '1-' '-,'
+        minus[(minus > 0) & ((near[0] == ord("-"))
+                             | (near[0] - ord("0") < 10))
+              | (near[1] == ord(","))],
+        starts[((left == ord(",")) == (head == ord(",")))
+               | (left == ord("-"))] - lo,  # '1 1' ', ,' '- 1'
+        end[(r[end - 1] == ord(",")) | (r[end - 1] == ord("-"))] - 1,
+        cont[runs][np.diff(runs, append=len(cont))
+                   >= (sys.get_int_max_str_digits() or len(r))])))[1]
+    out = inside(np.concatenate((rare[kind - ord("2") < 8], ones[
+        (ones + 1 < len(r)) & (r.take(ones + 1, mode="clip") - ord("0") < 10)]
+    )))[1]
+    wrong, out = wrong.min(initial=len(lines)), out.min(initial=len(lines))
+    if min(wrong, out) < len(lines):
+        raise FormatError(f"line {lines.lineno[min(wrong, out)]}: " + (
+            "non-integer entry" if wrong <= out
+            else "entries must be in {-1, 0, 1}"))
+    noise = np.sort(np.concatenate((rare[blank], minus, cont)))
+    skip = np.searchsorted(noise, begin)
+    counts = (end - begin - np.searchsorted(noise, end) + skip + 1) // 2
+    if (counts != counts[0]).any():
         raise FormatError("rows have differing lengths")
-    return np.array(rows, dtype=np.int64)
+
+    def cell(at):  # (line, column) of the entries of the bytes at
+        at, line = inside(at)
+        return line, (at - begin[line] - np.searchsorted(noise, at)
+                      + skip[line]) // 2
+    rows = np.zeros((len(lines), counts[0]), dtype=np.int8)
+    rows[cell(ones)] = 1
+    rows[cell(minus)] *= -1
+    return rows

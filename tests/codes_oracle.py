@@ -9,7 +9,11 @@ search as a plain loop over such tuples with ternary_distance; the
 bit-mask search behind codes.greedy_binary and codes.greedy_ternary is
 checked against it.  parse_words is the position reader as a loop
 over the tokens of str.split(); textio.parse_words, which reads every
-line's bytes in one numpy pass, is checked against it.
+line's bytes in one numpy pass, is checked against it.  read_lines,
+read_dense_csv, format_words and format_dense_csv are the line splitter,
+the dense-CSV reader and the two writers as loops over lines, entries
+and words, on str; textio's byte-level versions are checked against
+them, and numbered turns textio.Lines into their (lineno, line) pairs.
 coset_code is the coset conversion as a sweep of all q^n vectors per
 subspace; designs.subspace_to_coset_code, which forms every coset in
 one array pass from complement representatives, is checked against it.
@@ -22,6 +26,7 @@ import numpy as np
 from cwsense.codes import CWCode, certify_binary
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.matrices import MeasurementMatrix
+from cwsense.textio import read_int
 
 
 def binary_distance(a, b, w: int) -> int:
@@ -118,6 +123,65 @@ def parse_words(lines, signed: bool, w: int, what: str = "word"):
     order = np.argsort(positions, axis=1, kind="stable")
     return (np.take_along_axis(positions, order, axis=1),
             np.take_along_axis(signs, order, axis=1))
+
+
+def read_lines(text: str):
+    """(provenance, comments, data) of a text, line by line: blank lines
+    dropped, '#' lines' bodies as comments but for '# provenance: <tag>'
+    (the last wins), the other stripped lines as data, each numbered."""
+    provenance = "ingested"
+    comments, data = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("provenance:"):
+                provenance = body[len("provenance:"):].strip()
+            else:
+                comments.append((lineno, body))
+        else:
+            data.append((lineno, line))
+    return provenance, comments, data
+
+
+def numbered(lines) -> list[tuple[int, str]]:
+    """textio.Lines as read_lines' (lineno, stripped line) pairs."""
+    return [(int(lineno), lines.line(i))
+            for i, lineno in enumerate(lines.lineno.tolist())]
+
+
+def read_dense_csv(lines):
+    """The rows of numbered dense-CSV lines, entry by entry with
+    read_int, as an int64 array."""
+    rows = []
+    for lineno, line in lines:
+        try:
+            row = [read_int(tok) for tok in line.split(",")]
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer entry") from None
+        if any(v not in (-1, 0, 1) for v in row):
+            raise FormatError(
+                f"line {lineno}: entries must be in {{-1, 0, 1}}")
+        rows.append(row)
+    if len({len(r) for r in rows}) != 1:
+        raise FormatError("rows have differing lengths")
+    return np.array(rows, dtype=np.int64)
+
+
+def format_words(provenance: str, header: str, positions, signs=None) -> str:
+    """A code, support-list or subspace file's text, word by word."""
+    words = [" ".join(("" if signs is None else "-" if s < 0 else "+")
+                      + str(p) for p, s in zip(row, srow))
+             for row, srow in zip(positions.tolist(), (
+                 positions if signs is None else signs).tolist())]
+    return "\n".join([f"# provenance: {provenance}", header, *words]) + "\n"
+
+
+def format_dense_csv(rows) -> str:
+    """One CSV line of integers per row of a 2-D array, entry by entry."""
+    return "".join(",".join(str(int(v)) for v in row) + "\n" for row in rows)
 
 
 COSET_CAP = 1 << 16  # largest q^n the sweep is run for

@@ -356,17 +356,17 @@ def test_graham_sloane_buckets_refused_before_enumerating(capsys):
 
 def test_dense_csv_write_refused_before_anything_is_written(
         capsys, tmp_path, monkeypatch):
-    # devore(31, 3): its 961 x 29791 float64 array fits the budget, the
-    # array with its CSV text does not
+    # devore(37, 3): its build fits the budget, its CSV text and the
+    # writer's two byte arrays (6 bytes an entry) do not
     monkeypatch.chdir(tmp_path)
-    assert run_cli("construct", "devore", "--p", "31", "--r", "3",
+    assert run_cli("construct", "devore", "--p", "37", "--r", "3",
                    "--matrix-format", "dense-csv",
                    "--emit-matrix", "big.csv") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "budget exceeded: writing a dense 961 x 29791 matrix as CSV needs "
-        "347430518 bytes, past the cap 268435456\n")
+        "budget exceeded: writing a dense 1369 x 50653 matrix as CSV needs "
+        "506089006 bytes, past the cap 268435456\n")
     assert list(tmp_path.iterdir()) == []
 
 

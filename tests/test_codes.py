@@ -282,8 +282,11 @@ def test_subset_path_admitted_like_tiles(monkeypatch):
 
 def test_read_lines_splits_comments_and_data():
     text = "# provenance: a\n\n# note\n1 2 3\n  # provenance: b \n4\n"
-    assert read_lines(text) == ("b", [(3, "note")], [(4, "1 2 3"), (6, "4")])
-    assert read_lines("") == ("ingested", [], [])
+    provenance, comments, data = read_lines(text)
+    assert (provenance, comments) == ("b", [(3, "note")])
+    assert codes_oracle.numbered(data) == [(4, "1 2 3"), (6, "4")]
+    provenance, comments, data = read_lines("")
+    assert (provenance, comments, len(data)) == ("ingested", [], 0)
 
 
 # -- validation -----------------------------------------------------------
@@ -768,8 +771,13 @@ def parsed(parse, lines, signed, w):
 @settings(max_examples=400, deadline=None)
 @given(position_lines())
 def test_parse_words_matches_token_loop(case):
-    got = parsed(parse_words, *case)
-    want = parsed(codes_oracle.parse_words, *case)
+    # the lines go through a text, row i on line 2i + 3, and each reader
+    # gets its own splitter's lines
+    lines, signed, w = case
+    text = "\n\n" + "".join(line + "\n\n" for _, line in lines)
+    got = parsed(parse_words, read_lines(text)[2], signed, w)
+    want = parsed(codes_oracle.parse_words,
+                  codes_oracle.read_lines(text)[2], signed, w)
     if isinstance(want[0], type):
         assert got == want
     else:
@@ -781,7 +789,10 @@ def test_parse_words_matches_token_loop(case):
 
 @pytest.mark.parametrize("loader, dumps", [
     (loads_code, dumps_code),
-    (loads_matrix, lambda code: dumps_matrix(from_code(code)))])
+    (loads_matrix, lambda code: dumps_matrix(from_code(code))),
+    pytest.param(loads_matrix, lambda code: dumps_matrix(from_code(code),
+                                                         "dense-csv"),
+                 id="loads_matrix-dense-csv")])
 def test_loading_memory_stays_proportional_to_text(loader, dumps):
     # STS(109): 1962 words of weight 3, the benchmark's largest files;
     # the reader's arrays are per token (int64) or per byte (1 byte)

@@ -137,6 +137,27 @@ def test_the_fork_warning_is_silenced(monkeypatch, two_cores):
 
 
 @needs_fork
+def test_a_fork_warning_of_any_text_is_silenced(monkeypatch, two_cores):
+    """The fork's DeprecationWarning is silenced by its category: were its
+    text to change, an error raised by os.fork after the child exists
+    would leave that child unreaped and its share lost."""
+    real_fork = os.fork
+
+    def warning_fork():
+        pid = real_fork()
+        if pid:
+            warnings.warn("fork() in a process with threads",
+                          DeprecationWarning)
+        return pid
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pool.share(fails_at, [((), i) for i in range(3)],
+                          [1] * 3) == [0, 1, 2]
+    assert_no_child_left()
+
+
+@needs_fork
 def test_units_run_on_one_blas_thread(monkeypatch, two_cores,
                                       two_blas_threads):
     """In this process and in forked children alike; the caller's count
