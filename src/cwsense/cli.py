@@ -57,10 +57,10 @@ CONSTRUCTIONS = {
     "greedy": (("n", "d", "w"), codes.greedy_binary),
     "ternary-greedy": (("n", "d", "w"), codes.greedy_ternary),
     "graham-sloane": (("n", "d", "w"), codes.graham_sloane_construct),
-    "sts": (("n",), lambda n: designs.steiner_to_code(designs.make_sts(n))),
+    "sts": (("n",), designs.make_sts),
     "affine": (("q",), designs.affine_plane_code),
-    "spread": (("q", "n", "k"), lambda q, n, k: designs.subspace_to_code(
-        designs.spread_code(q, n, k))),
+    "spread": (("q", "n", "k"),
+               lambda q, n, k: designs.spread_code(q, n, k).binary),
     "devore": (("p", "r"), matrices.devore),
 }
 

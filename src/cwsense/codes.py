@@ -108,15 +108,24 @@ def array_maxima(n: int, positions: np.ndarray,
     return _tile_maxima(n, positions, signs) if top is None else top
 
 
-def _next_subsets(subsets: np.ndarray, w: int) -> np.ndarray:
-    """The (s + 1)-subsets of range(w) in lexicographic order, one per
-    row with entries increasing, from the s-subsets (a C x s array);
-    each row is extended by every index past its last."""
-    last = subsets[:, -1] if subsets.shape[1] else np.full(len(subsets), -1)
-    counts = w - 1 - last
-    first = np.repeat(last + 1 - np.cumsum(counts) + counts, counts)
-    return np.column_stack((np.repeat(subsets, counts, axis=0),
-                            first + np.arange(counts.sum())))
+def _lex_supports(n: int, w: int) -> np.ndarray:
+    """The w-subsets of range(n) in lexicographic order, one a row of a
+    C(n, w) x w int64 array.  Row r has entries s_0 < ... < s_(w-1) with
+    C(n, w) - 1 - r = sum_i C(n - 1 - s_i, w - i), so each column is
+    decoded from the rows' remainders by one search in a table of
+    C(x, j) over x < n, j = w - i (capped at C(n, w), which no
+    remainder reaches)."""
+    count = math.comb(n, w)
+    tables = [np.ones(n, dtype=np.int64)]  # C(x, 0); then C(x, j) by Pascal
+    for _ in range(w):
+        tables.append(np.minimum(np.cumsum(tables[-1]) - tables[-1], count))
+    rest = np.arange(count - 1, -1, -1)
+    supports = np.empty((count, w), dtype=np.int64)
+    for i in range(w):
+        x = np.searchsorted(tables[w - i], rest, "right") - 1
+        rest -= tables[w - i][x]
+        supports[:, i] = n - 1 - x
+    return supports
 
 
 def _subset_maxima(n: int, positions: np.ndarray,
@@ -147,12 +156,12 @@ def _subset_maxima(n: int, positions: np.ndarray,
         return 0, 0
     signed = bool((signs < 0).any())
     tiles = 8 * n * min(N, 2 * PAIR_TILE)
-    overlap, subsets = 0, np.zeros((1, 0), dtype=np.int64)
+    overlap = 0
     for s in range(1, w + 1):
         if (8 * math.comb(w, s) * (2 * N + 3 * s) > tiles
                 or n ** s >= 1 << 62):
             return None
-        subsets = _next_subsets(subsets, w)
+        subsets = _lex_supports(w, s)
         keys = positions[:, subsets[:, 0]]
         for column in subsets.T[1:]:
             keys *= n
@@ -470,15 +479,18 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     more than dist/2 - 1 positions, which forces distance >= dist; the
     certification scan double-checks that and a failure would mean an
     implementation bug, so it raises RuntimeError rather than a
-    parameter error.  The largest of the q^(dist/2 - 1) buckets, at least
-    ceil(C(n, w) / q^(dist/2 - 1)) words, is admitted before any support
-    is enumerated, and so are the buckets' bytes, from tracemalloc peaks:
-    8w + 58 per support, 8m + 218 per bucket of m moments and 32m more
-    for q > 257; the chosen bucket, one int64 array once its tuples are
-    freed, is admitted with its certification at 8 (n + w) bytes a word.
-    Keys stop at w moments: for w < q Newton's identities make the first
-    w separate all supports (w = q leaves one), so each bucket holds one
-    and those w decide the smallest key.
+    parameter error.  Keys stop at w moments: for w < q Newton's
+    identities make the first w separate all supports (w = q leaves
+    one), so each bucket holds one and those w decide the smallest key.
+
+    The supports are enumerated once, into a C(n, w) x w int64 array in
+    lexicographic order (_lex_supports), their moments mod q are rows
+    of big-endian int32, one power at a time, and one np.unique over
+    the rows buckets them, keys sorted, so argmax takes the smallest of
+    the largest.  Admitted first: the certification of the largest of
+    the q^(dist/2 - 1) buckets, at least ceil(C(n, w) / q^(dist/2 - 1))
+    words, and the peak bytes of those arrays; then the chosen bucket
+    with its certification, at 8 (n + w) bytes a word.
     """
     _check_nwd(n, dist, w, even=True)
     count = _word_count(n, w, 0)
@@ -487,19 +499,30 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     d, m = dist // 2, min(dist // 2, w + 1) - 1
     admit(f"certifying the largest of {q}^{d - 1} buckets of C({n},{w})",
           8 * n * -(-count // power(q, d - 1)))
-    admit(f"bucketing C({n},{w}) supports by {m} moments mod {q}",
-          count * (8 * w + 58) + (1 << 16) + min(count, power(q, m))
-          * (8 * m + 218 + 32 * m * (q > 257)))
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for sup in combinations(range(n), w):
-        key = tuple(sum(pow(s, e, q) for s in sup) % q
-                    for e in range(1, m + 1))
-        buckets.setdefault(key, []).append(sup)
-    supports = buckets.pop(min(buckets, key=lambda k: (-len(buckets[k]), k)))
-    del buckets
-    admit(f"certifying a bucket of {len(supports)} supports",
-          8 * (n + w) * len(supports))
-    supports = np.array(supports, dtype=np.int64)  # frees the tuples
+    # _lex_supports' w + 1 tables of n int64 and 8 (w + 3) bytes a support
+    # (the supports, the remainders, two columns in flight), or np.unique's
+    # peak: the supports, three copies of the key rows (the keys, a flat and
+    # a sorted copy), 25 bytes a support for the order, mask and inverse,
+    # and width + 24 for each of at most min(C(n, w), q^m) distinct keys
+    width = 4 * max(m, 1)  # bytes a key row; m = 0: one zero key for all
+    admit(f"bucketing C({n},{w}) supports by {m} moments mod {q}", max(
+        8 * count * (w + 3) + 8 * (w + 1) * n,
+        count * (8 * w + 3 * width + 25)
+        + min(count, power(q, m)) * (width + 24)) + (1 << 16))
+    supports = _lex_supports(n, w)
+    # big-endian, so a key row's bytes sort as its moments do
+    keys = np.zeros((len(supports), width // 4), dtype=">i4")
+    power_of = np.ones(n, dtype=np.int64)  # s^e mod q, e = 1 .. m
+    for e in range(m):
+        power_of = power_of * np.arange(n) % q
+        keys[:, e] = sum(power_of[column] for column in supports.T) % q
+    bucket, sizes = np.unique(keys.view(f"V{width}")[:, 0],
+                              return_inverse=True, return_counts=True)[1:]
+    del keys
+    admit(f"certifying a bucket of {int(sizes.max())} supports",
+          8 * (n + w) * int(sizes.max()))
+    supports = supports[bucket == sizes.argmax()]
+    del bucket
     code = certify_binary(n, w, supports,
                           provenance=f"graham-sloane n={n} d={dist} w={w} q={q}")
     if len(code) >= 2 and code.d < dist:

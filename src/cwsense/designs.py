@@ -3,26 +3,27 @@
 Three families live here:
 
 * Steiner triple systems on n points (n = 1, 3 mod 6), built by the
-  quasigroup constructions over Z_m x {0, 1, 2}.  Their blocks form an
-  (n, 4, 3) code of n(n-1)/6 words.
+  quasigroup constructions over Z_m x {0, 1, 2}.  They are returned as
+  the (n, 4, 3) code of their n(n-1)/6 blocks (steiner_code).
 * Lines of the affine plane over GF(q): a (q^2, 2(q-1), q) code of
   q^2 + q words.
 * Constant-dimension subspace codes in GF(q)^n, in particular spreads,
-  together with two conversions into binary constant-weight codes (one
-  word per subspace, or one per proper coset: exactly N (q^(n-k) - 1)).
+  with two binary constant-weight codes: SubspaceCode.binary, one word
+  per subspace, and subspace_to_coset_code, one per proper coset
+  (exactly N (q^(n-k) - 1)).
 
 Designs are int64 arrays: N x 3 blocks, N x k x n subspace bases, all
 row-reduced at once.  Every derived code goes through the exhaustive
 distance certification in codes.py.  A subspace code is certified once,
 as the binary code of its nonzero points: subspaces meeting in q^dim
 points share q^dim - 1 nonzero ones, which gives the subspace distance
-exactly, and subspace_to_code returns that code.  So is a triple system:
+exactly, and SubspaceCode.binary is that code.  So is a triple system:
 n(n-1)/6 blocks meeting pairwise in at most one point cover every pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -35,36 +36,23 @@ from .field import (FiniteField, factor_prime_power, find_irreducible,
 
 # -- Steiner triple systems ----------------------------------------------
 
-@dataclass(eq=False)
-class SteinerTripleSystem:
-    """Blocks of size 3 on points {0..n-1}, every pair in exactly one.
-
-    blocks is an N x 3 int64 array, each row increasing; any array-like
-    of triples is taken and its rows sorted.  code is their certified
-    (n, 4, 3) code, whose inner <= 1 certifies the pair coverage.
-    """
-    n: int
-    blocks: np.ndarray
-    tag: str
-    code: CWCode = dc_field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = self.n
-        if len(self.blocks) != n * (n - 1) // 6:
-            raise ParameterError(f"STS({n}) has {n * (n - 1) // 6} blocks, "
-                                 f"got {len(self.blocks)}")
-        self.code = certify_binary(n, 3, self.blocks,
-                                   provenance=f"steiner-{self.tag} n={n}")
-        self.blocks = self.code.positions
-        if self.code.inner > 1:
-            raise ParameterError("two blocks cover the same pair of points")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
+def steiner_code(n: int, blocks, tag: str) -> CWCode:
+    """The certified (n, 4, 3) code of a Steiner triple system's blocks
+    on the points {0..n-1}: an array-like of n(n-1)/6 triples, each row
+    sorted here.  Its inner <= 1 certifies that every pair of points
+    lies in exactly one block (the single block of STS(3) gets the
+    sentinel distance n + 1)."""
+    if len(blocks) != n * (n - 1) // 6:
+        raise ParameterError(f"STS({n}) has {n * (n - 1) // 6} blocks, "
+                             f"got {len(blocks)}")
+    code = certify_binary(n, 3, blocks, provenance=f"steiner-{tag} n={n}")
+    if code.inner > 1:
+        raise ParameterError("two blocks cover the same pair of points")
+    return code
 
 
 def _quasigroup_sts(n: int, table: np.ndarray, heads: int, extra,
-                    tag: str) -> SteinerTripleSystem:
+                    tag: str) -> CWCode:
     """Blocks {3i, 3i + 1, 3i + 2} for i < heads, the extra blocks, then
     {3x + l, 3y + l, 3(x o y) + (l + 1) mod 3} for x < y (combinations
     order) and l = 0, 1, 2, x o y read from the quasigroup's table."""
@@ -72,12 +60,12 @@ def _quasigroup_sts(n: int, table: np.ndarray, heads: int, extra,
     level = np.arange(3)
     triples = np.stack([3 * x[:, None] + level, 3 * y[:, None] + level,
                         3 * table[x, y][:, None] + (level + 1) % 3], axis=2)
-    return SteinerTripleSystem(n, np.concatenate([
+    return steiner_code(n, np.concatenate([
         3 * np.arange(heads)[:, None] + level, *extra,
         triples.reshape(-1, 3)]), tag)
 
 
-def sts_bose(n: int) -> SteinerTripleSystem:
+def sts_bose(n: int) -> CWCode:
     """Bose construction for n = 3 mod 6.
 
     Points are Z_m x {0,1,2} with m = n/3 odd, indexed as 3*i + level.
@@ -92,7 +80,7 @@ def sts_bose(n: int) -> SteinerTripleSystem:
                            "bose")
 
 
-def sts_skolem(n: int) -> SteinerTripleSystem:
+def sts_skolem(n: int) -> CWCode:
     """Skolem construction for n = 1 mod 6.
 
     Points are Z_{2s} x {0,1,2} plus one extra point (index n-1), with
@@ -112,7 +100,7 @@ def sts_skolem(n: int) -> SteinerTripleSystem:
                            [np.stack(inf, axis=2).reshape(-1, 3)], "skolem")
 
 
-def make_sts(n: int) -> SteinerTripleSystem:
+def make_sts(n: int) -> CWCode:
     """Dispatch on the residue of n mod 6 (1 -> Skolem, 3 -> Bose)."""
     if n % 6 == 3:
         return sts_bose(n)
@@ -120,14 +108,6 @@ def make_sts(n: int) -> SteinerTripleSystem:
         return sts_skolem(n)
     raise ParameterError(
         f"a Steiner triple system needs n = 1 or 3 mod 6, got {n}")
-
-
-def steiner_to_code(sts: SteinerTripleSystem) -> CWCode:
-    """Blocks as supports: an (n, 4, 3) code of n(n-1)/6 words, sts.code.
-
-    Two blocks share at most one point, so the certified distance is 4
-    (the sentinel n + 1 for the degenerate single-block STS(3))."""
-    return sts.code
 
 
 # -- affine plane lines ---------------------------------------------------
@@ -298,18 +278,6 @@ def spread_code(q: int, n: int, k: int) -> SubspaceCode:
     if code.d != 2 * k:
         raise RuntimeError(f"spread members intersect: distance {code.d}")
     return code
-
-
-def subspace_to_code(code: SubspaceCode) -> CWCode:
-    """One word per subspace: the characteristic vector of its nonzero
-    points inside the q^n - 1 nonzero vectors of GF(q)^n.
-
-    Vectors are indexed by their base-q encoding minus one, so the
-    derived code has length q^n - 1 and weight q^k - 1.  Two subspaces
-    meeting only at zero give disjoint supports.  It is code.binary, the
-    code that certified the subspaces, not certified again.
-    """
-    return replace(code.binary, provenance=f"subspace {code.provenance}")
 
 
 def subspace_to_coset_code(code: SubspaceCode) -> CWCode:

@@ -201,10 +201,12 @@ def from_code(code: CWCode, seed: int | None = None) -> MeasurementMatrix:
 
 def devore_bytes(p: int, r: int) -> int:
     """Peak bytes of devore(p, r) and of the support list construct devore
-    writes: the build holds 12 per position (int64 positions, then int8
-    signs and up to three bool masks) and eight block-sized int64
-    temporaries; format_words, 56 per position and 120 per column."""
-    return 56 * power(p, r + 1) + 120 * power(p, r) + 64 * DEVORE_BLOCK
+    writes, 40 a position: the build holds 12 (int64 positions, then
+    int8 signs and up to three bool masks) and eight block-sized int64
+    temporaries; the write, the 9 of positions and signs and format_words'
+    26 + D (cells of D digits, sign and separator, three int64 digit
+    columns), D <= 5 the digits of p^2 - 1 for fewer than 7M positions."""
+    return 40 * power(p, r + 1) + 64 * DEVORE_BLOCK
 
 
 def devore(p: int, r: int) -> MeasurementMatrix:

@@ -25,11 +25,12 @@ FORMATS = ("support-list", "dense-csv")
 
 class _Narrow(dict):
     """str.translate's table to one byte a code point, so offsets index
-    the str: past ASCII, str.splitlines()' line ends become '\\n', other
-    str.split() blanks ' ', the rest '\\x80'."""
+    the str: past ASCII, str.splitlines()' line ends become '\\x1e' (a
+    line end that, unlike '\\n', makes no pair with a '\\r' before it),
+    other str.split() blanks ' ', the rest '\\x80'."""
     def __missing__(self, c: int):
         self[c] = c if c < 128 else "\x80" if not chr(c).isspace() else (
-            "\n" if len(f"a{chr(c)}b".splitlines()) == 2 else " ")
+            "\x1e" if len(f"a{chr(c)}b".splitlines()) == 2 else " ")
         return self[c]
 
 
@@ -65,9 +66,9 @@ def _text(src: str | bytes, a: int, b: int) -> str:
 
 class Lines:
     """Data lines as spans: line i is numbered lineno[i] and has the
-    str.split() tokens first[i]:first[i + 1] of starts/stops, offsets
-    into buf, the bytes of src (_NARROW's for a non-ASCII str); blank
-    marks the blanks in buf."""
+    str.split() tokens first[i]:first[i + 1] of starts/stops (first runs
+    from 0 to their length), offsets into buf, the bytes of src
+    (_NARROW's for a non-ASCII str); blank marks the blanks in buf."""
 
     __slots__ = ("src", "buf", "blank", "lineno", "first", "starts", "stops")
 
@@ -84,8 +85,9 @@ class Lines:
                      self.stops[self.first[i + 1] - 1])
 
     def tail(self) -> Lines:  # the lines after the first
+        k = self.first[1]
         return Lines(self.src, self.buf, self.blank, self.lineno[1:],
-                     self.first[1:], self.starts, self.stops)
+                     self.first[1:] - k, self.starts[k:], self.stops[k:])
 
 
 def read_lines(text: str | bytes) -> tuple[str, list[tuple[int, str]], Lines]:
@@ -189,8 +191,7 @@ def parse_words(lines: Lines, signed: bool, w: int,
     comment lines), digit columns from the last give the values, and
     int() those of 19 digits or more, keeping its limits."""
     buf, first = lines.buf, lines.first
-    starts, stops = lines.starts[first[0]:first[-1]], lines.stops[
-        first[0]:first[-1]]
+    starts, stops = lines.starts, lines.stops
     counts, heads = np.diff(first), buf[starts]
     length = stops - starts - signed  # digits
     culprit = len(starts)  # the first bad token, none yet
@@ -215,7 +216,7 @@ def parse_words(lines: Lines, signed: bool, w: int,
             culprit = t
             break
     if culprit < len(starts):
-        i = int(np.searchsorted(first, culprit + first[0], "right")) - 1
+        i = int(np.searchsorted(first, culprit, "right")) - 1
         token = _text(lines.src, starts[culprit], stops[culprit])
         raise FormatError(f"line {lines.lineno[i]}: bad "
                           f"{'' if signed else 'un'}signed position {token!r}")
@@ -314,9 +315,8 @@ def read_dense_csv(lines: Lines) -> np.ndarray:
     noise), a row reads 'd,d,...,d': a byte's column is half the other
     bytes before it in its line, and '1' and '-' set entries' values."""
     buf, first = lines.buf, lines.first
-    starts, stops = lines.starts[first[0]:first[-1]], lines.stops[
-        first[0]:first[-1]]
-    first, lo = first - first[0], starts[0]
+    starts, stops = lines.starts, lines.stops
+    lo = starts[0]
     r = buf[lo:stops[-1]]
     begin, end = starts[first[:-1]] - lo, stops[first[1:] - 1] - lo  # lines
     rare = np.flatnonzero((r != ord("0")) & (r != ord(",")))

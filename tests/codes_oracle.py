@@ -215,8 +215,10 @@ def coset_code(code) -> CWCode:
 
 
 def moment_bucket(n: int, dist: int, w: int, q: int):
-    """The largest moment bucket with full keys: every weight-w support
-    keyed by its dist/2 - 1 power sums mod q, ties to the smallest key."""
+    """The largest moment bucket with full keys, by the dict loop over
+    tuple supports that graham_sloane_construct's arrays replace: every
+    weight-w support keyed by its dist/2 - 1 power sums mod q, ties to
+    the smallest key."""
     buckets = {}
     for sup in combinations(range(n), w):
         key = tuple(sum(s ** e for s in sup) % q for e in range(1, dist // 2))

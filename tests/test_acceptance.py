@@ -64,11 +64,11 @@ def coherence_suite():
         expected = Fraction(1, q) if q >= 3 else None
         out.append((f"affine q={q}", matrices.from_code(code), expected))
     for n in (7, 9, 13, 15, 19, 21):
-        code = designs.steiner_to_code(designs.make_sts(n))
+        code = designs.make_sts(n)
         out.append((f"sts n={n}", matrices.from_code(code),
                     Fraction(1, 3)))
     for q, n, k in ((2, 4, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2)):
-        code = designs.subspace_to_code(designs.spread_code(q, n, k))
+        code = designs.spread_code(q, n, k).binary
         out.append((f"spread q={q} n={n} k={k}",
                     matrices.from_code(code), Fraction(0)))
     for n, dist, w in GREEDY_GRID:
@@ -245,7 +245,7 @@ def test_criterion_7_determinism(tmp_path, capsys):
             lambda: codes.dumps_code(codes.graham_sloane_construct(10, 4, 3)),
             lambda: codes.dumps_code(codes.greedy_ternary(6, 4, 3)),
             lambda: codes.dumps_code(
-                designs.steiner_to_code(designs.make_sts(9))),
+                designs.make_sts(9)),
             lambda: designs.dumps_subspace_code(designs.spread_code(2, 4, 2)),
             lambda: matrices.dumps_matrix(matrices.devore(3, 3)),
             lambda: matrices.dumps_matrix(matrices.devore(3, 3), "dense-csv"),
@@ -269,7 +269,7 @@ def test_criterion_7_determinism(tmp_path, capsys):
 
         # experiments repeat exactly apart from wall-clock seconds
         matrix = matrices.from_code(
-            designs.subspace_to_code(designs.spread_code(2, 4, 2)))
+            designs.spread_code(2, 4, 2).binary)
         runs = [recovery.run_experiment(matrix, [1, 2, 3], trials=25, seed=9)
                 for _ in range(2)]
         strip = lambda text: ["," .join(line.split(",")[:-1])
@@ -292,7 +292,7 @@ def test_criterion_8_float_oracle(capsys):
     with gate(8, capsys) as outcome:
         bases = [
             codes.greedy_binary(12, 4, 4),
-            designs.steiner_to_code(designs.make_sts(21)),
+            designs.make_sts(21),
             designs.affine_plane_code(7),
             codes.graham_sloane_construct(10, 4, 3),
             codes.greedy_binary(10, 2, 2),

@@ -18,8 +18,7 @@ from cwsense import cli
 from cwsense.codes import (dumps_code, gilbert_bound, greedy_ternary,
                            load_code, loads_code)
 from cwsense.designs import (dumps_subspace_code, loads_subspace_code,
-                             make_sts, spread_code, steiner_to_code,
-                             subspace_to_code)
+                             make_sts, spread_code)
 from cwsense.errors import FormatError
 from cwsense.matrices import dumps_matrix, from_code, loads_matrix, save_matrix
 from cwsense.recovery import CSV_HEADER, RecoveryReport
@@ -35,7 +34,7 @@ def sha256(data):
 
 @pytest.fixture()
 def spread_matrix_file(tmp_path):
-    matrix = from_code(subspace_to_code(spread_code(2, 4, 2)))
+    matrix = from_code(spread_code(2, 4, 2).binary)
     path = tmp_path / "spread.matrix"
     save_matrix(matrix, path)
     return path
@@ -314,7 +313,7 @@ def test_devore_byte_budget_refuses_before_the_build(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("budget exceeded: building devore(997, 2) needs "
-                            "55620985872 bytes, past the cap 268435456\n")
+                            "39645273224 bytes, past the cap 268435456\n")
 
 
 @pytest.mark.parametrize("argv,code,err", [
@@ -342,7 +341,7 @@ def test_huge_values_end_at_once(argv, code, err, capsys):
 
 
 def test_graham_sloane_buckets_refused_before_enumerating(capsys):
-    # about 3.8M supports in 41^5 buckets would hold over 1 GB
+    # about 3.8M supports with their 5-moment keys would hold 680 MB
     start = time.perf_counter()
     assert run_cli("construct", "graham-sloane", "--n", "40", "--d", "12",
                    "--w", "6") == 3
@@ -351,7 +350,7 @@ def test_graham_sloane_buckets_refused_before_enumerating(capsys):
     assert captured.out == ""
     assert captured.err == (
         "budget exceeded: bucketing C(40,6) supports by 5 moments mod 41 "
-        "needs 1397235856 bytes, past the cap 268435456\n")
+        "needs 679458796 bytes, past the cap 268435456\n")
 
 
 def test_dense_csv_write_refused_before_anything_is_written(
@@ -549,8 +548,8 @@ def test_no_certification_scans_for_repeats(capsys, tmp_path, monkeypatch):
     spread = spread_code(2, 4, 2)
     built = [codes.greedy_binary(8, 4, 3), greedy_ternary(6, 3, 2),
              codes.graham_sloane_construct(10, 4, 3),
-             steiner_to_code(make_sts(13)), designs.affine_plane_code(4),
-             subspace_to_code(spread), designs.subspace_to_coset_code(spread)]
+             make_sts(13), designs.affine_plane_code(4),
+             spread.binary, designs.subspace_to_coset_code(spread)]
     assert [code.d for code in built] == [4, 3, 4, 4, 6, 6, 6]
     for code in built[:2]:  # a binary and a ternary code file
         path = tmp_path / "c.code"
@@ -617,9 +616,9 @@ def analyze_output(path):
 
 
 FREE_COMMENT_SOURCES = {
-    "binary.code": dumps_code(steiner_to_code(make_sts(7))),
+    "binary.code": dumps_code(make_sts(7)),
     "ternary.code": dumps_code(greedy_ternary(5, 3, 2)),
-    "sts7.csv": dumps_matrix(from_code(steiner_to_code(make_sts(7))),
+    "sts7.csv": dumps_matrix(from_code(make_sts(7)),
                              "dense-csv"),
 }
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import codes_oracle
 from codes_oracle import (arrays_of, binary_distance, code_of, greedy_words,
@@ -571,12 +571,29 @@ def test_graham_sloane_keys_stop_at_w_moments(n):
             assert code.provenance == f"graham-sloane n={n} d={dist} w={w} q={q}"
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 10), st.integers(1, 12))
+@example(5, 2, 2)   # m = 1: five buckets of two, tied
+@example(6, 3, 1)   # m = 0: one bucket of every support
+@example(6, 3, 4)   # m = w: one support a bucket, all tied
+def test_graham_sloane_matches_the_bucket_loop(n, w, half):
+    """The array buckets pick the words of the dict loop over tuple
+    supports (codes_oracle.moment_bucket, every dist/2 - 1 moment) for
+    n <= 10, every w and dist = 2 half up to 2w + 4, ties to the
+    smallest key."""
+    assume(w <= n and half <= w + 2)
+    q = graham_sloane_bound(n, 2 * half, w).params["q"]
+    code = graham_sloane_construct(n, 2 * half, w)
+    assert code.positions.tolist() == moment_bucket(n, 2 * half, w, q)
+
+
 def test_graham_sloane_refuses_its_bucket_before_enumerating(monkeypatch):
     # C(100, 4) supports in one bucket (dist 2) would need 3.1 GB to
     # certify: refused before the first support
     def no_supports(*args):
         raise AssertionError("a support was enumerated")
     monkeypatch.setattr(codes, "combinations", no_supports)
+    monkeypatch.setattr(codes, "_lex_supports", no_supports)
     with pytest.raises(BudgetError, match="past the cap"):
         graham_sloane_construct(100, 2, 4)
 
@@ -796,7 +813,7 @@ def test_parse_words_matches_token_loop(case):
 def test_loading_memory_stays_proportional_to_text(loader, dumps):
     # STS(109): 1962 words of weight 3, the benchmark's largest files;
     # the reader's arrays are per token (int64) or per byte (1 byte)
-    text = dumps(designs.steiner_to_code(designs.make_sts(109)))
+    text = dumps(designs.make_sts(109))
     loader(text)  # numpy's one-time set-up is not the reader's
     tracemalloc.start()
     try:

@@ -13,12 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 from codes_oracle import coset_code, words_of
 from cwsense import codes, designs
 from cwsense.codes import dumps_code
-from cwsense.designs import (SteinerTripleSystem, _rref, affine_plane_code,
-                             certify_subspace_code, dumps_subspace_code,
-                             load_subspace_code, loads_subspace_code,
-                             make_sts, save_subspace_code, spread_code,
-                             steiner_to_code, sts_bose, sts_skolem,
-                             subspace_to_code, subspace_to_coset_code)
+from cwsense.designs import (_rref, affine_plane_code, certify_subspace_code,
+                             dumps_subspace_code, load_subspace_code,
+                             loads_subspace_code, make_sts,
+                             save_subspace_code, spread_code, steiner_code,
+                             sts_bose, sts_skolem, subspace_to_coset_code)
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.field import (FiniteField, factor_prime_power, find_irreducible,
                            make_field)
@@ -27,22 +26,23 @@ from field_oracle import elements, from_encoding, rref, vector_encoding
 
 # -- Steiner triple systems -------------------------------------------------
 
+STS_TAG = {1: "skolem", 3: "bose"}  # by n mod 6
+
 @pytest.mark.parametrize("n,blocks", [
     (7, 7), (9, 12), (13, 26), (15, 35), (19, 57), (21, 70),
 ])
 def test_sts_block_counts(n, blocks):
-    sts = make_sts(n)
-    assert len(sts) == blocks
-    assert sts.tag == ("bose" if n % 6 == 3 else "skolem")
+    code = make_sts(n)
+    assert len(code) == blocks
+    assert code.provenance == f"steiner-{STS_TAG[n % 6]} n={n}"
 
 
 def test_sts_constructor_checks_pair_coverage():
-    # The dataclass revalidates everything, so a tampered block list fails.
-    good = make_sts(9)
-    bad = [list(b) for b in good.blocks]
+    # steiner_code certifies any block list, so a tampered one fails.
+    bad = [list(b) for b in make_sts(9).positions]
     bad[0] = (0, 1, 3)
     with pytest.raises(ParameterError):
-        SteinerTripleSystem(9, [tuple(b) for b in bad], "tampered")
+        steiner_code(9, [tuple(b) for b in bad], "tampered")
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,7 +52,7 @@ def test_sts_pair_check_matches_pair_set_oracle(n, data):
     points swapped is accepted exactly when a brute-force pair count
     finds three distinct points in [0, n) per block and every pair of
     points in exactly one block."""
-    blocks = make_sts(n).blocks.tolist()
+    blocks = make_sts(n).positions.tolist()
     index = st.tuples(st.integers(0, len(blocks) - 1), st.integers(0, 2))
     (i, j), (i2, j2) = data.draw(index), data.draw(index)
     if data.draw(st.booleans(), label="move"):
@@ -66,11 +66,11 @@ def test_sts_pair_check_matches_pair_set_oracle(n, data):
              and set(counts.values()) == {1}
              and len(counts) == n * (n - 1) // 2)
     if valid:
-        sts = SteinerTripleSystem(n, blocks, "tampered")
-        assert sts.blocks.tolist() == [sorted(b) for b in blocks]
+        code = steiner_code(n, blocks, "tampered")
+        assert code.positions.tolist() == [sorted(b) for b in blocks]
     else:
         with pytest.raises(ParameterError):
-            SteinerTripleSystem(n, blocks, "tampered")
+            steiner_code(n, blocks, "tampered")
 
 
 @pytest.mark.parametrize("n", [5, 8, 11, 6, 0])
@@ -80,15 +80,15 @@ def test_sts_wrong_residues_rejected(n):
 
 
 def test_sts_dispatch_matches_direct_constructors():
-    assert np.array_equal(make_sts(9).blocks, sts_bose(9).blocks)
-    assert np.array_equal(make_sts(13).blocks, sts_skolem(13).blocks)
+    assert np.array_equal(make_sts(9).positions, sts_bose(9).positions)
+    assert np.array_equal(make_sts(13).positions, sts_skolem(13).positions)
     with pytest.raises(ParameterError):
         sts_bose(13)
     with pytest.raises(ParameterError):
         sts_skolem(9)
 
 
-# sha256 of dumps_code(steiner_to_code(make_sts(n))): the blocks, their
+# sha256 of dumps_code(make_sts(n)): the blocks, their
 # order and so the files must not drift when the constructions change
 # (Bose for n = 3 mod 6, Skolem for n = 1 mod 6).
 STS_DIGESTS = {
@@ -103,18 +103,18 @@ STS_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(STS_DIGESTS))
 def test_sts_code_file_digest_frozen(n):
-    text = dumps_code(steiner_to_code(make_sts(n)))
+    text = dumps_code(make_sts(n))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == STS_DIGESTS[n]
 
 
 def test_steiner_code_parameters():
-    code = steiner_to_code(make_sts(9))
+    code = make_sts(9)
     assert (code.n, code.w, code.d, len(code)) == (9, 3, 4, 12)
     assert code.provenance == "steiner-bose n=9"
 
 
 def test_steiner_code_degenerate_three_points():
-    code = steiner_to_code(make_sts(3))
+    code = make_sts(3)
     assert len(code) == 1 and code.d == 4  # sentinel n + 1
 
 
@@ -129,22 +129,20 @@ def test_steiner_code_runs_the_kernel_once(monkeypatch, n):
     for module in (codes, designs):  # every name it is bound to
         if hasattr(module, "array_maxima"):
             monkeypatch.setattr(module, "array_maxima", counted)
-    sts = make_sts(n)
-    code = steiner_to_code(sts)
+    code = make_sts(n)
     assert calls == [n]
-    assert code is sts.code and code.positions is sts.blocks
-    assert code.provenance == f"steiner-{sts.tag} n={n}"
+    assert code.provenance == f"steiner-{STS_TAG[n % 6]} n={n}"
 
 
 def test_sts_refuses_a_pair_covered_twice():
     # (0, 1, 3) in place of (0, 3, 7) shares (0, 1) with (0, 1, 2)
-    blocks = make_sts(9).blocks.tolist()
+    blocks = make_sts(9).positions.tolist()
     blocks[blocks.index([0, 3, 7])] = [0, 1, 3]
     with pytest.raises(ParameterError,
                        match="^two blocks cover the same pair of points$"):
-        SteinerTripleSystem(9, blocks, "tampered")
+        steiner_code(9, blocks, "tampered")
     with pytest.raises(ParameterError, match="^STS.9. has 12 blocks, got 11$"):
-        SteinerTripleSystem(9, blocks[1:], "tampered")
+        steiner_code(9, blocks[1:], "tampered")
 
 
 # -- affine planes ------------------------------------------------------------
@@ -257,7 +255,7 @@ def test_spread_memory_budget_before_enumeration():
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2)])
 def test_spread_code_words_partition_nonzero_vectors(q, n, k):
-    code = subspace_to_code(spread_code(q, n, k))
+    code = spread_code(q, n, k).binary
     assert (code.n, code.w) == (q ** n - 1, q ** k - 1)
     covered = [pos for word in words_of(code) for pos, _ in word]
     assert sorted(covered) == list(range(q ** n - 1))  # each exactly once
@@ -290,10 +288,8 @@ def test_spread_and_its_binary_code_run_the_kernel_once(monkeypatch, q, n, k):
     for module in (codes, designs):  # every name it is bound to
         if hasattr(module, "array_maxima"):
             monkeypatch.setattr(module, "array_maxima", counted)
-    spread = spread_code(q, n, k)
-    code = subspace_to_code(spread)
+    code = spread_code(q, n, k).binary
     assert calls == [q ** n - 1]
-    assert code is not spread.binary  # its own provenance, same words
     assert code.provenance == f"subspace spread q={q} n={n} k={k}"
     assert (code.n, code.w, code.d) == (q ** n - 1, q ** k - 1, 2 * code.w)
 

@@ -26,7 +26,7 @@ import pytest
 from cwsense import cli
 from cwsense.codes import dumps_code, greedy_ternary
 from cwsense.designs import (dumps_subspace_code, loads_subspace_code,
-                             make_sts, spread_code, steiner_to_code)
+                             make_sts, spread_code)
 from cwsense.errors import BudgetError, FormatError
 from cwsense.matrices import dumps_matrix, from_code
 
@@ -36,12 +36,12 @@ ALPHABET = b"0123456789 +-,#:\n\r\t_x."
 
 
 def sources():
-    sts9 = steiner_to_code(make_sts(9))
+    sts9 = make_sts(9)
     return {
         "code": dumps_code(sts9),
         "ternary": dumps_code(greedy_ternary(5, 3, 2)),
         "support-list": dumps_matrix(from_code(sts9), "support-list"),
-        "dense-csv": dumps_matrix(from_code(steiner_to_code(make_sts(7))),
+        "dense-csv": dumps_matrix(from_code(make_sts(7)),
                                   "dense-csv"),
         "subspace-2": dumps_subspace_code(spread_code(2, 4, 2)),
         "subspace-3": dumps_subspace_code(spread_code(3, 4, 2)),

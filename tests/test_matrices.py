@@ -14,8 +14,7 @@ from cwsense import cli, matrices
 from cwsense.codes import (CWCode, array_maxima, certify_binary,
                            dumps_code, greedy_binary, greedy_ternary,
                            loads_code)
-from cwsense.designs import (SteinerTripleSystem, make_sts,
-                             steiner_to_code)
+from cwsense.designs import make_sts, steiner_code
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.field import factor_prime_power, make_field
 from cwsense.matrices import (MeasurementMatrix, coherence, devore,
@@ -135,7 +134,7 @@ def test_low_weight_certification_takes_no_products(monkeypatch):
         entered.append(n)
         return real(n, positions, signs)
     monkeypatch.setattr(codes, "_tile_maxima", tiles)
-    code = steiner_to_code(make_sts(109))
+    code = make_sts(109)
     text = dumps_matrix(from_code(code))
     tracemalloc.start()
     try:
@@ -146,10 +145,10 @@ def test_low_weight_certification_takes_no_products(monkeypatch):
     # a few key arrays of 3N int64 entries, under one word tile's floats
     assert peak < 8 * codes.PAIR_TILE * code.n
     assert coherence(loads_matrix(text)).mu == Fraction(1, 3)
-    sts = SteinerTripleSystem(97, cyclic_sts_blocks(97), "cyclic")
+    blocks = steiner_code(97, cyclic_sts_blocks(97), "cyclic").positions
     rng = np.random.default_rng(0)
-    signed = CWCode(97, 3, 4, sts.blocks, 1 - 2 * rng.integers(
-        0, 2, sts.blocks.shape, dtype=np.int8), signed=True)
+    signed = CWCode(97, 3, 4, blocks, 1 - 2 * rng.integers(
+        0, 2, blocks.shape, dtype=np.int8), signed=True)
     ternary = loads_code(dumps_code(signed))
     assert (ternary.d, ternary.inner) == (4, 1)
     assert entered == []
@@ -166,7 +165,7 @@ def test_lying_bound_header_raises():
 
 
 def test_bound_header_is_certified_at_load():
-    text = dumps_matrix(from_code(steiner_to_code(make_sts(9))))
+    text = dumps_matrix(from_code(make_sts(9)))
     assert "bound 1/3" in text
     assert loads_matrix(text)._mu == Fraction(1, 3)  # certified and cached
     # exponent and decimal forms are refused outright, even where the
@@ -195,7 +194,7 @@ def test_binary_code_matrix_bound():
 
 
 def test_signed_matrix_is_deterministic():
-    code = steiner_to_code(make_sts(9))
+    code = make_sts(9)
     a = from_code(code, seed=3)
     b = from_code(code, seed=3)
     assert words_of(a) == words_of(b)
@@ -205,7 +204,7 @@ def test_signed_matrix_is_deterministic():
 
 
 def test_signed_matrix_keeps_unsigned_bound_and_coherence_holds():
-    code = steiner_to_code(make_sts(9))
+    code = make_sts(9)
     plain = from_code(code)
     for seed in range(5):
         signed = from_code(code, seed=seed)
@@ -231,14 +230,14 @@ SIGNED_DIGESTS = {
 @pytest.mark.parametrize("name,seed", sorted(SIGNED_DIGESTS))
 def test_signed_matrix_bytes_pinned(name, seed):
     code = (greedy_binary(9, 4, 3) if name == "greedy"
-            else steiner_to_code(make_sts(31)))
+            else make_sts(31))
     text = dumps_matrix(from_code(code, seed=seed))
     assert hashlib.sha256(text.encode()).hexdigest() == SIGNED_DIGESTS[name,
                                                                        seed]
 
 
 def test_signed_rejects_negative_seed():
-    code = steiner_to_code(make_sts(9))
+    code = make_sts(9)
     with pytest.raises(ParameterError):
         from_code(code, seed=-1)
 
@@ -347,7 +346,7 @@ def test_measurement_matrix_rejections():
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_round_trip_is_byte_idempotent(fmt, tmp_path):
     for matrix in (devore(3, 2),
-                   from_code(steiner_to_code(make_sts(9)), seed=3),
+                   from_code(make_sts(9), seed=3),
                    from_code(greedy_ternary(6, 4, 3))):
         text = dumps_matrix(matrix, fmt)
         again = dumps_matrix(loads_matrix(text), fmt)
@@ -498,7 +497,7 @@ def test_support_list_header_is_n_w_bound_once(header, line):
 
 def test_float_oracle_agrees_on_small_cases():
     for matrix in (fano_matrix(), devore(5, 2),
-                   from_code(steiner_to_code(make_sts(13)), seed=1)):
+                   from_code(make_sts(13), seed=1)):
         exact = coherence(matrix).mu
         a = matrix.to_dense() / np.sqrt(matrix.w)
         gram = np.abs(a.T @ a)
@@ -577,7 +576,7 @@ def test_devore_with_its_write_peaks_within_its_budget_estimate(
 
 @pytest.mark.parametrize("make", [
     lambda: devore(13, 3), lambda: devore(17, 3), lambda: devore(2, 2),
-    lambda: from_code(steiner_to_code(make_sts(99)), seed=3),
+    lambda: from_code(make_sts(99), seed=3),
     lambda: from_code(greedy_ternary(9, 4, 3)),
 ])
 def test_dense_csv_write_peaks_within_its_admission(make, monkeypatch):

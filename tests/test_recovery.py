@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cwsense import pool, recovery
-from cwsense.designs import spread_code, subspace_to_code
+from cwsense.designs import spread_code
 from cwsense.errors import ParameterError
 from cwsense.matrices import devore, from_code
 from cwsense.recovery import (CSV_HEADER, VALUE_MODELS, RecoveryReport, omp,
@@ -16,7 +16,7 @@ from recovery_oracle import exact_recovery, gen_sparse, measure, to_dense
 
 def spread_matrix():
     # 15 x 5, pairwise disjoint supports, coherence 0
-    return from_code(subspace_to_code(spread_code(2, 4, 2)))
+    return from_code(spread_code(2, 4, 2).binary)
 
 
 # -- gen_sparse -----------------------------------------------------------------
@@ -278,7 +278,7 @@ def test_one_blas_thread_gives_the_same_bits(monkeypatch, two_blas_threads,
     def fields(reports):
         return [(r.k, r.successes, r.max_support_err, r.max_value_err.hex(),
                  r.max_residual.hex()) for r in reports]
-    matrix = from_code(subspace_to_code(spread_code(2, 8, 2)))
+    matrix = from_code(spread_code(2, 8, 2).binary)
     one = fields(run_experiment(matrix, range(1, 6), trials=60, model=model,
                                 seed=3))
     monkeypatch.setattr(pool, "_blas_threads", lambda: None)

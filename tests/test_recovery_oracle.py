@@ -20,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 import recovery_oracle as oracle
 from cwsense import pool, recovery
 from cwsense.codes import greedy_binary
-from cwsense.designs import (make_sts, spread_code, steiner_to_code,
-                             subspace_to_code)
+from cwsense.designs import make_sts, spread_code
 from cwsense.matrices import (MeasurementMatrix, devore, dumps_matrix,
                               from_code, loads_matrix)
 
@@ -40,8 +39,8 @@ def repeated_columns():
 MATRICES = {
     "devore73": lambda: devore(7, 3),
     "signed-greedy": lambda: from_code(greedy_binary(12, 4, 3), seed=7),
-    "sts21": lambda: from_code(steiner_to_code(make_sts(21))),
-    "spread": lambda: from_code(subspace_to_code(spread_code(2, 6, 2))),
+    "sts21": lambda: from_code(make_sts(21)),
+    "spread": lambda: from_code(spread_code(2, 6, 2).binary),
     "repeated": repeated_columns,
 }
 # (tol, k_max, trials); the repeated-columns matrix runs to k = n on

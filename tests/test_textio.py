@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import codes_oracle
 from cwsense import textio
@@ -91,8 +91,11 @@ def split(text):
     return data, old[2]
 
 
+# a '\r' before a line end past ASCII ends a line of its own
 @settings(max_examples=500, deadline=None)
 @given(texts(position_rows), st.booleans())
+@example("0\n\r\x850\n", False)
+@example("\r\x850\n", True)
 def test_read_lines_and_positions_match_the_line_loop(text, signed):
     data, old = split(text)
     w = len(old[0][1].split()) if old else 1
@@ -102,6 +105,8 @@ def test_read_lines_and_positions_match_the_line_loop(text, signed):
 
 @settings(max_examples=1000, deadline=None)
 @given(texts(dense_rows))
+@example("0\n\r\x850\n")
+@example("\r\x850\n")
 def test_dense_csv_matches_the_entry_loop(text):
     data, old = split(text)
     if old:  # a matrix file has a data line
