@@ -9,8 +9,8 @@ the file syntax and the coherence bound a matrix inherits.  Every code
 object carries a certified minimum distance d (and max |inner product|,
 CWCode.inner) recomputed over every pair of its words by array_maxima
 (shared with matrices and designs), never taken on trust from a header
-or a construction argument.  array_maxima admits the words at their
-dense size, 8 n N bytes (errors.admit), then answers on one of two exact
+or a construction argument.  array_maxima admits the larger of 8 n N
+bytes and its tiles' (errors.admit), then answers on one of two exact
 paths.  The subset path sorts int64 keys of each word's s-subsets of
 positions: two words share at least s positions exactly when they share
 an s-subset, so the largest overlap is s - 1 at the first s without a
@@ -95,15 +95,18 @@ def array_maxima(n: int, positions: np.ndarray,
     G = S - 2D and distance 2(w - S) + D.  For words without a -1 sign
     S = G, so the second value is 2 max G.
 
-    The words are admitted first, at 8 n N bytes (their dense float64
-    size), whichever path answers, so both refuse the same inputs.
+    The words are admitted first, whichever path answers, so both
+    refuse the same inputs: at 8 n N bytes (their dense float64 size),
+    or at the arrays _tile_maxima holds if that is more.
     _subset_maxima finds the largest S from sorted integer keys for
     words without a -1 sign and for signed words with S <= 1; other
     signed words, and words whose keys would take more memory than the
     word tiles or pass int64, go to the float64 tiles of _tile_maxima.
     """
-    admit(f"certifying {len(positions)} words of length {n}",
-          8 * n * len(positions))
+    N, w = positions.shape
+    t, signed = min(N, PAIR_TILE), bool((signs < 0).any())
+    admit(f"certifying {N} words of length {n}", max(8 * n * N, 8 * (
+        n * min(N, 2 * t) + 2 * t * w + (1 + signed) * t * t)))
     top = _subset_maxima(n, positions, signs)
     return _tile_maxima(n, positions, signs) if top is None else top
 
@@ -188,34 +191,42 @@ def _tile_maxima(n: int, positions: np.ndarray,
 
     Scatters PAIR_TILE words at a time into a word-major float64 tile
     for BLAS, exact in any summation order as every partial sum is an
-    integer of magnitude at most n < 2^53; at most two tiles of words
-    are held at once and no n x N or N x N array is allocated.  For
-    words without a -1 sign the support overlaps are not formed.
+    integer of magnitude at most n < 2^53.  Two tiles of words and
+    their product (and for signed words the overlaps' product, from the
+    tiles made absolute in place) are allocated once for all pairs; one
+    tile's scatter (its indices and values) is the only other array, no
+    n x N or N x N one.  Words without a -1 sign skip the overlaps.
     """
     N, T = len(positions), PAIR_TILE
     signed = bool((signs < 0).any())
+    rows = np.empty((min(N, 2 * T), n))  # two tiles, allocated once
+    products = np.empty((1 + signed, min(N, T) ** 2))  # G, then 3S + G
 
-    def tile(i0):  # words i0 .. i0 + T - 1
-        t = np.zeros((min(T, N - i0), n))
+    def tile(i0, at):  # words i0 .. i0 + T - 1 into rows at ..
+        t = rows[at:at + min(T, N - i0)]
+        t[:] = 0
         t[np.arange(len(t))[:, None], positions[i0:i0 + T]] = signs[i0:i0 + T]
         return t
 
     top_g = top_s = 0
     for i0 in range(0, N, T):
-        a = tile(i0)
+        a = tile(i0, 0)
         for j0 in range(i0, N, T):
-            b = a if i0 == j0 else tile(j0)
-            g = a @ b.T
+            b = a if i0 == j0 else tile(j0, T)
+            g = products[0, :len(a) * len(b)].reshape(len(a), len(b))
+            np.matmul(a, b.T, out=g)
             if i0 == j0:  # a symmetric tile: drop the diagonal, i != j
                 np.fill_diagonal(g, 0)
             top_g = max(top_g, int(g.max()), int(-g.min()))
-            if signed:  # the supports' overlaps
-                s = np.abs(a) @ np.abs(b).T
+            if signed:  # the supports' overlaps, from absolute tiles
+                s = products[1, :g.size].reshape(g.shape)
+                np.matmul(np.abs(a, out=a), np.abs(b, out=b).T, out=s)
                 if i0 == j0:
                     np.fill_diagonal(s, 0)
                 s *= 3
                 s += g
                 top_s = max(top_s, int(s.max()))
+                a = tile(i0, 0)  # its signs back
     return top_g, top_s // 2 if signed else 2 * top_g
 
 

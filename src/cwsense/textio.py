@@ -6,13 +6,12 @@ as its bytes do.  Code and subspace files have an 'n d w' or 'q n k d'
 header (read_header), then a word a line, bare ('3 7 9') or signed
 ('+3 -7 +9'): parse_words, format_words.  Matrix FORMATS (matrix_format):
 'support-list', signed columns under a '# n <n> w <w> [bound <fraction>]'
-comment, and 'dense-csv', {-1, 0, 1} rows: read_dense_csv,
-format_dense_csv.
+comment, and 'dense-csv', {-1, 0, 1} rows: format_dense_csv, and
+read_dense_csv, canonical lines at their rare bytes, others by read_int.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -306,69 +305,57 @@ def format_dense_csv(n: int, positions: np.ndarray,
 
 def read_dense_csv(lines: Lines) -> np.ndarray:
     """The rows (one line or more) of a dense CSV as an int8 array: each
-    entry is read_int's, with int()'s blanks around and its digit limit,
-    in {-1, 0, 1}, and rows are as long; the first line with an entry
-    read_int refuses, else one out of range, is a FormatError, and only
-    then a length.  Two passes find the bytes other than '0' ',' and
-    those equal to the next; the grammar is checked at them and between
-    tokens.  Without blanks, '-' and digits after an entry's first (the
-    noise), a row reads 'd,d,...,d': a byte's column is half the other
-    bytes before it in its line, and '1' and '-' set entries' values."""
+    entry is read_int's, in {-1, 0, 1}, and rows are as long; the first
+    line with an entry read_int refuses, else one out of range, is a
+    FormatError, and only then a length.  A canonical line (one token of
+    0, 1, -1 between single commas, as format_dense_csv writes) is read
+    at its bytes other than '0' ',' and those equal to the next (it has
+    none): (length - its '-' + 1) / 2 entries, a '1' in column (offset -
+    the '-' before it in its line) / 2, -1 after a '-'.  Other lines are
+    split at ',' and read with read_int."""
     buf, first = lines.buf, lines.first
-    starts, stops = lines.starts, lines.stops
-    lo = starts[0]
-    r = buf[lo:stops[-1]]
-    begin, end = starts[first[:-1]] - lo, stops[first[1:] - 1] - lo  # lines
+    begin, end = lines.starts[first[:-1]], lines.stops[first[1:] - 1]
+    r = buf[begin[0]:end[-1]]
     rare = np.flatnonzero((r != ord("0")) & (r != ord(",")))
-    kind, blank = r[rare], lines.blank[rare + lo]
-    digit = rare[kind - ord("1") < 9]
-    minus, ones = rare[kind == ord("-")], rare[kind == ord("1")]
-    pairs = np.flatnonzero(r[1:] == r[:-1])
-    near = r.take(minus - 1, mode="clip"), r.take(minus + 1, mode="clip")
-    cont = np.sort(np.concatenate((  # digits after a digit
-        pairs[r[pairs] == ord("0")] + 1,
-        digit[(digit > 0) & (r.take(digit - 1, mode="clip") - ord("0") < 10)],
-        digit[(digit + 1 < len(r))
-              & (r.take(digit + 1, mode="clip") == ord("0"))] + 1)))
-    runs = np.flatnonzero(np.diff(cont, prepend=-2) != 1)  # their starts
-    left = np.roll(buf[stops - 1], 1)
-    left[first[:-1]] = ord(",")
-    head = buf[starts]
 
     def inside(at):  # the bytes at that are in the lines, and their lines
+        at = at + begin[0]
         line = np.searchsorted(begin, at, "right") - 1
         return at[at < end[line]], line[at < end[line]]
-    wrong = inside(np.concatenate((  # \x1f splits words, but not int()'s
-        rare[(~blank | (kind == 0x1f)) & (kind - ord("1") >= 9)
-             & (kind != ord("-"))],
-        pairs[r[pairs] == ord(",")],  # ',,', then '--' '1-' '-,'
-        minus[(minus > 0) & ((near[0] == ord("-"))
-                             | (near[0] - ord("0") < 10))
-              | (near[1] == ord(","))],
-        starts[((left == ord(",")) == (head == ord(",")))
-               | (left == ord("-"))] - lo,  # '1 1' ', ,' '- 1'
-        end[(r[end - 1] == ord(",")) | (r[end - 1] == ord("-"))] - 1,
-        cont[runs][np.diff(runs, append=len(cont))
-                   >= (sys.get_int_max_str_digits() or len(r))])))[1]
-    out = inside(np.concatenate((rare[kind - ord("2") < 8], ones[
-        (ones + 1 < len(r)) & (r.take(ones + 1, mode="clip") - ord("0") < 10)]
-    )))[1]
-    wrong, out = wrong.min(initial=len(lines)), out.min(initial=len(lines))
-    if min(wrong, out) < len(lines):
-        raise FormatError(f"line {lines.lineno[min(wrong, out)]}: " + (
-            "non-integer entry" if wrong <= out
-            else "entries must be in {-1, 0, 1}"))
-    noise = np.sort(np.concatenate((rare[blank], minus, cont)))
-    skip = np.searchsorted(noise, begin)
-    counts = (end - begin - np.searchsorted(noise, end) + skip + 1) // 2
-    if (counts != counts[0]).any():
+    at, line = inside(rare)
+    pairs, paired = inside(np.flatnonzero(r[1:] == r[:-1]))
+    kind = buf[at]
+    prev = np.where(at > begin[line], buf[at - 1], ord(","))
+    after = np.where(at + 1 < end[line], buf.take(at + 1, mode="clip"),
+                     ord(","))
+    odd = (np.diff(first) > 1) | (buf[begin] == ord(",")) | (
+        buf[end - 1] == ord(","))  # the lines that are not canonical
+    odd[paired[pairs + 1 < end[paired]]] = True  # '00' ',,' '11' '--'
+    odd[line[(prev - ord("0") < 2) | np.where(  # '01' '1-' '-0' '-,' '10'
+        kind == ord("-"), after != ord("1"),
+        (kind != ord("1")) | (after == ord("0")))]] = True
+    minus = at[kind == ord("-")]
+    counts = (end - begin + 1 - np.searchsorted(minus, end)
+              + np.searchsorted(minus, begin)) // 2
+    rows = np.zeros((len(lines), lines.line(0).count(",") + 1), np.int8)
+    fits = counts == rows.shape[1]
+    for i in np.flatnonzero(odd).tolist():
+        try:
+            row = [read_int(entry) for entry in lines.line(i).split(",")]
+        except ValueError:
+            raise FormatError(f"line {lines.lineno[i]}: non-integer entry"
+                              ) from None
+        if not set(row) <= {-1, 0, 1}:
+            raise FormatError(f"line {lines.lineno[i]}: "
+                              "entries must be in {-1, 0, 1}")
+        fits[i] = len(row) == rows.shape[1]
+        if fits[i]:
+            rows[i] = row
+    if not fits.all():
         raise FormatError("rows have differing lengths")
-
-    def cell(at):  # (line, column) of the entries of the bytes at
-        at, line = inside(at)
-        return line, (at - begin[line] - np.searchsorted(noise, at)
-                      + skip[line]) // 2
-    rows = np.zeros((len(lines), counts[0]), dtype=np.int8)
-    rows[cell(ones)] = 1
-    rows[cell(minus)] *= -1
+    one = (kind == ord("1")) & ~odd[line]
+    at, line = at[one], line[one]
+    column = (at - begin[line] - np.searchsorted(minus, at)
+              + np.searchsorted(minus, begin[line])) // 2
+    rows[line, column] = np.where(prev[one] == ord("-"), -1, 1)
     return rows

@@ -140,13 +140,18 @@ def test_overlap_maxima_ragged_tiles(monkeypatch):
 
 def test_overlap_maxima_memory_budget(monkeypatch):
     words = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, -1))]
-    monkeypatch.setattr(errors, "BYTE_BUDGET", 8 * 3 * 3)  # one 3 x 3 array
+    # 3 binary words of length 3: a 3 x 3 tile, its scatter's 3 x 2
+    # indices and values, and its 3 x 3 product
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 8 * (3 * 3 + 2 * 3 * 2 + 3 * 3))
     assert overlap_maxima(3, words[:2] + [((0, 1), (2, 1))]) == (1, 2)
-    # signed words are admitted at the binary size: no path holds a
-    # second n x N array
-    assert overlap_maxima(3, words) == (1, 2)
     with pytest.raises(BudgetError):   # 4 x 3 binary words
         overlap_maxima(4, words[:2] + [((0, 1), (3, 1))])
+    # signed words add the overlaps' product, but no second n x N array
+    monkeypatch.setattr(errors, "BYTE_BUDGET",
+                        8 * (3 * 3 + 2 * 3 * 2 + 2 * 3 * 3))
+    assert overlap_maxima(3, words) == (1, 2)
+    with pytest.raises(BudgetError):   # 4 x 3 signed words
+        overlap_maxima(4, words[:2] + [((0, 1), (3, -1))])
 
 
 @st.composite
@@ -361,6 +366,38 @@ def test_certify_peaks_within_its_admission(signed, monkeypatch):
         tracemalloc.stop()
     assert sizes == [8 * 20 * len(supports)]
     assert peak <= sizes[0]
+
+
+# graham_sloane_construct(14, 4, 7)'s bucket: 204 words of weight 7
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 24), st.integers(2, 700), st.integers(1, 24),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(14, 204, 7, False, 0)
+def test_array_maxima_peaks_within_its_admission(n, N, w, signed, seed):
+    """Short words, signed or not, on either path: when few, their tiles'
+    products outweigh 8 n N, and the peak stays within the bytes
+    admitted, give or take numpy's own scatter and iterator buffers
+    (about 6 KiB at any size)."""
+    w = min(w, n)
+    rng = np.random.default_rng(seed)
+    positions = np.sort(rng.random((N, n)).argsort(axis=1)[:, :w], axis=1)
+    signs = (rng.choice(np.array([-1, 1], np.int8), (N, w)) if signed
+             else np.ones((N, w), np.int8))
+    want = array_maxima(n, positions, signs)  # numpy's one-time set-up
+    sizes, real = [], codes.admit
+
+    def recorded(what, size, *rest):
+        sizes.append(size)
+        real(what, size, *rest)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "admit", recorded)
+        tracemalloc.start()
+        try:
+            assert array_maxima(n, positions, signs) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= sizes[0] + (1 << 14)
 
 
 @st.composite

@@ -68,6 +68,13 @@ def dense_rows(blank):
     return st.lists(entry, min_size=1, max_size=4).map(",".join)
 
 
+def canonical_rows(blank):
+    """Rows of one to four entries 0, 1, -1 between single commas, no
+    blanks, as format_dense_csv writes them."""
+    return st.lists(st.sampled_from(["0", "1", "-1"]), min_size=1,
+                    max_size=4).map(",".join)
+
+
 def outcome(read, *args):
     """read(*args) as nested lists of its arrays' values, or its error
     as (type, message)."""
@@ -110,6 +117,24 @@ def test_read_lines_and_positions_match_the_line_loop(text, signed):
 def test_dense_csv_matches_the_entry_loop(text):
     data, old = split(text)
     if old:  # a matrix file has a data line
+        assert outcome(textio.read_dense_csv, data) == outcome(
+            codes_oracle.read_dense_csv, old)
+
+
+# a file mixes canonical lines, read at their rare bytes, and others,
+# read entry by entry; the first bad line wins, a length error comes last
+@settings(max_examples=500, deadline=None)
+@given(texts(lambda blank: canonical_rows(blank) | dense_rows(blank)))
+@example("1,0,-1\n0, 1,0\n-1,0,1\n")
+@example("0,-0,1\n")
+@example("01,0\n")
+@example("1,,0\n")
+@example("1,0,\n")
+@example("-1,1\n1,2\n")
+@example("1,0\n1\n0,0 1\n")
+def test_canonical_and_other_lines_match_the_entry_loop(text):
+    data, old = split(text)
+    if old:
         assert outcome(textio.read_dense_csv, data) == outcome(
             codes_oracle.read_dense_csv, old)
 
