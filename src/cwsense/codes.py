@@ -108,7 +108,7 @@ def array_maxima(n: int, positions: np.ndarray,
     admit(f"certifying {N} words of length {n}", max(8 * n * N, 8 * (
         n * min(N, 2 * t) + 2 * t * w + (1 + signed) * t * t)))
     top = _subset_maxima(n, positions, signs)
-    return _tile_maxima(n, positions, signs) if top is None else top
+    return _tile_maxima(n, positions, signs, signed) if top is None else top
 
 
 def _lex_supports(n: int, w: int) -> np.ndarray:
@@ -185,8 +185,8 @@ def _subset_maxima(n: int, positions: np.ndarray,
     return 1, 2 if (keys[1:] == keys[:-1]).any() else 1
 
 
-def _tile_maxima(n: int, positions: np.ndarray,
-                 signs: np.ndarray) -> tuple[int, int]:
+def _tile_maxima(n: int, positions: np.ndarray, signs: np.ndarray,
+                 signed: bool) -> tuple[int, int]:
     """array_maxima by products of float64 word tiles.
 
     Scatters PAIR_TILE words at a time into a word-major float64 tile
@@ -198,7 +198,6 @@ def _tile_maxima(n: int, positions: np.ndarray,
     n x N or N x N one.  Words without a -1 sign skip the overlaps.
     """
     N, T = len(positions), PAIR_TILE
-    signed = bool((signs < 0).any())
     rows = np.empty((min(N, 2 * T), n))  # two tiles, allocated once
     products = np.empty((1 + signed, min(N, T) ** 2))  # G, then 3S + G
 

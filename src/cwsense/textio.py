@@ -337,9 +337,9 @@ def read_dense_csv(lines: Lines) -> np.ndarray:
     minus = at[kind == ord("-")]
     counts = (end - begin + 1 - np.searchsorted(minus, end)
               + np.searchsorted(minus, begin)) // 2
-    rows = np.zeros((len(lines), lines.line(0).count(",") + 1), np.int8)
-    fits = counts == rows.shape[1]
-    for i in np.flatnonzero(odd).tolist():
+    width = lines.line(0).count(",") + 1
+    fits, others, entries = counts == width, np.flatnonzero(odd), []
+    for i in others.tolist():
         try:
             row = [read_int(entry) for entry in lines.line(i).split(",")]
         except ValueError:
@@ -348,11 +348,12 @@ def read_dense_csv(lines: Lines) -> np.ndarray:
         if not set(row) <= {-1, 0, 1}:
             raise FormatError(f"line {lines.lineno[i]}: "
                               "entries must be in {-1, 0, 1}")
-        fits[i] = len(row) == rows.shape[1]
-        if fits[i]:
-            rows[i] = row
-    if not fits.all():
+        fits[i] = len(row) == width
+        entries += row  # the other lines' entries, as many as their text
+    if not fits.all():  # before rows, which a ragged text could not fill
         raise FormatError("rows have differing lengths")
+    rows = np.zeros((len(lines), width), np.int8)
+    rows[others] = np.array(entries, np.int8).reshape(-1, width)
     one = (kind == ord("1")) & ~odd[line]
     at, line = at[one], line[one]
     column = (at - begin[line] - np.searchsorted(minus, at)

@@ -71,7 +71,8 @@ def overlap_maxima(n, words):
 
 def tile_maxima(n, words):
     """The float64 tile path alone on the tuple words."""
-    return codes._tile_maxima(n, *arrays_of(words, 0))
+    positions, signs = arrays_of(words, 0)
+    return codes._tile_maxima(n, positions, signs, bool((signs < 0).any()))
 
 
 @st.composite
@@ -214,7 +215,7 @@ def test_subset_maxima_matches_tiles_and_brute_force(case, unsign):
     positions, signs = arrays_of(words, w)
     want = brute_extremes(n, words)
     signed = bool((signs < 0).any())
-    assert codes._tile_maxima(n, positions, signs) == want
+    assert codes._tile_maxima(n, positions, signs, signed) == want
     # the default tiles, then one word per tile: a smaller key budget
     for tile in (codes.PAIR_TILE, 1):
         with pytest.MonkeyPatch.context() as mp:

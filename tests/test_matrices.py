@@ -130,9 +130,9 @@ def test_low_weight_certification_takes_no_products(monkeypatch):
     entered = []
     real = codes._tile_maxima
 
-    def tiles(n, positions, signs):
+    def tiles(n, positions, signs, signed):
         entered.append(n)
-        return real(n, positions, signs)
+        return real(n, positions, signs, signed)
     monkeypatch.setattr(codes, "_tile_maxima", tiles)
     code = make_sts(109)
     text = dumps_matrix(from_code(code))

@@ -2,6 +2,7 @@
 word loops kept in codes_oracle: the same lines, arrays, bytes, and the
 same exception with the same message for every text drawn."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,23 @@ def test_canonical_and_other_lines_match_the_entry_loop(text):
     if old:
         assert outcome(textio.read_dense_csv, data) == outcome(
             codes_oracle.read_dense_csv, old)
+
+
+# a wide first line over 10^4 short ones, canonical or not, would size
+# 10^8 bytes of rows; the length error comes first, within the text's
+# proportion that loading keeps
+@pytest.mark.parametrize("entry", ["0", " 0"])
+def test_ragged_rows_are_refused_within_their_text(entry):
+    text = ",".join([entry] * 10 ** 4) + "\n" + f"{entry}\n" * 10 ** 4
+    data = textio.read_lines(text)[2]
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="rows have differing lengths"):
+            textio.read_dense_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * len(text)
 
 
 @settings(max_examples=300, deadline=None)
