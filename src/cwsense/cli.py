@@ -135,29 +135,31 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     n, d, w, k, t = args.n, args.d, args.w, args.k, args.t
     if args.dims:
         _require(args, ("n", "k", "t"), "bounds --dims")
+        d, w = codes.dimension_params(n, k, t)
         at = f"N(n={n},k={k},t={t}) ="
         if args.ternary:
             rows = [(f"dimension ternary-gilbert {at}",
-                     codes.dimension_ternary_gilbert(n, k, t), "")]
+                     codes.ternary_gilbert_bound(n, d, w), "")]
         else:
             rows = [(f"dimension gilbert {at}",
-                     codes.dimension_binary_gilbert(n, k, t), ""),
-                    (f"dimension moment {at}", codes.dimension_binary_gs(
-                        n, k, t), " (denominator n^((k-1)t-1))")]
-            gs = codes.graham_sloane_bound(n, 2 * (k - 1) * t, k * t)
-            rows.append((f"dimension moment-prime {at}", gs.value,
-                         f" (denominator q^((k-1)t-1), q={gs.params['q']})"))
+                     codes.gilbert_bound(n, d, w), ""),
+                    (f"dimension moment {at}", codes.moment_dimension(
+                        n, d, w), " (denominator n^((k-1)t-1))"),
+                    (f"dimension moment-prime {at}",
+                     codes.graham_sloane_bound(n, d, w),
+                     f" (denominator q^((k-1)t-1), "
+                     f"q={codes.smallest_prime_at_least(n)})")]
     else:
         _require(args, ("n", "d", "w"), "bounds")
         if args.ternary:
             rows = [(f"ternary-gilbert A3({n},{d},{w}) >=",
-                     codes.ternary_gilbert_bound(n, d, w).value, "")]
+                     codes.ternary_gilbert_bound(n, d, w), "")]
         else:
             rows = [(f"gilbert A({n},{d},{w}) >=",
-                     codes.gilbert_bound(n, d, w).value, "")]
-            gs = codes.graham_sloane_bound(n, d, w)
-            rows.append((f"graham-sloane A({n},{d},{w}) >=", gs.value,
-                         f" (q={gs.params['q']})"))
+                     codes.gilbert_bound(n, d, w), ""),
+                    (f"graham-sloane A({n},{d},{w}) >=",
+                     codes.graham_sloane_bound(n, d, w),
+                     f" (q={codes.smallest_prime_at_least(n)})")]
     limit = sys.get_int_max_str_digits() or float("inf")
     for _, value, _ in rows:  # at most limit digits below 10^limit
         digits = value.bit_length() * 30103 // 100000 + 1  # >= log10 + 1

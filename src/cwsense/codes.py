@@ -71,14 +71,6 @@ class CWCode:
         return len(self.positions)
 
 
-@dataclass
-class BoundReport:
-    """A named lower bound value together with the parameters it used."""
-    name: str
-    params: dict
-    value: int
-
-
 # -- pairwise kernel -----------------------------------------------------
 
 PAIR_TILE = 256  # words per tile; a pair of tiles allocates O(PAIR_TILE n)
@@ -97,18 +89,28 @@ def array_maxima(n: int, positions: np.ndarray,
 
     The words are admitted first, whichever path answers, so both
     refuse the same inputs: at 8 n N bytes (their dense float64 size),
-    or at the arrays _tile_maxima holds if that is more.
+    or at the arrays _tile_maxima holds (_tile_layout) if that is more.
     _subset_maxima finds the largest S from sorted integer keys for
     words without a -1 sign and for signed words with S <= 1; other
     signed words, and words whose keys would take more memory than the
     word tiles or pass int64, go to the float64 tiles of _tile_maxima.
     """
     N, w = positions.shape
-    t, signed = min(N, PAIR_TILE), bool((signs < 0).any())
-    admit(f"certifying {N} words of length {n}", max(8 * n * N, 8 * (
-        n * min(N, 2 * t) + 2 * t * w + (1 + signed) * t * t)))
+    signed = bool((signs < 0).any())
+    admit(f"certifying {N} words of length {n}", max(8 * n * N, 8 * sum(
+        math.prod(shape) for shape in _tile_layout(n, N, w, signed))))
     top = _subset_maxima(n, positions, signs)
     return _tile_maxima(n, positions, signs, signed) if top is None else top
+
+
+def _tile_layout(n: int, N: int, w: int,
+                 signed: bool) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the 8-byte arrays _tile_maxima holds at its peak: two
+    tiles of words and one pair's products (G, then 3S + G for signed
+    words), allocated once, and one tile's scatter (its int64 indices
+    and float64 values)."""
+    t = min(N, PAIR_TILE)
+    return (min(N, 2 * t), n), (1 + signed, t * t), (2, t, w)
 
 
 def _lex_supports(n: int, w: int) -> np.ndarray:
@@ -149,7 +151,7 @@ def _subset_maxima(n: int, positions: np.ndarray,
     Level s holds about 8 C(w, s) (2N + 3s) bytes: the keys, one
     gathered digit of theirs and the subset table as it is built.  It
     is built only while that fits in the word tiles _tile_maxima holds
-    at once, 8 n min(N, 2 PAIR_TILE) bytes, so this path never needs
+    at once (_tile_layout's first shape), so this path never needs
     more memory than the tiles, and only while its keys fit int64
     (n^s < 2^62).  Returns None for the tiles when a level does not,
     and for signed words with S >= 2.
@@ -158,7 +160,7 @@ def _subset_maxima(n: int, positions: np.ndarray,
     if N < 2:
         return 0, 0
     signed = bool((signs < 0).any())
-    tiles = 8 * n * min(N, 2 * PAIR_TILE)
+    tiles = 8 * math.prod(_tile_layout(n, N, w, signed)[0])
     overlap = 0
     for s in range(1, w + 1):
         if (8 * math.comb(w, s) * (2 * N + 3 * s) > tiles
@@ -197,9 +199,8 @@ def _tile_maxima(n: int, positions: np.ndarray, signs: np.ndarray,
     tile's scatter (its indices and values) is the only other array, no
     n x N or N x N one.  Words without a -1 sign skip the overlaps.
     """
-    N, T = len(positions), PAIR_TILE
-    rows = np.empty((min(N, 2 * T), n))  # two tiles, allocated once
-    products = np.empty((1 + signed, min(N, T) ** 2))  # G, then 3S + G
+    (N, w), T = positions.shape, PAIR_TILE
+    rows, products = map(np.empty, _tile_layout(n, N, w, signed)[:2])
 
     def tile(i0, at):  # words i0 .. i0 + T - 1 into rows at ..
         t = rows[at:at + min(T, N - i0)]
@@ -333,13 +334,6 @@ def certify_binary(n: int, w: int, supports,
 
 # -- lower bounds --------------------------------------------------------
 
-def _comb0(a: int, b: int) -> int:
-    # comb that is 0 outside the usual domain instead of raising
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
 def _check_nwd(n: int, dist: int, w: int, even: bool) -> None:
     if not 1 <= w <= n:
         raise ParameterError(f"need 1 <= w <= n, got w={w} n={n}")
@@ -363,7 +357,7 @@ def _bound_work(terms: int, n: int, w: int) -> int:
     return (terms + min(w, n - w)) * n
 
 
-def gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
+def gilbert_bound(n: int, dist: int, w: int) -> int:
     """Gilbert-style lower bound on the size of a binary (n, dist, w) code.
 
     floor(C(n, w) / sum_{i<dist/2} C(w, i) * C(n-w, i)); dist must be even.
@@ -371,9 +365,8 @@ def gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
     _check_nwd(n, dist, w, even=True)
     d = dist // 2
     admit("the gilbert bound", _bound_work(d, n, w), "steps")
-    denom = sum(_comb0(w, i) * _comb0(n - w, i) for i in range(d))
-    value = math.comb(n, w) // denom
-    return BoundReport("gilbert", {"n": n, "dist": dist, "w": w}, value)
+    denom = sum(math.comb(w, i) * math.comb(n - w, i) for i in range(d))
+    return math.comb(n, w) // denom
 
 
 def smallest_prime_at_least(n: int) -> int:
@@ -384,7 +377,7 @@ def smallest_prime_at_least(n: int) -> int:
     return p
 
 
-def graham_sloane_bound(n: int, dist: int, w: int) -> BoundReport:
+def graham_sloane_bound(n: int, dist: int, w: int) -> int:
     """Moment-bucket lower bound: floor(C(n, w) / q^(dist/2 - 1)).
 
     q is the smallest prime >= n, the same prime the matching
@@ -394,34 +387,31 @@ def graham_sloane_bound(n: int, dist: int, w: int) -> BoundReport:
     d = dist // 2
     admit("the graham-sloane bound", _bound_work(d - 1, n, w), "steps")
     q = smallest_prime_at_least(n)
-    value = math.comb(n, w) // q ** (d - 1)
-    return BoundReport("graham-sloane", {"n": n, "dist": dist, "w": w, "q": q},
-                       value)
+    return math.comb(n, w) // q ** (d - 1)
 
 
 def _ternary_sphere(n: int, w: int, radius: int) -> int:
     """Number of ternary words within the given distance of a fixed
     weight-w word: sum over i <= radius of
-    C(w, j) * C(n-w, j) * C(w-j, i-2j) * 2^j, j up to min(i // 2, n - w).
+    C(w, j) * C(n-w, j) * C(w-j, i-2j) * 2^j, j up to min(i // 2, n - w,
+    w) (C(w, j) = 0 past w).
     """
     total = 0
     for i in range(radius + 1):
-        for j in range(min(i // 2, n - w) + 1):
-            total += (_comb0(w, j) * _comb0(n - w, j)
-                      * _comb0(w - j, i - 2 * j) * (1 << j))
+        for j in range(min(i // 2, n - w, w) + 1):
+            total += (math.comb(w, j) * math.comb(n - w, j)
+                      * math.comb(w - j, i - 2 * j) << j)
     return total
 
 
-def ternary_gilbert_bound(n: int, dist: int, w: int) -> BoundReport:
+def ternary_gilbert_bound(n: int, dist: int, w: int) -> int:
     """Gilbert-style bound for ternary constant-weight codes:
     floor(C(n, w) * 2^w / sphere(dist - 1)).  dist may be odd.
     """
     _check_nwd(n, dist, w, even=False)
     terms = dist * (min((dist - 1) // 2, n - w) + 1)
     admit("the ternary-gilbert bound", _bound_work(terms, n, w), "steps")
-    value = (math.comb(n, w) << w) // _ternary_sphere(n, w, dist - 1)
-    return BoundReport("ternary-gilbert", {"n": n, "dist": dist, "w": w},
-                       value)
+    return (math.comb(n, w) << w) // _ternary_sphere(n, w, dist - 1)
 
 
 # -- constructions -------------------------------------------------------
@@ -545,44 +535,31 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
 
 # -- dimension calculators ----------------------------------------------
 #
-# For a measurement matrix built from an (n, 2(k-1)t, kt) code the
-# coherence bound 1 - d/(2w) works out to (1 - 1/k)/t and the usable
-# sparsity order is controlled by k and t alone.  These calculators
-# answer "how many columns can such a matrix have" directly from
-# (n, k, t).
+# A binary (n, 2(k-1)t, kt) code has overlaps of at most kt - (k-1)t = t,
+# so the matrix built from it has coherence mu <= t/(kt) = 1/k, and its
+# sparsity order follows from k alone.  "How many columns can such a
+# matrix have" is therefore a size bound at the (dist, w) below.
 
-def _check_nkt(n: int, k: int, t: int) -> None:
+def dimension_params(n: int, k: int, t: int) -> tuple[int, int]:
+    """(dist, w) = (2(k-1)t, kt), the code behind the dimension N(n, k, t)."""
     if k < 2 or t < 1:
         raise ParameterError(f"need k >= 2 and t >= 1, got k={k} t={t}")
     if n < k * t:
         raise ParameterError(f"need n >= k*t, got n={n} k*t={k * t}")
+    return 2 * (k - 1) * t, k * t
 
 
-def dimension_binary_gilbert(n: int, k: int, t: int) -> int:
-    """floor(C(n, kt) / sum_{i<(k-1)t} C(kt, i) * C(n-kt, i)), which is
-    gilbert_bound(n, 2(k-1)t, kt)."""
-    _check_nkt(n, k, t)
-    return gilbert_bound(n, 2 * (k - 1) * t, k * t).value
-
-
-def dimension_binary_gs(n: int, k: int, t: int) -> int:
-    """floor(C(n, kt) / n^((k-1)t - 1)).
+def moment_dimension(n: int, dist: int, w: int) -> int:
+    """floor(C(n, w) / n^(dist/2 - 1)).
 
     Note the denominator uses n itself, not a prime rounded up from n;
-    graham_sloane_bound(n, 2(k-1)t, kt) is the prime-based variant and
-    the CLI prints both so the difference stays visible.
+    graham_sloane_bound is the prime-based variant and the CLI prints
+    both so the difference stays visible.
     """
-    _check_nkt(n, k, t)
-    w = k * t
-    admit("the moment dimension", _bound_work((k - 1) * t - 1, n, w), "steps")
-    return math.comb(n, w) // n ** ((k - 1) * t - 1)
-
-
-def dimension_ternary_gilbert(n: int, k: int, t: int) -> int:
-    """floor(C(n, kt) * 2^kt / sphere(2(k-1)t - 1)), the ternary analogue:
-    ternary_gilbert_bound(n, 2(k-1)t, kt)."""
-    _check_nkt(n, k, t)
-    return ternary_gilbert_bound(n, 2 * (k - 1) * t, k * t).value
+    _check_nwd(n, dist, w, even=True)
+    d = dist // 2
+    admit("the moment dimension", _bound_work(d - 1, n, w), "steps")
+    return math.comb(n, w) // n ** (d - 1)
 
 
 # -- code files -----------------------------------------------------------

@@ -129,6 +129,8 @@ def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceRepor
     exact value exceeds the matrix's theoretical bound; that check is a
     hard assertion and is never skipped.
     """
+    if k is not None and k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     mu = _exact_mu(matrix)
     if matrix.bound is not None and mu > matrix.bound:
         raise RuntimeError(
@@ -139,8 +141,6 @@ def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceRepor
                              welch=welch_bound(matrix.n, matrix.N),
                              order=order)
     if k is not None:
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
         report.k = k
         report.delta_k = (k - 1) * mu
     return report

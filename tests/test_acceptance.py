@@ -5,6 +5,7 @@ past the capture machinery (so it shows up in a plain pytest run) and
 enforces its own runtime budget where one applies.
 """
 
+import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -107,7 +108,7 @@ def test_criterion_2_bound_achievement(capsys):
                 for half in range(1, 5):
                     dist = 2 * half
                     code = codes.greedy_binary(n, dist, w)
-                    bound = codes.gilbert_bound(n, dist, w).value
+                    bound = codes.gilbert_bound(n, dist, w)
                     assert len(code) >= bound, (n, dist, w, len(code), bound)
                     greedy_runs += 1
         gs_runs = 0
@@ -116,7 +117,7 @@ def test_criterion_2_bound_achievement(capsys):
                 for half in range(1, 4):
                     dist = 2 * half
                     code = codes.graham_sloane_construct(n, dist, w)
-                    bound = codes.graham_sloane_bound(n, dist, w).value
+                    bound = codes.graham_sloane_bound(n, dist, w)
                     assert len(code) >= bound, (n, dist, w, len(code), bound)
                     assert code.d >= dist or len(code) < 2, (n, dist, w)
                     gs_runs += 1
@@ -221,6 +222,15 @@ def test_criterion_5_ingested_packing(data_dir, capsys):
                              f"tampered copy rejected, 20 bound rows exact")
 
 
+def _bounds_values(capsys, *argv) -> tuple[list[int], str]:
+    """The values `cwsense bounds` prints, and the q it names (or "")."""
+    assert cli.main(["bounds", *map(str, argv)]) == 0
+    out = capsys.readouterr().out
+    values = [int(line.split("= ")[1].split()[0])
+              for line in out.splitlines()]
+    return values, out.partition("q=")[2].rstrip(")\n")
+
+
 def test_criterion_6_calculator_cross_checks(capsys):
     with gate(6, capsys) as outcome:
         checked = 0
@@ -228,13 +238,18 @@ def test_criterion_6_calculator_cross_checks(capsys):
             for t in (1, 2):
                 for n in range(k * t, 21):
                     dist, w = 2 * (k - 1) * t, k * t
-                    assert (codes.dimension_binary_gilbert(n, k, t)
-                            == codes.gilbert_bound(n, dist, w).value)
-                    assert (codes.dimension_ternary_gilbert(n, k, t)
-                            == codes.ternary_gilbert_bound(n, dist, w).value)
+                    nkt = ("--n", n, "--k", k, "--t", t)
+                    ndw = ("--n", n, "--d", dist, "--w", w)
+                    (gilbert, moment, prime), q = _bounds_values(
+                        capsys, "--dims", *nkt)
+                    assert ([gilbert, prime], q) == _bounds_values(
+                        capsys, *ndw), (n, k, t)
+                    assert moment == math.comb(n, w) // n ** (dist // 2 - 1)
+                    assert (_bounds_values(capsys, "--dims", "--ternary", *nkt)
+                            == _bounds_values(capsys, "--ternary", *ndw))
                     checked += 1
-        outcome["detail"] = f"binary and ternary calculators exact on " \
-                            f"{checked} parameter triples"
+        outcome["detail"] = (f"bounds --dims equals bounds at (2(k-1)t, kt) "
+                             f"on {checked} parameter triples")
 
 
 def test_criterion_7_determinism(tmp_path, capsys):

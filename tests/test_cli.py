@@ -83,7 +83,7 @@ def test_construct_greedy_writes_loadable_code(capsys, tmp_path):
     assert run_cli("construct", "greedy", "--n", "10", "--d", "4", "--w", "3",
                    "--out", str(out)) == 0
     code = load_code(out)
-    assert len(code) >= gilbert_bound(10, 4, 3).value
+    assert len(code) >= gilbert_bound(10, 4, 3)
     assert "wrote code:" in capsys.readouterr().out
 
 
@@ -752,6 +752,22 @@ def test_bounds_parameter_errors_name_the_parameter(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    # the parameters are checked before any work is estimated
+    (f"--n {10 ** 30} --d 3 --w 2", 2,
+     "error: binary constant-weight distances are even, got 3"),
+    (f"--n {10 ** 30} --d 4 --w 2", 3,
+     "budget exceeded: the gilbert bound needs 2^101 or more steps, "
+     "past the cap 10000000"),
+    ("--dims --n 5 --k 3 --t 2", 2, "error: need n >= k*t, got n=5 k*t=6"),
+])
+def test_bounds_check_parameters_before_budgets(capsys, argv, code, err):
+    assert run_cli("bounds", *argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{err}\n"
 
 
 # -- recover ------------------------------------------------------------------

@@ -14,11 +14,11 @@ from codes_oracle import (arrays_of, binary_distance, code_of, greedy_words,
                           moment_bucket, ternary_distance, words_of)
 from cwsense import codes, designs, errors
 from cwsense.codes import (array_maxima, certify_binary,
-                           dimension_binary_gilbert, dimension_binary_gs,
-                           dimension_ternary_gilbert, dumps_code,
+                           dimension_params, dumps_code,
                            gilbert_bound, graham_sloane_bound,
                            graham_sloane_construct, greedy_binary,
-                           greedy_ternary, load_code, loads_code, save_code,
+                           greedy_ternary, load_code, loads_code,
+                           moment_dimension, save_code,
                            repeated_rows, smallest_prime_at_least,
                            ternary_gilbert_bound, validate)
 from cwsense.errors import BudgetError, FormatError, ParameterError
@@ -483,7 +483,7 @@ def test_ternary_validation_rejections():
     (10, 2, 2, 45),
 ])
 def test_gilbert_bound_frozen(n, dist, w, value):
-    assert gilbert_bound(n, dist, w).value == value
+    assert gilbert_bound(n, dist, w) == value
 
 
 @pytest.mark.parametrize("n,dist,w,value,q", [
@@ -493,9 +493,8 @@ def test_gilbert_bound_frozen(n, dist, w, value):
     (12, 4, 4, 38, 13),
 ])
 def test_graham_sloane_bound_frozen(n, dist, w, value, q):
-    report = graham_sloane_bound(n, dist, w)
-    assert report.value == value
-    assert report.params["q"] == q
+    assert graham_sloane_bound(n, dist, w) == value
+    assert smallest_prime_at_least(n) == q
 
 
 @pytest.mark.parametrize("n,dist,w,value", [
@@ -504,7 +503,7 @@ def test_graham_sloane_bound_frozen(n, dist, w, value, q):
     (10, 4, 4, 16),
 ])
 def test_ternary_gilbert_bound_frozen(n, dist, w, value):
-    assert ternary_gilbert_bound(n, dist, w).value == value
+    assert ternary_gilbert_bound(n, dist, w) == value
 
 
 def test_smallest_prime_at_least():
@@ -519,11 +518,11 @@ def test_binary_bounds_insist_on_even_distance():
         gilbert_bound(10, 3, 3)
     with pytest.raises(ParameterError):
         graham_sloane_bound(10, 3, 3)
-    assert ternary_gilbert_bound(10, 3, 3).value >= 1  # odd is fine here
+    assert ternary_gilbert_bound(10, 3, 3) >= 1  # odd is fine here
 
 
 def test_gilbert_bound_monotone_in_distance():
-    values = [gilbert_bound(12, dist, 4).value for dist in (2, 4, 6, 8)]
+    values = [gilbert_bound(12, dist, 4) for dist in (2, 4, 6, 8)]
     assert values == sorted(values, reverse=True)
 
 
@@ -543,7 +542,7 @@ def test_greedy_binary_distance_two_keeps_everything():
 
 @pytest.mark.parametrize("n,dist,w", [(8, 4, 3), (10, 4, 3), (12, 6, 4)])
 def test_greedy_binary_meets_gilbert(n, dist, w):
-    assert len(greedy_binary(n, dist, w)) >= gilbert_bound(n, dist, w).value
+    assert len(greedy_binary(n, dist, w)) >= gilbert_bound(n, dist, w)
 
 
 def test_greedy_binary_budget():
@@ -569,7 +568,7 @@ def test_greedy_ternary_smallest_case():
 def test_greedy_ternary_respects_distance():
     code = greedy_ternary(6, 4, 3)
     assert code.d >= 4
-    assert len(code) >= ternary_gilbert_bound(6, 4, 3).value
+    assert len(code) >= ternary_gilbert_bound(6, 4, 3)
 
 
 def test_greedy_ternary_budget():
@@ -602,7 +601,7 @@ def test_graham_sloane_keys_stop_at_w_moments(n):
     # past dist/2 - 1 = w moments every bucket holds one support, and the
     # w-moment keys pick the same word as the full ones
     for w in range(1, min(n, 4) + 1):
-        q = graham_sloane_bound(n, 2, w).params["q"]
+        q = smallest_prime_at_least(n)
         for dist in range(2 * w + 2, 2 * w + 9, 2):
             code = graham_sloane_construct(n, dist, w)
             assert code.positions.tolist() == moment_bucket(n, dist, w, q)
@@ -620,7 +619,7 @@ def test_graham_sloane_matches_the_bucket_loop(n, w, half):
     n <= 10, every w and dist = 2 half up to 2w + 4, ties to the
     smallest key."""
     assume(w <= n and half <= w + 2)
-    q = graham_sloane_bound(n, 2 * half, w).params["q"]
+    q = smallest_prime_at_least(n)
     code = graham_sloane_construct(n, 2 * half, w)
     assert code.positions.tolist() == moment_bucket(n, 2 * half, w, q)
 
@@ -684,29 +683,29 @@ def test_graham_sloane_peaks_within_its_certifying_admission(monkeypatch):
 def test_graham_sloane_construct_beats_its_bound():
     for n, dist, w in [(8, 4, 3), (10, 4, 3), (12, 4, 4)]:
         code = graham_sloane_construct(n, dist, w)
-        assert len(code) >= graham_sloane_bound(n, dist, w).value
+        assert len(code) >= graham_sloane_bound(n, dist, w)
         assert code.d >= dist
 
 
 # -- dimension calculators ---------------------------------------------------
 
 def test_dimension_calculators_frozen():
-    assert dimension_binary_gilbert(9, 3, 1) == 4
-    assert dimension_binary_gs(9, 3, 1) == 9
-    assert dimension_binary_gilbert(10, 2, 1) == 45
-    assert dimension_binary_gilbert(12, 2, 2) == 15
-    assert dimension_binary_gs(10, 2, 2) == 21
-    assert dimension_ternary_gilbert(10, 2, 2) == 16
-    assert dimension_ternary_gilbert(9, 2, 1) == 48
+    assert gilbert_bound(9, *dimension_params(9, 3, 1)) == 4
+    assert moment_dimension(9, *dimension_params(9, 3, 1)) == 9
+    assert gilbert_bound(10, *dimension_params(10, 2, 1)) == 45
+    assert gilbert_bound(12, *dimension_params(12, 2, 2)) == 15
+    assert moment_dimension(10, *dimension_params(10, 2, 2)) == 21
+    assert ternary_gilbert_bound(10, *dimension_params(10, 2, 2)) == 16
+    assert ternary_gilbert_bound(9, *dimension_params(9, 2, 1)) == 48
 
 
 def test_dimension_calculators_reject_bad_parameters():
-    with pytest.raises(ParameterError):
-        dimension_binary_gilbert(10, 1, 1)   # k must be >= 2
-    with pytest.raises(ParameterError):
-        dimension_binary_gs(5, 3, 2)         # n < k*t
-    with pytest.raises(ParameterError):
-        dimension_ternary_gilbert(10, 2, 0)
+    with pytest.raises(ParameterError, match="need k >= 2"):
+        dimension_params(10, 1, 1)   # k must be >= 2
+    with pytest.raises(ParameterError, match="need n >= k"):
+        dimension_params(5, 3, 2)    # n < k*t
+    with pytest.raises(ParameterError, match="t >= 1"):
+        dimension_params(10, 2, 0)
 
 
 # -- file format --------------------------------------------------------------

@@ -49,6 +49,16 @@ def test_coherence_delta_k():
         coherence(fano_matrix(), k=0)
 
 
+def test_coherence_refuses_k_before_the_scan(monkeypatch):
+    matrix = loads_matrix("1,0\n0,1\n")  # no cached coherence
+
+    def scan(*args):
+        raise AssertionError("scanned before checking k")
+    monkeypatch.setattr(matrices, "array_maxima", scan)
+    with pytest.raises(ParameterError, match="k must be >= 1, got 0"):
+        coherence(matrix, k=0)
+
+
 def test_zero_coherence_order_is_row_count():
     matrix = loads_matrix("1,0\n0,1\n")
     assert (matrix.n, matrix.N, matrix.w) == (2, 2, 1)
