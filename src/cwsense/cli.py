@@ -5,9 +5,11 @@ Subcommands:
 * construct: build a code (and optionally its measurement matrix) from
   one of the named deterministic constructions; devore builds the
   matrix alone and always writes it.
-* analyze: certify a code or matrix file (exact coherence, bounds,
-  sparsity order).
-* bounds: print size bounds or dimension calculator values.
+* analyze: certify a code or matrix file: its exact coherence mu
+  with the attached bound, and the sparsity order, Welch bound and
+  delta_k formed from mu, n and N.
+* bounds: print size bounds or dimension calculator values, each the
+  ceiling its counting argument gives (the moment dimension a floor).
 * recover: run the seeded OMP experiment against a matrix file.
 
 Exit codes: 0 success, 2 usage, file-format or unreadable-file error,
@@ -26,6 +28,7 @@ import argparse
 import errno
 import functools
 import logging
+import math
 import os
 import sys
 
@@ -100,17 +103,21 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def _coherence_lines(matrix: matrices.MeasurementMatrix,
                      k: int | None) -> list[str]:
-    report = matrices.coherence(matrix, k=k)
-    bound = "n/a" if report.bound is None else report.bound
-    lines = [f"mu = {report.mu}, bound = {bound}, "
-             f"order k = {report.order}"]
-    if report.welch.degenerate:
+    """The certified mu with its bound and sparsity order floor(1/mu) + 1
+    (n when mu = 0), the Welch bound sqrt((N - n)/(n (N - 1))) of an
+    n x N unit-norm frame with the variant sqrt(N/(n (N - n))) some
+    references print (both 0 when N <= n), and delta_k = (k - 1) mu."""
+    mu, n, N = matrices.coherence(matrix), matrix.n, matrix.N
+    bound = "n/a" if matrix.bound is None else matrix.bound
+    order = n if mu == 0 else math.floor(1 / mu) + 1
+    lines = [f"mu = {mu}, bound = {bound}, order k = {order}"]
+    if N <= n:
         lines.append("welch = 0 (degenerate: N <= n)")
     else:
-        lines.append(f"welch = {report.welch.value:.6f} "
-                     f"(alt form {report.welch.alt_value:.6f})")
-    if report.k is not None:
-        lines.append(f"delta_{report.k} = {report.delta_k}")
+        lines.append(f"welch = {math.sqrt((N - n) / (n * (N - 1))):.6f} "
+                     f"(alt form {math.sqrt(N / (n * (N - n))):.6f})")
+    if k is not None:
+        lines.append(f"delta_{k} = {(k - 1) * mu}")
     return lines
 
 
@@ -175,7 +182,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         raise ParameterError(f"empty k range {args.k_min}..{args.k_max}")
     _check_outputs(args.out)
     matrix = matrices.load_matrix(args.file)
-    mu = matrices.coherence(matrix).mu
+    mu = matrices.coherence(matrix)
     ks = range(args.k_min, args.k_max + 1)
     results = recovery.run_experiment(matrix, ks, trials=args.trials,
                                       model=args.values, seed=args.seed)

@@ -360,13 +360,15 @@ def _bound_work(terms: int, n: int, w: int) -> int:
 def gilbert_bound(n: int, dist: int, w: int) -> int:
     """Gilbert-style lower bound on the size of a binary (n, dist, w) code.
 
-    floor(C(n, w) / sum_{i<dist/2} C(w, i) * C(n-w, i)); dist must be even.
+    ceil(C(n, w) / sum_{i<dist/2} C(w, i) * C(n-w, i)); dist must be even.
+    Each word a greedy scan keeps excludes at most that sum of words, so
+    it keeps at least the ceiling.
     """
     _check_nwd(n, dist, w, even=True)
     d = dist // 2
     admit("the gilbert bound", _bound_work(d, n, w), "steps")
     denom = sum(math.comb(w, i) * math.comb(n - w, i) for i in range(d))
-    return math.comb(n, w) // denom
+    return -(-math.comb(n, w) // denom)
 
 
 def smallest_prime_at_least(n: int) -> int:
@@ -378,7 +380,8 @@ def smallest_prime_at_least(n: int) -> int:
 
 
 def graham_sloane_bound(n: int, dist: int, w: int) -> int:
-    """Moment-bucket lower bound: floor(C(n, w) / q^(dist/2 - 1)).
+    """Moment-bucket lower bound: ceil(C(n, w) / q^(dist/2 - 1)), the
+    size of the largest of the q^(dist/2 - 1) buckets at the least.
 
     q is the smallest prime >= n, the same prime the matching
     construction buckets with, so bound and construction agree.
@@ -387,7 +390,7 @@ def graham_sloane_bound(n: int, dist: int, w: int) -> int:
     d = dist // 2
     admit("the graham-sloane bound", _bound_work(d - 1, n, w), "steps")
     q = smallest_prime_at_least(n)
-    return math.comb(n, w) // q ** (d - 1)
+    return -(-math.comb(n, w) // q ** (d - 1))
 
 
 def _ternary_sphere(n: int, w: int, radius: int) -> int:
@@ -406,12 +409,13 @@ def _ternary_sphere(n: int, w: int, radius: int) -> int:
 
 def ternary_gilbert_bound(n: int, dist: int, w: int) -> int:
     """Gilbert-style bound for ternary constant-weight codes:
-    floor(C(n, w) * 2^w / sphere(dist - 1)).  dist may be odd.
+    ceil(C(n, w) * 2^w / sphere(dist - 1)), as gilbert_bound's argument
+    gives.  dist may be odd.  Admitted at the terms _ternary_sphere sums.
     """
     _check_nwd(n, dist, w, even=False)
-    terms = dist * (min((dist - 1) // 2, n - w) + 1)
+    terms = dist * (min((dist - 1) // 2, n - w, w) + 1)
     admit("the ternary-gilbert bound", _bound_work(terms, n, w), "steps")
-    return (math.comb(n, w) << w) // _ternary_sphere(n, w, dist - 1)
+    return -(-(math.comb(n, w) << w) // _ternary_sphere(n, w, dist - 1))
 
 
 # -- constructions -------------------------------------------------------
@@ -550,7 +554,8 @@ def dimension_params(n: int, k: int, t: int) -> tuple[int, int]:
 
 
 def moment_dimension(n: int, dist: int, w: int) -> int:
-    """floor(C(n, w) / n^(dist/2 - 1)).
+    """floor(C(n, w) / n^(dist/2 - 1)).  n is not a bucket count, so,
+    unlike the other bounds, no argument raises this to the ceiling.
 
     Note the denominator uses n itself, not a prime rounded up from n;
     graham_sloane_bound is the prime-based variant and the CLI prints

@@ -10,9 +10,12 @@ columns, or from the code's own certificate via from_code.  That
 kernel covers every pair: sorted s-subset keys of the supports give
 the largest overlap when the columns are unsigned or meet in at most
 one row, and float64 column tiles, whose products are exact integers
-in any summation order, answer the rest.  The certified value is
-compared against the construction's theoretical bound every time; a
-violation raises, it is never waived.  A bound read from a file is a claim, checked at load.
+in any summation order, answer the rest.  coherence returns that
+exact Fraction, compared against the construction's theoretical bound
+every time; a violation raises, it is never waived.  A bound read from
+a file is a claim, checked at load.  What follows from mu, n and N
+(the sparsity order, the Welch bound, delta_k) is formed where
+cli.analyze prints it.
 from_code turns any code into a matrix and attaches its bound:
 1 - d/(2w) for a binary code (kept under seeded sign randomization),
 min(w, 2w - d)/w for a ternary one.  The two file FORMATS are
@@ -21,8 +24,6 @@ textio's; dumps_matrix and loads_matrix convert to and from them.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -79,77 +80,23 @@ class MeasurementMatrix:
                 f"{self.provenance!r})")
 
 
-@dataclass
-class WelchBound:
-    """Lower bound on coherence for an n x N unit-norm frame.
-
-    value is the standard sqrt((N - n) / (n (N - 1))); alt_value is the
-    variant expression sqrt(N / (n (N - n))) that some references print,
-    reported alongside for comparison.  Both degenerate to 0 (flagged)
-    when N <= n.
-    """
-    value: float
-    alt_value: float
-    degenerate: bool
-
-
-def welch_bound(n: int, N: int) -> WelchBound:
-    if n < 1 or N < 1:
-        raise ParameterError(f"need positive dimensions, got n={n} N={N}")
-    if N <= n:
-        return WelchBound(0.0, 0.0, True)
-    value = math.sqrt((N - n) / (n * (N - 1)))
-    alt = math.sqrt(N / (n * (N - n)))
-    return WelchBound(value, alt, False)
-
-
-@dataclass
-class CoherenceReport:
-    """Exact coherence plus the derived guarantees.
-
-    mu is exact (Fraction); order is the sparsity order floor(1/mu) + 1,
-    taken as n when mu = 0.  delta_k = (k - 1) * mu is filled in when a
-    k was asked for.
-    """
-    mu: Fraction
-    bound: Fraction | None
-    welch: WelchBound
-    order: int
-    k: int | None = None
-    delta_k: Fraction | None = None
-
-
-def coherence(matrix: MeasurementMatrix, k: int | None = None) -> CoherenceReport:
-    """Certify the exact coherence of the matrix.
+def coherence(matrix: MeasurementMatrix) -> Fraction:
+    """The exact coherence mu of the matrix, cached on it.
 
     The largest |<c_i, c_j>| over all column pairs comes from
     codes.array_maxima on the columns (sorted subset keys or float64
     tiles, exact integers either way, every pair covered) or from
-    from_code's seed, cached on the matrix.  Raises RuntimeError if the
-    exact value exceeds the matrix's theoretical bound; that check is a
-    hard assertion and is never skipped.
+    from_code's seed; mu is it over w.  Raises RuntimeError if mu
+    exceeds the matrix's theoretical bound; that check is a hard
+    assertion and is never skipped.
     """
-    if k is not None and k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    mu = _exact_mu(matrix)
-    if matrix.bound is not None and mu > matrix.bound:
-        raise RuntimeError(
-            f"exact coherence {mu} exceeds the theoretical bound "
-            f"{matrix.bound} ({matrix.provenance})")
-    order = matrix.n if mu == 0 else math.floor(1 / mu) + 1
-    report = CoherenceReport(mu=mu, bound=matrix.bound,
-                             welch=welch_bound(matrix.n, matrix.N),
-                             order=order)
-    if k is not None:
-        report.k = k
-        report.delta_k = (k - 1) * mu
-    return report
-
-
-def _exact_mu(matrix: MeasurementMatrix) -> Fraction:
     if matrix._mu is None:
         top = array_maxima(matrix.n, matrix.positions, matrix.signs)[0]
         matrix._mu = Fraction(top, matrix.w)
+    if matrix.bound is not None and matrix._mu > matrix.bound:
+        raise RuntimeError(
+            f"exact coherence {matrix._mu} exceeds the theoretical bound "
+            f"{matrix.bound} ({matrix.provenance})")
     return matrix._mu
 
 
@@ -288,12 +235,13 @@ def _loads_support_list(provenance: str, comments: list[tuple[int, str]],
     try:
         positions, signs = textio.parse_words(lines, True, w, "column")
         matrix = MeasurementMatrix(n, w, positions, signs,
-                                   provenance=provenance, bound=bound)
+                                   provenance=provenance)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
-    if bound is not None and _exact_mu(matrix) > bound:
+    if bound is not None and coherence(matrix) > bound:
         raise FormatError(f"header claims coherence bound {bound} but the "
                           f"columns reach {matrix._mu}")
+    matrix.bound = bound
     return matrix
 
 

@@ -89,13 +89,12 @@ def test_criterion_1_coherence_bounds(capsys):
     with gate(1, capsys, budget=60.0) as outcome:
         suite = coherence_suite()
         for label, matrix, expected in suite:
-            report = matrices.coherence(matrix)
-            assert report.bound is not None, label
-            assert report.mu <= report.bound, (
-                f"{label}: mu {report.mu} over bound {report.bound}")
+            mu = matrices.coherence(matrix)
+            assert matrix.bound is not None, label
+            assert mu <= matrix.bound, (
+                f"{label}: mu {mu} over bound {matrix.bound}")
             if expected is not None:
-                assert report.mu == expected, (
-                    f"{label}: mu {report.mu}, expected {expected}")
+                assert mu == expected, f"{label}: mu {mu}, expected {expected}"
         outcome["detail"] = (f"{len(suite)} instances, exact rational "
                              f"coherence within bound")
 
@@ -155,7 +154,7 @@ def test_criterion_4_guaranteed_recovery(capsys):
         total_levels = 0
         ungated = []
         for label, matrix, _ in suite:
-            mu = matrices.coherence(matrix).mu
+            mu = matrices.coherence(matrix)
             k_cap = min(matrix.n, matrix.N)
             guaranteed = [k for k in range(1, k_cap + 1)
                           if (2 * k - 1) * mu < 1]
@@ -318,7 +317,7 @@ def test_criterion_8_float_oracle(capsys):
             for base in bases:
                 matrix = matrices.from_code(base, seed=seed)
                 assert matrix.N <= 500
-                exact = matrices.coherence(matrix).mu
+                exact = matrices.coherence(matrix)
                 dense = matrix.to_dense() / np.sqrt(matrix.w)
                 gram = np.abs(dense.T @ dense)
                 np.fill_diagonal(gram, 0.0)

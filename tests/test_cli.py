@@ -708,25 +708,32 @@ def test_unreadable_input_is_exit_2(capsys, tmp_path, command):
 def test_bounds_binary_lines(capsys):
     assert run_cli("bounds", "--n", "10", "--d", "4", "--w", "3") == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "gilbert A(10,4,3) >= 5"
-    assert lines[1] == "graham-sloane A(10,4,3) >= 10 (q=11)"
+    assert lines[0] == "gilbert A(10,4,3) >= 6"
+    assert lines[1] == "graham-sloane A(10,4,3) >= 11 (q=11)"
 
 
 def test_bounds_ternary_line(capsys):
     assert run_cli("bounds", "--ternary", "--n", "6", "--d", "3",
                    "--w", "3") == 0
     assert capsys.readouterr().out.splitlines() == [
-        "ternary-gilbert A3(6,3,3) >= 6"]
+        "ternary-gilbert A3(6,3,3) >= 7"]
+
+
+def test_bounds_ternary_admits_the_terms_it_sums(capsys):
+    # the sphere stops j at w = 1: 2000 terms, not 500000
+    assert run_cli("bounds", "--ternary", "--n", "1000", "--d", "1000",
+                   "--w", "1") == 0
+    assert capsys.readouterr().out == "ternary-gilbert A3(1000,1000,1) >= 1\n"
 
 
 def test_bounds_dims_trio(capsys):
     assert run_cli("bounds", "--dims", "--n", "10", "--k", "2",
                    "--t", "2") == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "dimension gilbert N(n=10,k=2,t=2) = 8"
+    assert lines[0] == "dimension gilbert N(n=10,k=2,t=2) = 9"
     assert lines[1] == ("dimension moment N(n=10,k=2,t=2) = 21 "
                         "(denominator n^((k-1)t-1))")
-    assert lines[2] == ("dimension moment-prime N(n=10,k=2,t=2) = 19 "
+    assert lines[2] == ("dimension moment-prime N(n=10,k=2,t=2) = 20 "
                         "(denominator q^((k-1)t-1), q=11)")
 
 
@@ -734,7 +741,7 @@ def test_bounds_dims_ternary(capsys):
     assert run_cli("bounds", "--dims", "--ternary", "--n", "10", "--k", "2",
                    "--t", "2") == 0
     assert capsys.readouterr().out.splitlines() == [
-        "dimension ternary-gilbert N(n=10,k=2,t=2) = 16"]
+        "dimension ternary-gilbert N(n=10,k=2,t=2) = 17"]
 
 
 def test_bounds_usage_errors(capsys):

@@ -477,9 +477,9 @@ def test_ternary_validation_rejections():
 # -- bounds, frozen values --------------------------------------------------
 
 @pytest.mark.parametrize("n,dist,w,value", [
-    (40, 10, 6, 4),
-    (12, 6, 4, 2),
-    (9, 4, 3, 4),
+    (40, 10, 6, 5),
+    (12, 6, 4, 3),
+    (9, 4, 3, 5),
     (10, 2, 2, 45),
 ])
 def test_gilbert_bound_frozen(n, dist, w, value):
@@ -487,10 +487,10 @@ def test_gilbert_bound_frozen(n, dist, w, value):
 
 
 @pytest.mark.parametrize("n,dist,w,value,q", [
-    (10, 4, 3, 10, 11),
-    (9, 4, 3, 7, 11),
-    (40, 6, 10, 504259, 41),
-    (12, 4, 4, 38, 13),
+    (10, 4, 3, 11, 11),
+    (9, 4, 3, 8, 11),
+    (40, 6, 10, 504260, 41),
+    (12, 4, 4, 39, 13),
 ])
 def test_graham_sloane_bound_frozen(n, dist, w, value, q):
     assert graham_sloane_bound(n, dist, w) == value
@@ -498,9 +498,9 @@ def test_graham_sloane_bound_frozen(n, dist, w, value, q):
 
 
 @pytest.mark.parametrize("n,dist,w,value", [
-    (6, 3, 3, 6),
-    (4, 4, 2, 1),
-    (10, 4, 4, 16),
+    (6, 3, 3, 7),
+    (4, 4, 2, 2),
+    (10, 4, 4, 17),
 ])
 def test_ternary_gilbert_bound_frozen(n, dist, w, value):
     assert ternary_gilbert_bound(n, dist, w) == value
@@ -690,12 +690,12 @@ def test_graham_sloane_construct_beats_its_bound():
 # -- dimension calculators ---------------------------------------------------
 
 def test_dimension_calculators_frozen():
-    assert gilbert_bound(9, *dimension_params(9, 3, 1)) == 4
+    assert gilbert_bound(9, *dimension_params(9, 3, 1)) == 5
     assert moment_dimension(9, *dimension_params(9, 3, 1)) == 9
     assert gilbert_bound(10, *dimension_params(10, 2, 1)) == 45
     assert gilbert_bound(12, *dimension_params(12, 2, 2)) == 15
     assert moment_dimension(10, *dimension_params(10, 2, 2)) == 21
-    assert ternary_gilbert_bound(10, *dimension_params(10, 2, 2)) == 16
+    assert ternary_gilbert_bound(10, *dimension_params(10, 2, 2)) == 17
     assert ternary_gilbert_bound(9, *dimension_params(9, 2, 1)) == 48
 
 

@@ -19,8 +19,7 @@ from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.field import factor_prime_power, make_field
 from cwsense.matrices import (MeasurementMatrix, coherence, devore,
                               devore_bytes, dumps_matrix, from_code,
-                              load_matrix, loads_matrix, save_matrix,
-                              welch_bound)
+                              load_matrix, loads_matrix, save_matrix)
 from cwsense.textio import FORMATS, _parse_bound, matrix_format, read_lines
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
@@ -34,43 +33,41 @@ def fano_matrix() -> MeasurementMatrix:
 # -- coherence ----------------------------------------------------------------
 
 def test_fano_coherence_exact():
-    report = coherence(fano_matrix())
-    assert report.mu == Fraction(1, 3)
-    assert report.bound == Fraction(1, 3)
-    assert report.order == 4
-    assert report.welch.degenerate  # N = n = 7
+    matrix = fano_matrix()
+    assert coherence(matrix) == Fraction(1, 3)
+    assert matrix.bound == Fraction(1, 3)
+    assert cli._coherence_lines(matrix, None)[:2] == [
+        "mu = 1/3, bound = 1/3, order k = 4",
+        "welch = 0 (degenerate: N <= n)"]  # N = n = 7
 
 
 def test_coherence_delta_k():
-    report = coherence(fano_matrix(), k=4)
-    assert report.k == 4
-    assert report.delta_k == Fraction(1, 1)
-    with pytest.raises(ParameterError):
-        coherence(fano_matrix(), k=0)
+    assert cli._coherence_lines(fano_matrix(), 4)[2] == "delta_4 = 1"
 
 
-def test_coherence_refuses_k_before_the_scan(monkeypatch):
-    matrix = loads_matrix("1,0\n0,1\n")  # no cached coherence
+def test_coherence_refuses_k_before_the_scan(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "eye.csv"
+    path.write_text("1,0\n0,1\n")  # no cached coherence
 
     def scan(*args):
         raise AssertionError("scanned before checking k")
     monkeypatch.setattr(matrices, "array_maxima", scan)
-    with pytest.raises(ParameterError, match="k must be >= 1, got 0"):
-        coherence(matrix, k=0)
+    assert cli.main(["analyze", str(path), "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
 
 
 def test_zero_coherence_order_is_row_count():
     matrix = loads_matrix("1,0\n0,1\n")
     assert (matrix.n, matrix.N, matrix.w) == (2, 2, 1)
-    report = coherence(matrix)
-    assert report.mu == 0
-    assert report.order == 2
-    assert report.bound is None  # raw ingested matrices carry no bound
+    assert coherence(matrix) == 0
+    assert matrix.bound is None  # raw ingested matrices carry no bound
+    assert cli._coherence_lines(matrix, None)[0] == (
+        "mu = 0, bound = n/a, order k = 2")
 
 
 def test_coherence_is_cached():
     matrix = fano_matrix()
-    assert coherence(matrix).mu is coherence(matrix).mu
+    assert coherence(matrix) is coherence(matrix)
 
 
 def test_coherence_and_omp_share_one_dense_copy(monkeypatch, tmp_path):
@@ -104,19 +101,19 @@ def test_code_certificate_seeds_coherence(n, w, dist, kind):
     matrix = from_code(code, seed=7 if kind == "signed" else None)
     top = array_maxima(matrix.n, matrix.positions, matrix.signs)[0]
     assert matrix._mu == (None if kind == "signed" else Fraction(top, w))
-    assert coherence(matrix).mu == Fraction(top, w)
+    assert coherence(matrix) == Fraction(top, w)
     # a code that never went through validate gets its mu from the kernel
     raw = CWCode(code.n, w, code.d, code.positions, code.signs, code.signed)
     assert raw.inner is None
     assert from_code(raw)._mu is None
-    assert coherence(from_code(raw)).mu == coherence(from_code(code)).mu
+    assert coherence(from_code(raw)) == coherence(from_code(code))
 
 
 def test_coherence_allocates_tiles_only():
     matrix = devore(23, 3)
     tracemalloc.start()
     try:
-        assert coherence(matrix).mu == Fraction(2, 23)
+        assert coherence(matrix) == Fraction(2, 23)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,7 +151,7 @@ def test_low_weight_certification_takes_no_products(monkeypatch):
         tracemalloc.stop()
     # a few key arrays of 3N int64 entries, under one word tile's floats
     assert peak < 8 * codes.PAIR_TILE * code.n
-    assert coherence(loads_matrix(text)).mu == Fraction(1, 3)
+    assert coherence(loads_matrix(text)) == Fraction(1, 3)
     blocks = steiner_code(97, cyclic_sts_blocks(97), "cyclic").positions
     rng = np.random.default_rng(0)
     signed = CWCode(97, 3, 4, blocks, 1 - 2 * rng.integers(
@@ -162,7 +159,7 @@ def test_low_weight_certification_takes_no_products(monkeypatch):
     ternary = loads_code(dumps_code(signed))
     assert (ternary.d, ternary.inner) == (4, 1)
     assert entered == []
-    assert coherence(devore(23, 3)).mu == Fraction(2, 23)
+    assert coherence(devore(23, 3)) == Fraction(2, 23)
     assert entered == [23 * 23]
 
 
@@ -200,7 +197,7 @@ def test_binary_code_matrix_bound():
     code = greedy_binary(10, 4, 3)
     matrix = from_code(code)
     assert matrix.bound == 1 - Fraction(code.d, 2 * code.w)
-    assert coherence(matrix).mu <= matrix.bound
+    assert coherence(matrix) <= matrix.bound
 
 
 def test_signed_matrix_is_deterministic():
@@ -219,7 +216,7 @@ def test_signed_matrix_keeps_unsigned_bound_and_coherence_holds():
     for seed in range(5):
         signed = from_code(code, seed=seed)
         assert signed.bound == plain.bound
-        assert coherence(signed).mu <= signed.bound
+        assert coherence(signed) <= signed.bound
 
 
 # sha256 of dumps_matrix(from_code(code, seed=s)): the seeded sign stream
@@ -262,10 +259,10 @@ def test_ternary_matrix_two_sided_bound(params, mu, bound, order):
     so the certified bound takes min(w, 2w - d)/w; these greedy outputs
     attain it exactly."""
     matrix = from_code(greedy_ternary(*params))
-    report = coherence(matrix)
-    assert report.mu == mu
-    assert report.bound == bound
-    assert report.order == order
+    assert coherence(matrix) == mu
+    assert matrix.bound == bound
+    assert cli._coherence_lines(matrix, None)[0] == (
+        f"mu = {mu}, bound = {bound}, order k = {order}")
 
 
 @pytest.mark.parametrize("p,r,mu", [
@@ -276,14 +273,12 @@ def test_ternary_matrix_two_sided_bound(params, mu, bound, order):
 def test_devore_exact_coherence(p, r, mu):
     matrix = devore(p, r)
     assert (matrix.n, matrix.N, matrix.w) == (p * p, p ** r, p)
-    report = coherence(matrix)
-    assert report.mu == mu
-    assert report.bound == Fraction(r - 1, p)
+    assert coherence(matrix) == mu
+    assert matrix.bound == Fraction(r - 1, p)
 
 
 def test_devore_prime_power_base():
-    report = coherence(devore(4, 2))
-    assert report.mu == Fraction(1, 4)
+    assert coherence(devore(4, 2)) == Fraction(1, 4)
 
 
 def test_devore_rejections():
@@ -320,20 +315,24 @@ def test_devore_peak_memory_within_its_budget_estimate(p, r):
 # -- Welch bound -----------------------------------------------------------------
 
 def test_welch_bound_frozen_values():
-    wb = welch_bound(9, 12)
-    assert wb.value == pytest.approx(0.17407765595569785, abs=1e-15)
-    assert wb.alt_value == pytest.approx(2 / 3, abs=1e-15)
-    assert not wb.degenerate
-    wb = welch_bound(25, 125)
-    assert wb.value == pytest.approx(0.1796053020267749, abs=1e-15)
-    assert wb.alt_value == pytest.approx(0.22360679774997896, abs=1e-15)
+    # sqrt((N - n)/(n (N - 1))) and sqrt(N/(n (N - n))) as analyze prints them
+    assert cli._coherence_lines(from_code(make_sts(9)), None)[1] == (
+        "welch = 0.174078 (alt form 0.666667)")            # 9 x 12
+    assert cli._coherence_lines(devore(5, 3), None) == [
+        "mu = 2/5, bound = 2/5, order k = 3",
+        "welch = 0.179605 (alt form 0.223607)"]             # 25 x 125
 
 
 def test_welch_bound_degenerate_and_errors():
-    wb = welch_bound(7, 7)
-    assert wb.degenerate and wb.value == 0.0 and wb.alt_value == 0.0
+    assert cli._coherence_lines(fano_matrix(), None)[1] == (
+        "welch = 0 (degenerate: N <= n)")                   # N = n = 7
+    # the formula needs n, N >= 1, which every matrix has: check_words
+    # forces n >= w >= 1, and a matrix needs a column
+    one = (np.zeros((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int8))
     with pytest.raises(ParameterError):
-        welch_bound(0, 5)
+        MeasurementMatrix(0, 1, *one, provenance="x")
+    with pytest.raises(ParameterError):
+        MeasurementMatrix(1, 1, one[0][:0], one[1][:0], provenance="x")
 
 
 # -- matrix validation ---------------------------------------------------------
@@ -371,7 +370,7 @@ def test_support_list_keeps_bound_and_provenance():
     loaded = loads_matrix(dumps_matrix(matrix))
     assert loaded.bound == Fraction(1, 3)
     assert loaded.provenance == "devore p=3 r=2"
-    assert coherence(loaded).mu == Fraction(1, 3)
+    assert coherence(loaded) == Fraction(1, 3)
 
 
 def test_dense_csv_drops_metadata():
@@ -508,7 +507,7 @@ def test_support_list_header_is_n_w_bound_once(header, line):
 def test_float_oracle_agrees_on_small_cases():
     for matrix in (fano_matrix(), devore(5, 2),
                    from_code(make_sts(13), seed=1)):
-        exact = coherence(matrix).mu
+        exact = coherence(matrix)
         a = matrix.to_dense() / np.sqrt(matrix.w)
         gram = np.abs(a.T @ a)
         np.fill_diagonal(gram, 0.0)
@@ -525,7 +524,7 @@ def test_from_code_ternary_bound_and_signed_seed():
 
 def test_matrix_columns_may_repeat_but_not_vanish():
     matrix = loads_matrix("1,1,0\n0,0,1\n")
-    assert coherence(matrix).mu == 1                     # equal columns
+    assert coherence(matrix) == 1                        # equal columns
     with pytest.raises(FormatError):
         loads_matrix("0,0\n0,0\n")                       # weight 0
 
@@ -546,7 +545,7 @@ def measurement_matrices(draw):
     if draw(st.booleans()):
         slack = draw(st.sampled_from((0, Fraction(1, 7), 1)))
         matrix = matrix_of(n, columns, w, provenance=provenance,
-                           bound=coherence(matrix).mu + slack)
+                           bound=coherence(matrix) + slack)
     return matrix
 
 
