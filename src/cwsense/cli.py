@@ -131,9 +131,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               f"provenance={matrix.provenance!r}")
     else:
         code = codes.code_from_lines(provenance, data)
+        matrix = matrices.from_code(code)  # refuses a code without words
         print(f"code: {'ternary' if code.signed else 'binary'} n={code.n} "
               f"w={code.w} d={code.d} size={len(code)}")
-        matrix = matrices.from_code(code)
     print("\n".join(_coherence_lines(matrix, args.k)))
     return 0
 

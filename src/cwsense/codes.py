@@ -5,22 +5,23 @@ arrays, positions (int64, rows strictly increasing) and signs (+1/-1),
 the same pair a matrix's columns use; a binary code has every sign +1.
 The alphabet is recorded in CWCode.signed, taken from the construction
 or the file syntax and never inferred from the signs, because it picks
-the file syntax and the coherence bound a matrix inherits.  Every code
-object carries a certified minimum distance d (and max |inner product|,
-CWCode.inner) recomputed over every pair of its words by array_maxima
-(shared with matrices and designs), never taken on trust from a header
-or a construction argument.  array_maxima admits the larger of 8 n N
-bytes and its tiles' (errors.admit), then answers on one of two exact
-paths.  The subset path sorts int64 keys of each word's s-subsets of
-positions: two words share at least s positions exactly when they share
-an s-subset, so the largest overlap is s - 1 at the first s without a
-repeated key.  It answers for binary words, and for signed words whose
-supports meet in at most one position, where the two signs there fix the
-inner product.  Other signed words, and levels whose keys would take
-more memory than the word tiles or pass int64, go to products of float64
-word tiles.  Neither path allocates an n x N array.  check_words is
-shared with matrices; repeated_rows names a repeat only after
-array_maxima finds one, and finds duplicate subspaces in designs.
+the file syntax and the coherence bound a matrix inherits.  A CWCode is
+certified by its constructor: its minimum distance d (and max |inner
+product|, CWCode.inner) is recomputed over every pair of its words by
+array_maxima (shared with matrices and designs), never taken on trust
+from a header or a construction argument.  array_maxima admits its scan
+(admit_scan, the one estimate of a certification's bytes, which
+constructions also call before they build), then answers on one of two
+exact paths.  The subset path sorts int64 keys of each word's s-subsets
+of positions: two words share at least s positions exactly when they
+share an s-subset, so the largest overlap is s - 1 at the first s
+without a repeated key.  It answers for binary words, and for signed
+words whose supports meet in at most one position, where the two signs
+there fix the inner product.  Other signed words, and levels whose keys
+would take more memory than the word tiles or pass int64, go to products
+of float64 word tiles.  Neither path allocates an n x N array.
+check_words is shared with matrices; repeated_rows names a repeat only
+after array_maxima finds one, and finds duplicate subspaces in designs.
 
 Distances count positions whose symbols differ.  For binary words they
 are even, d = 2(w - |A & B|) for supports A and B, so the binary bound
@@ -34,7 +35,7 @@ arithmetic with a single floor division at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
@@ -46,26 +47,42 @@ from .field import is_prime
 
 @dataclass
 class CWCode:
-    """A constant-weight code over {0, +1, -1} with a certified exact
-    distance.
+    """A constant-weight code over {0, +1, -1}, certified as it is made.
 
     Word i is row i of positions (an N x w int64 array, each row
     strictly increasing) with the matching row of signs (+1/-1, int8).
     signed is the alphabet: False for a binary code (every sign +1,
     written as bare positions), True for a ternary one (written with
-    signs, even when every sign is +1).  d is the exact minimum pairwise
-    distance; a code with fewer than two words gets the sentinel n + 1
-    (no pair exists, distance unbounded).  inner, set by validate (None
-    until then), is the exact max |<word_i, word_j>|, 0 without a pair.
+    signs, even when every sign is +1).  The constructor certifies the
+    words, raising ParameterError: check_words, no '-' sign in a binary
+    code, then one scan of every pair (array_maxima, no early exit).  d
+    is the exact minimum pairwise distance; a code with fewer than two
+    words gets the sentinel n + 1 (no pair exists, distance unbounded).
+    inner is the exact max |<word_i, word_j>|, 0 without a pair.  The
+    scan's (3S + G) / 2 is 2w exactly when two words are equal (G <= S
+    <= w; a negation gives w), and only then repeated_rows names the
+    first repeat, keyed 2x + 1 for a '-' sign.
     """
     n: int
     w: int
-    d: int
     positions: np.ndarray
     signs: np.ndarray
     signed: bool
     provenance: str = "ingested"
-    inner: int | None = None
+    d: int = field(init=False)
+    inner: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        positions, signs = self.positions, self.signs
+        check_words(self.n, self.w, positions, signs)
+        if not self.signed and (bad := (signs < 0).any(axis=1)).any():
+            raise ParameterError(
+                f"word #{int(bad.argmax())} of a binary code has a '-' sign")
+        self.inner, top_s = array_maxima(self.n, positions, signs)
+        if top_s == 2 * self.w:
+            repeat = repeated_rows((positions << 1) | (signs < 0))
+            raise ParameterError(f"duplicate codeword #{int(repeat.argmax())}")
+        self.d = self.n + 1 if len(positions) < 2 else 2 * self.w - top_s
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -87,9 +104,8 @@ def array_maxima(n: int, positions: np.ndarray,
     G = S - 2D and distance 2(w - S) + D.  For words without a -1 sign
     S = G, so the second value is 2 max G.
 
-    The words are admitted first, whichever path answers, so both
-    refuse the same inputs: at 8 n N bytes (their dense float64 size),
-    or at the arrays _tile_maxima holds (_tile_layout) if that is more.
+    The words are admitted first (admit_scan), whichever path answers,
+    so both refuse the same inputs.
     _subset_maxima finds the largest S from sorted integer keys for
     words without a -1 sign and for signed words with S <= 1; other
     signed words, and words whose keys would take more memory than the
@@ -97,10 +113,19 @@ def array_maxima(n: int, positions: np.ndarray,
     """
     N, w = positions.shape
     signed = bool((signs < 0).any())
-    admit(f"certifying {N} words of length {n}", max(8 * n * N, 8 * sum(
-        math.prod(shape) for shape in _tile_layout(n, N, w, signed))))
+    admit_scan(n, N, w, signed, f"certifying {N} words of length {n}")
     top = _subset_maxima(n, positions, signs)
     return _tile_maxima(n, positions, signs, signed) if top is None else top
+
+
+def admit_scan(n: int, N: int, w: int, signed: bool, what: str) -> None:
+    """Admit array_maxima's scan of N words of weight w and length n (with
+    a -1 sign if signed): the larger of their dense float64 size, 8 n N
+    bytes, and the arrays _tile_maxima holds (_tile_layout).  Every
+    estimate of a certification's bytes is this one, so a construction
+    that calls it before building refuses what the scan would refuse."""
+    admit(what, max(8 * n * N, 8 * sum(
+        math.prod(shape) for shape in _tile_layout(n, N, w, signed))))
 
 
 def _tile_layout(n: int, N: int, w: int,
@@ -273,31 +298,6 @@ def repeated_rows(rows: np.ndarray) -> np.ndarray:
     return repeated
 
 
-def validate(code: CWCode) -> int:
-    """Exhaustively recompute the minimum distance and certify it.
-
-    Checks the words (check_words), rejects '-' signs in a binary code,
-    scans every pair (array_maxima, no early exit), writes the exact
-    distance into code.d and the largest |inner product| into
-    code.inner, and returns the distance.  A code with fewer than two
-    words certifies n + 1.  The scan's (3S + G) / 2 is 2w exactly when
-    two words are equal (G <= S <= w; a negation gives w), and only then
-    repeated_rows names the first repeat, keyed 2x + 1 for a '-' sign.
-    """
-    positions, signs = code.positions, code.signs
-    check_words(code.n, code.w, positions, signs)
-    if not code.signed and (bad := (signs < 0).any(axis=1)).any():
-        raise ParameterError(
-            f"word #{int(bad.argmax())} of a binary code has a '-' sign")
-    inner, top_s = array_maxima(code.n, positions, signs)
-    if top_s == 2 * code.w:
-        repeat = repeated_rows((positions << 1) | (signs < 0))
-        raise ParameterError(f"duplicate codeword #{int(repeat.argmax())}")
-    code.inner = inner
-    code.d = code.n + 1 if len(positions) < 2 else 2 * code.w - top_s
-    return code.d
-
-
 def as_points(values, shape: tuple, bound: int, what: str) -> np.ndarray:
     """values as an int64 array of the given shape with entries in
     [0, bound), else a ParameterError; 1.5 and 2^70 (an object array)
@@ -325,11 +325,8 @@ def certify_binary(n: int, w: int, supports,
     in [0, n) (each row sorted here), certified."""
     positions = np.sort(as_points(supports, (len(supports), w), n, "word"),
                         axis=1)
-    code = CWCode(n=n, w=w, d=0, positions=positions,
-                  signs=np.ones_like(positions, dtype=np.int8),
-                  signed=False, provenance=provenance)
-    validate(code)
-    return code
+    return CWCode(n, w, positions, np.ones_like(positions, dtype=np.int8),
+                  False, provenance)
 
 
 # -- lower bounds --------------------------------------------------------
@@ -446,7 +443,8 @@ def _greedy(n: int, dist: int, w: int, sign_set: tuple[int, ...],
     _check_nwd(n, dist, w, even=False)
     admit(f"enumerating C({n},{w}) * {len(sign_set)}^{w} words",
           _word_count(n, w, w * (len(sign_set) - 1)), "steps")
-    admit(f"certifying the first word of {name}", 8 * n)  # always kept
+    # the first word, all '+', is always kept
+    admit_scan(n, 1, w, False, f"certifying the first word of {name}")
     patterns = list(product(sign_set, repeat=w))
     kept: list[int] = []
     positions, signs = [], []
@@ -465,12 +463,8 @@ def _greedy(n: int, dist: int, w: int, sign_set: tuple[int, ...],
                 kept.append(mask)
                 positions.append(sup)
                 signs.append(pattern)
-    code = CWCode(n=n, w=w, d=0, positions=np.array(positions),
-                  signs=np.array(signs, dtype=np.int8),
-                  signed=len(sign_set) > 1,
-                  provenance=f"{name} n={n} d={dist} w={w}")
-    validate(code)
-    return code
+    return CWCode(n, w, np.array(positions), np.array(signs, dtype=np.int8),
+                  len(sign_set) > 1, f"{name} n={n} d={dist} w={w}")
 
 
 def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
@@ -501,8 +495,8 @@ def graham_sloane_construct(n: int, dist: int, w: int) -> CWCode:
     admit(f"enumerating C({n},{w}) supports", count, "steps")
     q = smallest_prime_at_least(n)
     d, m = dist // 2, min(dist // 2, w + 1) - 1
-    admit(f"certifying the largest of {q}^{d - 1} buckets of C({n},{w})",
-          8 * n * -(-count // power(q, d - 1)))
+    admit_scan(n, -(-count // power(q, d - 1)), w, False,
+               f"certifying the largest of {q}^{d - 1} buckets of C({n},{w})")
     # _lex_supports' w + 1 tables of n int64 and 8 (w + 3) bytes a support
     # (the supports, the remainders, two columns in flight), or np.unique's
     # peak: the supports, three copies of the key rows (the keys, a flat and
@@ -591,10 +585,8 @@ def code_from_lines(provenance: str, data: textio.Lines) -> CWCode:
         raise FormatError(f"header values must be positive: {(n, claimed_d, w)}")
     signed = len(body) > 0 and body.line(0)[0] in "+-"  # first word's syntax
     try:
-        positions, signs = textio.parse_words(body, signed, w)
-        code = CWCode(n=n, w=w, d=0, positions=positions, signs=signs,
-                      signed=signed, provenance=provenance)
-        validate(code)
+        code = CWCode(n, w, *textio.parse_words(body, signed, w), signed,
+                      provenance)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
     if code.d < claimed_d:

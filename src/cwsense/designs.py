@@ -28,7 +28,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import textio
-from .codes import CWCode, as_points, certify_binary, repeated_rows
+from .codes import (CWCode, admit_scan, as_points, certify_binary,
+                    repeated_rows)
 from .errors import FormatError, ParameterError, admit, power
 from .field import (FiniteField, factor_prime_power, find_irreducible,
                     make_field)
@@ -51,63 +52,41 @@ def steiner_code(n: int, blocks, tag: str) -> CWCode:
     return code
 
 
-def _quasigroup_sts(n: int, table: np.ndarray, heads: int, extra,
-                    tag: str) -> CWCode:
-    """Blocks {3i, 3i + 1, 3i + 2} for i < heads, the extra blocks, then
-    {3x + l, 3y + l, 3(x o y) + (l + 1) mod 3} for x < y (combinations
-    order) and l = 0, 1, 2, x o y read from the quasigroup's table."""
-    x, y = np.triu_indices(len(table), 1)
-    level = np.arange(3)
+def make_sts(n: int) -> CWCode:
+    """A Steiner triple system on n points by a quasigroup construction
+    over Z_m x {0, 1, 2}, m = n // 3, point (i, l) indexed 3i + l.
+
+    Bose's, for n = 3 mod 6 (m odd, tag bose), uses the idempotent
+    commutative quasigroup x o y = (x + y) / 2 mod m.  Skolem's, for
+    n = 6s + 1 >= 7 (m = 2s, tag skolem), uses the half-idempotent one
+    x o y = pi(x + y mod 2s), pi(2i) = i and pi(2i + 1) = i + s, and
+    one extra point n - 1.  The blocks, in order: {3i, 3i + 1, 3i + 2}
+    for i < m (Bose) or i < s (Skolem); Skolem's {n - 1, 3(s + i) + l,
+    3i + (l + 1) mod 3} for i < s, l = 0, 1, 2; then {3x + l, 3y + l,
+    3(x o y) + (l + 1) mod 3} for x < y (combinations order) and l = 0,
+    1, 2.  Certifying the n(n-1)/6 blocks is admitted first.
+    """
+    if n < 3 or n % 6 not in (1, 3):
+        raise ParameterError(
+            f"a Steiner triple system needs n = 1 or 3 mod 6, got {n}")
+    admit_scan(n, n * (n - 1) // 6, 3, False, f"certifying STS({n})")
+    m = n // 3
+    x, level = np.arange(m), np.arange(3)
+    v = (x[:, None] + x) % m
+    if n % 6 == 3:
+        table, heads, extra, tag = v * ((m + 1) // 2) % m, m, [], "bose"
+    else:
+        s = m // 2
+        table, heads, tag = v // 2 + v % 2 * s, s, "skolem"
+        extra = [np.stack(np.broadcast_arrays(
+            n - 1, 3 * (s + x[:s, None]) + level,
+            3 * x[:s, None] + (level + 1) % 3), axis=2).reshape(-1, 3)]
+    x, y = np.triu_indices(m, 1)
     triples = np.stack([3 * x[:, None] + level, 3 * y[:, None] + level,
                         3 * table[x, y][:, None] + (level + 1) % 3], axis=2)
     return steiner_code(n, np.concatenate([
         3 * np.arange(heads)[:, None] + level, *extra,
         triples.reshape(-1, 3)]), tag)
-
-
-def sts_bose(n: int) -> CWCode:
-    """Bose construction for n = 3 mod 6.
-
-    Points are Z_m x {0,1,2} with m = n/3 odd, indexed as 3*i + level.
-    Uses the idempotent commutative quasigroup i * j = (i + j) / 2 mod m.
-    """
-    if n % 6 != 3 or n < 3:
-        raise ParameterError(f"Bose construction needs n = 3 mod 6, got {n}")
-    admit(f"certifying STS({n})", 8 * n * (n * (n - 1) // 6))
-    m = n // 3
-    i = np.arange(m)
-    return _quasigroup_sts(n, (i[:, None] + i) * ((m + 1) // 2) % m, m, (),
-                           "bose")
-
-
-def sts_skolem(n: int) -> CWCode:
-    """Skolem construction for n = 1 mod 6.
-
-    Points are Z_{2s} x {0,1,2} plus one extra point (index n-1), with
-    n = 6s + 1.  The half-idempotent commutative quasigroup on Z_{2s}
-    is x * y = pi(x + y mod 2s) where pi(2i) = i and pi(2i+1) = i + s.
-    The extra point lies on {n - 1, 3(s + i) + l, 3i + (l + 1) mod 3}.
-    """
-    if n % 6 != 1 or n < 7:
-        raise ParameterError(f"Skolem construction needs n = 1 mod 6 >= 7, got {n}")
-    admit(f"certifying STS({n})", 8 * n * (n * (n - 1) // 6))
-    s = n // 6
-    x, level = np.arange(2 * s), np.arange(3)
-    v = (x[:, None] + x) % (2 * s)
-    inf = np.broadcast_arrays(n - 1, 3 * (s + x[:s, None]) + level,
-                              3 * x[:s, None] + (level + 1) % 3)
-    return _quasigroup_sts(n, v // 2 + v % 2 * s, s,
-                           [np.stack(inf, axis=2).reshape(-1, 3)], "skolem")
-
-
-def make_sts(n: int) -> CWCode:
-    """Dispatch on the residue of n mod 6 (1 -> Skolem, 3 -> Bose)."""
-    if n % 6 == 3:
-        return sts_bose(n)
-    if n % 6 == 1 and n >= 7:
-        return sts_skolem(n)
-    raise ParameterError(
-        f"a Steiner triple system needs n = 1 or 3 mod 6, got {n}")
 
 
 # -- affine plane lines ---------------------------------------------------
@@ -116,11 +95,12 @@ def affine_plane_code(q: int) -> CWCode:
     """Lines of AG(2, q) as supports: a (q^2, 2(q-1), q) code, q^2 + q words.
 
     Point (x, y) gets index x * q + y.  Lines y = a*x + b come first,
-    ordered by (a, b), then the verticals x = c.  The certification's
-    8 q^2 (q^2 + q) bytes are admitted before q is factored.
+    ordered by (a, b), then the verticals x = c.  The certification is
+    admitted before q is factored.
     """
     if q > 1:  # factoring refuses the rest at once
-        admit(f"certifying the lines of AG(2, {q})", 8 * q * q * (q * q + q))
+        admit_scan(q * q, q * q + q, q, False,
+                   f"certifying the lines of AG(2, {q})")
     field = make_field(*factor_prime_power(q))
     x = np.arange(q)
     lines = field.add(field.mul(x[:, None, None], x), x[:, None])  # [a, b, x]
@@ -292,8 +272,8 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
     """
     field, n, k, N = code.field, code.n, code.k, len(code)
     q, count = field.q, N * (field.q ** (n - k) - 1)
-    admit(f"certifying {count} words of length {q ** n - 1}",
-          8 * (q ** n - 1) * count)
+    admit_scan(q ** n - 1, count, q ** k, False,
+               f"certifying {count} words of length {q ** n - 1}")
     free = np.ones((N, n), dtype=bool)
     free[np.arange(N)[:, None], (code.subspaces != 0).argmax(axis=2)] = False
     digits = np.arange(1, q ** (n - k))[:, None] // q ** np.arange(n - k) % q

@@ -141,7 +141,7 @@ def from_code(code: CWCode, seed: int | None = None) -> MeasurementMatrix:
     matrix = MeasurementMatrix(code.n, w, code.positions, signs,
                                provenance=f"{kind} {code.provenance}",
                                bound=bound)
-    if signs is code.signs and code.inner is not None:
+    if signs is code.signs:
         matrix._mu = Fraction(code.inner, w)
     return matrix
 
@@ -238,9 +238,9 @@ def _loads_support_list(provenance: str, comments: list[tuple[int, str]],
                                    provenance=provenance)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
-    if bound is not None and coherence(matrix) > bound:
+    if bound is not None and (mu := coherence(matrix)) > bound:
         raise FormatError(f"header claims coherence bound {bound} but the "
-                          f"columns reach {matrix._mu}")
+                          f"columns reach {mu}")
     matrix.bound = bound
     return matrix
 

@@ -103,6 +103,9 @@ VALUE_MODELS = ("rademacher", "gaussian")
 # trial.  The engine's other per-block arrays scale with the same terms.
 BLOCK_BYTES = 256 * 1024
 
+# OMP stops a row once its residual norm drops below this.
+TOL = 1e-12
+
 # The note that stops an experiment: _omp_rows ends its notes with it
 # when a residual norm grew, and _report raises it.
 GREW = "residual norm increased across an OMP iteration"
@@ -323,14 +326,14 @@ def _lstsq(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coef[:, :, 0], rank
 
 
-def _omp_rows(a: np.ndarray, y: np.ndarray, k: int, tol: float
+def _omp_rows(a: np.ndarray, y: np.ndarray, k: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """OMP on every row of y (B, n) in lockstep against dense a (n, N).
 
     Returns (selected, coef, count, notes): row b picked the columns
     selected[b, :count[b]] in that order with least-squares
     coefficients coef[b, :count[b]]; entries past count[b] are 0.
-    A row stops early once its residual norm drops below tol.  notes
+    A row stops early once its residual norm drops below TOL.  notes
     holds the rank-deficiency warnings in trial order, as the per-trial
     loop would log them, and ends with GREW when some row's residual
     norm grew: then only the warnings up to that row's failing
@@ -349,7 +352,7 @@ def _omp_rows(a: np.ndarray, y: np.ndarray, k: int, tol: float
     taken = np.zeros((B, a.shape[1]), dtype=bool)
     up = np.zeros(B, dtype=bool)
     for t in range(1, k + 1):
-        go = ~(prev < tol) & ~up    # a row whose norm grew is out
+        go = ~(prev < TOL) & ~up    # a row whose norm grew is out
         if not go.all():
             rows, ys, residual, prev, taken = (
                 rows[go], ys[go], residual[go], prev[go], taken[go])
@@ -389,11 +392,10 @@ def _report(notes: list[str]) -> None:
         log.warning(note)
 
 
-def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
-        tol: float = 1e-12) -> SparseSignal:
+def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int) -> SparseSignal:
     """Orthogonal matching pursuit of y (shape (n,)) in at most k
     iterations, 1 <= k <= n, stopping once the residual norm drops below
-    tol.  Returns the selected support (sorted) with the final
+    TOL.  Returns the selected support (sorted) with the final
     least-squares coefficients.
 
     Each iteration picks the column of largest absolute correlation with
@@ -409,8 +411,7 @@ def omp(matrix: MeasurementMatrix, y: np.ndarray, k: int,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (matrix.n,):
         raise ParameterError(f"y must have shape ({matrix.n},)")
-    selected, coef, count, notes = _omp_rows(matrix.to_dense(), y[None], k,
-                                             tol)
+    selected, coef, count, notes = _omp_rows(matrix.to_dense(), y[None], k)
     _report(notes)
     picked = selected[0, :count[0]]
     order = np.argsort(picked)
@@ -463,8 +464,8 @@ def _score_rows(at: np.ndarray, truth: np.ndarray, values: np.ndarray,
 
 
 def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
-                   model: str = "rademacher", seed: int = 0,
-                   tol: float = 1e-12) -> list[RecoveryReport]:
+                   model: str = "rademacher", seed: int = 0
+                   ) -> list[RecoveryReport]:
     """Seeded OMP recovery experiment over a range of sparsity levels.
 
     Each trial draws from the stream of SeedSequence([seed, k, trial]),
@@ -513,7 +514,7 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
         # admitted, and numpy.random imported, before any fork, so the
         # children share both copy-on-write
         import numpy.random  # noqa: F401
-        task = functools.partial(_unit, matrix.to_dense(), words, model, tol)
+        task = functools.partial(_unit, matrix.to_dense(), words, model)
         results = iter(pool.share(task, units, [k * size * n * N
                                                 for k, _, size, _ in units]))
     reports = []
@@ -537,8 +538,8 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
     return reports
 
 
-def _unit(a: np.ndarray, words: list[int], model: str, tol: float, k: int,
-          first: int, size: int, block: int) -> tuple[tuple, float, list[str]]:
+def _unit(a: np.ndarray, words: list[int], model: str, k: int, first: int,
+          size: int, block: int) -> tuple[tuple, float, list[str]]:
     """Trials first .. first + size - 1 at sparsity k, drawn as one chunk
     and run in blocks of block trials: (scores, seconds, notes), the
     scores being the successes and the report's maxima over them.  The
@@ -554,7 +555,7 @@ def _unit(a: np.ndarray, words: list[int], model: str, tol: float, k: int,
     for b in range(0, size, block):
         t, v = truth[b:b + block], values[b:b + block]
         y = _measure_rows(a.T, t, v)
-        *found, block_notes = _omp_rows(a, y, k, tol)
+        *found, block_notes = _omp_rows(a, y, k)
         notes += block_notes
         if GREW in block_notes:
             break

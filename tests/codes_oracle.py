@@ -67,10 +67,10 @@ def arrays_of(words, w: int) -> tuple[np.ndarray, np.ndarray]:
     return positions, signs
 
 
-def code_of(n: int, w: int, words, signed: bool, d: int = 0,
+def code_of(n: int, w: int, words, signed: bool,
             provenance: str = "ingested") -> CWCode:
-    """An uncertified CWCode holding the tuple words."""
-    return CWCode(n, w, d, *arrays_of(words, w), signed=signed,
+    """The CWCode of the tuple words, certified as it is made."""
+    return CWCode(n, w, *arrays_of(words, w), signed=signed,
                   provenance=provenance)
 
 

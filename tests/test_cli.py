@@ -658,6 +658,17 @@ def test_analyze_garbage_is_format_error(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_header_only_code_prints_nothing(capsys, tmp_path):
+    # a code without words certifies, but no matrix has no columns: the
+    # refusal comes before the code line is printed
+    path = tmp_path / "e.code"
+    path.write_text("5 4 2\n")
+    assert run_cli("analyze", str(path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a measurement matrix needs at least one column\n"
+
+
 def test_analyze_missing_file(capsys, tmp_path):
     assert run_cli("analyze", str(tmp_path / "nope.txt")) == 2
 

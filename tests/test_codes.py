@@ -20,7 +20,7 @@ from cwsense.codes import (array_maxima, certify_binary,
                            greedy_ternary, load_code, loads_code,
                            moment_dimension, save_code,
                            repeated_rows, smallest_prime_at_least,
-                           ternary_gilbert_bound, validate)
+                           ternary_gilbert_bound)
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.matrices import dumps_matrix, from_code, loads_matrix
 from cwsense.textio import parse_words, read_lines
@@ -318,7 +318,7 @@ def test_validate_rejections():
         with pytest.raises(ParameterError):
             certify_binary(5, 2, supports)
     with pytest.raises(ParameterError):
-        validate(code_of(7, 3, [((2, 1), (1, 1), (0, 1))], signed=False))
+        code_of(7, 3, [((2, 1), (1, 1), (0, 1))], signed=False)
 
 
 def test_certify_binary_leaves_the_callers_array_alone():
@@ -336,7 +336,7 @@ def test_first_repeat_is_named():
     assert repeated_rows(np.array([[0, 1], [0, 2], [0, 1], [0, 2]])).tolist() \
         == [False, False, True, True]
     with pytest.raises(ParameterError, match="^duplicate codeword #2$"):
-        validate(code_of(4, 2, [a, b, a, b], signed=False))
+        code_of(4, 2, [a, b, a, b], signed=False)
     for rows in (np.zeros((0, 3)), np.zeros((3, 0))):  # no rows, no columns
         assert repeated_rows(rows).tolist() == [False, True, True][:len(rows)]
 
@@ -359,7 +359,7 @@ def test_certify_peaks_within_its_admission(signed, monkeypatch):
     tracemalloc.start()
     try:
         if signed:
-            validate(codes.CWCode(20, 5, 0, supports, signs, signed=True))
+            codes.CWCode(20, 5, supports, signs, signed=True)
         else:
             certify_binary(20, 5, supports)
         peak = tracemalloc.get_traced_memory()[1]
@@ -435,27 +435,19 @@ def test_validate_names_the_first_repeat_and_certifies_negations(case):
         with pytest.MonkeyPatch.context() as mp:
             if tiles:
                 mp.setattr(codes, "_subset_maxima", lambda *args: None)
-            code = code_of(n, w, words, signed)
             if first is not None:
                 with pytest.raises(ParameterError,
                                    match=f"^duplicate codeword #{first}$"):
-                    validate(code)
+                    code_of(n, w, words, signed)
             else:
+                code = code_of(n, w, words, signed)
                 top_g, top_s = brute_extremes(n, words)
-                assert validate(code) == 2 * w - top_s
-                assert code.inner == top_g
-
-
-def test_validate_writes_back_exact_distance():
-    code = code_of(6, 2, [((0, 1), (1, 1)), ((2, 1), (3, 1)), ((0, 1), (2, 1))],
-                   signed=False, d=99)
-    assert validate(code) == 2
-    assert code.d == 2
+                assert (code.d, code.inner) == (2 * w - top_s, top_g)
 
 
 def test_single_word_sentinel():
     assert certify_binary(9, 4, [(0, 1, 2, 3)]).d == 10
-    assert validate(signed_code(5, 2, [((0, 1), (1, -1))])) == 6
+    assert signed_code(5, 2, [((0, 1), (1, -1))]).d == 6
 
 
 def signed_code(n, w, words):
@@ -464,14 +456,13 @@ def signed_code(n, w, words):
 
 def test_ternary_validation_rejections():
     with pytest.raises(ParameterError):
-        validate(signed_code(5, 2, [((0, 2), (1, 1))]))      # bad sign
+        signed_code(5, 2, [((0, 2), (1, 1))])      # bad sign
     with pytest.raises(ParameterError):
-        validate(signed_code(5, 2, [((0, -1), (0, 1))]))     # repeated position
+        signed_code(5, 2, [((0, -1), (0, 1))])     # repeated position
     # loading normalizes ordering; only direct storage must be sorted
     assert words_of(loads_code("5 2 2\n+1 +0\n")) == [((0, 1), (1, 1))]
-    unsorted = signed_code(5, 2, [((1, 1), (0, 1))])
     with pytest.raises(ParameterError):
-        validate(unsorted)
+        signed_code(5, 2, [((1, 1), (0, 1))])      # unsorted
 
 
 # -- bounds, frozen values --------------------------------------------------
@@ -877,7 +868,7 @@ def test_all_plus_signed_file_stays_signed():
 
 def test_binary_code_rejects_minus_signs():
     with pytest.raises(ParameterError):
-        validate(code_of(4, 2, [((0, 1), (1, -1))], signed=False))
+        code_of(4, 2, [((0, 1), (1, -1))], signed=False)
 
 
 @st.composite
@@ -894,11 +885,9 @@ def cw_codes(draw):
         min_size=1, max_size=10))
     words = list(dict.fromkeys(tuple(sorted(zip(perm[:w], sg)))
                                for perm, sg in drawn))
-    code = code_of(n, w, words, signed=kind != "binary",
+    return code_of(n, w, words, signed=kind != "binary",
                    provenance=draw(st.sampled_from(
                        ("ingested", "hand made", "greedy n=5 d=2 w=2"))))
-    validate(code)
-    return code
 
 
 @settings(max_examples=150, deadline=None)

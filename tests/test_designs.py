@@ -17,10 +17,11 @@ from cwsense.designs import (_rref, affine_plane_code, certify_subspace_code,
                              dumps_subspace_code, load_subspace_code,
                              loads_subspace_code, make_sts,
                              save_subspace_code, spread_code, steiner_code,
-                             sts_bose, sts_skolem, subspace_to_coset_code)
+                             subspace_to_coset_code)
 from cwsense.errors import BudgetError, FormatError, ParameterError
 from cwsense.field import (FiniteField, factor_prime_power, find_irreducible,
                            make_field)
+from cwsense.matrices import devore
 from field_oracle import elements, from_encoding, rref, vector_encoding
 
 
@@ -79,13 +80,18 @@ def test_sts_wrong_residues_rejected(n):
         make_sts(n)
 
 
-def test_sts_dispatch_matches_direct_constructors():
-    assert np.array_equal(make_sts(9).positions, sts_bose(9).positions)
-    assert np.array_equal(make_sts(13).positions, sts_skolem(13).positions)
-    with pytest.raises(ParameterError):
-        sts_bose(13)
-    with pytest.raises(ParameterError):
-        sts_skolem(9)
+def test_make_sts_tags_and_refusals():
+    """make_sts takes Bose's construction for n = 3 mod 6 and Skolem's
+    for n = 1 mod 6 >= 7, and refuses every other n with one message."""
+    assert make_sts(3).provenance == "steiner-bose n=3"
+    assert make_sts(9).provenance == "steiner-bose n=9"
+    assert make_sts(7).provenance == "steiner-skolem n=7"
+    assert make_sts(13).provenance == "steiner-skolem n=13"
+    for n in (-9, -5, -3, -1, 0, 1, 2, 4, 5):
+        with pytest.raises(ParameterError, match=(
+                f"^a Steiner triple system needs n = 1 or 3 mod 6, "
+                f"got {n}$")):
+            make_sts(n)
 
 
 # sha256 of dumps_code(make_sts(n)): the blocks, their
@@ -160,6 +166,31 @@ def test_affine_plane_lines_cover_pairs_once():
     for p, r in combinations(range(9), 2):
         containing = [w for w in words_of(code) if (p, 1) in w and (r, 1) in w]
         assert len(containing) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
+def test_affine_plane_lines_are_devore_columns(q):
+    """The q^2 non-vertical lines y = a x + b are the polynomials b + a x,
+    devore(q, 2)'s columns, in the same order: one broadcast evaluation
+    against devore's blocked Horner evaluation."""
+    code, matrix = affine_plane_code(q), devore(q, 2)
+    assert np.array_equal(code.positions[:q * q], matrix.positions)
+
+
+@pytest.mark.parametrize("build", [lambda: make_sts(9),
+                                   lambda: affine_plane_code(5)],
+                         ids=["sts9", "affine5"])
+def test_construction_pre_admits_its_scan(build, monkeypatch):
+    """A construction admits its certification before it builds, at the
+    size the scan then admits (codes.admit_scan both times)."""
+    sizes, real = [], codes.admit
+
+    def recorded(what, size, *rest):
+        sizes.append(size)
+        real(what, size, *rest)
+    monkeypatch.setattr(codes, "admit", recorded)
+    code = build()
+    assert len(sizes) == 2 and sizes[0] == sizes[1] >= 8 * code.n * len(code)
 
 
 def test_affine_plane_rejections():

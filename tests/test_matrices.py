@@ -102,11 +102,6 @@ def test_code_certificate_seeds_coherence(n, w, dist, kind):
     top = array_maxima(matrix.n, matrix.positions, matrix.signs)[0]
     assert matrix._mu == (None if kind == "signed" else Fraction(top, w))
     assert coherence(matrix) == Fraction(top, w)
-    # a code that never went through validate gets its mu from the kernel
-    raw = CWCode(code.n, w, code.d, code.positions, code.signs, code.signed)
-    assert raw.inner is None
-    assert from_code(raw)._mu is None
-    assert coherence(from_code(raw)) == coherence(from_code(code))
 
 
 def test_coherence_allocates_tiles_only():
@@ -154,7 +149,7 @@ def test_low_weight_certification_takes_no_products(monkeypatch):
     assert coherence(loads_matrix(text)) == Fraction(1, 3)
     blocks = steiner_code(97, cyclic_sts_blocks(97), "cyclic").positions
     rng = np.random.default_rng(0)
-    signed = CWCode(97, 3, 4, blocks, 1 - 2 * rng.integers(
+    signed = CWCode(97, 3, blocks, 1 - 2 * rng.integers(
         0, 2, blocks.shape, dtype=np.int8), signed=True)
     ternary = loads_code(dumps_code(signed))
     assert (ternary.d, ternary.inner) == (4, 1)

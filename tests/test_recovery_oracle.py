@@ -9,6 +9,7 @@ order must agree exactly, whatever the block size and the seed; the
 chunk draw must agree with _draw row by row.
 """
 
+import functools
 import hashlib
 import logging
 import tracemalloc
@@ -73,20 +74,22 @@ def outcome(run, *args, **kwargs):
 
 
 def both(caplog, matrix, ks, trials, model, tol=1e-12, seed=3):
-    """(fields, warning lines) of the oracle and of the engine.  The
-    engine runs twice, in this process (FORK_WORK past any work) and
-    then shared among forked processes wherever more than one core is
-    usable (FORK_WORK 1: one process per unit, up to one per core); the
-    two runs must agree, and the first is returned."""
+    """(fields, warning lines) of the oracle and of the engine, which
+    stops OMP at recovery.TOL, set to tol for the call.  The engine runs
+    twice, in this process (FORK_WORK past any work) and then shared
+    among forked processes wherever more than one core is usable
+    (FORK_WORK 1: one process per unit, up to one per core); the two
+    runs must agree, and the first is returned."""
     args = (matrix, ks, trials)
-    kwargs = dict(model=model, seed=seed, tol=tol)
+    kwargs = dict(model=model, seed=seed)
     with caplog.at_level(logging.INFO, logger="cwsense"):
-        want = outcome(oracle.run_experiment, *args, **kwargs)
+        want = outcome(oracle.run_experiment, *args, tol=tol, **kwargs)
         want_log = warnings(caplog)
         runs = []
         for fork_work in (2 ** 63, 1):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pool, "FORK_WORK", fork_work)
+                patch.setattr(recovery, "TOL", tol)
                 runs.append((outcome(recovery.run_experiment, *args,
                                      **kwargs), warnings(caplog)))
     assert runs[1] == runs[0]
@@ -106,9 +109,10 @@ def test_run_experiment_matches_oracle(caplog, name, model):
 
 @pytest.mark.parametrize("model", recovery.VALUE_MODELS)
 @pytest.mark.parametrize("name", sorted(MATRICES))
-def test_omp_matches_oracle(caplog, name, model):
+def test_omp_matches_oracle(caplog, monkeypatch, name, model):
     matrix = MATRICES[name]()
     tol, k_max, trials = SETTINGS.get(name, DEFAULT)
+    monkeypatch.setattr(recovery, "TOL", tol)
     for k in range(1, k_max + 1):
         for trial in range(trials // 4):
             stream = [3, k, trial]
@@ -123,7 +127,7 @@ def test_omp_matches_oracle(caplog, name, model):
             with caplog.at_level(logging.WARNING, logger="cwsense"):
                 want = oracle.omp(matrix, y, k, tol=tol)
                 want_log = warnings(caplog)
-                got = recovery.omp(matrix, y, k, tol=tol)
+                got = recovery.omp(matrix, y, k)
                 got_log = warnings(caplog)
             assert got.support == want.support
             assert got.values.tobytes() == want.values.tobytes()
@@ -355,12 +359,14 @@ def test_residual_growth_stops_at_the_same_trial(caplog, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", overshooting_lstsq)
     monkeypatch.setattr(recovery, "_lstsq", overshooting_stacked)
+    monkeypatch.setattr(recovery, "TOL", 0.0)
     matrix = repeated_columns()
     logs = []
     with caplog.at_level(logging.WARNING, logger="cwsense"):
-        for run in (oracle.run_experiment, recovery.run_experiment):
+        for run in (functools.partial(oracle.run_experiment, tol=0.0),
+                    recovery.run_experiment):
             with pytest.raises(RuntimeError, match="residual norm increased"):
-                run(matrix, [7], 40, model="rademacher", seed=3, tol=0.0)
+                run(matrix, [7], 40, model="rademacher", seed=3)
             logs.append(warnings(caplog))
     assert logs[0] == logs[1] and logs[0]
 
