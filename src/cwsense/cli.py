@@ -197,8 +197,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         guaranteed = (2 * rep.k - 1) * mu < 1
         status = "guaranteed" if guaranteed else "beyond guarantee"
         print(f"k={rep.k}: {rep.successes}/{rep.trials} exact ({status})")
-        if guaranteed and rep.successes < rep.trials:
-            failed_guarantee = True
+        failed_guarantee |= guaranteed and rep.successes < rep.trials
     if failed_guarantee:
         print("guarantee violated: an exact-recovery trial failed inside "
               "the (2k-1) mu < 1 regime", file=sys.stderr)

@@ -45,7 +45,7 @@ from .errors import FormatError, ParameterError, admit, power
 from .field import is_prime
 
 
-@dataclass
+@dataclass(eq=False)
 class CWCode:
     """A constant-weight code over {0, +1, -1}, certified as it is made.
 

@@ -5,8 +5,8 @@ Three families live here:
 * Steiner triple systems on n points (n = 1, 3 mod 6), built by the
   quasigroup constructions over Z_m x {0, 1, 2}.  They are returned as
   the (n, 4, 3) code of their n(n-1)/6 blocks (steiner_code).
-* Lines of the affine plane over GF(q): a (q^2, 2(q-1), q) code of
-  q^2 + q words.
+* Lines of the affine plane over GF(q), the columns of devore(q, 2)
+  and the q verticals: a (q^2, 2(q-1), q) code of q^2 + q words.
 * Constant-dimension subspace codes in GF(q)^n, in particular spreads,
   with two binary constant-weight codes: SubspaceCode.binary, one word
   per subspace, and subspace_to_coset_code, one per proper coset
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import textio
+from . import matrices, textio
 from .codes import (CWCode, admit_scan, as_points, certify_binary,
                     repeated_rows)
 from .errors import FormatError, ParameterError, admit, power
@@ -67,8 +67,8 @@ def make_sts(n: int) -> CWCode:
     1, 2.  Certifying the n(n-1)/6 blocks is admitted first.
     """
     if n < 3 or n % 6 not in (1, 3):
-        raise ParameterError(
-            f"a Steiner triple system needs n = 1 or 3 mod 6, got {n}")
+        raise ParameterError(f"a Steiner triple system needs n >= 3 and "
+                             f"n = 1 or 3 mod 6, got {n}")
     admit_scan(n, n * (n - 1) // 6, 3, False, f"certifying STS({n})")
     m = n // 3
     x, level = np.arange(m), np.arange(3)
@@ -95,17 +95,14 @@ def affine_plane_code(q: int) -> CWCode:
     """Lines of AG(2, q) as supports: a (q^2, 2(q-1), q) code, q^2 + q words.
 
     Point (x, y) gets index x * q + y.  Lines y = a*x + b come first,
-    ordered by (a, b), then the verticals x = c.  The certification is
-    admitted before q is factored.
+    ordered by (a, b): they are the columns of devore(q, 2).  Then the
+    verticals x = c.  The certification is admitted before q is factored.
     """
     if q > 1:  # factoring refuses the rest at once
         admit_scan(q * q, q * q + q, q, False,
                    f"certifying the lines of AG(2, {q})")
-    field = make_field(*factor_prime_power(q))
-    x = np.arange(q)
-    lines = field.add(field.mul(x[:, None, None], x), x[:, None])  # [a, b, x]
-    words = np.concatenate([(x * q + lines).reshape(q * q, q),
-                            x[:, None] * q + x])
+    words = np.concatenate([matrices.devore(q, 2).positions,
+                            np.arange(q * q).reshape(q, q)])  # x = c
     return certify_binary(q * q, q, words, provenance=f"affine q={q}")
 
 

@@ -92,7 +92,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import pool
-from .errors import ParameterError
+from .errors import ParameterError, admit
 from .matrices import MeasurementMatrix
 
 log = logging.getLogger(__name__)
@@ -111,7 +111,7 @@ TOL = 1e-12
 GREW = "residual norm increased across an OMP iteration"
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseSignal:
     """A k-sparse vector stored as (support, values)."""
     N: int
@@ -470,11 +470,11 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
 
     Each trial draws from the stream of SeedSequence([seed, k, trial]),
     measures a fresh k-sparse signal and checks exact recovery (support
-    equality plus values within 1e-9).  k = 0 is skipped with a note;
-    every k, and 1 <= trials < 2^32, is checked before the first trial
-    runs.  The trials of one k run in blocks of about BLOCK_BYTES of
-    signal data through the batched OMP engine; the module docstring
-    says why the results are bit-identical to one trial at a time.
+    equality plus values within 1e-9).  k = 0 is skipped with a note; each
+    k, and its units' bytes, are checked as ks is read, before the first
+    trial runs.  The trials of one k run in blocks of about BLOCK_BYTES of
+    signal data through the batched OMP engine; the module docstring says
+    why the results are bit-identical to one trial at a time.
 
     The work is cut into units, a chunk of whole blocks of one k each,
     which pool.share runs with their trial work, size * k * n * N.  The
@@ -490,26 +490,29 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if model not in VALUE_MODELS:
         raise ParameterError(f"unknown value model {model!r}")
-    ks = list(ks)
     n, N = matrix.n, matrix.N
+    # the seed's 32-bit words, the head of every trial's entropy row
+    words = [(seed >> s) & 0xFFFFFFFF
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    levels, units = [], []  # (k, unit count), (k, first, trials, block)
     for k in ks:
         if k < 0:
             raise ParameterError(f"need 0 <= k <= N, got k={k} N={N}")
         if k > min(n, N):
             raise ParameterError(f"k={k} exceeds min(n, N) = {min(n, N)}")
-    # the seed's 32-bit words, the head of every trial's entropy row
-    words = [(seed >> s) & 0xFFFFFFFF
-             for s in range(0, max(seed.bit_length(), 1), 32)]
-    plan = []   # (k, its units (first trial, trials, block size))
-    for k in ks:
         block = max(1, BLOCK_BYTES // ((N + k * n) * 8))
         # whole blocks of trials per draw; a trial's draw holds at most
         # 40 + 9k uint64 at once: the seeding's, then its 3k stream
         # words, the choice's Lemire products and the values
         chunk = block * max(1, BLOCK_BYTES // (8 * (40 + 9 * k) * block))
-        plan.append((k, [(first, min(chunk, trials - first), block)
-                         for first in range(0, trials, chunk)] if k else []))
-    units = [(k, *unit) for k, group in plan for unit in group]
+        firsts = range(0, trials if k else 0, chunk)
+        # 560 bytes a unit, held to the fold: its tuple (108), work (40),
+        # pool._fork's dealing (110) and result (300); traced: 520-535
+        admit(f"planning {len(units) + len(firsts)} recovery units",
+              560 * (len(units) + len(firsts)))
+        units += [(k, first, min(chunk, trials - first), block)
+                  for first in firsts]
+        levels.append((k, len(firsts)))
     if units:
         # admitted, and numpy.random imported, before any fork, so the
         # children share both copy-on-write
@@ -518,13 +521,13 @@ def run_experiment(matrix: MeasurementMatrix, ks: Iterable[int], trials: int,
         results = iter(pool.share(task, units, [k * size * n * N
                                                 for k, _, size, _ in units]))
     reports = []
-    for k, group in plan:
+    for k, count in levels:
         if k == 0:
             log.info("skipping k = 0: nothing to recover")
             continue
         totals = (0, 0, 0.0, 0.0)   # successes, then the report's maxima
         seconds = 0.0
-        for _ in group:
+        for _ in range(count):
             result = next(results)
             if isinstance(result, Exception):
                 raise result

@@ -827,6 +827,24 @@ def test_recover_refuses_large_k_before_any_trial(capsys, tmp_path,
     assert captured.err == "error: k=10 exceeds min(n, N) = 9\n"
 
 
+def test_recover_refuses_a_huge_k_range_without_holding_it(capsys, tmp_path):
+    # the range is read up to its first bad k, never copied: a list of
+    # its 10^6 levels traced about 38 MB
+    out = tmp_path / "sts9.matrix"
+    run_cli("construct", "sts", "--n", "9", "--emit-matrix", str(out))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run_cli("recover", str(out), "--k-max", str(10 ** 6)) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k=10 exceeds min(n, N) = 9\n"
+
+
 def test_recover_refuses_2_to_the_32_trials_at_once(tmp_path):
     # a trial index must fit one 32-bit word of its stream's entropy;
     # without the check this count runs until killed

@@ -321,6 +321,14 @@ def test_validate_rejections():
         code_of(7, 3, [((2, 1), (1, 1), (0, 1))], signed=False)
 
 
+def test_codes_compare_by_identity():
+    """Two equal codes are two objects: == never compares their arrays
+    elementwise, which raised ValueError."""
+    a, b = certify_binary(7, 3, FANO), certify_binary(7, 3, FANO)
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+
+
 def test_certify_binary_leaves_the_callers_array_alone():
     """as_points hands an int64 array back uncopied, so the rows must be
     sorted into a new array."""

@@ -89,8 +89,8 @@ def test_make_sts_tags_and_refusals():
     assert make_sts(13).provenance == "steiner-skolem n=13"
     for n in (-9, -5, -3, -1, 0, 1, 2, 4, 5):
         with pytest.raises(ParameterError, match=(
-                f"^a Steiner triple system needs n = 1 or 3 mod 6, "
-                f"got {n}$")):
+                f"^a Steiner triple system needs n >= 3 and n = 1 or 3 "
+                f"mod 6, got {n}$")):
             make_sts(n)
 
 

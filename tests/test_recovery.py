@@ -1,13 +1,14 @@
 """Recovery: signal generation, measurement, OMP, the experiment harness."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cwsense import pool, recovery
-from cwsense.designs import spread_code
-from cwsense.errors import ParameterError
+from cwsense import errors, pool, recovery
+from cwsense.designs import make_sts, spread_code
+from cwsense.errors import BudgetError, ParameterError
 from cwsense.matrices import devore, from_code
 from cwsense.recovery import (CSV_HEADER, VALUE_MODELS, RecoveryReport, omp,
                               reports_to_csv, run_experiment)
@@ -221,9 +222,53 @@ def test_run_experiment_checks_every_k_before_any_trial(monkeypatch):
         raise AssertionError("a trial ran before the bad k was refused")
 
     monkeypatch.setattr(recovery, "_omp_rows", no_trials)
-    ks = iter(range(1, 61))     # materialized once, checked up front
+    ks = iter(range(1, 61))     # read once, up to the bad k
     with pytest.raises(ParameterError, match=r"k=6 exceeds min\(n, N\) = 5"):
         run_experiment(spread_matrix(), ks, trials=5, seed=0)
+    assert next(ks) == 7
+
+
+def test_run_experiment_admits_its_units_before_planning_them(monkeypatch):
+    def no_share(*args):
+        raise AssertionError("the units reached pool.share past the budget")
+
+    matrix = spread_matrix()
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 1 << 16)
+    monkeypatch.setattr(pool, "share", no_share)
+    # k=1 cuts 10^6 trials into 611 chunks of 1638, 342,160 bytes
+    with pytest.raises(BudgetError, match=(
+            r"^planning 611 recovery units needs 342160 bytes, past the "
+            r"cap 65536$")):
+        run_experiment(matrix, [1, 2], trials=10 ** 6, seed=0)
+
+
+def test_unit_plan_peaks_within_its_admission(monkeypatch):
+    """A plan of 16,436 units holds each one's tuple, work, dealing and
+    result until the fold; the trials are replaced by a result of the
+    same shape (fresh successes, three floats, an empty note list)."""
+    def unit(a, words, model, k, first, size, block):
+        return (size + 1000, k, first / 3, size / 7), first / 11, []
+
+    admitted = []
+    monkeypatch.setattr(recovery, "_unit", unit)
+    monkeypatch.setattr(recovery, "admit",
+                        lambda what, size: admitted.append(size))
+    matrix = from_code(make_sts(9))
+    run_experiment(matrix, range(1, 10), trials=5000)   # imports, caches
+    tracemalloc.start()
+    try:
+        run_experiment(matrix, range(1, 10), trials=2 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert admitted[-1] == 560 * 16436
+    assert admitted[-1] // 2 < peak <= admitted[-1]
+
+
+def test_signals_compare_by_identity():
+    a, b = (recovery.SparseSignal(5, (1, 3), np.ones(2)) for _ in range(2))
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
 
 
 def test_run_experiment_zero_coherence_always_succeeds():
