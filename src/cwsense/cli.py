@@ -182,10 +182,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
         raise ParameterError(f"empty k range {args.k_min}..{args.k_max}")
     _check_outputs(args.out)
     matrix = matrices.load_matrix(args.file)
-    mu = matrices.coherence(matrix)
     ks = range(args.k_min, args.k_max + 1)
     results = recovery.run_experiment(matrix, ks, trials=args.trials,
                                       model=args.values, seed=args.seed)
+    mu = matrices.coherence(matrix)  # for the status lines, once k passed
     csv_text = recovery.reports_to_csv(results)
     if args.out:
         textio.write_text(args.out, csv_text)

@@ -28,8 +28,9 @@ are even, d = 2(w - |A & B|) for supports A and B, so the binary bound
 and construction routines take the full distance and insist that it is
 even.  Ternary distances can be odd.
 
-All bound values are computed in arbitrary-precision integer
-arithmetic with a single floor division at the end.
+All bounds are arbitrary-precision integer arithmetic ending in one
+ceiling division (gilbert_bound, graham_sloane_bound,
+ternary_gilbert_bound) or one floor division (moment_dimension).
 """
 
 from __future__ import annotations

@@ -14,16 +14,17 @@ Three families live here:
 
 Designs are int64 arrays: N x 3 blocks, N x k x n subspace bases, all
 row-reduced at once.  Every derived code goes through the exhaustive
-distance certification in codes.py.  A subspace code is certified once,
-as the binary code of its nonzero points: subspaces meeting in q^dim
-points share q^dim - 1 nonzero ones, which gives the subspace distance
-exactly, and SubspaceCode.binary is that code.  So is a triple system:
-n(n-1)/6 blocks meeting pairwise in at most one point cover every pair.
+distance certification in codes.py.  A subspace code is certified where
+it is made, in SubspaceCode's constructor, once, as the binary code of
+its nonzero points: subspaces meeting in q^dim points share q^dim - 1
+nonzero ones, which gives the subspace distance exactly, and
+SubspaceCode.binary is that code.  So is a triple system: n(n-1)/6
+blocks meeting pairwise in at most one point cover every pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
 
@@ -155,63 +156,57 @@ def _span_points(field: FiniteField, bases: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class SubspaceCode:
-    """k-dimensional subspaces of GF(q)^n with a certified distance.
+    """k-dimensional subspaces of GF(q)^n, certified as they are made.
 
-    subspaces is an N x k x n int64 array of coordinates in [0, q), the
-    bases in reduced echelon form.  binary certifies them: a binary
+    The constructor takes bases, an N x k x n array-like of coordinates
+    (N >= 1), and raises ParameterError for other shapes, entries
+    outside [0, q), rank defects and duplicates.  Admitted first
+    (_subspace_bytes), one _rref pass reduces all N bases to subspaces,
+    an N x k x n int64 array, and binary certifies them: a binary
     (q^n - 1, q^k - 1) code, word i the nonzero points of subspace i as
-    sorted base-q encodings minus one.  The subspace distance
-    2k - 2 dim(U & V) comes from its largest overlap q^dim(U & V) - 1;
-    a single-subspace code gets the sentinel 2k.
+    sorted base-q encodings minus one.  Two subspaces meet in t = q^dim
+    points exactly when their nonzero points meet in t - 1, so t is
+    binary's inner + 1 and d = 2k - 2 dim (the sentinel 2k for one
+    subspace).  d, subspaces and binary cannot be passed in.
     """
     field: FiniteField
     n: int
     k: int
-    d: int
-    subspaces: np.ndarray
-    binary: CWCode = dc_field(repr=False)
+    bases: InitVar[object]
     provenance: str = "ingested"
+    d: int = dc_field(init=False)
+    subspaces: np.ndarray = dc_field(init=False)
+    binary: CWCode = dc_field(init=False, repr=False)
+
+    def __post_init__(self, bases) -> None:
+        field, n, k, q = self.field, self.n, self.k, self.field.q
+        if not 1 <= k <= n:
+            raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
+        admit(f"certifying {len(bases)} subspaces of GF({q})^{n}",
+              _subspace_bytes(q, n, k, len(bases)))
+        if not len(bases):
+            raise ParameterError("a subspace code needs at least one subspace")
+        bases = as_points(bases, (len(bases), k, n), q, "basis")
+        bases, rank = _rref(field, bases)
+        if (short := rank < k).any():
+            i = int(short.argmax())
+            raise ParameterError(
+                f"basis #{i} has rank {rank[i]}, expected {k}")
+        if (repeated := repeated_rows(bases.reshape(len(bases), -1))).any():
+            raise ParameterError(
+                f"duplicate subspace #{int(repeated.argmax())}")
+        binary = certify_binary(q ** n - 1, q ** k - 1,
+                                _span_points(field, bases)[:, 1:] - 1,
+                                provenance=f"subspace {self.provenance}")
+        t = binary.inner + 1  # one subspace: no pair, t = 1, the sentinel 2k
+        dim = next(e for e in range(k + 1) if q ** e >= t)
+        if q ** dim != t:
+            raise RuntimeError(
+                f"two subspaces share {t} points, not a power of {q}")
+        self.d, self.subspaces, self.binary = 2 * k - 2 * dim, bases, binary
 
     def __len__(self) -> int:
         return len(self.subspaces)
-
-
-def certify_subspace_code(field: FiniteField, n: int, k: int,
-                          bases, provenance: str = "ingested") -> SubspaceCode:
-    """Canonicalize bases (an N x k x n array-like of coordinates, N >= 1)
-    to RREF, reject other shapes, entries outside [0, q), rank defects
-    and duplicates, and certify the exact subspace distance.
-
-    Admitted first (_subspace_bytes), one _rref pass reduces all N bases,
-    and the nonzero points of each subspace are certified once as a
-    binary code (certify_binary).  Two subspaces meet in t = q^dim
-    points exactly when their nonzero points meet in t - 1, so t is that
-    code's inner + 1 and d = 2k - 2 dim.
-    """
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k} n={n}")
-    q = field.q
-    admit(f"certifying {len(bases)} subspaces of GF({q})^{n}",
-          _subspace_bytes(q, n, k, len(bases)))
-    if not len(bases):
-        raise ParameterError("a subspace code needs at least one subspace")
-    bases = as_points(bases, (len(bases), k, n), q, "basis")
-    bases, rank = _rref(field, bases)
-    if (short := rank < k).any():
-        i = int(short.argmax())
-        raise ParameterError(f"basis #{i} has rank {rank[i]}, expected {k}")
-    repeated = repeated_rows(bases.reshape(len(bases), -1))
-    if repeated.any():
-        raise ParameterError(f"duplicate subspace #{int(repeated.argmax())}")
-    binary = certify_binary(q ** n - 1, q ** k - 1,
-                            _span_points(field, bases)[:, 1:] - 1,
-                            provenance=f"subspace {provenance}")
-    t = binary.inner + 1  # one subspace: no pair, t = 1, the sentinel 2k
-    dim = next(e for e in range(k + 1) if q ** e >= t)
-    if q ** dim != t:
-        raise RuntimeError(f"two subspaces share {t} points, not a power of {q}")
-    return SubspaceCode(field=field, n=n, k=k, d=2 * k - 2 * dim,
-                        subspaces=bases, binary=binary, provenance=provenance)
 
 
 def spread_code(q: int, n: int, k: int) -> SubspaceCode:
@@ -250,8 +245,8 @@ def spread_code(q: int, n: int, k: int) -> SubspaceCode:
         shifted = np.pad(c[:, :, :-1], ((0, 0), (0, 0), (1, 0)))
         rows.append(field.sub(shifted, field.mul(c[:, :, -1:], low)))
     bases = np.stack(rows, axis=1).reshape(len(v), k, n)
-    code = certify_subspace_code(field, n, k, bases,
-                                 provenance=f"spread q={q} n={n} k={k}")
+    code = SubspaceCode(field, n, k, bases,
+                        provenance=f"spread q={q} n={n} k={k}")
     if code.d != 2 * k:
         raise RuntimeError(f"spread members intersect: distance {code.d}")
     return code
@@ -289,7 +284,8 @@ def subspace_to_coset_code(code: SubspaceCode) -> CWCode:
 #
 # One subspace per line under 'q n k d', its k reduced-echelon basis
 # rows as base-q encodings.  Loading admits the subspaces before decoding,
-# re-reduces, recomputes the distance and rejects overstated headers.
+# builds the SubspaceCode, which re-reduces them and recomputes the
+# distance, and rejects overstated headers.
 
 def _words(code: SubspaceCode) -> bytes:
     q, n = code.field.q, code.n
@@ -306,16 +302,16 @@ def loads_subspace_code(text: str) -> SubspaceCode:
     q, n, k, claimed_d, body = textio.read_header(lines, "q n k d")
     if q < 2 or n < 1:
         raise FormatError(f"header needs q >= 2 and n >= 1, got q={q} n={n}")
-    # a k past n fails certify_subspace_code's own check
+    # a k past n fails SubspaceCode's own check
     admit(f"certifying {len(body)} subspaces of GF({q})^{n}",
           _subspace_bytes(q, n, min(k, n), max(len(body), 1)))
     try:
         field = make_field(*factor_prime_power(q))
         words = textio.parse_words(body, False, k, "subspace row")[0]
         rows = as_points(words, (len(body), k), q ** n, "subspace row")
-        code = certify_subspace_code(field, n, k,
-                                     rows[..., None] // q ** np.arange(n) % q,
-                                     provenance=provenance)
+        code = SubspaceCode(field, n, k,
+                            rows[..., None] // q ** np.arange(n) % q,
+                            provenance=provenance)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
     if code.d < claimed_d:

@@ -827,6 +827,29 @@ def test_recover_refuses_large_k_before_any_trial(capsys, tmp_path,
     assert captured.err == "error: k=10 exceeds min(n, N) = 9\n"
 
 
+def test_recover_refuses_large_k_before_certifying(capsys, tmp_path,
+                                                   monkeypatch):
+    # a dense CSV carries no coherence, and only the status lines after
+    # the report read mu: a k past min(n, N) is refused before the scan
+    from cwsense import matrices
+    out = tmp_path / "sts9.csv"
+    run_cli("construct", "sts", "--n", "9", "--matrix-format", "dense-csv",
+            "--emit-matrix", str(out))
+    capsys.readouterr()
+    calls = []
+    real = matrices.array_maxima
+
+    def counted(n, positions, signs):
+        calls.append(n)
+        return real(n, positions, signs)
+    monkeypatch.setattr(matrices, "array_maxima", counted)
+    assert run_cli("recover", str(out), "--k-max", "10") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k=10 exceeds min(n, N) = 9\n"
+    assert calls == []
+
+
 def test_recover_refuses_a_huge_k_range_without_holding_it(capsys, tmp_path):
     # the range is read up to its first bad k, never copied: a list of
     # its 10^6 levels traced about 38 MB

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from codes_oracle import coset_code, words_of
 from cwsense import codes, designs
 from cwsense.codes import dumps_code
-from cwsense.designs import (_rref, affine_plane_code, certify_subspace_code,
+from cwsense.designs import (SubspaceCode, _rref, affine_plane_code,
                              dumps_subspace_code, load_subspace_code,
                              loads_subspace_code, make_sts,
                              save_subspace_code, spread_code, steiner_code,
@@ -260,7 +260,7 @@ def test_subspace_stages_peak_within_their_estimate(q, n, k):
     text = dumps_subspace_code(code)
     estimate = designs._subspace_bytes(q, n, k, len(code))
     for stage in (lambda: spread_code(q, n, k),
-                  lambda: certify_subspace_code(field, n, k, code.subspaces),
+                  lambda: SubspaceCode(field, n, k, code.subspaces),
                   lambda: loads_subspace_code(text)):
         tracemalloc.start()
         try:
@@ -334,7 +334,7 @@ def test_coset_code_frozen_small_case():
 def test_coset_code_budget():
     field = make_field(2)
     basis = [tuple(1 if i == 0 else 0 for i in range(17))]
-    tiny = certify_subspace_code(field, 17, 1, [basis])
+    tiny = SubspaceCode(field, 17, 1, [basis])
     with pytest.raises(BudgetError):
         subspace_to_coset_code(tiny)  # 65,535 cosets: past the dense cap
 
@@ -353,8 +353,8 @@ def hyperplanes(n):
         p = (a & -a).bit_length() - 1
         bases.append([[int(i == j or (i == p and a >> j & 1))
                        for i in range(n)] for j in range(n) if j != p])
-    return certify_subspace_code(make_field(2), n, n - 1, bases,
-                                 provenance="hyperplanes")
+    return SubspaceCode(make_field(2), n, n - 1, bases,
+                        provenance="hyperplanes")
 
 
 def random_subspace_codes(count, seed=20):
@@ -371,7 +371,7 @@ def random_subspace_codes(count, seed=20):
         size = int(rng.integers(1, 1 + min(6, 20000 // q ** n)))
         field = make_field(*factor_prime_power(q))
         try:
-            out.append(certify_subspace_code(
+            out.append(SubspaceCode(
                 field, n, k, rng.integers(0, q, (size, k, n)),
                 provenance=f"random #{len(out)}"))
         except ParameterError:
@@ -405,8 +405,8 @@ def coset_outcomes(case):
     spread's (q, n, k), 'hyperplanes' or five coordinate 'axes',
     computed once for the tests that share them."""
     if case == "axes":  # 10,235 cosets of GF(2)^12: past the byte budget
-        code = certify_subspace_code(make_field(2), 12, 1,
-                                     np.eye(12, dtype=int)[:5, None])
+        code = SubspaceCode(make_field(2), 12, 1,
+                            np.eye(12, dtype=int)[:5, None])
     else:
         code = hyperplanes(10) if case == "hyperplanes" else spread_code(*case)
     return [coset_outcome(convert, code, case in PEAK_CASES)
@@ -467,7 +467,7 @@ def test_coset_code_past_q_n_of_2_16():
     # coset, its complement
     basis = [[int(i == j) for i in range(17)] for j in range(16)]
     code = subspace_to_coset_code(
-        certify_subspace_code(make_field(2), 17, 16, [basis]))
+        SubspaceCode(make_field(2), 17, 16, [basis]))
     assert (code.n, code.w, len(code)) == ((1 << 17) - 1, 1 << 16, 1)
     assert code.positions.tolist() == [list(range((1 << 16) - 1,
                                                   (1 << 17) - 1))]
@@ -478,17 +478,17 @@ def test_certify_subspace_code_rejections():
     field = make_field(2)
     e = lambda *bits: tuple(bits)
     with pytest.raises(ParameterError):
-        certify_subspace_code(field, 4, 2, [(e(1, 0, 0, 0), e(1, 0, 0, 0))])
+        SubspaceCode(field, 4, 2, [(e(1, 0, 0, 0), e(1, 0, 0, 0))])
     with pytest.raises(ParameterError):
-        certify_subspace_code(field, 4, 2, [
+        SubspaceCode(field, 4, 2, [
             (e(1, 0, 0, 0), e(0, 1, 0, 0)),
             (e(0, 1, 0, 0), e(1, 0, 0, 0)),   # same subspace, other order
         ])
     with pytest.raises(ParameterError):
-        certify_subspace_code(field, 4, 0, [])
+        SubspaceCode(field, 4, 0, [])
     a, b = (e(1, 0, 0, 0), e(0, 1, 0, 0)), (e(0, 0, 1, 0), e(0, 0, 0, 1))
     with pytest.raises(ParameterError, match="^duplicate subspace #2$"):
-        certify_subspace_code(field, 4, 2, [a, b, a, b])
+        SubspaceCode(field, 4, 2, [a, b, a, b])
 
 
 def test_rank_error_names_the_first_deficient_basis():
@@ -497,9 +497,9 @@ def test_rank_error_names_the_first_deficient_basis():
     deficient = ((1, 2, 0), (2, 1, 0))   # the second row is twice the first
     with pytest.raises(ParameterError,
                        match=r"^basis #1 has rank 1, expected 2$"):
-        certify_subspace_code(field, 3, 2, [full, deficient,
-                                            ((0, 0, 1), (1, 0, 0)),
-                                            ((0, 0, 0), (0, 0, 0))])
+        SubspaceCode(field, 3, 2, [full, deficient,
+                                   ((0, 0, 1), (1, 0, 0)),
+                                   ((0, 0, 0), (0, 0, 0))])
 
 
 def test_certification_reduces_all_bases_in_one_pass(monkeypatch):
@@ -513,10 +513,21 @@ def test_certification_reduces_all_bases_in_one_pass(monkeypatch):
         calls.append(n)
         return real(self, a, b, n)
     monkeypatch.setattr(FiniteField, "sub", counted)
-    code = certify_subspace_code(spread.field, 12, 2, spread.subspaces)
+    code = SubspaceCode(spread.field, 12, 2, spread.subspaces)
     assert len(calls) <= 12
     assert code.d == 4
     assert (code.subspaces == spread.subspaces).all()
+    assert (code.binary.positions == spread.binary.positions).all()
+
+
+@pytest.mark.parametrize("name", ["d", "subspaces", "binary"])
+def test_subspace_code_computes_what_it_certifies(name):
+    # d, the reduced bases and the binary code are the constructor's
+    # own results: none of them can be passed in
+    spread = spread_code(2, 4, 2)
+    with pytest.raises(TypeError, match=name):
+        SubspaceCode(spread.field, 4, 2, spread.subspaces,
+                     **{name: getattr(spread, name)})
 
 
 def test_over_budget_subspace_file_is_refused_before_reduction(monkeypatch):
@@ -539,13 +550,13 @@ def test_certify_subspace_code_rejects_coordinates_outside_field(bad):
                     "empty": ([], "at least one")}.get(
         bad, ([((1, 0, 0), (0, 1, bad))], "outside"))
     with pytest.raises(ParameterError, match=match):
-        certify_subspace_code(field, 3, 2, bases)
+        SubspaceCode(field, 3, 2, bases)
 
 
 def test_certified_subspace_distance_counts_intersection():
     field = make_field(2)
     e = lambda *bits: tuple(bits)
-    code = certify_subspace_code(field, 4, 2, [
+    code = SubspaceCode(field, 4, 2, [
         (e(1, 0, 0, 0), e(0, 1, 0, 0)),
         (e(1, 0, 0, 0), e(0, 0, 1, 0)),   # shares the first axis
     ])
@@ -649,7 +660,7 @@ def span_oracle(field, basis):
 @given(subspace_codes())
 def test_point_set_distance_matches_rank_oracle(case):
     field, n, k, bases = case
-    code = certify_subspace_code(field, n, k, bases)
+    code = SubspaceCode(field, n, k, bases)
     subspaces = code.subspaces.tolist()
     want = min((2 * k - 2 * (2 * k - len(oracle_rref(field, a + b)))
                 for a, b in combinations(subspaces, 2)),
@@ -708,7 +719,7 @@ def test_batched_rref_matches_oracle_per_item(case):
 @given(subspace_codes(), st.data())
 def test_subspace_file_round_trip_and_damage(case, data):
     field, n, k, bases = case
-    text = dumps_subspace_code(certify_subspace_code(field, n, k, bases))
+    text = dumps_subspace_code(SubspaceCode(field, n, k, bases))
     assert dumps_subspace_code(loads_subspace_code(text)) == text
     cut = data.draw(st.integers(0, len(text)), label="cut")
     pos = data.draw(st.integers(0, len(text) - 1), label="pos")
